@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from . import birkhoff
@@ -376,10 +375,6 @@ def cmd_report(args):
                 spec, "resolvent", ray, DEFAULT_SCAN["rmin"], DEFAULT_SCAN["rmax"],
                 DEFAULT_SCAN["samples"], DEFAULT_SCAN["grid"]),
         }
-        if args.jobs > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                futures = {name: pool.submit(run, name, fn) for name, fn in jobs.items()}
-                return {name: future.result() for name, future in futures.items()}
         return {name: run(name, fn) for name, fn in jobs.items()}
 
     doc = {
@@ -424,8 +419,6 @@ def _build_parser():
                         help="regularity tolerance override")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for sampled checks (default 0)")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="max parallel scans in report (default 1)")
     common.add_argument("-o", "--output", default=None,
                         help="output path (JSON; CSV for scan/numrange)")
 

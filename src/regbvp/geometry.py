@@ -74,24 +74,16 @@ class DiskSet:
         object.__setattr__(self, "centers", tuple(complex(c) for c in self.centers))
 
 
-def critical_rays(n, variant="standard") -> RaySet:
+def critical_rays(n) -> RaySet:
     """Critical ray directions for order ``n``.
 
-    ``variant="standard"`` returns the directions where some exponent
-    i*eps_k*rho is purely imaginary: phi = +-pi/2 - arg(i eps_k).  The
-    ``"offset"`` variant replaces pi/2 by pi/(2n) and is kept only for
-    auditing alternative conventions.
-
-    The standard set has n elements for even n and 2n for odd n.
+    These are the directions where some exponent i*eps_k*rho is purely
+    imaginary: phi = +-pi/2 - arg(i eps_k).  The set has n elements for
+    even n and 2n for odd n.
     """
     if not (isinstance(n, int) and n >= 1):
         raise ValueError("order must be a positive integer")
-    if variant == "standard":
-        half = math.pi / 2.0
-    elif variant == "offset":
-        half = math.pi / (2.0 * n)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    half = math.pi / 2.0
     angles = set()
     for k in range(n):
         alpha = cmath.phase(1j * cmath.exp(2j * cmath.pi * k / n))
@@ -100,12 +92,12 @@ def critical_rays(n, variant="standard") -> RaySet:
     return RaySet(tuple(sorted(angles)))
 
 
-def omega_sectors(n, epsilon, variant="standard") -> SectorSet:
+def omega_sectors(n, epsilon) -> SectorSet:
     """Closed sectors left after removing an open sector of opening
     ``epsilon`` bisected by every critical ray."""
     if not 0 < epsilon < math.pi / (2 * n):
         raise ValueError("epsilon must lie in (0, pi/(2n))")
-    rays = critical_rays(n, variant).angles
+    rays = critical_rays(n).angles
     half = epsilon / 2.0
     sectors = []
     for i, lo_ray in enumerate(rays):

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import legendre
-from scipy.linalg import null_space
 
 from .model import OperatorSpec, SpecError, operator_coefficients
+from .quasiform import null_space, rounding_cutoff
 
 __all__ = [
     "SupportProfile",
@@ -101,7 +101,7 @@ def constrained_basis(spec: OperatorSpec, dim):
     for j, row in enumerate(spec.rows):
         rows[j] = np.asarray(row.a) @ at0 + np.asarray(row.b) @ at1
     scale = np.linalg.norm(rows, axis=1, keepdims=True)
-    basis = null_space(rows / scale)
+    basis = null_space(rows / scale, rounding_cutoff(rows))
     if basis.shape != (count, dim):
         raise SpecError(
             f"boundary rows lose rank on the polynomial trial space "

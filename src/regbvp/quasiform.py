@@ -27,7 +27,6 @@ the quadratic form into (A y_wedge, y_wedge).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space, subspace_angles
 
 from .model import (
     ZERO,
@@ -55,6 +54,7 @@ __all__ = [
 
 SV_CUTOFF = 1e-10
 ANGLE_TOL = 1e-8
+RECURRENCE_TOL = 1e-12
 
 
 def _require_divergence(spec: OperatorSpec) -> DivergenceForm:
@@ -115,10 +115,12 @@ def quasi_transition(spec: OperatorSpec) -> QuasiTransition:
     n = 2 * m
     jets = quasi_jets(form)
 
-    # internal consistency: the recurrence telescopes to the expression
+    # internal consistency: the recurrence telescopes to the expression,
+    # up to rounding (the two sums add the same products in another order)
     expanded = expand_divergence(form)
+    tol = RECURRENCE_TOL * max(abs(c) for poly in expanded for c in poly.coeffs)
     for s in range(n + 1):
-        if (jets[n][s] - expanded[s]).coeffs:
+        if any(abs(c) > tol for c in (jets[n][s] - expanded[s]).coeffs):
             raise AssertionError("quasi-derivative recurrence does not reproduce the expression")
 
     def evaluate(x):
@@ -217,21 +219,46 @@ def _column_space(mat, cutoff=SV_CUTOFF):
     return u[:, :rank]
 
 
-def _null_space(mat, cutoff=SV_CUTOFF):
+def null_space(mat, cutoff=SV_CUTOFF):
+    """Orthonormal basis of the kernel of ``mat``, as C-contiguous columns.
+
+    Singular values up to ``cutoff`` times the largest count as zero.
+    """
     u, s, vh = np.linalg.svd(mat)
     if s.size == 0 or s[0] == 0:
         return np.eye(mat.shape[1], dtype=complex)
     rank = int(np.sum(s > cutoff * s[0]))
-    return vh[rank:].conj().T
+    return np.ascontiguousarray(vh[rank:].conj().T)
+
+
+def rounding_cutoff(mat):
+    """Relative singular-value cutoff at the rounding level of ``mat``."""
+    return np.finfo(float).eps * max(mat.shape)
 
 
 def _max_angle(basis1, basis2):
+    """Principal angles between two column spaces (largest first) and
+    their maximum.
+
+    Angles with cos^2 >= 1/2 come from the sines, the singular values of
+    the part of one basis orthogonal to the other (Bjorck and Golub 1973):
+    arccos of the cosines cannot resolve angles below about 1e-8.
+    """
     d1, d2 = basis1.shape[1], basis2.shape[1]
     if d1 == 0 and d2 == 0:
         return np.array([]), 0.0
     if d1 == 0 or d2 == 0:
         return np.array([np.pi / 2]), np.pi / 2
-    angles = subspace_angles(basis1, basis2)
+    q1 = _column_space(basis1, rounding_cutoff(basis1))
+    q2 = _column_space(basis2, rounding_cutoff(basis2))
+    if q1.shape[1] < q2.shape[1]:
+        q1, q2 = q2, q1
+    cross = q1.conj().T @ q2
+    cosines = np.linalg.svd(cross, compute_uv=False)[::-1]
+    sines = np.linalg.svd(q2 - q1 @ cross, compute_uv=False)
+    angles = np.where(cosines ** 2 >= 0.5,
+                      np.arcsin(np.clip(sines, -1.0, 1.0)),
+                      np.arccos(np.clip(cosines, -1.0, 1.0)))
     return angles, float(np.max(angles)) if angles.size else 0.0
 
 
@@ -255,15 +282,11 @@ def check_completely_regular(spec_or_split, angle_tol=ANGLE_TOL) -> CompleteRegu
     im_c = _column_space(C)
     # B^{-1}(im C) = kernel of (projector onto (im C)^perp) @ B
     proj_perp = np.eye(n, dtype=complex) - im_c @ im_c.conj().T
-    preimage = _null_space(proj_perp @ B)
+    preimage = null_space(proj_perp @ B)
     complement = _column_space(C.conj().T)  # (ker C)^perp = range C^H
 
-    if preimage.shape[1] != complement.shape[1]:
-        angles, max_angle = _max_angle(preimage, complement)
-        verdict = False
-    else:
-        angles, max_angle = _max_angle(preimage, complement)
-        verdict = max_angle <= angle_tol
+    angles, max_angle = _max_angle(preimage, complement)
+    verdict = preimage.shape[1] == complement.shape[1] and max_angle <= angle_tol
 
     A = _boundary_form_matrix(split, preimage) if verdict else None
     return CompleteRegularityReport(verdict, preimage, complement, angles, max_angle, A)
@@ -271,7 +294,8 @@ def check_completely_regular(spec_or_split, angle_tol=ANGLE_TOL) -> CompleteRegu
 
 def _boundary_form_matrix(split: SplitBC, preimage):
     n = split.B.shape[0]
-    pairs = null_space(np.hstack([split.B, split.C]))
+    stacked = np.hstack([split.B, split.C])
+    pairs = null_space(stacked, rounding_cutoff(stacked))
     y1, y2 = pairs[:n], pairs[n:]
     proj = preimage @ preimage.conj().T
     # A equals P y2 pinv(y1) restricted to the subspace: zero off it.
@@ -308,7 +332,7 @@ def _admissible_polynomials(spec: OperatorSpec, degree):
         norm = np.abs(rows[j]).max()
         if norm > 0:
             rows[j] /= norm
-    space = null_space(rows, rcond=1e-12)
+    space = null_space(rows, cutoff=1e-12)
     if space.shape[1] == 0:
         raise SpecError("no admissible polynomial at the chosen degree")
     return basis, space

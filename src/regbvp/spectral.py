@@ -109,7 +109,6 @@ def _unit_roots(n):
 
 
 def _coefficient_arrays(nbc: NormalizedBC):
-    n = nbc.n
     a = np.array([row.a for row in nbc.rows], dtype=complex)
     b = np.array([row.b for row in nbc.rows], dtype=complex)
     return a, b
@@ -118,9 +117,11 @@ def _coefficient_arrays(nbc: NormalizedBC):
 def _char_matrices(nbc: NormalizedBC, rhos, derivative=False):
     """Scaled boundary matrices for a batch of rho values.
 
-    Returns (mats, log_scales) and, when ``derivative`` is set, the
-    derivative matrices with identical scaling (so that the trace formula
-    tr(M^-1 M') is unaffected).
+    Returns (mats, log_scales, row_scales), where ``row_scales`` are the
+    divisors applied to the rows (so a right-hand side can be scaled to
+    match), and, when ``derivative`` is set, also the derivative matrices
+    with identical scaling (so that the trace formula tr(M^-1 M') is
+    unaffected).
     """
     n = nbc.n
     rhos = np.asarray(rhos, dtype=complex).ravel()
@@ -147,7 +148,7 @@ def _char_matrices(nbc: NormalizedBC, rhos, derivative=False):
     log_scales = log_scales + np.log(safe).sum(axis=1)
 
     if not derivative:
-        return mats, log_scales
+        return mats, log_scales, safe
 
     dpow = np.zeros_like(powers)                                # d/drho z_k^s
     for s in range(1, n):
@@ -156,12 +157,12 @@ def _char_matrices(nbc: NormalizedBC, rhos, derivative=False):
     dmats = (np.einsum("js,Nks->Njk", a, dpow) * col_scale[:, None, :]
              + np.einsum("js,Nks->Njk", b, dpow + dexp) * scaled_exp[:, None, :])
     dmats = dmats / safe[:, :, None]
-    return mats, log_scales, dmats
+    return mats, log_scales, safe, dmats
 
 
 def _char_det_batch(nbc, rhos):
     """(scaled determinants, log scales) for a batch of rho values."""
-    mats, log_scales = _char_matrices(nbc, rhos)
+    mats, log_scales, _ = _char_matrices(nbc, rhos)
     return np.linalg.det(mats), log_scales
 
 
@@ -177,7 +178,7 @@ def char_det(nbc: NormalizedBC, rho) -> ScaledValue:
 
 def _log_derivative(nbc, rho):
     """tr(M^-1 M') = d/drho log Delta(rho)."""
-    mats, _, dmats = _char_matrices(nbc, [rho], derivative=True)
+    mats, _, _, dmats = _char_matrices(nbc, [rho], derivative=True)
     return complex(np.trace(np.linalg.solve(mats[0], dmats[0])))
 
 
@@ -367,7 +368,6 @@ def find_roots(nbc: NormalizedBC, annulus, sector=None, grid=8,
             emit(rho, count, res)
             return
         if depth >= max_depth or _box_diameter(box) <= diam_tol:
-            rho, res = _newton(nbc, center, count, residual_tol)
             emit(rho, count, res)
             return
         for fractions in ((0.5, 0.5), (0.53, 0.47), (0.47, 0.56), (0.515, 0.485)):
@@ -515,29 +515,12 @@ def _green_matrix(nbc: NormalizedBC, rho, xs, xis):
 
     # the boundary matrix rows are rescaled inside _char_matrices, so the
     # right-hand side must be rescaled identically before solving
-    mats, _ = _char_matrices(nbc, [rho])
-    coeffs = np.linalg.solve(mats[0], _scale_rhs_like(nbc, rho, rhs))
+    mats, _, row_scales = _char_matrices(nbc, [rho])
+    coeffs = np.linalg.solve(mats[0], rhs / row_scales[0][:, None])
 
     shift = np.maximum(z.real, 0.0)
     e_cols = np.exp(np.outer(xs, z) - shift[None, :])           # scaled e^(z x)
     return g - e_cols @ coeffs
-
-
-def _scale_rhs_like(nbc, rho, rhs):
-    """Apply to ``rhs`` the same row scaling used by _char_matrices."""
-    n = nbc.n
-    eps = _unit_roots(n)
-    a, b = _coefficient_arrays(nbc)
-    z = (1j * eps * rho)[None, :]
-    shift = np.maximum(z.real, 0.0)
-    powers = np.ones((1, n, n), dtype=complex)
-    for s in range(1, n):
-        powers[:, :, s] = powers[:, :, s - 1] * z
-    mats = (np.einsum("js,Nks->Njk", a, powers) * np.exp(-shift)[:, None, :]
-            + np.einsum("js,Nks->Njk", b, powers) * np.exp(z - shift)[:, None, :])
-    row_norm = np.abs(mats).max(axis=2)[0]
-    safe = np.where(row_norm > 0.0, row_norm, 1.0)
-    return rhs / safe[:, None]
 
 
 def green_kernel(nbc: NormalizedBC, rho, x, xi):
@@ -675,7 +658,7 @@ def eigenfunction(nbc: NormalizedBC, root: EigenRoot):
     if root.multiplicity > 2:
         raise ValueError("unexpected multiplicity > 2")
     n = nbc.n
-    mats, _ = _char_matrices(nbc, [root.rho])
+    mats, _, _ = _char_matrices(nbc, [root.rho])
     _u, s, vh = np.linalg.svd(mats[0])
     vecs = vh[n - root.multiplicity:].conj()
     eps = _unit_roots(n)

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -262,10 +264,12 @@ def test_report_matches_golden(name, tmp_path, capsys):
         assert out.read_bytes() == handle.read()
 
 
-def test_report_jobs_flag_is_deterministic(tmp_path, capsys):
-    serial = tmp_path / "serial.json"
-    parallel = tmp_path / "parallel.json"
-    assert cli.main(["report", "periodic2", "-o", str(serial)]) == 0
-    assert cli.main(["report", "periodic2", "--jobs", "2", "-o", str(parallel)]) == 0
-    capsys.readouterr()
-    assert serial.read_bytes() == parallel.read_bytes()
+def test_cli_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, regbvp.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

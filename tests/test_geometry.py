@@ -34,12 +34,7 @@ def test_critical_ray_counts():
         assert count == (n if n % 2 == 0 else 2 * n)
 
 
-def test_offset_variant_differs():
-    std = critical_rays(4).angles
-    off = critical_rays(4, variant="offset").angles
-    assert std != off
-    with pytest.raises(ValueError):
-        critical_rays(4, variant="bogus")
+def test_critical_rays_reject_bad_order():
     with pytest.raises(ValueError):
         critical_rays(0)
 

@@ -1,13 +1,14 @@
 """Quasi-derivative splitting and the complete-regularity criterion."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
 import oracles
 from conftest import make_row
-from regbvp import gallery
+from regbvp import gallery, quasiform
 from regbvp.model import (
     ONE,
     ZERO,
@@ -20,6 +21,8 @@ from regbvp.model import (
     operator_coefficients,
 )
 from regbvp.quasiform import (
+    ANGLE_TOL,
+    SplitBC,
     boundary_form_matrix,
     check_completely_regular,
     quasi_jets,
@@ -87,6 +90,43 @@ def test_quasi_transition_triangular_unit_diagonal():
             want = [1.0 if j <= m else (-1.0) ** (j - m) for j in range(n)]
             assert np.allclose(diag, want, atol=1e-12)
             assert abs(abs(np.linalg.det(mat)) - 1.0) < 1e-9
+
+
+def _random_poly(rng):
+    return Poly(tuple(complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                      for _ in range(rng.randrange(0, 4))))
+
+
+def _random_fourth_order_spec(rng):
+    form = DivergenceForm(
+        2,
+        p=tuple(_random_poly(rng) for _ in range(2)) + (ONE,),
+        q=(ZERO,) + tuple(_random_poly(rng) for _ in range(2)),
+        r=(ZERO,) + tuple(_random_poly(rng) for _ in range(2)),
+    )
+    return OperatorSpec(4, form, gallery.build("dirichlet4").rows)
+
+
+def test_quasi_transition_accepts_random_fourth_order_forms():
+    # the recurrence and the expansion add the same products in different
+    # orders, so their coefficients may differ in the last bits
+    rng = random.Random(7)
+    for _ in range(200):
+        trans = quasi_transition(_random_fourth_order_spec(rng))
+        assert abs(abs(np.linalg.det(trans.at_zero)) - 1.0) < 1e-9
+
+
+def test_quasi_transition_rejects_wrong_expansion(monkeypatch):
+    expand = quasiform.expand_divergence
+
+    def perturbed(form):
+        coeffs = list(expand(form))
+        coeffs[1] = coeffs[1] + Poly((1.0,))
+        return tuple(coeffs)
+
+    monkeypatch.setattr(quasiform, "expand_divergence", perturbed)
+    with pytest.raises(AssertionError):
+        quasi_transition(_random_fourth_order_spec(random.Random(7)))
 
 
 def test_quasi_transition_requires_divergence_form():
@@ -179,6 +219,20 @@ def test_mixed_fourth_order_angle_is_quarter_pi():
 def test_cauchy_angle_is_half_pi():
     report = check_completely_regular(gallery.build("cauchy2"))
     assert abs(report.max_angle - math.pi / 2) <= 1e-8
+
+
+@pytest.mark.parametrize("angle, verdict", [(1e-10, True), (1e-6, False)])
+def test_small_principal_angles_resolved(angle, verdict):
+    """Preimage span{(cos t, 0, sin t, 0), e2} against (ker C)^perp =
+    span{e1, e2}: principal angles t and 0.  arccos of the cosines reads
+    t = 1e-10 as 0 and t = 1e-6 only to about 1e-8."""
+    c, s = math.cos(angle), math.sin(angle)
+    B = np.array([[0, 0, 0, 0], [0, 0, 0, 0], [-s, 0, c, 0], [0, 0, 0, 1]], dtype=complex)
+    C = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
+    report = check_completely_regular(SplitBC(2, B, C, (), ()))
+    assert report.max_angle == pytest.approx(angle, rel=1e-6)
+    assert report.completely_regular is verdict
+    assert (report.max_angle <= ANGLE_TOL) is verdict
 
 
 def test_boundary_form_matrices_frozen():
