@@ -42,10 +42,15 @@ EXIT_FAILURE = 1
 EXIT_NOT_REGULAR = 3
 EXIT_INVALID = 4
 
+SPECTRUM_RMIN = 0.5
 DEFAULT_RMAX = 20.0
 DEFAULT_SCAN = {"rmin": 5.0, "rmax": 60.0, "samples": 24, "grid": 48}
 DECAY_SLACK = 0.5
 CLEARANCE_DELTA = 0.5
+# ``report`` searches once, out to the clearance region of its scans
+# (66.5); that covers the spectrum section and Gram conditioning too.
+REPORT_RADIUS = max(DEFAULT_RMAX, spectral.clearance_region(
+    0.0, DEFAULT_SCAN["rmin"], DEFAULT_SCAN["rmax"], CLEARANCE_DELTA)[0][1])
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +86,28 @@ def _decade_above(bound):
     """The smallest power of ten at or above ``bound``; 0 and non-finite
     bounds pass through."""
     return 10.0 ** math.ceil(math.log10(bound)) if 0.0 < bound < math.inf else bound
+
+
+def _root_document(root, n):
+    """A root printed to the digits its error bound backs.
+
+    The computed rho is within about eps (1 + |rho|) of the true zero,
+    which the Newton residual can understate, so the bound on rho is
+    max(residual, n eps) (1 + |rho|) and on lambda = rho^n it is
+    n |rho|^(n-1) times that.  The residual itself is printed as the
+    power of ten at or above max(residual, eps).
+    """
+    eps = sys.float_info.epsilon
+    bound = max(root.residual, n * eps) * (1.0 + abs(root.rho))
+    lam_bound = n * abs(root.rho) ** (n - 1) * bound
+    return {
+        "rho": complex(_round_to_bound(root.rho.real, bound),
+                       _round_to_bound(root.rho.imag, bound)),
+        "lambda": complex(_round_to_bound(root.lam.real, lam_bound),
+                          _round_to_bound(root.lam.imag, lam_bound)),
+        "multiplicity": root.multiplicity,
+        "residual": _decade_above(max(root.residual, eps)),
+    }
 
 
 def _jsonable(obj):
@@ -142,8 +169,7 @@ def _divergence_view(spec):
 # Document builders (shared between single commands and report)
 # ---------------------------------------------------------------------------
 
-def classification_document(spec, tol=None, seed=0, trials=50):
-    nbc = reduce_total_order(spec.rows)
+def classification_document(spec, nbc, tol=None, seed=0, trials=50):
     verdict = birkhoff.classify_regularity(nbc, tol=tol)
     doc = {
         "order": spec.order,
@@ -186,12 +212,13 @@ def classification_document(spec, tol=None, seed=0, trials=50):
     return doc
 
 
-def spectrum_document(spec, rmax=DEFAULT_RMAX, sector=None, epsilon=None,
+def spectrum_document(nbc, roots, rmax=DEFAULT_RMAX, sector=None, epsilon=None,
                       tau=0.05, l_max=4):
-    nbc = reduce_total_order(spec.rows)
-    n = spec.order
-    r_min = 0.5
-    roots = spectral.find_roots(nbc, (r_min, rmax), sector=sector)
+    """The spectrum section, from those ``roots`` that lie in the annulus
+    SPECTRUM_RMIN <= |rho| <= ``rmax`` and in ``sector``."""
+    n = nbc.n
+    r_min = SPECTRUM_RMIN
+    roots = spectral.roots_in(roots, (r_min, rmax), sector)
     reps = spectral.distinct_eigenvalues(roots)
     groups = spectral.bracket_groups(reps, tau=tau)
     sizes = [sum(r.multiplicity for r in g) for g in groups]
@@ -224,12 +251,7 @@ def spectrum_document(spec, rmax=DEFAULT_RMAX, sector=None, epsilon=None,
     return {
         "annulus": [r_min, rmax],
         "sector": list(sector) if sector is not None else None,
-        "roots": [{
-            "rho": r.rho,
-            "lambda": r.lam,
-            "multiplicity": r.multiplicity,
-            "residual": r.residual,
-        } for r in roots],
+        "roots": [_root_document(r, n) for r in roots],
         "distinct_eigenvalues": len(reps),
         "brackets": {
             "tau": tau,
@@ -243,32 +265,41 @@ def spectrum_document(spec, rmax=DEFAULT_RMAX, sector=None, epsilon=None,
     }
 
 
-def _choose_ray(spec, rmin, rmax):
-    """First omega-sector bisector whose ray passes the clearance check."""
-    n = spec.order
-    nbc = reduce_total_order(spec.rows)
+def _clearance_roots(nbc, ray, rmin, rmax):
+    """The zeros in the clearance region of ``ray``, searched for alone."""
+    return spectral.find_roots(
+        nbc, *spectral.clearance_region(ray, rmin, rmax, CLEARANCE_DELTA))
+
+
+def _choose_ray(nbc, rmin, rmax, roots=None):
+    """First omega-sector bisector whose ray passes the clearance check.
+
+    Returns (ray, roots checked): ``roots`` when given, otherwise the
+    clearance region of each candidate is searched in turn.
+    """
+    n = nbc.n
     epsilon = math.pi / (4 * n)
     errors = []
     for lo, hi in geometry.omega_sectors(n, epsilon).sectors:
         mid = 0.5 * (lo + hi)
         try:
-            spectral._ray_clearance_check(nbc, mid, rmin, rmax, CLEARANCE_DELTA)
+            ray_roots = _clearance_roots(nbc, mid, rmin, rmax) if roots is None else roots
+            spectral.ray_clearance_check(ray_roots, mid, rmin, rmax, CLEARANCE_DELTA)
         except (ValueError, spectral.ContourError) as exc:
             errors.append(f"{mid:.3f}: {exc}")
             continue
-        return mid
+        return mid, ray_roots
     raise RuntimeError("no usable scan ray found: " + "; ".join(errors))
 
 
-def scan_document(spec, kind, ray, rmin, rmax, samples, grid, csv_path=None):
-    nbc = reduce_total_order(spec.rows)
-    n = spec.order
+def scan_document(nbc, kind, ray, roots, rmin, rmax, samples, grid, csv_path=None):
+    n = nbc.n
     if kind == "green":
-        scan = spectral.green_sup_scan(nbc, ray, r_min=rmin, r_max=rmax,
+        scan = spectral.green_sup_scan(nbc, ray, roots, r_min=rmin, r_max=rmax,
                                        samples=samples, grid=grid)
         expected = -(n - 1)
     elif kind == "resolvent":
-        scan = spectral.resolvent_scan(nbc, ray_angle=ray, r_min=rmin,
+        scan = spectral.resolvent_scan(nbc, ray_angle=ray, roots=roots, r_min=rmin,
                                        r_max=rmax, samples=samples)
         expected = -n
     else:
@@ -325,12 +356,9 @@ def numrange_document(spec, max_dim=64, angles=numrange.DEFAULT_ANGLES,
     }
 
 
-def gram_document(spec, count=16):
-    nbc = reduce_total_order(spec.rows)
-    return {
-        "count": count,
-        "conditions": [[size, cond] for size, cond in spectral.gram_condition(nbc, count)],
-    }
+def gram_document(nbc, roots, radius, count=16):
+    conditions = spectral.gram_condition(nbc, roots, count, radius)
+    return {"count": count, "conditions": [[size, cond] for size, cond in conditions]}
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +367,8 @@ def gram_document(spec, count=16):
 
 def cmd_classify(args):
     spec = _load_input(args.input)
-    doc = classification_document(spec, tol=args.tol, seed=args.seed)
+    doc = classification_document(spec, reduce_total_order(spec.rows),
+                                  tol=args.tol, seed=args.seed)
     doc["input"] = args.input
     _emit_json(doc, args.output)
     return EXIT_OK if doc["birkhoff"]["regular"] else EXIT_NOT_REGULAR
@@ -348,7 +377,9 @@ def cmd_classify(args):
 def cmd_spectrum(args):
     spec = _load_input(args.input)
     sector = tuple(args.sector) if args.sector else None
-    doc = spectrum_document(spec, rmax=args.rmax, sector=sector)
+    nbc = reduce_total_order(spec.rows)
+    roots = spectral.find_roots(nbc, (SPECTRUM_RMIN, args.rmax), sector=sector)
+    doc = spectrum_document(nbc, roots, rmax=args.rmax, sector=sector)
     doc["input"] = args.input
     _emit_json(doc, args.output)
     return EXIT_OK
@@ -356,10 +387,12 @@ def cmd_spectrum(args):
 
 def cmd_scan(args):
     spec = _load_input(args.input)
-    ray = args.ray
-    if ray is None:
-        ray = _choose_ray(spec, args.rmin, args.rmax)
-    doc = scan_document(spec, args.kind, ray, args.rmin, args.rmax,
+    nbc = reduce_total_order(spec.rows)
+    if args.ray is None:
+        ray, roots = _choose_ray(nbc, args.rmin, args.rmax)
+    else:
+        ray, roots = args.ray, _clearance_roots(nbc, args.ray, args.rmin, args.rmax)
+    doc = scan_document(nbc, args.kind, ray, roots, args.rmin, args.rmax,
                         args.samples, args.grid, csv_path=args.output)
     doc["input"] = args.input
     _emit_json(doc)
@@ -379,6 +412,7 @@ def cmd_numrange(args):
 
 def cmd_report(args):
     spec = _load_input(args.input)
+    nbc = reduce_total_order(spec.rows)
     timings = {}
 
     def run(name, fn):
@@ -390,17 +424,20 @@ def cmd_report(args):
         timings[name] = time.perf_counter() - start
         return result
 
-    def scans():
-        ray = _choose_ray(spec, DEFAULT_SCAN["rmin"], DEFAULT_SCAN["rmax"])
-        jobs = {
-            "green_decay": lambda: scan_document(
-                spec, "green", ray, DEFAULT_SCAN["rmin"], DEFAULT_SCAN["rmax"],
-                DEFAULT_SCAN["samples"], DEFAULT_SCAN["grid"]),
-            "resolvent_decay": lambda: scan_document(
-                spec, "resolvent", ray, DEFAULT_SCAN["rmin"], DEFAULT_SCAN["rmax"],
-                DEFAULT_SCAN["samples"], DEFAULT_SCAN["grid"]),
-        }
-        return {name: run(name, fn) for name, fn in jobs.items()}
+    # One search serves every section that reads roots; if it fails, each
+    # of those sections carries its error.
+    found = run("roots", lambda: {"roots": spectral.find_roots(
+        nbc, (SPECTRUM_RMIN, REPORT_RADIUS))})
+
+    def on_roots(build):
+        return lambda: build(found["roots"]) if "roots" in found else found
+
+    def scans(roots):
+        ray, _ = _choose_ray(nbc, DEFAULT_SCAN["rmin"], DEFAULT_SCAN["rmax"], roots)
+        return {name: run(name, lambda kind=kind: scan_document(
+            nbc, kind, ray, roots, DEFAULT_SCAN["rmin"], DEFAULT_SCAN["rmax"],
+            DEFAULT_SCAN["samples"], DEFAULT_SCAN["grid"]))
+            for name, kind in (("green_decay", "green"), ("resolvent_decay", "resolvent"))}
 
     doc = {
         "tool": {"name": "regbvp", "version": __version__},
@@ -408,12 +445,13 @@ def cmd_report(args):
         "seed": args.seed,
         "spec": spec_to_document(spec),
         "classification": run("classification", lambda: classification_document(
-            spec, tol=args.tol, seed=args.seed)),
-        "spectrum": run("spectrum", lambda: spectrum_document(spec)),
-        "basis_conditioning": run("basis_conditioning", lambda: gram_document(spec)),
+            spec, nbc, tol=args.tol, seed=args.seed)),
+        "spectrum": run("spectrum", on_roots(lambda roots: spectrum_document(nbc, roots))),
+        "basis_conditioning": run("basis_conditioning", on_roots(
+            lambda roots: gram_document(nbc, roots, REPORT_RADIUS))),
         "numerical_range": run("numerical_range", lambda: numrange_document(spec)),
     }
-    scan_sections = run("scans", scans)
+    scan_sections = run("scans", on_roots(scans))
     if "error" in scan_sections and set(scan_sections) == {"error"}:
         doc["green_decay"] = scan_sections
         doc["resolvent_decay"] = scan_sections

@@ -8,6 +8,10 @@ e^(-max(0, Re(i eps_k rho))) and every row by its largest entry, with the
 logs accumulated separately.  All quantities derived here (roots, Green
 kernel, resolvent norms) work on the scaled matrices and never form the
 raw exponentials.
+
+Only :func:`find_roots` searches for zeros.  The ray clearance check, the
+scans and Gram conditioning filter a root tuple from the caller, so one
+full-circle search can serve a whole report.
 """
 
 import cmath
@@ -26,6 +30,9 @@ __all__ = [
     "ContourError",
     "char_det",
     "find_roots",
+    "roots_in",
+    "clearance_region",
+    "ray_clearance_check",
     "green_kernel",
     "green_sup_scan",
     "resolvent_norm",
@@ -40,6 +47,8 @@ __all__ = [
 RESIDUAL_TOL = 1e-8
 NEWTON_MAX_ITER = 50
 MAX_DEPTH = 40
+# Polished roots closer than CLUSTER_TOL * (1 + |rho|) are one zero.
+CLUSTER_TOL = 1e-7
 # A sample whose log|Delta| drops this far below its neighbours on a contour
 # marks a nearby zero.  (An absolute threshold would be wrong: degenerate
 # boundary conditions can make Delta exponentially small relative to the
@@ -77,9 +86,13 @@ class EigenRoot:
     """A zero of the characteristic determinant.
 
     ``residual`` is the relative size of the final Newton correction,
-    |step| / (1 + |rho|); it bounds the root error and is meaningful even
-    where whole rows of the boundary matrix vanish (there the determinant
-    value itself carries an arbitrary row-scale factor).
+    |step| / (1 + |rho|); it is meaningful even where whole rows of the
+    boundary matrix vanish (there the determinant value itself carries an
+    arbitrary row-scale factor).  It does not bound the root error: a
+    converged step can be far below the rounding error of rho itself.
+    Against the closed-form roots of four gallery examples out to
+    |rho| = 66.5 the error stays below eps (1 + |rho|), and reaches
+    several hundred times residual (1 + |rho|).
     """
 
     rho: complex
@@ -176,12 +189,6 @@ def char_det(nbc: NormalizedBC, rho) -> ScaledValue:
     return ScaledValue(d / abs(d), scale + mag)
 
 
-def _log_derivative(nbc, rho):
-    """tr(M^-1 M') = d/drho log Delta(rho)."""
-    mats, _, _, dmats = _char_matrices(nbc, [rho], derivative=True)
-    return complex(np.trace(np.linalg.solve(mats[0], dmats[0])))
-
-
 # ---------------------------------------------------------------------------
 # Root finding by the argument principle
 # ---------------------------------------------------------------------------
@@ -242,14 +249,13 @@ def _path_winding(nbc, points_of_ts, length, n):
     raise ContourError("phase tracking failed to settle along an edge")
 
 
-def _edge_winding(nbc, box, edge, n):
-    r0, r1, a0, a1 = box
-    if edge in (0, 2):
-        length = r1 - r0
-    else:
-        r = r1 if edge == 1 else r0
-        length = (a1 - a0) * r
-    return _path_winding(nbc, lambda ts: _edge_points(box, edge, ts), length, n)
+def _zero_count(total):
+    """The winding number of an accumulated phase ``total``."""
+    winding = total / (2 * math.pi)
+    rounded = int(round(winding))
+    if abs(winding - rounded) > 0.25:
+        raise ContourError(f"non-integral winding {winding:.3f}")
+    return rounded
 
 
 def _circle_winding(nbc, center, radius, n):
@@ -258,25 +264,16 @@ def _circle_winding(nbc, center, radius, n):
         ts = np.asarray(ts, dtype=float)
         return center + radius * np.exp(2j * np.pi * ts)
 
-    total = _path_winding(nbc, points, 2 * math.pi * radius, n)
-    winding = total / (2 * math.pi)
-    rounded = int(round(winding))
-    if abs(winding - rounded) > 0.25:
-        raise ContourError(f"non-integral winding {winding:.3f}")
-    return rounded
+    return _zero_count(_path_winding(nbc, points, 2 * math.pi * radius, n))
 
 
 def _box_winding(nbc, box, n):
-    total = 0.0
-    full_circle = abs((box[3] - box[2]) - 2 * math.pi) < 1e-12
-    edges = (1, 3) if full_circle else (0, 1, 2, 3)
-    for edge in edges:
-        total += _edge_winding(nbc, box, edge, n)
-    winding = total / (2 * math.pi)
-    rounded = int(round(winding))
-    if abs(winding - rounded) > 0.25:
-        raise ContourError(f"non-integral winding {winding:.3f}")
-    return rounded
+    r0, r1, a0, a1 = box
+    lengths = (r1 - r0, (a1 - a0) * r1, r1 - r0, (a1 - a0) * r0)
+    edges = (1, 3) if abs((a1 - a0) - 2 * math.pi) < 1e-12 else (0, 1, 2, 3)
+    return _zero_count(sum(
+        _path_winding(nbc, lambda ts, e=edge: _edge_points(box, e, ts), lengths[edge], n)
+        for edge in edges))
 
 
 def _newton(nbc, rho, multiplicity, residual_tol):
@@ -290,7 +287,8 @@ def _newton(nbc, rho, multiplicity, residual_tol):
     best_res = math.inf
     for _ in range(NEWTON_MAX_ITER):
         try:
-            trace = _log_derivative(nbc, rho)
+            mats, _, _, dmats = _char_matrices(nbc, [rho], derivative=True)
+            trace = complex(np.trace(np.linalg.solve(mats[0], dmats[0])))
         except np.linalg.LinAlgError:
             break
         if not np.isfinite(trace.real) or not np.isfinite(trace.imag) or trace == 0:
@@ -303,6 +301,27 @@ def _newton(nbc, rho, multiplicity, residual_tol):
         if res < 1e-13:
             break
     return best, best_res
+
+
+def _by_modulus(roots, modulus, rtol):
+    """``roots`` sorted by ``modulus``, ties broken by arg(rho) in [0, 2 pi).
+
+    Moduli within ``rtol * (1 + modulus)`` of the first of a run tie: the
+    rotated copies of one eigenvalue agree in |rho| only up to rounding.
+    Arguments are shifted by CLUSTER_TOL, so that a real root whose
+    imaginary part is -0 up to rounding still sorts first.
+    """
+    runs = []
+    for root in sorted(roots, key=modulus):
+        if runs and modulus(root) - modulus(runs[-1][0]) <= rtol * (1.0 + modulus(runs[-1][0])):
+            runs[-1].append(root)
+        else:
+            runs.append([root])
+
+    def phase(root):
+        return (cmath.phase(root.rho) + CLUSTER_TOL) % (2 * math.pi)
+
+    return [root for run in runs for root in sorted(run, key=phase)]
 
 
 def _split_box(box, fr=0.5, fa=0.5):
@@ -325,27 +344,28 @@ def find_roots(nbc: NormalizedBC, annulus, sector=None, grid=8,
     (angle_lo, angle_hi) or None for the full circle.  Zeros are isolated
     by argument-principle winding counts on adaptively subdivided polar
     boxes and polished by Newton steps on the logarithmic derivative;
-    ``multiplicity`` comes from the winding count of the final box.
+    ``multiplicity`` comes from a winding count around each zero.  A full
+    circle is searched in one sector of angle 2 pi / n and turned.
     """
     r_min, r_max = annulus
     if not 0 < r_min < r_max:
         raise ValueError("annulus radii must satisfy 0 < r_min < r_max")
+    n = nbc.n
     if sector is None:
-        a0, a1 = 0.0, 2 * math.pi
+        # rho -> eps_k rho permutes the exponentials e^(i eps_j rho x), so the
+        # zeros repeat in every sector of angle 2 pi / n.  One sector is
+        # searched (its seam moves with the partition) and turned.
+        a0, a1 = 0.0, 2 * math.pi / n
+        region = (r_min, r_max, 0.0, 2 * math.pi)
     else:
         a0, a1 = sector
         if not a0 < a1 <= a0 + 2 * math.pi + 1e-12:
             raise ValueError("sector must satisfy lo < hi <= lo + 2 pi")
-    n = nbc.n
+        region = (r_min, r_max, a0, a1)
+    # the count of the whole region, whose boundary no partition line
+    # crosses, checks that no zero went missing on a line
+    total = _box_winding(nbc, region, n)
     diam_tol = max(1e-10 * r_max, 1e-12)
-
-    def winding(box):
-        return _box_winding(nbc, box, n)
-
-    found = []
-
-    def emit(rho, mult, res):
-        found.append(EigenRoot(complex(rho), complex(rho) ** n, int(mult), float(res)))
 
     def solve(box, count, depth):
         if count == 0:
@@ -364,16 +384,14 @@ def find_roots(nbc: NormalizedBC, annulus, sector=None, grid=8,
         mid_a = 0.5 * (box[2] + box[3])
         in_box = (box[0] - pad_r <= r <= box[1] + pad_r
                   and abs(cmath.phase(cmath.exp(1j * (ang - mid_a)))) <= (box[3] - box[2]) / 2 + pad_a)
-        if res <= residual_tol and in_box:
-            emit(rho, count, res)
-            return
-        if depth >= max_depth or _box_diameter(box) <= diam_tol:
-            emit(rho, count, res)
+        if ((res <= residual_tol and in_box)
+                or depth >= max_depth or _box_diameter(box) <= diam_tol):
+            found.append(EigenRoot(complex(rho), complex(rho) ** n, int(count), float(res)))
             return
         for fractions in ((0.5, 0.5), (0.53, 0.47), (0.47, 0.56), (0.515, 0.485)):
             children = _split_box(box, *fractions)
             try:
-                counts = [winding(child) for child in children]
+                counts = [_box_winding(nbc, child, n) for child in children]
             except ContourError:
                 continue
             if sum(counts) == count:
@@ -388,13 +406,10 @@ def find_roots(nbc: NormalizedBC, annulus, sector=None, grid=8,
         # splits its winding across the adjacent boxes, and a box may even
         # credit such a split count to a different zero; the circle gives
         # every cluster its true multiplicity.
-        candidates = sorted(
-            candidates,
-            key=lambda root: (abs(root.rho), cmath.phase(root.rho) % (2 * math.pi)))
         clusters = []
-        for root in candidates:
+        for root in _by_modulus(candidates, lambda root: abs(root.rho), CLUSTER_TOL):
             for cluster in clusters:
-                if abs(root.rho - cluster[0].rho) <= 1e-7 * (1.0 + abs(root.rho)):
+                if abs(root.rho - cluster[0].rho) <= CLUSTER_TOL * (1.0 + abs(root.rho)):
                     cluster.append(root)
                     break
             else:
@@ -419,20 +434,18 @@ def find_roots(nbc: NormalizedBC, annulus, sector=None, grid=8,
                 continue
             rho, res = _newton(nbc, rep.rho, mult, residual_tol)
             final.append(EigenRoot(complex(rho), complex(rho) ** n, int(mult), float(res)))
-        final.sort(key=lambda root: (abs(root.rho), cmath.phase(root.rho) % (2 * math.pi)))
-        return final
+        return _by_modulus(final, lambda root: abs(root.rho), CLUSTER_TOL)
 
     # Initial partition: coarse boxes with edges of bounded arc length.
     # Partition lines may accidentally pass through (or very near) zeros;
     # on a contour failure, or when the verified multiplicities add up to
-    # less than the initial winding total (an even-order zero on a line
-    # leaves no phase jump and can go missing silently), the partition is
-    # rebuilt with its interior lines shifted.  A user-given region
-    # boundary is never moved, but the angular seam of a full-circle scan
+    # less than the winding total (an even-order zero on a line leaves no
+    # phase jump and can go missing silently), the partition is rebuilt
+    # with its interior lines shifted.  A user-given region boundary is
+    # never moved, but the seam of the sector a full-circle search turns
     # is arbitrary and is shifted too.
     grid_r = max(1, min(grid, math.ceil((r_max - r_min) / 12.0)))
     grid_a = max(1, min(grid, math.ceil((a1 - a0) * r_max / 12.0)))
-    last_error = None
     for attempt in range(6):
         shift = 0.31 * attempt / (attempt + 1.0)
         r_edges = np.linspace(r_min, r_max, grid_r + 1)
@@ -449,21 +462,22 @@ def find_roots(nbc: NormalizedBC, annulus, sector=None, grid=8,
         ]
         found = []
         try:
-            tasks = [(box, winding(box)) for box in boxes]
+            tasks = [(box, _box_winding(nbc, box, n)) for box in boxes]
             for box, count in tasks:
                 solve(box, count, 0)
         except ContourError as exc:
             last_error = exc
             continue
+        if sector is None:
+            found += [EigenRoot(root.rho * turn, root.lam, root.multiplicity, root.residual)
+                      for turn in _unit_roots(n)[1:] for root in found]
         final = cluster_and_verify(found)
-        total = sum(count for _, count in tasks)
         if sum(root.multiplicity for root in final) >= total:
             return tuple(final)
         last_error = ContourError(
             "winding count lost near a partition line "
             f"({sum(root.multiplicity for root in final)} of {total} recovered)")
-    raise last_error if last_error is not None else ContourError(
-        "could not build an initial partition clear of zeros")
+    raise last_error
 
 
 # ---------------------------------------------------------------------------
@@ -537,15 +551,11 @@ def green_kernel(nbc: NormalizedBC, rho, x, xi):
     return out
 
 
-def _gauss_nodes(count):
-    t, w = np.polynomial.legendre.leggauss(count)
-    return 0.5 * (t + 1.0), 0.5 * w
-
-
 def resolvent_norm(nbc: NormalizedBC, rho, quad_nodes=64) -> float:
     """L2 operator norm of the resolvent at rho^n, by Nystrom discretization
     of the Green kernel on a Gauss-Legendre grid."""
-    x, w = _gauss_nodes(quad_nodes)
+    t, w = np.polynomial.legendre.leggauss(quad_nodes)
+    x, w = 0.5 * (t + 1.0), 0.5 * w
     g = _green_matrix(nbc, rho, x, x)
     sw = np.sqrt(w)
     a = sw[:, None] * g * sw[None, :]
@@ -561,23 +571,37 @@ def _fit_exponent(radii, values):
     lr = np.log(np.asarray(radii, dtype=float))
     lv = np.log(np.asarray(values, dtype=float))
     design = np.vstack([lr, np.ones_like(lr)]).T
-    (slope, _intercept), res, *_ = np.linalg.lstsq(design, lv, rcond=None)
-    fitted = design @ np.array([slope, _intercept])
-    rms = float(np.sqrt(np.mean((lv - fitted) ** 2)))
-    return float(slope), rms
+    coef = np.linalg.lstsq(design, lv, rcond=None)[0]
+    rms = float(np.sqrt(np.mean((lv - design @ coef) ** 2)))
+    return float(coef[0]), rms
 
 
-def _ray_clearance_check(nbc, ray_angle, r_min, r_max, delta, margin=6.0):
-    """Find the determinant zeros near the ray and check disk clearance.
+def roots_in(roots, annulus, sector=None):
+    """The roots with r_min <= |rho| <= r_max, and inside ``sector``
+    (angle_lo, angle_hi) when one is given, in their original order."""
+    lo, hi = sector if sector is not None else (-math.pi, math.pi)
+    return tuple(root for root in roots if annulus[0] <= abs(root.rho) <= annulus[1] and abs(
+        math.remainder(cmath.phase(root.rho) - 0.5 * (lo + hi), 2 * math.pi)) <= 0.5 * (hi - lo))
 
-    Returns the clearance radius; raises ValueError when the ray stays
-    inside the union of eigenvalue disks up to r_max.
-    """
+
+def clearance_region(ray_angle, r_min, r_max, delta):
+    """(annulus, sector) whose zeros decide the clearance of a ray: a zero
+    outside the sector, beyond the inner radius, keeps its disk of radius
+    ``delta`` off the ray, and the outer radius r_max + delta + 6 sees the
+    disks just past ``r_max``."""
     r_lo = max(0.25, r_min - delta)
     width = min(0.5 * math.pi, math.asin(min(1.0, delta / r_lo)) + 0.15)
-    sector = (ray_angle - width, ray_angle + width)
-    roots = find_roots(nbc, (r_lo, r_max + delta + margin), sector)
-    disks = DiskSet(tuple(r.rho for r in roots), delta)
+    return (r_lo, r_max + delta + 6.0), (ray_angle - width, ray_angle + width)
+
+
+def ray_clearance_check(roots, ray_angle, r_min, r_max, delta):
+    """The radius beyond which the ray clears the eigenvalue disks.
+
+    Reads the ``roots`` in :func:`clearance_region`, which must all be
+    there.  Raises ValueError when that radius is beyond ``r_min``.
+    """
+    near = roots_in(roots, *clearance_region(ray_angle, r_min, r_max, delta))
+    disks = DiskSet(tuple(r.rho for r in near), delta)
     clearance = ray_clearance(ray_angle, disks, r_max)
     if clearance is None:
         raise ValueError(
@@ -589,14 +613,15 @@ def _ray_clearance_check(nbc, ray_angle, r_min, r_max, delta, margin=6.0):
     return clearance
 
 
-def green_sup_scan(nbc: NormalizedBC, ray_angle, r_min=5.0, r_max=60.0,
+def green_sup_scan(nbc: NormalizedBC, ray_angle, roots, r_min=5.0, r_max=60.0,
                    samples=24, grid=48, delta=0.5) -> SpectralScan:
     """Sup of |G| over an interior lattice, sampled along a ray.
 
-    The fitted exponent estimates the decay order of the kernel; for a
-    regular problem on a noncritical ray it approaches -(n - 1).
+    ``roots`` feed :func:`ray_clearance_check`.  The fitted exponent
+    estimates the decay order of the kernel; for a regular problem on a
+    noncritical ray it approaches -(n - 1).
     """
-    clearance = _ray_clearance_check(nbc, ray_angle, r_min, r_max, delta)
+    clearance = ray_clearance_check(roots, ray_angle, r_min, r_max, delta)
     radii = np.geomspace(r_min, r_max, samples)
     lattice = (np.arange(grid) + 0.5) / grid
     out = []
@@ -608,24 +633,24 @@ def green_sup_scan(nbc: NormalizedBC, ray_angle, r_min=5.0, r_max=60.0,
     return SpectralScan("green_sup", float(ray_angle), tuple(out), exponent, rms, clearance)
 
 
-def resolvent_scan(nbc: NormalizedBC, ray_angle=None, r_min=5.0, r_max=60.0,
+def resolvent_scan(nbc: NormalizedBC, ray_angle=None, roots=None, r_min=5.0, r_max=60.0,
                    samples=24, quad_nodes=64, delta=0.5,
                    sample_points=None) -> SpectralScan:
     """Resolvent norms along a ray (or at explicit sample points).
 
     With a ray, the direction must keep a positive angular distance from
-    every critical ray and clear the eigenvalue disks beyond r_min.  An
-    explicit ``sample_points`` sequence bypasses both checks (used for
-    sparse sequences threaded between the disks along critical rays).
+    every critical ray and clear the eigenvalue disks of ``roots`` beyond
+    r_min (:func:`ray_clearance_check`).  An explicit ``sample_points``
+    sequence bypasses both checks and needs no roots (used for sparse
+    sequences threaded between the disks along critical rays).
     """
     clearance = None
     if sample_points is None:
-        if ray_angle is None:
-            raise ValueError("either ray_angle or sample_points is required")
-        rays = critical_rays(nbc.n)
-        if rays.distance(ray_angle) < 1e-3:
+        if ray_angle is None or roots is None:
+            raise ValueError("a ray needs ray_angle and roots, or give sample_points")
+        if critical_rays(nbc.n).distance(ray_angle) < 1e-3:
             raise ValueError("ray angle lies on a critical ray")
-        clearance = _ray_clearance_check(nbc, ray_angle, r_min, r_max, delta)
+        clearance = ray_clearance_check(roots, ray_angle, r_min, r_max, delta)
         points = [r * cmath.exp(1j * ray_angle) for r in np.geomspace(r_min, r_max, samples)]
         angle = float(ray_angle)
     else:
@@ -672,21 +697,14 @@ def distinct_eigenvalues(roots, tol=1e-6):
     """One representative root per eigenvalue lambda = rho^n.
 
     Rotated parameters rho and eps_k rho give the same lambda; the
-    representative with the smallest argument is kept (multiplicities of
-    merged representatives agree by symmetry).
+    representative with the smallest argument in [0, 2 pi) is kept
+    (multiplicities of merged representatives agree by symmetry).
     """
-    groups = {}
-    order = []
-    for root in sorted(roots, key=lambda r: (abs(r.lam), cmath.phase(r.rho) % (2 * math.pi))):
-        key = None
-        for existing in order:
-            if abs(root.lam - existing) <= tol * (1.0 + abs(root.lam)):
-                key = existing
-                break
-        if key is None:
-            groups[root.lam] = root
-            order.append(root.lam)
-    return tuple(groups[k] for k in order)
+    reps = []
+    for root in _by_modulus(roots, lambda r: abs(r.lam), tol):
+        if all(abs(root.lam - rep.lam) > tol * (1.0 + abs(root.lam)) for rep in reps):
+            reps.append(root)
+    return tuple(reps)
 
 
 def bracket_groups(roots, tau=0.05):
@@ -732,58 +750,36 @@ def _exp_integral(mu):
 def _l2_gram(funcs):
     """Gram matrix of exponential sums given as (rho, coefficient) pairs."""
     count = len(funcs)
+    zs = [1j * _unit_roots(c.size) * rho for rho, c in funcs]
     gram = np.zeros((count, count), dtype=complex)
-    for p, (rho_p, c_p) in enumerate(funcs):
-        n = c_p.size
-        eps = _unit_roots(n)
-        z_p = 1j * eps * rho_p
+    for p in range(count):
         for q in range(p + 1):
-            rho_q, c_q = funcs[q]
-            z_q = 1j * _unit_roots(n) * rho_q
-            mu = z_p[:, None] + z_q.conj()[None, :]
-            e = _exp_integral(mu)
-            val = complex(c_p @ e @ c_q.conj())
+            e = _exp_integral(zs[p][:, None] + zs[q].conj()[None, :])
+            val = complex(funcs[p][1] @ e @ funcs[q][1].conj())
             gram[p, q] = val
             gram[q, p] = np.conj(val)
     return gram
 
 
-def gram_condition(nbc: NormalizedBC, count):
+def gram_condition(nbc: NormalizedBC, roots, count, radius):
     """Condition numbers of the Gram matrix of the first eigenfunctions.
 
+    ``roots`` must hold every zero with |rho| < ``radius``, as one
+    full-circle :func:`find_roots` call gives; ``radius`` is named in the
+    error when they carry fewer than ``count`` eigenfunctions.
     Eigenfunctions are sorted by |lambda|, normalized in L2, and
     orthonormalized inside each bracket group (so honest double
     eigenvalues and tight pairs do not dominate the conditioning).
     Returns [(N, condition)] for N = 4, 8, 16, ... up to ``count``.
     """
-    n = nbc.n
-    # 0.37 keeps the search circle away from resonant radii such as the
-    # equally spaced root shells of the constant-coefficient examples
-    radius = math.pi * (count / n + 3.0) * 2.0 + 0.37
     funcs = []
     brackets = []
-    for _ in range(5):
-        try:
-            roots = find_roots(nbc, (0.5, radius))
-        except ContourError:
-            radius *= 1.07
-            continue
-        reps = distinct_eigenvalues(roots)
-        groups = bracket_groups(reps)
-        funcs = []
-        brackets = []
-        for group in groups:
-            members = []
-            for root in group:
-                for vec in eigenfunction(nbc, root):
-                    members.append((root.rho, vec))
-            brackets.append((len(funcs), len(funcs) + len(members)))
-            funcs.extend(members)
-            if len(funcs) >= count:
-                break
+    for group in bracket_groups(distinct_eigenvalues(roots)):
+        members = [(root.rho, vec) for root in group for vec in eigenfunction(nbc, root)]
+        brackets.append((len(funcs), len(funcs) + len(members)))
+        funcs.extend(members)
         if len(funcs) >= count:
             break
-        radius *= 1.5
     if len(funcs) < count:
         raise RuntimeError(f"found only {len(funcs)} eigenfunctions below radius {radius:.1f}")
     funcs = funcs[:count]

@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 import oracles
-from conftest import REGULAR_GALLERY, make_row
+from conftest import REGULAR_GALLERY, clearance_roots, make_row
 from regbvp import cli, gallery
 from regbvp.birkhoff import classify_regularity
 from regbvp.geometry import is_rare
@@ -82,21 +82,21 @@ def test_criterion_3_green_kernel_decay():
     degenerate control problem violates every decay bound."""
     start = time.perf_counter()
     dir2 = reduce_total_order(gallery.build("dirichlet2"))
-    scan = green_sup_scan(dir2, math.pi / 4, r_min=10.0, r_max=200.0,
-                          samples=24, grid=48)
+    scan = green_sup_scan(dir2, math.pi / 4, clearance_roots(dir2, math.pi / 4, 10.0, 200.0),
+                          r_min=10.0, r_max=200.0, samples=24, grid=48)
     assert abs(scan.exponent - (-1.0)) <= 0.15, scan.exponent
     compensated = np.array([v * abs(rho) for rho, v in scan.samples])
     ratio = compensated.max() / np.median(compensated)
     assert ratio <= 2.0, ratio
 
     mix4 = reduce_total_order(gallery.build("mixed4"))
-    scan4 = green_sup_scan(mix4, math.pi / 8, r_min=10.0, r_max=80.0,
-                           samples=16, grid=48)
+    scan4 = green_sup_scan(mix4, math.pi / 8, clearance_roots(mix4, math.pi / 8, 10.0, 80.0),
+                           r_min=10.0, r_max=80.0, samples=16, grid=48)
     assert abs(scan4.exponent - (-3.0)) <= 0.3, scan4.exponent
 
     cauchy = reduce_total_order(gallery.build("cauchy2"))
-    growth = green_sup_scan(cauchy, math.pi / 4, r_min=5.0, r_max=40.0,
-                            samples=10, grid=24)
+    growth = green_sup_scan(cauchy, math.pi / 4, clearance_roots(cauchy, math.pi / 4, 5.0, 40.0),
+                            r_min=5.0, r_max=40.0, samples=10, grid=24)
     assert growth.exponent >= 0.0, growth.exponent
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"decay scans took {elapsed:.1f}s"
@@ -109,16 +109,16 @@ def test_criterion_4_resolvent_decay():
     """Resolvent norms fall like |rho|^-n, and the pointwise norm at a
     reference parameter matches the spectral distance."""
     dir2 = reduce_total_order(gallery.build("dirichlet2"))
-    scan = resolvent_scan(dir2, math.pi / 4, r_min=10.0, r_max=120.0,
-                          samples=16)
+    scan = resolvent_scan(dir2, math.pi / 4, clearance_roots(dir2, math.pi / 4, 10.0, 120.0),
+                          r_min=10.0, r_max=120.0, samples=16)
     assert abs(scan.exponent - (-2.0)) <= 0.2, scan.exponent
 
     point = resolvent_norm(dir2, 2.0 * cmath.exp(0.25j * math.pi))
     assert abs(point - 0.0939) <= 0.02 * 0.0939, point
 
     mix4 = reduce_total_order(gallery.build("mixed4"))
-    scan4 = resolvent_scan(mix4, math.pi / 8, r_min=5.0, r_max=60.0,
-                           samples=16)
+    scan4 = resolvent_scan(mix4, math.pi / 8, clearance_roots(mix4, math.pi / 8, 5.0, 60.0),
+                           r_min=5.0, r_max=60.0, samples=16)
     assert abs(scan4.exponent - (-4.0)) <= 0.4, scan4.exponent
     _announce(4, f"resolvent exponents {scan.exponent:+.3f} (target -2), "
                  f"{scan4.exponent:+.3f} (target -4); "

@@ -8,8 +8,10 @@ import sys
 
 import pytest
 
-from regbvp import cli, gallery
+from regbvp import cli, gallery, spectral
 from regbvp.model import spec_to_document
+from regbvp.normalize import reduce_total_order
+from regbvp.spectral import EigenRoot
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -133,6 +135,33 @@ def test_spectrum_multiplicities(capsys):
     assert code == 0
     mults = sorted(r["multiplicity"] for r in doc["roots"])
     assert mults == [2, 2, 2, 2]
+
+
+@pytest.mark.parametrize("name", sorted(gallery.EXAMPLES))
+def test_spectrum_section_independent_of_search_radius(name):
+    nbc = reduce_total_order(gallery.build(name).rows)
+    narrow = spectral.find_roots(nbc, (cli.SPECTRUM_RMIN, cli.DEFAULT_RMAX))
+    wide = spectral.roots_in(spectral.find_roots(nbc, (cli.SPECTRUM_RMIN, cli.REPORT_RADIUS)),
+                             (cli.SPECTRUM_RMIN, cli.DEFAULT_RMAX))
+
+    def text(roots):
+        return json.dumps(cli._jsonable(cli.spectrum_document(nbc, roots)), sort_keys=True)
+
+    assert text(narrow) == text(wide)
+
+
+def test_root_digits_follow_error_bound():
+    rho = complex(math.pi, 3e-16)
+    doc = cli._root_document(EigenRoot(rho, rho ** 2, 1, 3e-17), 2)
+    # the bound 2 eps (1 + pi) is below 12 digits: only the noise goes
+    assert cli._jsonable(doc) == {"rho": [3.14159265359, 0.0],
+                                  "lambda": [9.86960440109, 0.0],
+                                  "multiplicity": 1, "residual": 1e-15}
+    # residual 2e-9: bound 8.3e-9 on rho, 2 pi times that on lambda
+    doc = cli._root_document(EigenRoot(rho, rho ** 2, 1, 2e-9), 2)
+    assert cli._jsonable(doc) == {"rho": [3.1415927, 0.0],
+                                  "lambda": [9.869604, 0.0],
+                                  "multiplicity": 1, "residual": 1e-8}
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +317,21 @@ def test_report_matches_golden(name, tmp_path, capsys):
     capsys.readouterr()
     with open(golden, "rb") as handle:
         assert out.read_bytes() == handle.read()
+
+
+@pytest.mark.parametrize("name", sorted(gallery.EXAMPLES))
+def test_report_searches_roots_once(name, tmp_path, monkeypatch, capsys):
+    annuli = []
+    search = spectral.find_roots
+
+    def counted(nbc, annulus, sector=None, **kwargs):
+        annuli.append((annulus, sector))
+        return search(nbc, annulus, sector, **kwargs)
+
+    monkeypatch.setattr(spectral, "find_roots", counted)
+    assert cli.main(["report", name, "-o", str(tmp_path / "report.json")]) == 0
+    capsys.readouterr()
+    assert annuli == [((0.5, 66.5), None)]
 
 
 def test_cli_import_does_not_load_scipy():

@@ -13,9 +13,11 @@ import math
 import numpy as np
 import pytest
 
-from regbvp import gallery
+from conftest import clearance_roots
+from regbvp import gallery, spectral
 from regbvp.normalize import reduce_total_order
 from regbvp.spectral import (
+    CLUSTER_TOL,
     EigenRoot,
     SpectralScan,
     bracket_groups,
@@ -26,6 +28,7 @@ from regbvp.spectral import (
     gram_condition,
     green_kernel,
     green_sup_scan,
+    ray_clearance_check,
     resolvent_norm,
     resolvent_scan,
     scan_to_csv,
@@ -115,6 +118,41 @@ def test_sector_restriction():
     roots = find_roots(nbc, (0.5, 16.0), sector=(-0.3, 0.3))
     got = sorted(r.rho.real for r in roots)
     assert np.allclose(got, [math.pi * j for j in range(1, 6)], atol=1e-8)
+
+
+def _beam_roots(rho_max):
+    """beta > 0 with cos(beta) cosh(beta) = 1, by bisection near (k + 1/2) pi."""
+    out = []
+    for k in range(1, int(rho_max / math.pi) + 1):
+        lo, hi = (k + 0.5) * math.pi - 0.3, (k + 0.5) * math.pi + 0.3
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if (math.cos(lo) - 1 / math.cosh(lo) < 0) == (math.cos(mid) - 1 / math.cosh(mid) < 0):
+                lo = mid
+            else:
+                hi = mid
+        if lo < rho_max:
+            out.append(lo)
+    return out
+
+
+@pytest.mark.parametrize("name", ["periodic2", "dirichlet4"])
+def test_full_circle_roots_out_to_report_radius(name):
+    # the full circle is searched in one sector of angle 2 pi / n and
+    # turned; the double roots of periodic2 lie on the real axis, where
+    # the sector's seam starts
+    nbc = _nbc(name)
+    roots = find_roots(nbc, (0.5, 66.5))
+    if name == "periodic2":
+        moduli, mult = [2 * math.pi * j for j in range(1, 11)], 2
+    else:
+        moduli, mult = _beam_roots(66.5), 1
+    n = nbc.n
+    want = [m * cmath.exp(2j * math.pi * k / n) for m in moduli for k in range(n)]
+    assert len(roots) == len(want)
+    assert all(root.multiplicity == mult for root in roots)
+    for w in want:
+        assert min(abs(root.rho - w) for root in roots) <= 1e-13 * (1 + abs(w))
 
 
 def test_fourth_order_root_count_consistency():
@@ -255,8 +293,8 @@ def test_resolvent_norm_quadrature_stability():
 
 def test_green_scan_decays_at_order_one():
     nbc = _nbc("dirichlet2")
-    scan = green_sup_scan(nbc, math.pi / 4, r_min=8.0, r_max=60.0,
-                          samples=10, grid=32)
+    scan = green_sup_scan(nbc, math.pi / 4, clearance_roots(nbc, math.pi / 4, 8.0, 60.0),
+                          r_min=8.0, r_max=60.0, samples=10, grid=32)
     assert isinstance(scan, SpectralScan)
     assert scan.kind == "green_sup"
     assert len(scan.samples) == 10
@@ -267,33 +305,36 @@ def test_green_scan_decays_at_order_one():
 def test_green_scan_rejects_blocked_ray():
     nbc = _nbc("dirichlet2")
     with pytest.raises(ValueError):
-        green_sup_scan(nbc, 0.0, r_min=5.0, r_max=20.0, samples=4, grid=8)
+        green_sup_scan(nbc, 0.0, clearance_roots(nbc, 0.0, 5.0, 20.0),
+                       r_min=5.0, r_max=20.0, samples=4, grid=8)
 
 
 def test_green_scan_grows_for_degenerate_rows():
     nbc = _nbc("cauchy2")
-    scan = green_sup_scan(nbc, math.pi / 4, r_min=5.0, r_max=25.0,
-                          samples=8, grid=24)
+    scan = green_sup_scan(nbc, math.pi / 4, clearance_roots(nbc, math.pi / 4, 5.0, 25.0),
+                          r_min=5.0, r_max=25.0, samples=8, grid=24)
     assert scan.exponent >= 0.0  # no decay at all
 
 
 def test_resolvent_scan_decays_at_order_two():
     nbc = _nbc("dirichlet2")
-    scan = resolvent_scan(nbc, math.pi / 4, r_min=8.0, r_max=60.0, samples=8)
+    scan = resolvent_scan(nbc, math.pi / 4, clearance_roots(nbc, math.pi / 4, 8.0, 60.0),
+                          r_min=8.0, r_max=60.0, samples=8)
     assert abs(scan.exponent - (-2.0)) <= 0.25
     assert scan.fit_residual < 0.2
 
 
 def test_resolvent_scan_fourth_order():
     nbc = _nbc("mixed4")
-    scan = resolvent_scan(nbc, math.pi / 8, r_min=5.0, r_max=40.0, samples=8)
+    scan = resolvent_scan(nbc, math.pi / 8, clearance_roots(nbc, math.pi / 8, 5.0, 40.0),
+                          r_min=5.0, r_max=40.0, samples=8)
     assert abs(scan.exponent - (-4.0)) <= 0.5
 
 
 def test_resolvent_scan_rejects_critical_ray():
     nbc = _nbc("dirichlet2")
     with pytest.raises(ValueError):
-        resolvent_scan(nbc, 0.0, samples=4)
+        resolvent_scan(nbc, 0.0, clearance_roots(nbc, 0.0, 5.0, 60.0), samples=4)
 
 
 def test_resolvent_scan_explicit_points():
@@ -307,8 +348,8 @@ def test_resolvent_scan_explicit_points():
 
 def test_scan_to_csv_format(tmp_path):
     nbc = _nbc("cauchy2")
-    scan = green_sup_scan(nbc, math.pi / 4, r_min=5.0, r_max=10.0,
-                          samples=4, grid=8)
+    scan = green_sup_scan(nbc, math.pi / 4, clearance_roots(nbc, math.pi / 4, 5.0, 10.0),
+                          r_min=5.0, r_max=10.0, samples=4, grid=8)
     path = tmp_path / "scan.csv"
     scan_to_csv(scan, path)
     lines = path.read_text().splitlines()
@@ -371,6 +412,54 @@ def test_distinct_eigenvalues_merges_rotations():
                        rtol=1e-8)
 
 
+def _rotated(r, phase, ulps):
+    rho = cmath.rect(r + ulps * math.ulp(r), phase)
+    return EigenRoot(rho=rho, lam=rho ** 4, multiplicity=1, residual=0.0)
+
+
+def test_root_order_ignores_modulus_noise():
+    # the four parameters of mixed4's lambda = -1.88 differ in |rho| by
+    # rounding only; here the copy at 3 pi/4 has the smallest modulus
+    r = 0.82805497918 * math.sqrt(2.0)
+    copies = [_rotated(r, math.pi / 4 + k * math.pi / 2, ulps)
+              for k, ulps in enumerate((3, -2, 1, 0))]
+    want = [math.pi / 4, 3 * math.pi / 4, -3 * math.pi / 4, -math.pi / 4]
+    for shift in range(4):
+        shuffled = copies[shift:] + copies[:shift]
+        ordered = spectral._by_modulus(shuffled, lambda root: abs(root.rho), CLUSTER_TOL)
+        assert [cmath.phase(root.rho) for root in ordered] == pytest.approx(want)
+        # the representative is the copy with the smallest argument
+        (rep,) = distinct_eigenvalues(shuffled)
+        assert cmath.phase(rep.rho) == pytest.approx(math.pi / 4)
+    # a real root whose imaginary part is -0 up to rounding still has
+    # argument 0, and comes before its partner at argument pi
+    pair = [EigenRoot(complex(-math.pi + 4e-16, 1e-17), math.pi ** 2, 1, 0.0),
+            EigenRoot(complex(math.pi, -1e-17), math.pi ** 2, 1, 0.0)]
+    ordered = spectral._by_modulus(pair, lambda root: abs(root.rho), CLUSTER_TOL)
+    assert [root.rho.real > 0 for root in ordered] == [True, False]
+    assert distinct_eigenvalues(pair)[0].rho.real > 0
+
+
+def test_scans_and_gram_read_given_roots(monkeypatch):
+    nbc = _nbc("dirichlet2")
+    roots = find_roots(nbc, (0.5, 66.5))
+    sector_roots = clearance_roots(nbc, math.pi / 4, 8.0, 60.0)
+
+    def no_search(*_args, **_kwargs):
+        raise AssertionError("find_roots called")
+
+    monkeypatch.setattr(spectral, "find_roots", no_search)
+    assert [n for n, _ in gram_condition(nbc, roots, 8, 66.5)] == [4, 8]
+    green = green_sup_scan(nbc, math.pi / 4, roots, r_min=8.0, r_max=60.0,
+                           samples=4, grid=8)
+    resolvent = resolvent_scan(nbc, math.pi / 4, roots, r_min=8.0, r_max=60.0, samples=4)
+    # the clearance check reads only its own region of the inventory
+    alone = ray_clearance_check(sector_roots, math.pi / 4, 8.0, 60.0, 0.5)
+    assert green.clearance == resolvent.clearance == alone
+    with pytest.raises(RuntimeError, match="below radius 66.5"):
+        gram_condition(nbc, roots[:4], 8, 66.5)
+
+
 def test_bracket_groups_sizes():
     nbc = _nbc("dirichlet2")
     reps = distinct_eigenvalues(find_roots(nbc, (0.5, 20.0)))
@@ -395,20 +484,28 @@ def test_bracket_groups_cluster_artificial_pair():
 # Gram conditioning
 # ---------------------------------------------------------------------------
 
+GRAM_RADIUS = 40.0
+
+
+def _gram(name, count):
+    nbc = _nbc(name)
+    return gram_condition(nbc, find_roots(nbc, (0.5, GRAM_RADIUS)), count, GRAM_RADIUS)
+
+
 def test_gram_condition_orthogonal_family():
-    pairs = gram_condition(_nbc("dirichlet2"), 8)
+    pairs = _gram("dirichlet2", 8)
     assert [n for n, _ in pairs] == [4, 8]
     for _, cond in pairs:
         assert abs(cond - 1.0) <= 1e-6
 
 
 def test_gram_condition_periodic_double_family():
-    pairs = gram_condition(_nbc("periodic2"), 6)
+    pairs = _gram("periodic2", 6)
     for _, cond in pairs:
         assert abs(cond - 1.0) <= 1e-6
 
 
 def test_gram_condition_bounded_for_regular_fourth_order():
-    pairs = gram_condition(_nbc("mixed4"), 8)
+    pairs = _gram("mixed4", 8)
     for _, cond in pairs:
         assert 1.0 - 1e-9 <= cond <= 3.0
