@@ -3,9 +3,10 @@
 Subcommands: ``classify``, ``spectrum``, ``scan``, ``numrange``, ``report``.
 Inputs are operator-spec JSON files or names of built-in examples.  All
 output is deterministic: floating-point values are rounded to 12
-significant digits (numerical-range minima to the power of ten their
-error estimates allow), keys are sorted, and nothing time- or machine-
-dependent is emitted unless ``--timings`` is given.
+significant digits (numerical-range minima and spectrum roots to the
+power of ten their error estimates allow, residuals to the power of ten at
+or above them), keys are sorted, no random numbers are drawn, and nothing
+time- or machine-dependent is emitted unless ``--timings`` is given.
 
 Exit codes: 0 success (``classify``: regular), 3 not regular
 (``classify`` only), 4 invalid input, 1 runtime failure.
@@ -169,7 +170,7 @@ def _divergence_view(spec):
 # Document builders (shared between single commands and report)
 # ---------------------------------------------------------------------------
 
-def classification_document(spec, nbc, tol=None, seed=0, trials=50):
+def classification_document(spec, nbc, tol=None):
     verdict = birkhoff.classify_regularity(nbc, tol=tol)
     doc = {
         "order": spec.order,
@@ -203,9 +204,9 @@ def classification_document(spec, nbc, tol=None, seed=0, trials=50):
     }
     if report.completely_regular:
         fragment["boundary_form"] = [list(row) for row in report.A]
-        fragment["form_identity_residual"] = float(
-            quasiform.verify_form_identity(divspec, report.A, trials=trials, seed=seed))
-        fragment["form_identity_trials"] = trials
+        residual = quasiform.verify_form_identity(divspec, report.A)
+        fragment["form_identity_residual"] = _decade_above(max(residual, sys.float_info.epsilon))
+        fragment["form_identity_dimension"] = quasiform.FORM_IDENTITY_DIMENSION
     else:
         fragment["boundary_form"] = None
     doc["complete_regularity"] = fragment
@@ -367,8 +368,7 @@ def gram_document(nbc, roots, radius, count=16):
 
 def cmd_classify(args):
     spec = _load_input(args.input)
-    doc = classification_document(spec, reduce_total_order(spec.rows),
-                                  tol=args.tol, seed=args.seed)
+    doc = classification_document(spec, reduce_total_order(spec.rows), tol=args.tol)
     doc["input"] = args.input
     _emit_json(doc, args.output)
     return EXIT_OK if doc["birkhoff"]["regular"] else EXIT_NOT_REGULAR
@@ -442,10 +442,9 @@ def cmd_report(args):
     doc = {
         "tool": {"name": "regbvp", "version": __version__},
         "input": args.input,
-        "seed": args.seed,
         "spec": spec_to_document(spec),
         "classification": run("classification", lambda: classification_document(
-            spec, nbc, tol=args.tol, seed=args.seed)),
+            spec, nbc, tol=args.tol)),
         "spectrum": run("spectrum", on_roots(lambda roots: spectrum_document(nbc, roots))),
         "basis_conditioning": run("basis_conditioning", on_roots(
             lambda roots: gram_document(nbc, roots, REPORT_RADIUS))),
@@ -480,8 +479,6 @@ def _build_parser():
                         f"({', '.join(sorted(gallery.EXAMPLES))})")
     common.add_argument("--tol", type=float, default=None,
                         help="regularity tolerance override")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for sampled checks (default 0)")
     common.add_argument("-o", "--output", default=None,
                         help="output path (JSON; CSV for scan/numrange)")
 

@@ -36,7 +36,6 @@ from .model import (
     Poly,
     SpecError,
     expand_divergence,
-    inner_01,
 )
 
 __all__ = [
@@ -55,6 +54,9 @@ __all__ = [
 SV_CUTOFF = 1e-10
 ANGLE_TOL = 1e-8
 RECURRENCE_TOL = 1e-12
+# Trial-space dimension of verify_form_identity: its polynomials reach
+# degree 15 + n, far above the order n, at a cost of a few milliseconds.
+FORM_IDENTITY_DIMENSION = 16
 
 
 def _require_divergence(spec: OperatorSpec) -> DivergenceForm:
@@ -155,14 +157,29 @@ def _layouts(m):
     return wedge, vee
 
 
+def _lower_inverse(mat):
+    """Inverse of a lower-triangular matrix by forward substitution.
+
+    Entries that are zero by structure stay exactly zero: a pivoted
+    inverse leaves rounding noise there, which in C would count as rank
+    and make clamped rows look not completely regular.
+    """
+    n = mat.shape[0]
+    eye = np.eye(n, dtype=mat.dtype)
+    inv = np.zeros_like(mat)
+    for i in range(n):
+        inv[i] = (eye[i] - mat[i, :i] @ inv[:i]) / mat[i, i]
+    return inv
+
+
 def split_bc(spec: OperatorSpec) -> SplitBC:
     """Convert the boundary rows of a divergence-form spec to split form."""
     form = _require_divergence(spec)
     m = form.m
     n = 2 * m
     trans = quasi_transition(spec)
-    inv0 = np.linalg.inv(trans.at_zero)
-    inv1 = np.linalg.inv(trans.at_one)
+    inv0 = _lower_inverse(trans.at_zero)
+    inv1 = _lower_inverse(trans.at_one)
 
     B = np.zeros((n, n), dtype=complex)
     C = np.zeros((n, n), dtype=complex)
@@ -318,80 +335,26 @@ def boundary_form_matrix(spec_or_split, angle_tol=ANGLE_TOL) -> np.ndarray:
 # Quadratic-form identity
 # ---------------------------------------------------------------------------
 
-def _admissible_polynomials(spec: OperatorSpec, degree):
-    """Orthonormal coefficient basis of polynomials of the given degree
-    satisfying all boundary rows."""
-    n = spec.order
-    basis = [Poly((0j,) * k + (1 + 0j,)) for k in range(degree + 1)]
-    rows = np.zeros((n, degree + 1), dtype=complex)
-    for j, row in enumerate(spec.rows):
-        for k, mono in enumerate(basis):
-            jet0 = [mono.derivative(s)(0.0) for s in range(n)]
-            jet1 = [mono.derivative(s)(1.0) for s in range(n)]
-            rows[j, k] = row.apply_to_jets(jet0, jet1)
-        norm = np.abs(rows[j]).max()
-        if norm > 0:
-            rows[j] /= norm
-    space = null_space(rows, cutoff=1e-12)
-    if space.shape[1] == 0:
-        raise SpecError("no admissible polynomial at the chosen degree")
-    return basis, space
+def verify_form_identity(spec: OperatorSpec, A=None):
+    """Relative residual ||F_strong - F_split||_2 / ||F_strong||_2 of the
+    quadratic-form identity, over every admissible y at once.
 
-
-def _wedge_vector(form: DivergenceForm, y: Poly):
-    m = form.m
-    jet0 = [y.derivative(s)(0.0) for s in range(m)]
-    jet1 = [y.derivative(s)(1.0) for s in range(m)]
-    return np.array(jet0 + jet1, dtype=complex)
-
-
-def verify_form_identity(spec: OperatorSpec, A=None, trials=50, degree=None, seed=1234):
-    """Max relative residual of the quadratic-form identity over random
-    admissible polynomials.
-
-    The left side is (l y, y) computed from the expanded expression by
-    exact polynomial integration; the right side is the split form with
-    boundary term (A y_wedge, y_wedge).  ``A`` defaults to the computed
-    boundary form matrix.
+    Both matrices act on the constrained trial space of dimension
+    ``FORM_IDENTITY_DIMENSION``: polynomials of degree below
+    FORM_IDENTITY_DIMENSION + n that satisfy the boundary rows.  F_strong
+    is the Galerkin matrix of (l y, y) from the expanded expression
+    (:func:`regbvp.numrange.galerkin_form`); F_split is the split form of
+    the module docstring with boundary term (A y_wedge, y_wedge).  ``A``
+    defaults to the computed boundary form matrix.
     """
-    form = _require_divergence(spec)
-    m = form.m
-    if degree is None:
-        degree = 2 * m + 6
-    if degree < 2 * m + 6:
-        raise ValueError("degree must be at least 2m + 6")
+    # numrange imports this module, so it can only be imported at call time
+    from . import numrange
+
+    _require_divergence(spec)
     if A is None:
         A = boundary_form_matrix(spec)
-    A = np.asarray(A, dtype=complex)
-    coeffs = expand_divergence(form)
-    basis, space = _admissible_polynomials(spec, degree)
-    rng = np.random.default_rng(seed)
-
-    worst = 0.0
-    for _ in range(trials):
-        vec = space @ (rng.standard_normal(space.shape[1])
-                       + 1j * rng.standard_normal(space.shape[1]))
-        y = Poly(())
-        for c, mono in zip(vec, basis):
-            y = y + complex(c) * mono
-        ly = Poly(())
-        for j, cj in enumerate(coeffs):
-            if cj:
-                ly = ly + cj * y.derivative(j)
-        lhs = inner_01(ly, y)
-
-        rhs = inner_01(form.p[0] * y, y) if form.p[0] else 0j
-        for k in range(1, m + 1):
-            dk, dk1 = y.derivative(k), y.derivative(k - 1)
-            if form.p[k]:
-                rhs += inner_01(form.p[k] * dk, dk)
-            if form.q[k]:
-                rhs += inner_01(form.q[k] * dk, dk1)
-            if form.r[k]:
-                rhs -= inner_01(form.r[k] * dk1, dk)
-        wedge = _wedge_vector(form, y)
-        rhs += complex(np.vdot(wedge, A @ wedge))
-
-        scale = max(abs(lhs), abs(rhs), 1.0)
-        worst = max(worst, abs(lhs - rhs) / scale)
-    return worst
+    dim = FORM_IDENTITY_DIMENSION
+    split = numrange._Splitting(spec, quasi_transition(spec), np.asarray(A, dtype=complex))
+    strong = numrange.galerkin_form(spec, dim)
+    weak = numrange._split_matrix(split, *numrange._jets(split, dim))
+    return float(np.linalg.norm(strong - weak, 2) / np.linalg.norm(strong, 2))

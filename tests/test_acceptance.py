@@ -186,11 +186,12 @@ def test_criterion_6_splitting_geometry():
 
 
 def test_criterion_7_form_identity():
-    """The quadratic-form identity holds to 1e-8 over 50 random
-    admissible polynomials with the computed boundary matrix."""
+    """The strong and split Galerkin matrices of the quadratic form agree
+    to 1e-8 relative on the whole constrained trial space, with the
+    computed boundary matrix."""
     residuals = {}
     for name in ("dirichlet2", "neumann2"):
-        residuals[name] = verify_form_identity(gallery.build(name), trials=50)
+        residuals[name] = verify_form_identity(gallery.build(name))
         assert residuals[name] <= 1e-8, (name, residuals[name])
     _announce(7, "form identity residuals "
               + ", ".join(f"{name} {val:.2e}" for name, val in residuals.items()))

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, document shapes, determinism."""
 
+import ast
 import json
 import math
 import os
@@ -343,3 +344,39 @@ def test_cli_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def _random_sources(tree):
+    """Names of the random-number sources that a module's syntax tree
+    imports or reads: the ``random`` module and ``numpy.random``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names
+                      if a.name.split(".")[0] == "random" or a.name.startswith("numpy.random")]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.split(".")[0] == "random" or module.startswith("numpy.random"):
+                found.append(module)
+            elif module == "numpy":
+                found += [f"numpy.{a.name}" for a in node.names if a.name == "random"]
+        elif (isinstance(node, ast.Attribute) and node.attr == "random"
+              and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            found.append(f"{node.value.id}.random")
+    return found
+
+
+def test_package_draws_no_random_numbers():
+    """Report bytes are deterministic by construction: no module of the
+    package imports ``random`` or reads ``numpy.random``."""
+    package = os.path.dirname(cli.__file__)
+    found = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as handle:
+                sources = _random_sources(ast.parse(handle.read()))
+            if sources:
+                found[name] = sources
+    assert found == {}
+    probe = ast.parse("import random\nfrom numpy import random\nx = np.random.default_rng(1)")
+    assert _random_sources(probe) == ["random", "numpy.random", "np.random"]
