@@ -9,7 +9,8 @@ or above them), keys are sorted, no random numbers are drawn, and nothing
 time- or machine-dependent is emitted unless ``--timings`` is given.
 
 Exit codes: 0 success (``classify``: regular), 3 not regular
-(``classify`` only), 4 invalid input, 1 runtime failure.
+(``classify`` only), 4 invalid input (including out-of-range flag
+values), 1 runtime failure.
 """
 
 import argparse
@@ -47,11 +48,13 @@ SPECTRUM_RMIN = 0.5
 DEFAULT_RMAX = 20.0
 DEFAULT_SCAN = {"rmin": 5.0, "rmax": 60.0, "samples": 24, "grid": 48}
 DECAY_SLACK = 0.5
-CLEARANCE_DELTA = 0.5
+RARITY_MAX_LAG = 4
+NUMRANGE_MIN_DIM = 8
+GRAM_COUNT = 16
 # ``report`` searches once, out to the clearance region of its scans
 # (66.5); that covers the spectrum section and Gram conditioning too.
 REPORT_RADIUS = max(DEFAULT_RMAX, spectral.clearance_region(
-    0.0, DEFAULT_SCAN["rmin"], DEFAULT_SCAN["rmax"], CLEARANCE_DELTA)[0][1])
+    0.0, DEFAULT_SCAN["rmin"], DEFAULT_SCAN["rmax"])[0][1])
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +153,12 @@ def _load_input(source) -> OperatorSpec:
     return load_spec(source)
 
 
+def _require(valid, flag, requirement):
+    """Reject an out-of-range flag value as invalid input."""
+    if not valid:
+        raise SpecError(f"{flag} must be {requirement}")
+
+
 def _form_kind(spec):
     if isinstance(spec.form, DivergenceForm):
         return "divergence"
@@ -213,20 +222,24 @@ def classification_document(spec, nbc, tol=None):
     return doc
 
 
-def spectrum_document(nbc, roots, rmax=DEFAULT_RMAX, sector=None, epsilon=None,
-                      tau=0.05, l_max=4):
+def _omega_sectors(n):
+    """The omega-sectors of opening epsilon = pi / (4 n) around the
+    critical rays; their bisectors are the candidate scan rays."""
+    return geometry.omega_sectors(n, math.pi / (4 * n))
+
+
+def spectrum_document(nbc, roots, rmax=DEFAULT_RMAX, sector=None):
     """The spectrum section, from those ``roots`` that lie in the annulus
     SPECTRUM_RMIN <= |rho| <= ``rmax`` and in ``sector``."""
     n = nbc.n
     r_min = SPECTRUM_RMIN
     roots = spectral.roots_in(roots, (r_min, rmax), sector)
     reps = spectral.distinct_eigenvalues(roots)
-    groups = spectral.bracket_groups(reps, tau=tau)
+    groups = spectral.bracket_groups(reps)
     sizes = [sum(r.multiplicity for r in g) for g in groups]
 
-    if epsilon is None:
-        epsilon = math.pi / (4 * n)
-    sectors = geometry.omega_sectors(n, epsilon)
+    sectors = _omega_sectors(n)
+    epsilon = sectors.epsilon
     rarity = []
     for lo, hi in sectors.sectors:
         moduli = sorted(abs(r.rho) for r in reps
@@ -234,11 +247,12 @@ def spectrum_document(nbc, roots, rmax=DEFAULT_RMAX, sector=None, epsilon=None,
         rarity.append({
             "sector": [lo, hi],
             "count": len(moduli),
-            "lag": geometry.is_rare(moduli, l_max),
+            "lag": geometry.is_rare(moduli, RARITY_MAX_LAG),
         })
 
-    disks = geometry.DiskSet(tuple(r.rho for r in roots), CLEARANCE_DELTA)
-    r_probe = max(rmax - 2 * CLEARANCE_DELTA, r_min)
+    delta = spectral.CLEARANCE_DELTA
+    disks = geometry.DiskSet(tuple(r.rho for r in roots), delta)
+    r_probe = max(rmax - 2 * delta, r_min)
     rays = []
     for angle in geometry.critical_rays(n).angles:
         rays.append({"angle": angle, "kind": "critical",
@@ -255,21 +269,20 @@ def spectrum_document(nbc, roots, rmax=DEFAULT_RMAX, sector=None, epsilon=None,
         "roots": [_root_document(r, n) for r in roots],
         "distinct_eigenvalues": len(reps),
         "brackets": {
-            "tau": tau,
+            "tau": spectral.BRACKET_TAU,
             "sizes": sizes,
             "max_size": max(sizes) if sizes else 0,
             "oversized": any(s > 2 for s in sizes),
         },
-        "rarity": {"epsilon": epsilon, "max_lag": l_max, "sectors": rarity},
-        "clearance": {"delta": CLEARANCE_DELTA, "r_probe": r_probe, "rays": rays},
+        "rarity": {"epsilon": epsilon, "max_lag": RARITY_MAX_LAG, "sectors": rarity},
+        "clearance": {"delta": delta, "r_probe": r_probe, "rays": rays},
         "note": "spectral quantities refer to the leading-order model expression",
     }
 
 
 def _clearance_roots(nbc, ray, rmin, rmax):
     """The zeros in the clearance region of ``ray``, searched for alone."""
-    return spectral.find_roots(
-        nbc, *spectral.clearance_region(ray, rmin, rmax, CLEARANCE_DELTA))
+    return spectral.find_roots(nbc, *spectral.clearance_region(ray, rmin, rmax))
 
 
 def _choose_ray(nbc, rmin, rmax, roots=None):
@@ -278,14 +291,12 @@ def _choose_ray(nbc, rmin, rmax, roots=None):
     Returns (ray, roots checked): ``roots`` when given, otherwise the
     clearance region of each candidate is searched in turn.
     """
-    n = nbc.n
-    epsilon = math.pi / (4 * n)
     errors = []
-    for lo, hi in geometry.omega_sectors(n, epsilon).sectors:
+    for lo, hi in _omega_sectors(nbc.n).sectors:
         mid = 0.5 * (lo + hi)
         try:
             ray_roots = _clearance_roots(nbc, mid, rmin, rmax) if roots is None else roots
-            spectral.ray_clearance_check(ray_roots, mid, rmin, rmax, CLEARANCE_DELTA)
+            spectral.ray_clearance_check(ray_roots, mid, rmin, rmax)
         except (ValueError, spectral.ContourError) as exc:
             errors.append(f"{mid:.3f}: {exc}")
             continue
@@ -300,8 +311,8 @@ def scan_document(nbc, kind, ray, roots, rmin, rmax, samples, grid, csv_path=Non
                                        samples=samples, grid=grid)
         expected = -(n - 1)
     elif kind == "resolvent":
-        scan = spectral.resolvent_scan(nbc, ray_angle=ray, roots=roots, r_min=rmin,
-                                       r_max=rmax, samples=samples)
+        scan = spectral.resolvent_scan(nbc, ray, roots, r_min=rmin, r_max=rmax,
+                                       samples=samples)
         expected = -n
     else:
         raise ValueError(f"unknown scan kind {kind!r}")
@@ -310,7 +321,7 @@ def scan_document(nbc, kind, ray, roots, rmin, rmax, samples, grid, csv_path=Non
     values = [value * abs(rho) ** (-expected) for rho, value in scan.samples]
     ranked = sorted(values)
     median = ranked[len(ranked) // 2]
-    doc = {
+    return {
         "kind": kind,
         "ray": scan.ray_angle,
         "rmin": rmin,
@@ -322,10 +333,8 @@ def scan_document(nbc, kind, ray, roots, rmin, rmax, samples, grid, csv_path=Non
         "slack": DECAY_SLACK,
         "decay_bound_satisfied": bool(scan.exponent <= expected + DECAY_SLACK),
         "compensated_max_over_median": float(max(values) / median) if median > 0 else None,
+        "clearance": scan.clearance,
     }
-    if scan.clearance is not None:
-        doc["clearance"] = scan.clearance
-    return doc
 
 
 def numrange_document(spec, max_dim=64, angles=numrange.DEFAULT_ANGLES,
@@ -335,7 +344,7 @@ def numrange_document(spec, max_dim=64, angles=numrange.DEFAULT_ANGLES,
         return {"applicable": False,
                 "reason": "requires an even-order divergence or model form"}
     dims = []
-    d = 8
+    d = NUMRANGE_MIN_DIM
     while d < max_dim:
         dims.append(d)
         d *= 2
@@ -357,9 +366,9 @@ def numrange_document(spec, max_dim=64, angles=numrange.DEFAULT_ANGLES,
     }
 
 
-def gram_document(nbc, roots, radius, count=16):
-    conditions = spectral.gram_condition(nbc, roots, count, radius)
-    return {"count": count, "conditions": [[size, cond] for size, cond in conditions]}
+def gram_document(nbc, roots, radius):
+    conditions = spectral.gram_condition(nbc, roots, GRAM_COUNT, radius)
+    return {"count": GRAM_COUNT, "conditions": [[size, cond] for size, cond in conditions]}
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +376,7 @@ def gram_document(nbc, roots, radius, count=16):
 # ---------------------------------------------------------------------------
 
 def cmd_classify(args):
+    _require(args.tol is None or 0.0 <= args.tol < math.inf, "--tol", "finite and nonnegative")
     spec = _load_input(args.input)
     doc = classification_document(spec, reduce_total_order(spec.rows), tol=args.tol)
     doc["input"] = args.input
@@ -375,8 +385,11 @@ def cmd_classify(args):
 
 
 def cmd_spectrum(args):
-    spec = _load_input(args.input)
+    _require(SPECTRUM_RMIN < args.rmax < math.inf, "--rmax", f"finite and above {SPECTRUM_RMIN}")
     sector = tuple(args.sector) if args.sector else None
+    _require(sector is None or sector[0] < sector[1] <= sector[0] + 2 * math.pi, "--sector",
+             "LO HI with LO < HI <= LO + 2 pi")
+    spec = _load_input(args.input)
     nbc = reduce_total_order(spec.rows)
     roots = spectral.find_roots(nbc, (SPECTRUM_RMIN, args.rmax), sector=sector)
     doc = spectrum_document(nbc, roots, rmax=args.rmax, sector=sector)
@@ -386,6 +399,10 @@ def cmd_spectrum(args):
 
 
 def cmd_scan(args):
+    _require(0.0 < args.rmin < args.rmax < math.inf, "--rmin/--rmax", "finite with 0 < rmin < rmax")
+    _require(args.ray is None or math.isfinite(args.ray), "--ray", "finite")
+    _require(args.samples >= 2, "--samples", "at least 2 for a power-law fit")
+    _require(args.grid >= 1, "--grid", "at least 1")
     spec = _load_input(args.input)
     nbc = reduce_total_order(spec.rows)
     if args.ray is None:
@@ -400,6 +417,8 @@ def cmd_scan(args):
 
 
 def cmd_numrange(args):
+    _require(args.max_dim > NUMRANGE_MIN_DIM, "--max-dim", f"above {NUMRANGE_MIN_DIM}")
+    _require(args.angles >= 1, "--angles", "at least 1")
     spec = _load_input(args.input)
     doc = numrange_document(spec, max_dim=args.max_dim, angles=args.angles,
                             csv_path=args.output)
@@ -411,6 +430,7 @@ def cmd_numrange(args):
 
 
 def cmd_report(args):
+    _require(args.tol is None or 0.0 <= args.tol < math.inf, "--tol", "finite and nonnegative")
     spec = _load_input(args.input)
     nbc = reduce_total_order(spec.rows)
     timings = {}
@@ -477,8 +497,6 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("input", help="spec JSON file or example name "
                         f"({', '.join(sorted(gallery.EXAMPLES))})")
-    common.add_argument("--tol", type=float, default=None,
-                        help="regularity tolerance override")
     common.add_argument("-o", "--output", default=None,
                         help="output path (JSON; CSV for scan/numrange)")
 
@@ -486,6 +504,7 @@ def _build_parser():
 
     p = sub.add_parser("classify", parents=[common],
                        help="regularity and complete-regularity verdicts")
+    p.add_argument("--tol", type=float, default=None, help="regularity tolerance override")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("spectrum", parents=[common],
@@ -514,6 +533,7 @@ def _build_parser():
 
     p = sub.add_parser("report", parents=[common],
                        help="run all applicable analyses into one document")
+    p.add_argument("--tol", type=float, default=None, help="regularity tolerance override")
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock timings (breaks byte determinism)")
     p.set_defaults(func=cmd_report)

@@ -154,11 +154,6 @@ ZERO = Poly()
 ONE = Poly.constant(1)
 
 
-def inner_01(f: Poly, g: Poly) -> complex:
-    """L2(0,1) inner product of polynomials, conjugate-linear in ``g``."""
-    return (f * g.conjugate()).integral_01()
-
-
 # ---------------------------------------------------------------------------
 # Boundary rows
 # ---------------------------------------------------------------------------
@@ -183,10 +178,10 @@ class BoundaryRow:
     def n(self):
         return len(self.a)
 
-    def order(self, tol=0.0):
+    def order(self):
         """Largest derivative order with a nonzero coefficient pair."""
         for s in range(self.n - 1, -1, -1):
-            if max(abs(self.a[s]), abs(self.b[s])) > tol:
+            if max(abs(self.a[s]), abs(self.b[s])) > 0.0:
                 return s
         return -1
 

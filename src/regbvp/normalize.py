@@ -17,6 +17,9 @@ from .model import BoundaryRow, OperatorSpec, RankError
 
 __all__ = ["NormalizedBC", "reduce_total_order", "leading_forms"]
 
+# Coefficients below DUST_TOL times the largest (or 1) count as zero.
+DUST_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class NormalizedBC:
@@ -46,7 +49,7 @@ def _row_order(vec, n, tol):
     return -1
 
 
-def reduce_total_order(spec_or_rows, *, tol_factor=1e-12) -> NormalizedBC:
+def reduce_total_order(spec_or_rows) -> NormalizedBC:
     """Normalize boundary rows to minimal total order.
 
     Accepts an :class:`OperatorSpec` or a sequence of :class:`BoundaryRow`.
@@ -62,7 +65,7 @@ def reduce_total_order(spec_or_rows, *, tol_factor=1e-12) -> NormalizedBC:
     n = rows[0].n
     mat = np.array([row.as_vector() for row in rows])
     count = len(rows)
-    tol = tol_factor * max(np.abs(mat).max(), 1.0)
+    tol = DUST_TOL * max(np.abs(mat).max(), 1.0)
     transform = np.eye(count, dtype=complex)
 
     def orders():

@@ -386,14 +386,13 @@ def profiles_to_csv(profiles, path):
 
 
 def half_plane_verdict(spec: OperatorSpec, dimensions=DEFAULT_DIMENSIONS,
-                       num_angles=DEFAULT_ANGLES, growth_factor=GROWTH_FACTOR,
-                       slack=SLACK):
+                       num_angles=DEFAULT_ANGLES):
     """Decide whether the form values stay inside some half-plane.
 
     The minima m_N = min_theta sigma_N(theta) are nondecreasing in N.  A
-    final minimum within ``slack`` (relative) of the first indicates a
+    final minimum within ``SLACK`` (relative) of the first indicates a
     supporting line: "half_plane".  Minima that grow by at least
-    ``growth_factor`` at every doubling (once above 1) indicate that every
+    ``GROWTH_FACTOR`` at every doubling (once above 1) indicate that every
     direction eventually fails: "whole_plane".  Anything else is reported
     as "undetermined".
     """
@@ -405,7 +404,7 @@ def half_plane_verdict(spec: OperatorSpec, dimensions=DEFAULT_DIMENSIONS,
     minima = tuple(p.minimum for p in profiles)
 
     first, last = minima[0], minima[-1]
-    allowance = slack * max(1.0, abs(first))
+    allowance = SLACK * max(1.0, abs(first))
     if last <= first + allowance:
         verdict = "half_plane"
     else:
@@ -413,7 +412,7 @@ def half_plane_verdict(spec: OperatorSpec, dimensions=DEFAULT_DIMENSIONS,
         for prev, nxt in zip(minima, minima[1:]):
             if prev <= 1.0:
                 continue
-            if nxt < growth_factor * prev:
+            if nxt < GROWTH_FACTOR * prev:
                 grew = False
         verdict = "whole_plane" if grew else "undetermined"
     return HalfPlaneReport(verdict=verdict, dimensions=dimensions, minima=minima,

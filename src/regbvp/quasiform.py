@@ -22,6 +22,9 @@ completely regular when B^{-1}(im C) equals the orthogonal complement of
 ker C; in that case a matrix A exists with (y_vee, x) = (A y_wedge, x) for
 admissible y and all x in B^{-1}(im C), which turns the boundary term of
 the quadratic form into (A y_wedge, y_wedge).
+
+The two subspaces coincide when their largest principal angle is at most
+the module constant ``ANGLE_TOL``.
 """
 
 from dataclasses import dataclass
@@ -30,7 +33,6 @@ import numpy as np
 
 from .model import (
     ZERO,
-    BoundaryRow,
     DivergenceForm,
     OperatorSpec,
     Poly,
@@ -45,7 +47,6 @@ __all__ = [
     "quasi_jets",
     "quasi_transition",
     "split_bc",
-    "rows_from_split",
     "check_completely_regular",
     "boundary_form_matrix",
     "verify_form_identity",
@@ -200,30 +201,6 @@ def split_bc(spec: OperatorSpec) -> SplitBC:
     return SplitBC(m, B, C, wedge, vee)
 
 
-def rows_from_split(spec: OperatorSpec, B, C) -> tuple:
-    """Inverse of :func:`split_bc`: boundary rows realizing given (B, C)
-    for the expression of ``spec`` (whose own rows are ignored)."""
-    form = _require_divergence(spec)
-    m = form.m
-    n = 2 * m
-    B = np.asarray(B, dtype=complex)
-    C = np.asarray(C, dtype=complex)
-    trans = quasi_transition(spec)
-    rows = []
-    for j in range(n):
-        alpha = np.zeros(n, dtype=complex)
-        beta = np.zeros(n, dtype=complex)
-        alpha[:m] = B[j, :m]
-        beta[:m] = B[j, m:]
-        for i in range(m):
-            alpha[n - 1 - i] += C[j, i]
-            beta[n - 1 - i] += -C[j, m + i]
-        a = alpha @ trans.at_zero
-        b = beta @ trans.at_one
-        rows.append(BoundaryRow(tuple(a), tuple(b)))
-    return tuple(rows)
-
-
 # ---------------------------------------------------------------------------
 # Complete regularity
 # ---------------------------------------------------------------------------
@@ -289,9 +266,10 @@ class CompleteRegularityReport:
     A: np.ndarray | None
 
 
-def check_completely_regular(spec_or_split, angle_tol=ANGLE_TOL) -> CompleteRegularityReport:
+def check_completely_regular(spec_or_split) -> CompleteRegularityReport:
     """Decide whether B^{-1}(im C) coincides with the orthogonal
-    complement of ker C, using rank-revealing SVDs and principal angles."""
+    complement of ker C, using rank-revealing SVDs and principal angles
+    (largest at most ANGLE_TOL)."""
     split = spec_or_split if isinstance(spec_or_split, SplitBC) else split_bc(spec_or_split)
     B, C = split.B, split.C
     n = B.shape[0]
@@ -303,7 +281,7 @@ def check_completely_regular(spec_or_split, angle_tol=ANGLE_TOL) -> CompleteRegu
     complement = _column_space(C.conj().T)  # (ker C)^perp = range C^H
 
     angles, max_angle = _max_angle(preimage, complement)
-    verdict = preimage.shape[1] == complement.shape[1] and max_angle <= angle_tol
+    verdict = preimage.shape[1] == complement.shape[1] and max_angle <= ANGLE_TOL
 
     A = _boundary_form_matrix(split, preimage) if verdict else None
     return CompleteRegularityReport(verdict, preimage, complement, angles, max_angle, A)
@@ -319,13 +297,13 @@ def _boundary_form_matrix(split: SplitBC, preimage):
     return proj @ y2 @ np.linalg.pinv(y1) @ proj
 
 
-def boundary_form_matrix(spec_or_split, angle_tol=ANGLE_TOL) -> np.ndarray:
+def boundary_form_matrix(spec_or_split) -> np.ndarray:
     """The matrix A with (y_vee, x) = (A y_wedge, x) on B^{-1}(im C).
 
     Raises :class:`SpecError` when the splitting is not completely
     regular (no such A exists then).
     """
-    report = check_completely_regular(spec_or_split, angle_tol)
+    report = check_completely_regular(spec_or_split)
     if not report.completely_regular:
         raise SpecError("boundary form matrix requires a completely regular splitting")
     return report.A

@@ -12,6 +12,12 @@ raw exponentials.
 Only :func:`find_roots` searches for zeros.  The ray clearance check, the
 scans and Gram conditioning filter a root tuple from the caller, so one
 full-circle search can serve a whole report.
+
+Fixed numerical choices are module constants: the Newton residual
+``RESIDUAL_TOL``, the search limits ``MAX_DEPTH`` and ``MAX_GRID``, the
+radius ``CLEARANCE_DELTA`` (delta) of the disks a scan ray must clear,
+and the eigenvalue merge and bracket widths ``LAMBDA_TOL`` and
+``BRACKET_TAU`` (tau).
 """
 
 import cmath
@@ -47,6 +53,7 @@ __all__ = [
 RESIDUAL_TOL = 1e-8
 NEWTON_MAX_ITER = 50
 MAX_DEPTH = 40
+MAX_GRID = 8
 # Polished roots closer than CLUSTER_TOL * (1 + |rho|) are one zero.
 CLUSTER_TOL = 1e-7
 # A sample whose log|Delta| drops this far below its neighbours on a contour
@@ -54,6 +61,10 @@ CLUSTER_TOL = 1e-7
 # boundary conditions can make Delta exponentially small relative to the
 # matrix scale everywhere without vanishing anywhere.)
 NEAR_ZERO_DIP = 25.0
+
+CLEARANCE_DELTA = 0.5
+LAMBDA_TOL = 1e-6
+BRACKET_TAU = 0.05
 
 
 class ContourError(RuntimeError):
@@ -110,7 +121,7 @@ class SpectralScan:
     samples: tuple          # ((rho, value), ...)
     exponent: float
     fit_residual: float
-    clearance: float | None = None
+    clearance: float
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +287,7 @@ def _box_winding(nbc, box, n):
         for edge in edges))
 
 
-def _newton(nbc, rho, multiplicity, residual_tol):
+def _newton(nbc, rho, multiplicity):
     """Polish a root with Newton steps on the logarithmic derivative.
 
     Returns (rho, residual) with residual = |last step| / (1 + |rho|); the
@@ -336,8 +347,7 @@ def _box_diameter(box):
     return max(r1 - r0, (a1 - a0) * r1)
 
 
-def find_roots(nbc: NormalizedBC, annulus, sector=None, grid=8,
-               residual_tol=RESIDUAL_TOL, max_depth=MAX_DEPTH):
+def find_roots(nbc: NormalizedBC, annulus, sector=None):
     """Zeros of the characteristic determinant inside an annulus sector.
 
     ``annulus`` is (r_min, r_max) with 0 < r_min < r_max; ``sector`` is
@@ -375,7 +385,7 @@ def find_roots(nbc: NormalizedBC, annulus, sector=None, grid=8,
         # count is concentrated at one point (an m-fold zero, or a cluster
         # tighter than the tolerance); distinct roots keep it oscillating at
         # the separation scale and the box is subdivided instead.
-        rho, res = _newton(nbc, center, count, residual_tol)
+        rho, res = _newton(nbc, center, count)
         r, ang = abs(rho), cmath.phase(rho)
         # accept only roots (essentially) inside this box; a polished
         # point in a neighbouring box belongs to that box's count
@@ -384,8 +394,8 @@ def find_roots(nbc: NormalizedBC, annulus, sector=None, grid=8,
         mid_a = 0.5 * (box[2] + box[3])
         in_box = (box[0] - pad_r <= r <= box[1] + pad_r
                   and abs(cmath.phase(cmath.exp(1j * (ang - mid_a)))) <= (box[3] - box[2]) / 2 + pad_a)
-        if ((res <= residual_tol and in_box)
-                or depth >= max_depth or _box_diameter(box) <= diam_tol):
+        if ((res <= RESIDUAL_TOL and in_box)
+                or depth >= MAX_DEPTH or _box_diameter(box) <= diam_tol):
             found.append(EigenRoot(complex(rho), complex(rho) ** n, int(count), float(res)))
             return
         for fractions in ((0.5, 0.5), (0.53, 0.47), (0.47, 0.56), (0.515, 0.485)):
@@ -432,7 +442,7 @@ def find_roots(nbc: NormalizedBC, annulus, sector=None, grid=8,
                 mult = max(root.multiplicity for root in clusters[idx])
             if mult <= 0:
                 continue
-            rho, res = _newton(nbc, rep.rho, mult, residual_tol)
+            rho, res = _newton(nbc, rep.rho, mult)
             final.append(EigenRoot(complex(rho), complex(rho) ** n, int(mult), float(res)))
         return _by_modulus(final, lambda root: abs(root.rho), CLUSTER_TOL)
 
@@ -444,8 +454,8 @@ def find_roots(nbc: NormalizedBC, annulus, sector=None, grid=8,
     # with its interior lines shifted.  A user-given region boundary is
     # never moved, but the seam of the sector a full-circle search turns
     # is arbitrary and is shifted too.
-    grid_r = max(1, min(grid, math.ceil((r_max - r_min) / 12.0)))
-    grid_a = max(1, min(grid, math.ceil((a1 - a0) * r_max / 12.0)))
+    grid_r = max(1, min(MAX_GRID, math.ceil((r_max - r_min) / 12.0)))
+    grid_a = max(1, min(MAX_GRID, math.ceil((a1 - a0) * r_max / 12.0)))
     for attempt in range(6):
         shift = 0.31 * attempt / (attempt + 1.0)
         r_edges = np.linspace(r_min, r_max, grid_r + 1)
@@ -584,24 +594,24 @@ def roots_in(roots, annulus, sector=None):
         math.remainder(cmath.phase(root.rho) - 0.5 * (lo + hi), 2 * math.pi)) <= 0.5 * (hi - lo))
 
 
-def clearance_region(ray_angle, r_min, r_max, delta):
+def clearance_region(ray_angle, r_min, r_max):
     """(annulus, sector) whose zeros decide the clearance of a ray: a zero
     outside the sector, beyond the inner radius, keeps its disk of radius
-    ``delta`` off the ray, and the outer radius r_max + delta + 6 sees the
-    disks just past ``r_max``."""
-    r_lo = max(0.25, r_min - delta)
-    width = min(0.5 * math.pi, math.asin(min(1.0, delta / r_lo)) + 0.15)
-    return (r_lo, r_max + delta + 6.0), (ray_angle - width, ray_angle + width)
+    CLEARANCE_DELTA off the ray, and the outer radius
+    r_max + CLEARANCE_DELTA + 6 sees the disks just past ``r_max``."""
+    r_lo = max(0.25, r_min - CLEARANCE_DELTA)
+    width = min(0.5 * math.pi, math.asin(min(1.0, CLEARANCE_DELTA / r_lo)) + 0.15)
+    return (r_lo, r_max + CLEARANCE_DELTA + 6.0), (ray_angle - width, ray_angle + width)
 
 
-def ray_clearance_check(roots, ray_angle, r_min, r_max, delta):
+def ray_clearance_check(roots, ray_angle, r_min, r_max):
     """The radius beyond which the ray clears the eigenvalue disks.
 
     Reads the ``roots`` in :func:`clearance_region`, which must all be
     there.  Raises ValueError when that radius is beyond ``r_min``.
     """
-    near = roots_in(roots, *clearance_region(ray_angle, r_min, r_max, delta))
-    disks = DiskSet(tuple(r.rho for r in near), delta)
+    near = roots_in(roots, *clearance_region(ray_angle, r_min, r_max))
+    disks = DiskSet(tuple(r.rho for r in near), CLEARANCE_DELTA)
     clearance = ray_clearance(ray_angle, disks, r_max)
     if clearance is None:
         raise ValueError(
@@ -613,52 +623,43 @@ def ray_clearance_check(roots, ray_angle, r_min, r_max, delta):
     return clearance
 
 
+def _ray_scan(kind, value, ray_angle, roots, r_min, r_max, samples):
+    """``value(rho)`` at ``samples`` geometric radii from r_min to r_max
+    along a ray that :func:`ray_clearance_check` passes, with the fitted
+    power law."""
+    clearance = ray_clearance_check(roots, ray_angle, r_min, r_max)
+    radii = np.geomspace(r_min, r_max, samples)
+    out = tuple((rho, value(rho)) for rho in radii * cmath.exp(1j * ray_angle))
+    exponent, rms = _fit_exponent(radii, [v for _, v in out])
+    return SpectralScan(kind, float(ray_angle), out, exponent, rms, clearance)
+
+
 def green_sup_scan(nbc: NormalizedBC, ray_angle, roots, r_min=5.0, r_max=60.0,
-                   samples=24, grid=48, delta=0.5) -> SpectralScan:
+                   samples=24, grid=48) -> SpectralScan:
     """Sup of |G| over an interior lattice, sampled along a ray.
 
     ``roots`` feed :func:`ray_clearance_check`.  The fitted exponent
     estimates the decay order of the kernel; for a regular problem on a
     noncritical ray it approaches -(n - 1).
     """
-    clearance = ray_clearance_check(roots, ray_angle, r_min, r_max, delta)
-    radii = np.geomspace(r_min, r_max, samples)
     lattice = (np.arange(grid) + 0.5) / grid
-    out = []
-    for r in radii:
-        rho = r * cmath.exp(1j * ray_angle)
-        sup = float(np.abs(_green_matrix(nbc, rho, lattice, lattice)).max())
-        out.append((rho, sup))
-    exponent, rms = _fit_exponent(radii, [v for _, v in out])
-    return SpectralScan("green_sup", float(ray_angle), tuple(out), exponent, rms, clearance)
+    return _ray_scan(
+        "green_sup", lambda rho: float(np.abs(_green_matrix(nbc, rho, lattice, lattice)).max()),
+        ray_angle, roots, r_min, r_max, samples)
 
 
-def resolvent_scan(nbc: NormalizedBC, ray_angle=None, roots=None, r_min=5.0, r_max=60.0,
-                   samples=24, quad_nodes=64, delta=0.5,
-                   sample_points=None) -> SpectralScan:
-    """Resolvent norms along a ray (or at explicit sample points).
+def resolvent_scan(nbc: NormalizedBC, ray_angle, roots, r_min=5.0, r_max=60.0,
+                   samples=24) -> SpectralScan:
+    """Resolvent norms along a ray.
 
-    With a ray, the direction must keep a positive angular distance from
-    every critical ray and clear the eigenvalue disks of ``roots`` beyond
-    r_min (:func:`ray_clearance_check`).  An explicit ``sample_points``
-    sequence bypasses both checks and needs no roots (used for sparse
-    sequences threaded between the disks along critical rays).
+    The direction must keep a positive angular distance from every
+    critical ray, and ``roots`` feed :func:`ray_clearance_check`.  For a
+    regular problem the fitted exponent approaches -n.
     """
-    clearance = None
-    if sample_points is None:
-        if ray_angle is None or roots is None:
-            raise ValueError("a ray needs ray_angle and roots, or give sample_points")
-        if critical_rays(nbc.n).distance(ray_angle) < 1e-3:
-            raise ValueError("ray angle lies on a critical ray")
-        clearance = ray_clearance_check(roots, ray_angle, r_min, r_max, delta)
-        points = [r * cmath.exp(1j * ray_angle) for r in np.geomspace(r_min, r_max, samples)]
-        angle = float(ray_angle)
-    else:
-        points = [complex(p) for p in sample_points]
-        angle = float(ray_angle) if ray_angle is not None else math.nan
-    out = [(rho, resolvent_norm(nbc, rho, quad_nodes)) for rho in points]
-    exponent, rms = _fit_exponent([abs(p) for p in points], [v for _, v in out])
-    return SpectralScan("resolvent", angle, tuple(out), exponent, rms, clearance)
+    if critical_rays(nbc.n).distance(ray_angle) < 1e-3:
+        raise ValueError("ray angle lies on a critical ray")
+    return _ray_scan("resolvent", lambda rho: resolvent_norm(nbc, rho),
+                     ray_angle, roots, r_min, r_max, samples)
 
 
 def scan_to_csv(scan: SpectralScan, path):
@@ -693,7 +694,7 @@ def eigenfunction(nbc: NormalizedBC, root: EigenRoot):
     return out / norms
 
 
-def distinct_eigenvalues(roots, tol=1e-6):
+def distinct_eigenvalues(roots):
     """One representative root per eigenvalue lambda = rho^n.
 
     Rotated parameters rho and eps_k rho give the same lambda; the
@@ -701,15 +702,15 @@ def distinct_eigenvalues(roots, tol=1e-6):
     (multiplicities of merged representatives agree by symmetry).
     """
     reps = []
-    for root in _by_modulus(roots, lambda r: abs(r.lam), tol):
-        if all(abs(root.lam - rep.lam) > tol * (1.0 + abs(root.lam)) for rep in reps):
+    for root in _by_modulus(roots, lambda r: abs(r.lam), LAMBDA_TOL):
+        if all(abs(root.lam - rep.lam) > LAMBDA_TOL * (1.0 + abs(root.lam)) for rep in reps):
             reps.append(root)
     return tuple(reps)
 
 
-def bracket_groups(roots, tau=0.05):
+def bracket_groups(roots):
     """Group eigenvalues whose mutual distance is below the bracket width
-    tau * (1 + |lambda|^(1 - 1/n)).
+    BRACKET_TAU * (1 + |lambda|^(1 - 1/n)).
 
     ``roots`` must hold one representative per eigenvalue; group sizes
     count multiplicity.  Returns a tuple of tuples of roots.
@@ -729,7 +730,7 @@ def bracket_groups(roots, tau=0.05):
 
     for i in range(len(items)):
         for j in range(i + 1, len(items)):
-            width = tau * min(scale(items[i]), scale(items[j]))
+            width = BRACKET_TAU * min(scale(items[i]), scale(items[j]))
             if abs(items[i].lam - items[j].lam) <= width:
                 parent[find(i)] = find(j)
     buckets = {}

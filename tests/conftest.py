@@ -23,9 +23,9 @@ def make_row(n, a=(), b=()):
     return BoundaryRow(tuple(left), tuple(right))
 
 
-def clearance_roots(nbc, ray, r_min, r_max, delta=0.5):
+def clearance_roots(nbc, ray, r_min, r_max):
     """The zeros a scan along ``ray`` checks its clearance against."""
-    return find_roots(nbc, *clearance_region(ray, r_min, r_max, delta))
+    return find_roots(nbc, *clearance_region(ray, r_min, r_max))
 
 
 @pytest.fixture

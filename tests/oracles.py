@@ -109,6 +109,12 @@ def c_int01(f):
     return sum(a / (k + 1) for k, a in enumerate(f))
 
 
+def inner_01(f, g):
+    """L2(0, 1) inner product of two polynomials, conjugate-linear in
+    ``g``, from their coefficient lists."""
+    return c_int01(c_mul(list(f.coeffs), [b.conjugate() for b in g.coeffs]))
+
+
 def expand_divergence_lists(m, p, q, r):
     """Classical coefficients c_0..c_{2m} of the divergence expression.
 

@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, document shapes, determinism."""
 
+import argparse
 import ast
+import inspect
 import json
 import math
 import os
@@ -100,6 +102,38 @@ def test_usage_error_exits_two(capsys):
         cli.main([])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["scan", "dirichlet2", "green", "--samples", "1"], "--samples"),
+    (["scan", "dirichlet2", "resolvent", "--samples", "0"], "--samples"),
+    (["scan", "dirichlet2", "green", "--rmin", "10", "--rmax", "5"], "--rmin/--rmax"),
+    (["scan", "dirichlet2", "green", "--grid", "0"], "--grid"),
+    (["scan", "dirichlet2", "green", "--ray", "nan"], "--ray"),
+    (["spectrum", "dirichlet2", "--rmax", "0.1"], "--rmax"),
+    (["spectrum", "dirichlet2", "--sector", "1", "0"], "--sector"),
+    (["numrange", "dirichlet2", "--angles", "0"], "--angles"),
+    (["numrange", "dirichlet2", "--max-dim", "5"], "--max-dim"),
+    (["classify", "dirichlet2", "--tol", "-1"], "--tol"),
+])
+def test_out_of_range_flag_exits_four(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4
+    assert flag in err
+    assert out == ""
+
+
+def test_every_flag_is_read_by_its_command():
+    """Each option of a subcommand appears as ``args.<dest>`` in the
+    command it runs, so no flag is accepted and then ignored."""
+    parser = cli._build_parser()
+    (commands,) = [action for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    for name, sub in commands.choices.items():
+        source = inspect.getsource(sub.get_default("func"))
+        for action in sub._actions:
+            if action.dest != "help":
+                assert f"args.{action.dest}" in source, (name, action.option_strings)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from conftest import make_row
+from oracles import inner_01
 from regbvp import gallery
 from regbvp.model import (
     ZERO,
@@ -21,7 +22,6 @@ from regbvp.model import (
     SpecError,
     as_divergence,
     expand_divergence,
-    inner_01,
     load_spec,
     operator_coefficients,
     parse_spec,

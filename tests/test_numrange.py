@@ -8,6 +8,7 @@ import pytest
 from numpy.polynomial import legendre as L
 from numpy.polynomial.polynomial import Polynomial
 
+from oracles import inner_01
 from regbvp import gallery
 from regbvp.model import (
     ONE,
@@ -16,7 +17,6 @@ from regbvp.model import (
     DivergenceForm,
     OperatorSpec,
     Poly,
-    inner_01,
     operator_coefficients,
 )
 from regbvp.numrange import (

@@ -8,16 +8,17 @@ import pytest
 
 import oracles
 from conftest import make_row
+from oracles import inner_01
 from regbvp import gallery, quasiform
 from regbvp.model import (
     ONE,
     ZERO,
+    BoundaryRow,
     DivergenceForm,
     ModelForm,
     OperatorSpec,
     Poly,
     SpecError,
-    inner_01,
     operator_coefficients,
 )
 from regbvp.quasiform import (
@@ -27,7 +28,6 @@ from regbvp.quasiform import (
     check_completely_regular,
     quasi_jets,
     quasi_transition,
-    rows_from_split,
     split_bc,
     verify_form_identity,
 )
@@ -174,6 +174,29 @@ def test_split_layout_labels():
     assert split.wedge_layout == ("y^(0)(0)", "y^(1)(0)", "y^(0)(1)", "y^(1)(1)")
     assert len(split.vee_layout) == 4
     assert split.B.shape == (4, 4) and split.C.shape == (4, 4)
+
+
+def rows_from_split(spec, B, C):
+    """Inverse of :func:`split_bc`: boundary rows realizing given (B, C)
+    for the expression of ``spec`` (whose own rows are ignored)."""
+    m = spec.form.m
+    n = 2 * m
+    B = np.asarray(B, dtype=complex)
+    C = np.asarray(C, dtype=complex)
+    trans = quasi_transition(spec)
+    rows = []
+    for j in range(n):
+        alpha = np.zeros(n, dtype=complex)
+        beta = np.zeros(n, dtype=complex)
+        alpha[:m] = B[j, :m]
+        beta[:m] = B[j, m:]
+        for i in range(m):
+            alpha[n - 1 - i] += C[j, i]
+            beta[n - 1 - i] += -C[j, m + i]
+        a = alpha @ trans.at_zero
+        b = beta @ trans.at_one
+        rows.append(BoundaryRow(tuple(a), tuple(b)))
+    return tuple(rows)
 
 
 def test_rows_from_split_round_trip(rng):

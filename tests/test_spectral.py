@@ -337,15 +337,6 @@ def test_resolvent_scan_rejects_critical_ray():
         resolvent_scan(nbc, 0.0, clearance_roots(nbc, 0.0, 5.0, 60.0), samples=4)
 
 
-def test_resolvent_scan_explicit_points():
-    nbc = _nbc("dirichlet2")
-    points = [(math.pi * (j + 0.5)) * cmath.exp(0.25j * math.pi)
-              for j in range(2, 6)]
-    scan = resolvent_scan(nbc, sample_points=points)
-    assert len(scan.samples) == 4
-    assert scan.clearance is None
-
-
 def test_scan_to_csv_format(tmp_path):
     nbc = _nbc("cauchy2")
     scan = green_sup_scan(nbc, math.pi / 4, clearance_roots(nbc, math.pi / 4, 5.0, 10.0),
@@ -454,7 +445,7 @@ def test_scans_and_gram_read_given_roots(monkeypatch):
                            samples=4, grid=8)
     resolvent = resolvent_scan(nbc, math.pi / 4, roots, r_min=8.0, r_max=60.0, samples=4)
     # the clearance check reads only its own region of the inventory
-    alone = ray_clearance_check(sector_roots, math.pi / 4, 8.0, 60.0, 0.5)
+    alone = ray_clearance_check(sector_roots, math.pi / 4, 8.0, 60.0)
     assert green.clearance == resolvent.clearance == alone
     with pytest.raises(RuntimeError, match="below radius 66.5"):
         gram_condition(nbc, roots[:4], 8, 66.5)
@@ -476,7 +467,7 @@ def test_bracket_groups_sizes():
 def test_bracket_groups_cluster_artificial_pair():
     mk = lambda lam: EigenRoot(rho=lam ** 0.5, lam=lam, multiplicity=1, residual=0.0)
     close = (mk(100.0 + 0j), mk(100.0 + 1e-3j), mk(400.0 + 0j))
-    groups = bracket_groups(close, tau=0.05)
+    groups = bracket_groups(close)
     assert sorted(len(g) for g in groups) == [1, 2]
 
 
