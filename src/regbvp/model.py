@@ -143,12 +143,6 @@ class Poly:
         """Definite integral over [0, 1]."""
         return sum((c / (k + 1) for k, c in enumerate(self.coeffs)), 0j)
 
-    def shift_mul_x(self, power=1):
-        """Multiply by x**power."""
-        if self.is_zero():
-            return self
-        return Poly((0j,) * power + self.coeffs)
-
 
 ZERO = Poly()
 ONE = Poly.constant(1)

@@ -11,18 +11,24 @@ raw exponentials.
 
 Only :func:`find_roots` searches for zeros.  The ray clearance check, the
 scans and Gram conditioning filter a root tuple from the caller, so one
-full-circle search can serve a whole report.
+full-circle search can serve a whole report.  The search runs batched per
+subdivision level: the Newton steps of all boxes of a level are one array
+computation, and so are the first winding samples of the initial grid
+and of the four children of each split.  No evaluation takes more than
+``BATCH_POINTS`` points at once.  Batching changes no result: every
+point's determinant, Newton step and residual is the one it gets alone.
 
 Fixed numerical choices are module constants: the Newton residual
 ``RESIDUAL_TOL``, the search limits ``MAX_DEPTH`` and ``MAX_GRID``, the
-radius ``CLEARANCE_DELTA`` (delta) of the disks a scan ray must clear,
-and the eigenvalue merge and bracket widths ``LAMBDA_TOL`` and
-``BRACKET_TAU`` (tau).
+batch cap ``BATCH_POINTS``, the radius ``CLEARANCE_DELTA`` (delta) of
+the disks a scan ray must clear, and the eigenvalue merge and bracket
+widths ``LAMBDA_TOL`` and ``BRACKET_TAU`` (tau).
 """
 
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +57,9 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-8
+# The most rho values one _char_matrices call evaluates: batches beyond it
+# buy no speed and only raise the peak memory.
+BATCH_POINTS = 1024
 NEWTON_MAX_ITER = 50
 MAX_DEPTH = 40
 MAX_GRID = 8
@@ -132,14 +141,25 @@ def _unit_roots(n):
     return np.exp(2j * np.pi * np.arange(n) / n)
 
 
-def _coefficient_arrays(nbc: NormalizedBC):
-    a = np.array([row.a for row in nbc.rows], dtype=complex)
-    b = np.array([row.b for row in nbc.rows], dtype=complex)
-    return a, b
+class _Char(NamedTuple):
+    """What the boundary matrices of one operator are built from: the
+    order, the unit roots eps_k and the row coefficients.  A search builds
+    it once and passes it to every evaluation."""
+
+    n: int
+    eps: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
 
 
-def _char_matrices(nbc: NormalizedBC, rhos, derivative=False):
-    """Scaled boundary matrices for a batch of rho values.
+def _char(nbc: NormalizedBC):
+    return _Char(nbc.n, _unit_roots(nbc.n),
+                 np.array([row.a for row in nbc.rows], dtype=complex),
+                 np.array([row.b for row in nbc.rows], dtype=complex))
+
+
+def _char_matrices(char, rhos, derivative=False):
+    """Scaled boundary matrices for a batch of at most BATCH_POINTS rho values.
 
     Returns (mats, log_scales, row_scales), where ``row_scales`` are the
     divisors applied to the rows (so a right-hand side can be scaled to
@@ -147,10 +167,8 @@ def _char_matrices(nbc: NormalizedBC, rhos, derivative=False):
     with identical scaling (so that the trace formula tr(M^-1 M') is
     unaffected).
     """
-    n = nbc.n
+    n, eps, a, b = char
     rhos = np.asarray(rhos, dtype=complex).ravel()
-    eps = _unit_roots(n)
-    a, b = _coefficient_arrays(nbc)
 
     z = 1j * eps[None, :] * rhos[:, None]                       # (N, n)
     shift = np.maximum(z.real, 0.0)
@@ -184,15 +202,25 @@ def _char_matrices(nbc: NormalizedBC, rhos, derivative=False):
     return mats, log_scales, safe, dmats
 
 
-def _char_det_batch(nbc, rhos):
-    """(scaled determinants, log scales) for a batch of rho values."""
-    mats, log_scales, _ = _char_matrices(nbc, rhos)
-    return np.linalg.det(mats), log_scales
+def _chunks(rhos):
+    """``rhos`` as a flat array, in slices of at most BATCH_POINTS values."""
+    rhos = np.asarray(rhos, dtype=complex).ravel()
+    return [rhos[i:i + BATCH_POINTS] for i in range(0, rhos.size, BATCH_POINTS)]
+
+
+def _char_det_batch(char, rhos):
+    """(scaled determinants, log scales) for any number of rho values."""
+    dets, logs = [], []
+    for chunk in _chunks(rhos):
+        mats, log_scales, _ = _char_matrices(char, chunk)
+        dets.append(np.linalg.det(mats))
+        logs.append(log_scales)
+    return np.concatenate(dets), np.concatenate(logs)
 
 
 def char_det(nbc: NormalizedBC, rho) -> ScaledValue:
     """Characteristic determinant of the model problem at ``rho``."""
-    dets, logs = _char_det_batch(nbc, [rho])
+    dets, logs = _char_det_batch(_char(nbc), [rho])
     d, scale = complex(dets[0]), float(logs[0])
     if d == 0:
         return ScaledValue(0j, scale)
@@ -217,6 +245,23 @@ def _edge_points(box, edge, ts):
     return r0 * np.exp(1j * (a1 - (a1 - a0) * ts))  # arc at r0, a1 -> a0
 
 
+def _box_contour(box):
+    """The boundary of a polar box as (points_of_ts, length) paths; a full
+    annulus has only its two circles."""
+    r0, r1, a0, a1 = box
+    lengths = (r1 - r0, (a1 - a0) * r1, r1 - r0, (a1 - a0) * r0)
+    edges = (1, 3) if abs((a1 - a0) - 2 * math.pi) < 1e-12 else (0, 1, 2, 3)
+    return [(lambda ts, e=edge: _edge_points(box, e, ts), lengths[edge]) for edge in edges]
+
+
+def _circle_contour(center, radius):
+    """A circle as a one-path contour."""
+    def points(ts):
+        return center + radius * np.exp(2j * np.pi * ts)
+
+    return [(points, 2 * math.pi * radius)]
+
+
 def _log_abs_array(dets, logs):
     mags = np.abs(dets)
     out = np.full(mags.shape, -np.inf)
@@ -225,16 +270,31 @@ def _log_abs_array(dets, logs):
     return out
 
 
-def _path_winding(nbc, points_of_ts, length, n):
-    """Accumulated phase of Delta along a path (adaptively sampled).
+def _start_contours(char, contours):
+    """The first samples on closed ``contours``, from one batched evaluation.
 
+    Each contour is a list of (points_of_ts, length) paths, where
     ``points_of_ts`` maps parameters in [0, 1] to complex rho values.
+    Returns, per contour, its paths as (points_of_ts, ts, dets, logs).
+    """
+    paths = [(points, np.linspace(0.0, 1.0, max(9, min(4000, int(4 + 1.5 * char.n * length)))))
+             for contour in contours for points, length in contour]
+    if not paths:
+        return []
+    dets, logs = _char_det_batch(char, np.concatenate([points(ts) for points, ts in paths]))
+    ends = np.cumsum([ts.size for _, ts in paths])
+    started = iter([(points, ts, dets[end - ts.size:end], logs[end - ts.size:end])
+                    for (points, ts), end in zip(paths, ends)])
+    return [[next(started) for _ in contour] for contour in contours]
+
+
+def _path_phase(char, points_of_ts, ts, dets, logs):
+    """Accumulated phase of Delta along a started path, refined where
+    neighbouring samples differ in phase by more than pi / 2.
+
     A sample far below its neighbours in log|Delta| signals a zero close
     to the path and raises ContourError so the caller can move the path.
     """
-    count = max(9, min(4000, int(4 + 1.5 * n * length)))
-    ts = np.linspace(0.0, 1.0, count)
-    dets, logs = _char_det_batch(nbc, points_of_ts(ts))
     la = _log_abs_array(dets, logs)
     if not np.all(np.isfinite(la)):
         raise ContourError("contour passes through a determinant zero")
@@ -246,7 +306,7 @@ def _path_winding(nbc, points_of_ts, length, n):
         if bad.size == 0:
             return float(np.sum(diffs))
         mid_ts = 0.5 * (ts[bad] + ts[bad + 1])
-        mids, mid_logs = _char_det_batch(nbc, points_of_ts(mid_ts))
+        mids, mid_logs = _char_det_batch(char, points_of_ts(mid_ts))
         mid_la = _log_abs_array(mids, mid_logs)
         dip = np.minimum(la[bad], la[bad + 1]) - NEAR_ZERO_DIP
         if not np.all(np.isfinite(mid_la)) or np.any(mid_la < dip):
@@ -260,58 +320,72 @@ def _path_winding(nbc, points_of_ts, length, n):
     raise ContourError("phase tracking failed to settle along an edge")
 
 
-def _zero_count(total):
-    """The winding number of an accumulated phase ``total``."""
-    winding = total / (2 * math.pi)
+def _winding(char, contour):
+    """Winding of Delta around a started contour: the zero count inside."""
+    winding = sum(_path_phase(char, *path) for path in contour) / (2 * math.pi)
     rounded = int(round(winding))
     if abs(winding - rounded) > 0.25:
         raise ContourError(f"non-integral winding {winding:.3f}")
     return rounded
 
 
-def _circle_winding(nbc, center, radius, n):
-    """Winding of Delta around a small circle: the zero count inside."""
-    def points(ts):
-        ts = np.asarray(ts, dtype=float)
-        return center + radius * np.exp(2j * np.pi * ts)
-
-    return _zero_count(_path_winding(nbc, points, 2 * math.pi * radius, n))
+def _box_counts(char, boxes):
+    """Zero counts of polar ``boxes``, sampled together; the first
+    ContourError in box order is raised."""
+    return [_winding(char, contour)
+            for contour in _start_contours(char, [_box_contour(box) for box in boxes])]
 
 
-def _box_winding(nbc, box, n):
-    r0, r1, a0, a1 = box
-    lengths = (r1 - r0, (a1 - a0) * r1, r1 - r0, (a1 - a0) * r0)
-    edges = (1, 3) if abs((a1 - a0) - 2 * math.pi) < 1e-12 else (0, 1, 2, 3)
-    return _zero_count(sum(
-        _path_winding(nbc, lambda ts, e=edge: _edge_points(box, e, ts), lengths[edge], n)
-        for edge in edges))
-
-
-def _newton(nbc, rho, multiplicity):
-    """Polish a root with Newton steps on the logarithmic derivative.
-
-    Returns (rho, residual) with residual = |last step| / (1 + |rho|); the
-    trace formula tr(M^-1 M') equals Delta'/Delta exactly for any row and
-    column scaling, so the iteration is overflow-free.
-    """
-    best = rho
-    best_res = math.inf
-    for _ in range(NEWTON_MAX_ITER):
+def _log_derivatives(char, rhos):
+    """Delta'/Delta at ``rhos`` as the trace tr(M^-1 M'), or None where
+    the scaled matrix is exactly singular."""
+    out = []
+    for chunk in _chunks(rhos):
+        mats, _, _, dmats = _char_matrices(char, chunk, derivative=True)
         try:
-            mats, _, _, dmats = _char_matrices(nbc, [rho], derivative=True)
-            trace = complex(np.trace(np.linalg.solve(mats[0], dmats[0])))
+            out.extend(np.trace(np.linalg.solve(mats, dmats), axis1=1, axis2=2))
         except np.linalg.LinAlgError:
+            # one singular matrix fails the whole batch: solve one by one
+            for mat, dmat in zip(mats, dmats):
+                try:
+                    out.append(np.trace(np.linalg.solve(mat, dmat)))
+                except np.linalg.LinAlgError:
+                    out.append(None)
+    return [None if trace is None else complex(trace) for trace in out]
+
+
+def _newton(char, starts, multiplicities):
+    """Polish each start with Newton steps on the logarithmic derivative,
+    all points in lockstep.
+
+    Returns [(rho, residual)] with residual = |last step| / (1 + |rho|); the
+    trace formula tr(M^-1 M') equals Delta'/Delta exactly for any row and
+    column scaling, so the iteration is overflow-free.  Steps and
+    residuals are taken per point in Python arithmetic, so a point's
+    result does not depend on the batch it runs in.
+    """
+    rhos = list(starts)
+    best = list(starts)
+    best_res = [math.inf] * len(rhos)
+    active = range(len(rhos))
+    for _ in range(NEWTON_MAX_ITER):
+        if not active:
             break
-        if not np.isfinite(trace.real) or not np.isfinite(trace.imag) or trace == 0:
-            break
-        step = -multiplicity / trace
-        rho = rho + step
-        res = abs(step) / (1.0 + abs(rho))
-        if res < best_res:
-            best, best_res = rho, res
-        if res < 1e-13:
-            break
-    return best, best_res
+        traces = _log_derivatives(char, [rhos[i] for i in active])
+        going = []
+        for i, trace in zip(active, traces):
+            if (trace is None or not math.isfinite(trace.real)
+                    or not math.isfinite(trace.imag) or trace == 0):
+                continue
+            step = -multiplicities[i] / trace
+            rhos[i] = rhos[i] + step
+            res = abs(step) / (1.0 + abs(rhos[i]))
+            if res < best_res[i]:
+                best[i], best_res[i] = rhos[i], res
+            if res >= 1e-13:
+                going.append(i)
+        active = going
+    return list(zip(best, best_res))
 
 
 def _by_modulus(roots, modulus, rtol):
@@ -351,16 +425,30 @@ def find_roots(nbc: NormalizedBC, annulus, sector=None):
     """Zeros of the characteristic determinant inside an annulus sector.
 
     ``annulus`` is (r_min, r_max) with 0 < r_min < r_max; ``sector`` is
-    (angle_lo, angle_hi) or None for the full circle.  Zeros are isolated
-    by argument-principle winding counts on adaptively subdivided polar
+    (angle_lo, angle_hi) or None for the full circle, and a sector of a
+    full turn is the full circle.  Zeros are isolated by
+    argument-principle winding counts on adaptively subdivided polar
     boxes and polished by Newton steps on the logarithmic derivative;
     ``multiplicity`` comes from a winding count around each zero.  A full
     circle is searched in one sector of angle 2 pi / n and turned.
+
+    The subdivision runs level by level: the boxes of one level are
+    polished in one Newton batch, and the four children of a split are
+    counted from one batch of first contour samples.  The candidates
+    reach clustering in depth-first order of their boxes, whatever the
+    batches.
     """
     r_min, r_max = annulus
     if not 0 < r_min < r_max:
         raise ValueError("annulus radii must satisfy 0 < r_min < r_max")
+    if sector is not None:
+        if not sector[0] < sector[1] <= sector[0] + 2 * math.pi + 1e-12:
+            raise ValueError("sector must satisfy lo < hi <= lo + 2 pi")
+        if sector[1] - sector[0] >= 2 * math.pi - 1e-12:
+            # a full turn has no edge to keep fixed: the seam may move
+            sector = None
     n = nbc.n
+    char = _char(nbc)
     if sector is None:
         # rho -> eps_k rho permutes the exponentials e^(i eps_j rho x), so the
         # zeros repeat in every sector of angle 2 pi / n.  One sector is
@@ -369,53 +457,67 @@ def find_roots(nbc: NormalizedBC, annulus, sector=None):
         region = (r_min, r_max, 0.0, 2 * math.pi)
     else:
         a0, a1 = sector
-        if not a0 < a1 <= a0 + 2 * math.pi + 1e-12:
-            raise ValueError("sector must satisfy lo < hi <= lo + 2 pi")
         region = (r_min, r_max, a0, a1)
     # the count of the whole region, whose boundary no partition line
     # crosses, checks that no zero went missing on a line
-    total = _box_winding(nbc, region, n)
+    total = _box_counts(char, [region])[0]
     diam_tol = max(1e-10 * r_max, 1e-12)
 
-    def solve(box, count, depth):
-        if count == 0:
-            return
-        center = 0.5 * (box[0] + box[1]) * cmath.exp(0.5j * (box[2] + box[3]))
-        # Newton with the box count as multiplicity: converges only when the
-        # count is concentrated at one point (an m-fold zero, or a cluster
-        # tighter than the tolerance); distinct roots keep it oscillating at
-        # the separation scale and the box is subdivided instead.
-        rho, res = _newton(nbc, center, count)
-        r, ang = abs(rho), cmath.phase(rho)
-        # accept only roots (essentially) inside this box; a polished
-        # point in a neighbouring box belongs to that box's count
-        pad_r = 1e-6 * (box[1] - box[0]) + 1e-12
-        pad_a = 1e-6 * (box[3] - box[2]) + 1e-12
-        mid_a = 0.5 * (box[2] + box[3])
-        in_box = (box[0] - pad_r <= r <= box[1] + pad_r
-                  and abs(cmath.phase(cmath.exp(1j * (ang - mid_a)))) <= (box[3] - box[2]) / 2 + pad_a)
-        if ((res <= RESIDUAL_TOL and in_box)
-                or depth >= MAX_DEPTH or _box_diameter(box) <= diam_tol):
-            found.append(EigenRoot(complex(rho), complex(rho) ** n, int(count), float(res)))
-            return
-        for fractions in ((0.5, 0.5), (0.53, 0.47), (0.47, 0.56), (0.515, 0.485)):
-            children = _split_box(box, *fractions)
-            try:
-                counts = [_box_winding(nbc, child, n) for child in children]
-            except ContourError:
-                continue
-            if sum(counts) == count:
-                for child, child_count in zip(children, counts):
-                    solve(child, child_count, depth + 1)
-                return
-        raise ContourError(f"winding counts failed to split box {box}")
+    def subdivide(boxes):
+        # Each box carries its path key, the indices of the boxes leading
+        # to it, so sorting by key gives the depth-first order.
+        found = []
+        level = [((i,), box, count)
+                 for i, (box, count) in enumerate(zip(boxes, _box_counts(char, boxes)))
+                 if count != 0]
+        depth = 0
+        while level:
+            # Newton with the box count as multiplicity: converges only when
+            # the count is concentrated at one point (an m-fold zero, or a
+            # cluster tighter than the tolerance); distinct roots keep it
+            # oscillating at the separation scale and the box is subdivided.
+            polished = _newton(
+                char, [0.5 * (box[0] + box[1]) * cmath.exp(0.5j * (box[2] + box[3]))
+                       for _, box, _ in level], [count for _, _, count in level])
+            deeper = []
+            for (key, box, count), (rho, res) in zip(level, polished):
+                r, ang = abs(rho), cmath.phase(rho)
+                # accept only roots (essentially) inside this box; a polished
+                # point in a neighbouring box belongs to that box's count
+                pad_r = 1e-6 * (box[1] - box[0]) + 1e-12
+                pad_a = 1e-6 * (box[3] - box[2]) + 1e-12
+                mid_a = 0.5 * (box[2] + box[3])
+                in_box = (box[0] - pad_r <= r <= box[1] + pad_r
+                          and abs(cmath.phase(cmath.exp(1j * (ang - mid_a))))
+                          <= (box[3] - box[2]) / 2 + pad_a)
+                if ((res <= RESIDUAL_TOL and in_box)
+                        or depth >= MAX_DEPTH or _box_diameter(box) <= diam_tol):
+                    found.append((key, EigenRoot(complex(rho), complex(rho) ** n,
+                                                 int(count), float(res))))
+                    continue
+                for fractions in ((0.5, 0.5), (0.53, 0.47), (0.47, 0.56), (0.515, 0.485)):
+                    children = _split_box(box, *fractions)
+                    try:
+                        child_counts = _box_counts(char, children)
+                    except ContourError:
+                        continue
+                    if sum(child_counts) == count:
+                        deeper += [(key + (i,), child, child_count) for i, (child, child_count)
+                                   in enumerate(zip(children, child_counts)) if child_count != 0]
+                        break
+                else:
+                    raise ContourError(f"winding counts failed to split box {box}")
+            level = deeper
+            depth += 1
+        return [root for _, root in sorted(found, key=lambda item: item[0])]
 
     def cluster_and_verify(candidates):
         # Cluster seam/corner duplicates, then confirm each multiplicity
         # with a small winding circle: a zero sitting on a partition line
         # splits its winding across the adjacent boxes, and a box may even
         # credit such a split count to a different zero; the circle gives
-        # every cluster its true multiplicity.
+        # every cluster its true multiplicity.  The first circles are
+        # sampled together, and the verified roots polished together.
         clusters = []
         for root in _by_modulus(candidates, lambda root: abs(root.rho), CLUSTER_TOL):
             for cluster in clusters:
@@ -425,25 +527,34 @@ def find_roots(nbc: NormalizedBC, annulus, sector=None):
             else:
                 clusters.append([root])
         reps = [min(cluster, key=lambda root: root.residual) for cluster in clusters]
-        final = []
+        radii = []
         for idx, rep in enumerate(reps):
             radius = 1e-4 * (1.0 + abs(rep.rho))
             others = [abs(rep.rho - other.rho) for j, other in enumerate(reps) if j != idx]
             if others:
                 radius = min(radius, 0.45 * min(others))
+            radii.append(radius)
+        circles = _start_contours(
+            char, [_circle_contour(rep.rho, radius) for rep, radius in zip(reps, radii)])
+        verified = []
+        for rep, cluster, radius, circle in zip(reps, clusters, radii, circles):
             mult = None
-            for _ in range(8):
+            for attempt in range(8):
+                if attempt:
+                    radius *= 0.7
+                    circle = _start_contours(char, [_circle_contour(rep.rho, radius)])[0]
                 try:
-                    mult = _circle_winding(nbc, rep.rho, radius, n)
+                    mult = _winding(char, circle)
                     break
                 except ContourError:
-                    radius *= 0.7
+                    pass
             if mult is None:
-                mult = max(root.multiplicity for root in clusters[idx])
-            if mult <= 0:
-                continue
-            rho, res = _newton(nbc, rep.rho, mult)
-            final.append(EigenRoot(complex(rho), complex(rho) ** n, int(mult), float(res)))
+                mult = max(root.multiplicity for root in cluster)
+            if mult > 0:
+                verified.append((rep.rho, mult))
+        polished = _newton(char, [rho for rho, _ in verified], [mult for _, mult in verified])
+        final = [EigenRoot(complex(rho), complex(rho) ** n, int(mult), float(res))
+                 for (_, mult), (rho, res) in zip(verified, polished)]
         return _by_modulus(final, lambda root: abs(root.rho), CLUSTER_TOL)
 
     # Initial partition: coarse boxes with edges of bounded arc length.
@@ -470,17 +581,14 @@ def find_roots(nbc: NormalizedBC, annulus, sector=None):
              float(a_edges[j]), float(a_edges[j + 1]))
             for i in range(grid_r) for j in range(grid_a)
         ]
-        found = []
         try:
-            tasks = [(box, _box_winding(nbc, box, n)) for box in boxes]
-            for box, count in tasks:
-                solve(box, count, 0)
+            found = subdivide(boxes)
         except ContourError as exc:
             last_error = exc
             continue
         if sector is None:
             found += [EigenRoot(root.rho * turn, root.lam, root.multiplicity, root.residual)
-                      for turn in _unit_roots(n)[1:] for root in found]
+                      for turn in char.eps[1:] for root in found]
         final = cluster_and_verify(found)
         if sum(root.multiplicity for root in final) >= total:
             return tuple(final)
@@ -501,11 +609,11 @@ def _green_matrix(nbc: NormalizedBC, rho, xs, xis):
     the diagonal, and the boundary correction is solved on the scaled
     matrix, so the evaluation is overflow-free for large |rho|.
     """
-    n = nbc.n
+    char = _char(nbc)
+    n, eps, a, b = char
     rho = complex(rho)
     xs = np.asarray(xs, dtype=float)
     xis = np.asarray(xis, dtype=float)
-    eps = _unit_roots(n)
     z = 1j * eps * rho                      # (n,)
     gamma = (1j * eps) / (n * rho ** (n - 1))
     growing = z.real > 0.0
@@ -523,7 +631,6 @@ def _green_matrix(nbc: NormalizedBC, rho, xs, xis):
         g += sign * gamma[k] * np.exp(expo)
 
     # boundary data of g(., xi): derivatives at x = 0 (xi > 0 side) and x = 1
-    a, b = _coefficient_arrays(nbc)
     s_powers = np.array([z ** s for s in range(n)])             # (s, k)
     at0 = np.zeros((n, xis.size), dtype=complex)                # (k, K): d^s factor applied later
     at1 = np.zeros((n, xis.size), dtype=complex)
@@ -539,7 +646,7 @@ def _green_matrix(nbc: NormalizedBC, rho, xs, xis):
 
     # the boundary matrix rows are rescaled inside _char_matrices, so the
     # right-hand side must be rescaled identically before solving
-    mats, _, row_scales = _char_matrices(nbc, [rho])
+    mats, _, row_scales = _char_matrices(char, [rho])
     coeffs = np.linalg.solve(mats[0], rhs / row_scales[0][:, None])
 
     shift = np.maximum(z.real, 0.0)
@@ -598,10 +705,18 @@ def clearance_region(ray_angle, r_min, r_max):
     """(annulus, sector) whose zeros decide the clearance of a ray: a zero
     outside the sector, beyond the inner radius, keeps its disk of radius
     CLEARANCE_DELTA off the ray, and the outer radius
-    r_max + CLEARANCE_DELTA + 6 sees the disks just past ``r_max``."""
+    r_max + CLEARANCE_DELTA + 6 sees the disks just past ``r_max``.
+
+    Where the sector would be a half-plane or wider, the sector is None,
+    the whole annulus: the edges of a half-plane sector about the ray lie
+    on the line through 0, which may carry zeros, while a full-circle
+    search can move its seam off them."""
     r_lo = max(0.25, r_min - CLEARANCE_DELTA)
-    width = min(0.5 * math.pi, math.asin(min(1.0, CLEARANCE_DELTA / r_lo)) + 0.15)
-    return (r_lo, r_max + CLEARANCE_DELTA + 6.0), (ray_angle - width, ray_angle + width)
+    annulus = (r_lo, r_max + CLEARANCE_DELTA + 6.0)
+    width = math.asin(min(1.0, CLEARANCE_DELTA / r_lo)) + 0.15
+    if width >= 0.5 * math.pi:
+        return annulus, None
+    return annulus, (ray_angle - width, ray_angle + width)
 
 
 def ray_clearance_check(roots, ray_angle, r_min, r_max):
@@ -683,11 +798,11 @@ def eigenfunction(nbc: NormalizedBC, root: EigenRoot):
     """
     if root.multiplicity > 2:
         raise ValueError("unexpected multiplicity > 2")
-    n = nbc.n
-    mats, _, _ = _char_matrices(nbc, [root.rho])
+    char = _char(nbc)
+    mats, _, _ = _char_matrices(char, [root.rho])
     _u, s, vh = np.linalg.svd(mats[0])
-    vecs = vh[n - root.multiplicity:].conj()
-    eps = _unit_roots(n)
+    vecs = vh[char.n - root.multiplicity:].conj()
+    eps = char.eps
     col_scale = np.exp(-np.maximum((1j * eps * root.rho).real, 0.0))
     out = vecs * col_scale[None, :]
     norms = np.linalg.norm(out, axis=1, keepdims=True)

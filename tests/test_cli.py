@@ -165,6 +165,16 @@ def test_spectrum_empty_for_degenerate_rows(capsys):
     assert doc["distinct_eigenvalues"] == 0
 
 
+def test_spectrum_full_turn_sector(capsys):
+    code, turn, _ = run_json(capsys, "spectrum", "dirichlet2",
+                             "--sector", "0", "6.283185307179586", "--rmax", "5")
+    assert code == 0
+    code, whole, _ = run_json(capsys, "spectrum", "dirichlet2", "--rmax", "5")
+    assert code == 0
+    assert turn["roots"] == whole["roots"]
+    assert len(turn["roots"]) == 2
+
+
 def test_spectrum_multiplicities(capsys):
     code, doc, _ = run_json(capsys, "spectrum", "periodic2", "--rmax", "14")
     assert code == 0
@@ -234,6 +244,17 @@ def test_scan_flags_violation_for_degenerate_rows(capsys):
     assert code == 0
     assert doc["exponent"] >= 0.0
     assert doc["decay_bound_satisfied"] is False
+
+
+@pytest.mark.parametrize("rmin", ["0.1", "0.6", "0.8", "1"])
+def test_scan_small_rmin(rmin, capsys):
+    # the clearance region of the ray pi / 2 is then the whole annulus,
+    # not the half-plane whose edges run along the real zeros
+    code, doc, _ = run_json(capsys, "scan", "dirichlet2", "green",
+                            "--rmin", rmin, "--rmax", "2", "--samples", "3")
+    assert code == 0
+    assert doc["ray"] == pytest.approx(math.pi / 2)
+    assert doc["clearance"] == 0.0
 
 
 def test_scan_blocked_ray_fails(capsys):

@@ -83,11 +83,6 @@ def test_poly_nonfinite_rejected():
         Poly((float("inf") + 0j,))
 
 
-def test_poly_shift_mul_x():
-    assert Poly((2, 1)).shift_mul_x().coeffs == (0j, 2 + 0j, 1 + 0j)
-    assert ZERO.shift_mul_x(3).is_zero()
-
-
 # ---------------------------------------------------------------------------
 # Boundary rows
 # ---------------------------------------------------------------------------

@@ -155,6 +155,64 @@ def test_full_circle_roots_out_to_report_radius(name):
         assert min(abs(root.rho - w) for root in roots) <= 1e-13 * (1 + abs(w))
 
 
+def _count_char_matrices(monkeypatch):
+    """Record the number of points of every _char_matrices call."""
+    sizes = []
+    evaluate = spectral._char_matrices
+
+    def counted(char, rhos, derivative=False):
+        sizes.append(np.asarray(rhos).size)
+        return evaluate(char, rhos, derivative)
+
+    monkeypatch.setattr(spectral, "_char_matrices", counted)
+    return sizes
+
+
+def test_batched_newton_independent_of_batch(monkeypatch):
+    # pi is a simple root, where Newton stops after one step; the centre
+    # between pi and 2 pi, with the box count 2 as multiplicity, keeps
+    # oscillating until NEWTON_MAX_ITER
+    char = spectral._char(_nbc("dirichlet2"))
+    starts, mults = [complex(math.pi), 4.6 + 0.3j], [1, 2]
+    sizes = _count_char_matrices(monkeypatch)
+    alone = [spectral._newton(char, [start], [mult])[0] for start, mult in zip(starts, mults)]
+    assert sizes == [1] + [1] * spectral.NEWTON_MAX_ITER
+    assert alone[0][1] < 1e-13 < spectral.RESIDUAL_TOL < alone[1][1]
+    sizes.clear()
+    together = spectral._newton(char, starts, mults)
+    assert sizes == [2] + [1] * (spectral.NEWTON_MAX_ITER - 1)
+    assert repr(together) == repr(alone)
+
+
+def test_find_roots_independent_of_batch_size(monkeypatch):
+    nbc = _nbc("dirichlet4")
+    whole = find_roots(nbc, (0.5, 30.0))
+    monkeypatch.setattr(spectral, "BATCH_POINTS", 7)
+    sizes = _count_char_matrices(monkeypatch)
+    chunked = find_roots(nbc, (0.5, 30.0))
+    assert max(sizes) == 7
+    assert repr(chunked) == repr(whole)
+
+
+def test_find_roots_work_count(monkeypatch):
+    # the count of determinant evaluations does not depend on the machine:
+    # dirichlet2 out to the report radius takes 1,398 calls one box and one
+    # Newton point at a time, and at most a third of that batched
+    sizes = _count_char_matrices(monkeypatch)
+    find_roots(_nbc("dirichlet2"), (0.5, 66.5))
+    assert len(sizes) <= 466
+    assert max(sizes) <= spectral.BATCH_POINTS
+
+
+def test_clearance_region_wide_sector_is_whole_annulus():
+    annulus, sector = spectral.clearance_region(math.pi / 2, 1.0, 2.0)
+    assert annulus == (0.5, 8.5) and sector is None
+    assert spectral.clearance_region(math.pi / 2, 1.1, 2.0)[1] is not None
+    roots = find_roots(_nbc("dirichlet2"), annulus)
+    assert len(roots) == 4
+    assert ray_clearance_check(roots, math.pi / 2, 1.0, 2.0) == 0.0
+
+
 def test_fourth_order_root_count_consistency():
     nbc = _nbc("mixed4")
     roots = find_roots(nbc, (0.5, 12.0))
