@@ -51,10 +51,10 @@ DECAY_SLACK = 0.5
 RARITY_MAX_LAG = 4
 NUMRANGE_MIN_DIM = 8
 GRAM_COUNT = 16
-# ``report`` searches once, out to the clearance region of its scans
+# ``report`` searches once, out to the clearance annulus of its scans
 # (66.5); that covers the spectrum section and Gram conditioning too.
-REPORT_RADIUS = max(DEFAULT_RMAX, spectral.clearance_region(
-    0.0, DEFAULT_SCAN["rmin"], DEFAULT_SCAN["rmax"])[0][1])
+REPORT_RADIUS = max(DEFAULT_RMAX, spectral.clearance_annulus(
+    DEFAULT_SCAN["rmin"], DEFAULT_SCAN["rmax"])[1])
 
 
 # ---------------------------------------------------------------------------
@@ -280,27 +280,18 @@ def spectrum_document(nbc, roots, rmax=DEFAULT_RMAX, sector=None):
     }
 
 
-def _clearance_roots(nbc, ray, rmin, rmax):
-    """The zeros in the clearance region of ``ray``, searched for alone."""
-    return spectral.find_roots(nbc, *spectral.clearance_region(ray, rmin, rmax))
-
-
-def _choose_ray(nbc, rmin, rmax, roots=None):
-    """First omega-sector bisector whose ray passes the clearance check.
-
-    Returns (ray, roots checked): ``roots`` when given, otherwise the
-    clearance region of each candidate is searched in turn.
-    """
+def _choose_ray(nbc, rmin, rmax, roots):
+    """First omega-sector bisector whose ray passes the clearance check
+    against ``roots``."""
     errors = []
     for lo, hi in _omega_sectors(nbc.n).sectors:
         mid = 0.5 * (lo + hi)
         try:
-            ray_roots = _clearance_roots(nbc, mid, rmin, rmax) if roots is None else roots
-            spectral.ray_clearance_check(ray_roots, mid, rmin, rmax)
-        except (ValueError, spectral.ContourError) as exc:
+            spectral.ray_clearance_check(roots, mid, rmin, rmax)
+        except ValueError as exc:
             errors.append(f"{mid:.3f}: {exc}")
             continue
-        return mid, ray_roots
+        return mid
     raise RuntimeError("no usable scan ray found: " + "; ".join(errors))
 
 
@@ -391,7 +382,7 @@ def cmd_spectrum(args):
              "LO HI with LO < HI <= LO + 2 pi")
     spec = _load_input(args.input)
     nbc = reduce_total_order(spec.rows)
-    roots = spectral.find_roots(nbc, (SPECTRUM_RMIN, args.rmax), sector=sector)
+    roots = spectral.find_roots(nbc, (SPECTRUM_RMIN, args.rmax))
     doc = spectrum_document(nbc, roots, rmax=args.rmax, sector=sector)
     doc["input"] = args.input
     _emit_json(doc, args.output)
@@ -405,10 +396,8 @@ def cmd_scan(args):
     _require(args.grid >= 1, "--grid", "at least 1")
     spec = _load_input(args.input)
     nbc = reduce_total_order(spec.rows)
-    if args.ray is None:
-        ray, roots = _choose_ray(nbc, args.rmin, args.rmax)
-    else:
-        ray, roots = args.ray, _clearance_roots(nbc, args.ray, args.rmin, args.rmax)
+    roots = spectral.find_roots(nbc, spectral.clearance_annulus(args.rmin, args.rmax))
+    ray = _choose_ray(nbc, args.rmin, args.rmax, roots) if args.ray is None else args.ray
     doc = scan_document(nbc, args.kind, ray, roots, args.rmin, args.rmax,
                         args.samples, args.grid, csv_path=args.output)
     doc["input"] = args.input
@@ -453,7 +442,7 @@ def cmd_report(args):
         return lambda: build(found["roots"]) if "roots" in found else found
 
     def scans(roots):
-        ray, _ = _choose_ray(nbc, DEFAULT_SCAN["rmin"], DEFAULT_SCAN["rmax"], roots)
+        ray = _choose_ray(nbc, DEFAULT_SCAN["rmin"], DEFAULT_SCAN["rmax"], roots)
         return {name: run(name, lambda kind=kind: scan_document(
             nbc, kind, ray, roots, DEFAULT_SCAN["rmin"], DEFAULT_SCAN["rmax"],
             DEFAULT_SCAN["samples"], DEFAULT_SCAN["grid"]))
@@ -511,7 +500,7 @@ def _build_parser():
                        help="determinant zeros, brackets, rarity, ray clearance")
     p.add_argument("--rmax", type=float, default=DEFAULT_RMAX)
     p.add_argument("--sector", type=float, nargs=2, metavar=("LO", "HI"),
-                   default=None, help="angular sector in radians")
+                   default=None, help="keep the roots with LO <= arg(rho) <= HI (radians)")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("scan", parents=[common],

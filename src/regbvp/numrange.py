@@ -28,8 +28,11 @@ errors up to about 1e-11 at these sizes).  The boundary term is
 (y_vee, y_wedge) otherwise: on a completely regular trial space y_vee
 is A y_wedge, but computed from the basis it carries rounding noise that
 can exceed eps ||F_N|| (55 times over for the free beam at N = 64,
-where y_vee = 0 and y_wedge is large).  :func:`galerkin_form` keeps the strong form
-(l phi_k, phi_i) by Gauss quadrature as an independent check.
+where y_vee = 0 and y_wedge is large).  :func:`galerkin_form` assembles
+the strong form (l phi_k, phi_i) = sum_j (c_j phi_k^(j), phi_i) with the
+same exact operators and no quadrature either, for the other side of the
+form identity check: it takes n derivatives of the basis and has no
+boundary term.  ``tests/oracles.py`` integrates it symbolically.
 
 Support functions.  A sum of squares (q = r = 0, every p_k a nonnegative
 constant) with a completely regular splitting and a positive
@@ -187,26 +190,13 @@ def constrained_basis(spec: OperatorSpec, dim):
 
 
 def galerkin_form(spec: OperatorSpec, dim):
-    """The dim x dim matrix of (l phi_k, phi_i) on the constrained basis."""
-    n = spec.order
-    coeffs = operator_coefficients(spec)
-    count = dim + n
-    max_cdeg = max(p.degree for p in coeffs if p)
-    quad = count + max_cdeg // 2 + 2
-    t, w = legendre.leggauss(quad)
-    xs = 0.5 * (t + 1.0)
-    w = 0.5 * w
-
-    eye = np.eye(count)
-    norms = _legendre_norms(count)
-    phi = legendre.legval(t, eye) * norms[:, None]               # (count, quad)
+    """The dim x dim matrix of (l phi_k, phi_i) on the constrained basis,
+    from the strong form sum_j c_j y^(j), exactly in coefficient space."""
+    count = dim + spec.order
     form = np.zeros((count, count), dtype=complex)
-    for j, c in enumerate(coeffs):
-        if not c:
-            continue
-        dcoef = legendre.legder(eye, j, scl=2.0, axis=0) if j else eye
-        dphi = legendre.legval(t, dcoef) * norms[:, None]
-        form += (phi * (w * c(xs))[None, :]) @ dphi.T
+    for j, c in enumerate(operator_coefficients(spec)):
+        if c:
+            form += _multiplication(c, count) @ _derivative_matrix(count, j)
     basis = constrained_basis(spec, dim)
     return basis.conj().T @ form @ basis
 

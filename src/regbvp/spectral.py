@@ -9,9 +9,10 @@ logs accumulated separately.  All quantities derived here (roots, Green
 kernel, resolvent norms) work on the scaled matrices and never form the
 raw exponentials.
 
-Only :func:`find_roots` searches for zeros.  The ray clearance check, the
-scans and Gram conditioning filter a root tuple from the caller, so one
-full-circle search can serve a whole report.  The search runs batched per
+Only :func:`find_roots` searches for zeros, always over a full annulus.
+The ray clearance check, the scans and Gram conditioning filter a root
+tuple from the caller, and a sector is a filter too (:func:`roots_in`),
+so one search serves a whole command.  The search runs batched per
 subdivision level: the Newton steps of all boxes of a level are one array
 computation, and so are the first winding samples of the initial grid
 and of the four children of each split.  No evaluation takes more than
@@ -43,7 +44,7 @@ __all__ = [
     "char_det",
     "find_roots",
     "roots_in",
-    "clearance_region",
+    "clearance_annulus",
     "ray_clearance_check",
     "green_kernel",
     "green_sup_scan",
@@ -421,16 +422,17 @@ def _box_diameter(box):
     return max(r1 - r0, (a1 - a0) * r1)
 
 
-def find_roots(nbc: NormalizedBC, annulus, sector=None):
-    """Zeros of the characteristic determinant inside an annulus sector.
+def find_roots(nbc: NormalizedBC, annulus):
+    """Zeros of the characteristic determinant inside an annulus.
 
-    ``annulus`` is (r_min, r_max) with 0 < r_min < r_max; ``sector`` is
-    (angle_lo, angle_hi) or None for the full circle, and a sector of a
-    full turn is the full circle.  Zeros are isolated by
-    argument-principle winding counts on adaptively subdivided polar
-    boxes and polished by Newton steps on the logarithmic derivative;
-    ``multiplicity`` comes from a winding count around each zero.  A full
-    circle is searched in one sector of angle 2 pi / n and turned.
+    ``annulus`` is (r_min, r_max) with 0 < r_min < r_max.  Zeros are
+    isolated by argument-principle winding counts on adaptively
+    subdivided polar boxes and polished by Newton steps on the
+    logarithmic derivative; ``multiplicity`` comes from a winding count
+    around each zero.  The search covers one sector of angle 2 pi / n and
+    turns what it finds, and checks the turned zeros against the winding
+    count of the whole annulus.  Only the two circles are fixed: the
+    partition lines and the seam of the sector move off a zero.
 
     The subdivision runs level by level: the boxes of one level are
     polished in one Newton batch, and the four children of a split are
@@ -441,26 +443,15 @@ def find_roots(nbc: NormalizedBC, annulus, sector=None):
     r_min, r_max = annulus
     if not 0 < r_min < r_max:
         raise ValueError("annulus radii must satisfy 0 < r_min < r_max")
-    if sector is not None:
-        if not sector[0] < sector[1] <= sector[0] + 2 * math.pi + 1e-12:
-            raise ValueError("sector must satisfy lo < hi <= lo + 2 pi")
-        if sector[1] - sector[0] >= 2 * math.pi - 1e-12:
-            # a full turn has no edge to keep fixed: the seam may move
-            sector = None
     n = nbc.n
     char = _char(nbc)
-    if sector is None:
-        # rho -> eps_k rho permutes the exponentials e^(i eps_j rho x), so the
-        # zeros repeat in every sector of angle 2 pi / n.  One sector is
-        # searched (its seam moves with the partition) and turned.
-        a0, a1 = 0.0, 2 * math.pi / n
-        region = (r_min, r_max, 0.0, 2 * math.pi)
-    else:
-        a0, a1 = sector
-        region = (r_min, r_max, a0, a1)
-    # the count of the whole region, whose boundary no partition line
+    # rho -> eps_k rho permutes the exponentials e^(i eps_j rho x), so the
+    # zeros repeat in every sector of angle 2 pi / n.  One sector is
+    # searched (its seam moves with the partition) and turned.
+    width = 2 * math.pi / n
+    # the count of the whole annulus, whose boundary no partition line
     # crosses, checks that no zero went missing on a line
-    total = _box_counts(char, [region])[0]
+    total = _box_counts(char, [(r_min, r_max, 0.0, 2 * math.pi)])[0]
     diam_tol = max(1e-10 * r_max, 1e-12)
 
     def subdivide(boxes):
@@ -562,20 +553,16 @@ def find_roots(nbc: NormalizedBC, annulus, sector=None):
     # on a contour failure, or when the verified multiplicities add up to
     # less than the winding total (an even-order zero on a line leaves no
     # phase jump and can go missing silently), the partition is rebuilt
-    # with its interior lines shifted.  A user-given region boundary is
-    # never moved, but the seam of the sector a full-circle search turns
-    # is arbitrary and is shifted too.
+    # with its interior lines shifted, and so is the seam of the sector,
+    # which is arbitrary.
     grid_r = max(1, min(MAX_GRID, math.ceil((r_max - r_min) / 12.0)))
-    grid_a = max(1, min(MAX_GRID, math.ceil((a1 - a0) * r_max / 12.0)))
+    grid_a = max(1, min(MAX_GRID, math.ceil(width * r_max / 12.0)))
     for attempt in range(6):
         shift = 0.31 * attempt / (attempt + 1.0)
         r_edges = np.linspace(r_min, r_max, grid_r + 1)
-        a_edges = np.linspace(a0, a1, grid_a + 1)
+        a_edges = np.linspace(0.0, width, grid_a + 1)
         r_edges[1:-1] += shift * (r_max - r_min) / max(grid_r, 1)
-        if sector is None:
-            a_edges += shift * (a1 - a0) / max(grid_a, 1)
-        else:
-            a_edges[1:-1] += shift * (a1 - a0) / max(grid_a, 1)
+        a_edges += shift * width / max(grid_a, 1)
         boxes = [
             (float(r_edges[i]), float(r_edges[i + 1]),
              float(a_edges[j]), float(a_edges[j + 1]))
@@ -586,9 +573,8 @@ def find_roots(nbc: NormalizedBC, annulus, sector=None):
         except ContourError as exc:
             last_error = exc
             continue
-        if sector is None:
-            found += [EigenRoot(root.rho * turn, root.lam, root.multiplicity, root.residual)
-                      for turn in char.eps[1:] for root in found]
+        found += [EigenRoot(root.rho * turn, root.lam, root.multiplicity, root.residual)
+                  for turn in char.eps[1:] for root in found]
         final = cluster_and_verify(found)
         if sum(root.multiplicity for root in final) >= total:
             return tuple(final)
@@ -701,31 +687,22 @@ def roots_in(roots, annulus, sector=None):
         math.remainder(cmath.phase(root.rho) - 0.5 * (lo + hi), 2 * math.pi)) <= 0.5 * (hi - lo))
 
 
-def clearance_region(ray_angle, r_min, r_max):
-    """(annulus, sector) whose zeros decide the clearance of a ray: a zero
-    outside the sector, beyond the inner radius, keeps its disk of radius
-    CLEARANCE_DELTA off the ray, and the outer radius
-    r_max + CLEARANCE_DELTA + 6 sees the disks just past ``r_max``.
-
-    Where the sector would be a half-plane or wider, the sector is None,
-    the whole annulus: the edges of a half-plane sector about the ray lie
-    on the line through 0, which may carry zeros, while a full-circle
-    search can move its seam off them."""
-    r_lo = max(0.25, r_min - CLEARANCE_DELTA)
-    annulus = (r_lo, r_max + CLEARANCE_DELTA + 6.0)
-    width = math.asin(min(1.0, CLEARANCE_DELTA / r_lo)) + 0.15
-    if width >= 0.5 * math.pi:
-        return annulus, None
-    return annulus, (ray_angle - width, ray_angle + width)
+def clearance_annulus(r_min, r_max):
+    """The annulus whose zeros decide the clearance of a ray scanned from
+    r_min to r_max, the same for every ray: the inner radius
+    r_min - CLEARANCE_DELTA (at least 0.25) drops the zeros whose disks
+    end before r_min, and the outer radius r_max + CLEARANCE_DELTA + 6
+    sees the disks just past r_max."""
+    return (max(0.25, r_min - CLEARANCE_DELTA), r_max + CLEARANCE_DELTA + 6.0)
 
 
 def ray_clearance_check(roots, ray_angle, r_min, r_max):
     """The radius beyond which the ray clears the eigenvalue disks.
 
-    Reads the ``roots`` in :func:`clearance_region`, which must all be
+    Reads the ``roots`` in :func:`clearance_annulus`, which must all be
     there.  Raises ValueError when that radius is beyond ``r_min``.
     """
-    near = roots_in(roots, *clearance_region(ray_angle, r_min, r_max))
+    near = roots_in(roots, clearance_annulus(r_min, r_max))
     disks = DiskSet(tuple(r.rho for r in near), CLEARANCE_DELTA)
     clearance = ray_clearance(ray_angle, disks, r_max)
     if clearance is None:

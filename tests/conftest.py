@@ -6,7 +6,7 @@ import pytest
 
 from regbvp import gallery
 from regbvp.model import BoundaryRow
-from regbvp.spectral import clearance_region, find_roots
+from regbvp.spectral import clearance_annulus, find_roots
 
 
 REGULAR_GALLERY = ("dirichlet2", "dirichlet4", "neumann2", "neumann4",
@@ -24,8 +24,9 @@ def make_row(n, a=(), b=()):
 
 
 def clearance_roots(nbc, ray, r_min, r_max):
-    """The zeros a scan along ``ray`` checks its clearance against."""
-    return find_roots(nbc, *clearance_region(ray, r_min, r_max))
+    """The zeros a scan along ``ray`` checks its clearance against: those
+    of the clearance annulus, the same for every ray."""
+    return find_roots(nbc, clearance_annulus(r_min, r_max))
 
 
 @pytest.fixture

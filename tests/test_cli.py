@@ -175,6 +175,51 @@ def test_spectrum_full_turn_sector(capsys):
     assert len(turn["roots"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "dirichlet2", "--sector", "0", "1", "--rmax", "5"),
+    ("spectrum", "dirichlet4", "--sector", "0", "0.8", "--rmax", "10"),
+    ("scan", "dirichlet2", "green", "--ray", "0.2613410143409639", "--samples", "4"),
+])
+def test_sector_edge_on_a_zero(argv, capsys):
+    # real zeros lie on an edge of each sector: the two sectors asked
+    # for, and the sector of half-width asin(delta / 4.5) + 0.15 about
+    # the ray, whose lower edge is the real axis; a search along such an
+    # edge could not settle
+    code, doc, _ = run_json(capsys, *argv)
+    assert code == 0
+    if argv[:2] == ("spectrum", "dirichlet2"):
+        # the sector is closed: the zero on its edge is listed
+        (root,) = doc["roots"]
+        assert root["rho"] == pytest.approx([math.pi, 0.0], abs=1e-10)
+
+
+def _count_searches(monkeypatch):
+    """Record the annulus of every find_roots call."""
+    annuli = []
+    search = spectral.find_roots
+
+    def counted(nbc, annulus):
+        annuli.append(annulus)
+        return search(nbc, annulus)
+
+    monkeypatch.setattr(spectral, "find_roots", counted)
+    return annuli
+
+
+@pytest.mark.parametrize("argv, annulus", [
+    (("spectrum", "mixed4", "--rmax", "15"), (0.5, 15.0)),
+    (("spectrum", "mixed4", "--sector", "0.2", "2.9", "--rmax", "15"), (0.5, 15.0)),
+    (("scan", "dirichlet4", "green", "--samples", "3", "--grid", "8"), (4.5, 66.5)),
+    (("scan", "dirichlet4", "resolvent", "--ray", "0.3", "--rmin", "2", "--rmax", "10",
+      "--samples", "3"), (1.5, 16.5)),
+])
+def test_command_searches_roots_once(argv, annulus, monkeypatch, capsys):
+    annuli = _count_searches(monkeypatch)
+    code, _doc, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert annuli == [annulus]
+
+
 def test_spectrum_multiplicities(capsys):
     code, doc, _ = run_json(capsys, "spectrum", "periodic2", "--rmax", "14")
     assert code == 0
@@ -377,17 +422,10 @@ def test_report_matches_golden(name, tmp_path, capsys):
 
 @pytest.mark.parametrize("name", sorted(gallery.EXAMPLES))
 def test_report_searches_roots_once(name, tmp_path, monkeypatch, capsys):
-    annuli = []
-    search = spectral.find_roots
-
-    def counted(nbc, annulus, sector=None, **kwargs):
-        annuli.append((annulus, sector))
-        return search(nbc, annulus, sector, **kwargs)
-
-    monkeypatch.setattr(spectral, "find_roots", counted)
+    annuli = _count_searches(monkeypatch)
     assert cli.main(["report", name, "-o", str(tmp_path / "report.json")]) == 0
     capsys.readouterr()
-    assert annuli == [((0.5, 66.5), None)]
+    assert annuli == [(0.5, 66.5)]
 
 
 def test_cli_import_does_not_load_scipy():

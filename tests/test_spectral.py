@@ -31,6 +31,7 @@ from regbvp.spectral import (
     ray_clearance_check,
     resolvent_norm,
     resolvent_scan,
+    roots_in,
     scan_to_csv,
 )
 
@@ -115,7 +116,7 @@ def test_empty_spectrum():
 
 def test_sector_restriction():
     nbc = _nbc("dirichlet2")
-    roots = find_roots(nbc, (0.5, 16.0), sector=(-0.3, 0.3))
+    roots = roots_in(find_roots(nbc, (0.5, 16.0)), (0.5, 16.0), (-0.3, 0.3))
     got = sorted(r.rho.real for r in roots)
     assert np.allclose(got, [math.pi * j for j in range(1, 6)], atol=1e-8)
 
@@ -202,15 +203,6 @@ def test_find_roots_work_count(monkeypatch):
     find_roots(_nbc("dirichlet2"), (0.5, 66.5))
     assert len(sizes) <= 466
     assert max(sizes) <= spectral.BATCH_POINTS
-
-
-def test_clearance_region_wide_sector_is_whole_annulus():
-    annulus, sector = spectral.clearance_region(math.pi / 2, 1.0, 2.0)
-    assert annulus == (0.5, 8.5) and sector is None
-    assert spectral.clearance_region(math.pi / 2, 1.1, 2.0)[1] is not None
-    roots = find_roots(_nbc("dirichlet2"), annulus)
-    assert len(roots) == 4
-    assert ray_clearance_check(roots, math.pi / 2, 1.0, 2.0) == 0.0
 
 
 def test_fourth_order_root_count_consistency():
