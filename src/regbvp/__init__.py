@@ -26,7 +26,6 @@ from .normalize import NormalizedBC, leading_forms, reduce_total_order
 from .numrange import HalfPlaneReport, half_plane_verdict, support_profile
 from .quasiform import (
     CompleteRegularityReport,
-    boundary_form_matrix,
     check_completely_regular,
     split_bc,
     verify_form_identity,
@@ -62,7 +61,6 @@ __all__ = [
     "SpecError",
     "SpectralScan",
     "as_divergence",
-    "boundary_form_matrix",
     "bracket_groups",
     "check_completely_regular",
     "classify_regularity",

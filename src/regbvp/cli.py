@@ -49,7 +49,7 @@ DEFAULT_RMAX = 20.0
 DEFAULT_SCAN = {"rmin": 5.0, "rmax": 60.0, "samples": 24, "grid": 48}
 DECAY_SLACK = 0.5
 RARITY_MAX_LAG = 4
-NUMRANGE_MIN_DIM = 8
+NUMRANGE_MIN_DIM = numrange.DEFAULT_DIMENSIONS[0]
 GRAM_COUNT = 16
 # ``report`` searches once, out to the clearance annulus of its scans
 # (66.5); that covers the spectrum section and Gram conditioning too.

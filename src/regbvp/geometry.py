@@ -117,6 +117,8 @@ def ray_clearance(angle, disks: DiskSet, r_max):
     The ray is {t e^{i angle} : t >= 0}.  A disk intersecting it blocks
     the parameter interval up to the far intersection point; clearance is
     the largest such exit point over all blocking disks (0.0 if none).
+    A disk that enters the ray only at or beyond ``r_max`` blocks nothing
+    below it and is ignored.
     """
     direction = cmath.exp(1j * angle)
     delta = disks.radius
@@ -127,7 +129,8 @@ def ray_clearance(angle, disks: DiskSet, r_max):
         dist = abs(w.imag) if t_star >= 0 else abs(center)
         if dist <= delta:
             half_chord = math.sqrt(max(delta * delta - w.imag * w.imag, 0.0))
-            exit_point = max(exit_point, t_star + half_chord)
+            if t_star - half_chord < r_max:
+                exit_point = max(exit_point, t_star + half_chord)
     if exit_point >= r_max:
         return None
     return exit_point

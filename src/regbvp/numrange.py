@@ -11,28 +11,30 @@ containment of the form values in a half-plane, while minima that keep
 growing under dimension doubling indicate that the values fill the whole
 plane.
 
-Split assembly.  For a divergence form the Galerkin matrix F_N of
-(l phi_k, phi_i) is assembled from the quadratic-form identity of
-:mod:`regbvp.quasiform`,
+Split assembly.  The Galerkin matrix F_N of (l phi_k, phi_i) has one
+assembly path, the quadratic-form identity of :mod:`regbvp.quasiform`,
 
     (l y, y) = sum_k [ (p_k y^(k), y^(k)) + (q_k y^(k), y^(k-1))
                        - (r_k y^(k-1), y^(k)) ] + (p_0 y, y) + (y_vee, y_wedge),
 
-which needs no derivative above order m = n/2.  Every integral is exact
-in coefficient space: the basis is orthonormal, so (f, g) is the inner
-product of coefficient vectors, a derivative is a triangular matrix and a
-polynomial coefficient acts through the three-term recurrence of x.  No
-quadrature is involved (numpy's Gauss-Legendre weights carry relative
-errors up to about 1e-11 at these sizes).  The boundary term is
-(A y_wedge, y_wedge) when the splitting is completely regular and
-(y_vee, y_wedge) otherwise: on a completely regular trial space y_vee
-is A y_wedge, but computed from the basis it carries rounding noise that
-can exceed eps ||F_N|| (55 times over for the free beam at N = 64,
-where y_vee = 0 and y_wedge is large).  :func:`galerkin_form` assembles
-the strong form (l phi_k, phi_i) = sum_j (c_j phi_k^(j), phi_i) with the
-same exact operators and no quadrature either, for the other side of the
-form identity check: it takes n derivatives of the basis and has no
-boundary term.  ``tests/oracles.py`` integrates it symbolically.
+which needs no derivative above order m = n/2, only an even-order
+divergence or model form (any other spec raises SpecError).  Every
+integral is exact in coefficient space: the basis is orthonormal, so
+(f, g) is the inner product of coefficient vectors, a derivative is a
+triangular matrix and a polynomial coefficient acts through the
+three-term recurrence of x.  No quadrature is involved (numpy's
+Gauss-Legendre weights carry relative errors up to about 1e-11 at these
+sizes).  The boundary term is (A y_wedge, y_wedge) when the splitting is
+completely regular and (y_vee, y_wedge) otherwise: on a completely
+regular trial space y_vee is A y_wedge, but computed from the basis it
+carries rounding noise that can exceed eps ||F_N|| (55 times over for
+the free beam at N = 64, where y_vee = 0 and y_wedge is large).
+:func:`galerkin_form` assembles the strong form (l phi_k, phi_i) =
+sum_j (c_j phi_k^(j), phi_i) with the same exact operators and no
+quadrature either, and is kept only as the reference side of the form
+identity check (:func:`regbvp.quasiform.verify_form_identity`): it
+takes n derivatives of the basis and has no boundary term.
+``tests/oracles.py`` integrates it symbolically.
 
 Support functions.  A sum of squares (q = r = 0, every p_k a nonnegative
 constant) with a completely regular splitting and a positive
@@ -65,13 +67,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import legendre
 
-from .model import OperatorSpec, SpecError, as_divergence, operator_coefficients
+from .model import OperatorSpec, as_divergence, operator_coefficients
 from .quasiform import (
     QuasiTransition,
     check_completely_regular,
     null_space,
-    quasi_transition,
     rounding_cutoff,
+    wedge_vee,
 )
 
 __all__ = [
@@ -248,14 +250,12 @@ class _Splitting:
 
 
 def _splitting(spec: OperatorSpec):
-    """Split-assembly data, or None when ``spec`` has no divergence form."""
-    try:
-        spec = as_divergence(spec)
-    except SpecError:
-        return None
+    """Split-assembly data; raises SpecError when ``spec`` has no
+    divergence form."""
+    spec = as_divergence(spec)
     form = spec.form
-    transition = quasi_transition(spec)
-    A = check_completely_regular(spec).A
+    report = check_completely_regular(spec)
+    transition, A = report.split.transition, report.A
     squares = (not any(form.q) and not any(form.r)
                and all(p.degree <= 0 and (not p or (p.coeffs[0].imag == 0 and p.coeffs[0].real >= 0))
                        for p in form.p))
@@ -282,10 +282,8 @@ def _jets(split: _Splitting, dim):
     basis = constrained_basis(spec, dim)
     jets = [basis] + [_derivative_matrix(count, j) @ basis for j in range(1, m + 1)]
     at0, at1 = _endpoint_jets(count, n)
-    quasi0 = split.transition.at_zero @ (at0 @ basis)
-    quasi1 = split.transition.at_one @ (at1 @ basis)
-    wedge = np.vstack([quasi0[:m], quasi1[:m]])
-    vee = np.vstack([quasi0[n - 1:m - 1:-1], -quasi1[n - 1:m - 1:-1]])
+    wedge, vee = wedge_vee(split.transition.at_zero @ (at0 @ basis),
+                           split.transition.at_one @ (at1 @ basis))
     return jets, wedge, vee
 
 
@@ -313,8 +311,6 @@ def split_form(spec: OperatorSpec, dim):
     """The dim x dim matrix of (l phi_k, phi_i), assembled from the split
     quadratic form; equals :func:`galerkin_form` up to rounding."""
     split = _splitting(spec)
-    if split is None:
-        raise SpecError("split assembly requires an even-order divergence or model form")
     return _split_matrix(split, *_jets(split, dim))
 
 
@@ -330,19 +326,14 @@ def support_function(form, theta):
     return float(np.linalg.eigvalsh(herm)[-1])
 
 
-def _rotated_support(form, angles, scale):
-    values = tuple(support_function(form, theta) for theta in angles)
-    return values, scale * float(np.linalg.norm(form, 2))
-
-
-def _support(spec, split, dim, angles):
+def _support(split, dim, angles):
     """(sigma_dim over ``angles``, error bound of its minimum)."""
-    scale = (dim + spec.order) * EPS
-    if split is None:
-        return _rotated_support(galerkin_form(spec, dim), angles, scale)
+    scale = (dim + split.spec.order) * EPS
     jets, wedge, vee = _jets(split, dim)
     if split.root is None:
-        return _rotated_support(_split_matrix(split, jets, wedge, vee), angles, scale)
+        form = _split_matrix(split, jets, wedge, vee)
+        return (tuple(support_function(form, theta) for theta in angles),
+                scale * float(np.linalg.norm(form, 2)))
     # F = G^H G: sigma(theta) = cos(theta) * (s_max^2 where cos >= 0, else s_min^2)
     p = split.spec.form.p
     blocks = [math.sqrt(p[k].coeffs[0].real) * jets[k] for k in range(len(p)) if p[k]]
@@ -355,15 +346,16 @@ def _support(spec, split, dim, angles):
     return values, float(2 * behind * delta + delta * delta + defect)
 
 
-def _profile(spec, split, dim, num_angles):
+def _profile(split, dim, num_angles):
     angles = tuple(2.0 * math.pi * k / num_angles for k in range(num_angles))
-    values, bound = _support(spec, split, dim, angles)
+    values, bound = _support(split, dim, angles)
     return SupportProfile(dimension=int(dim), angles=angles, values=values, bound=bound)
 
 
 def support_profile(spec: OperatorSpec, dim, num_angles=DEFAULT_ANGLES):
-    """sigma_dim(theta) over an even angle grid on [0, 2 pi)."""
-    return _profile(spec, _splitting(spec), dim, num_angles)
+    """sigma_dim(theta) over an even angle grid on [0, 2 pi); raises
+    SpecError when ``spec`` has no even-order divergence or model form."""
+    return _profile(_splitting(spec), dim, num_angles)
 
 
 def profiles_to_csv(profiles, path):
@@ -384,13 +376,14 @@ def half_plane_verdict(spec: OperatorSpec, dimensions=DEFAULT_DIMENSIONS,
     supporting line: "half_plane".  Minima that grow by at least
     ``GROWTH_FACTOR`` at every doubling (once above 1) indicate that every
     direction eventually fails: "whole_plane".  Anything else is reported
-    as "undetermined".
+    as "undetermined".  Raises SpecError when ``spec`` has no even-order
+    divergence or model form.
     """
     dimensions = tuple(sorted(int(d) for d in dimensions))
     if len(dimensions) < 2:
         raise ValueError("need at least two dimensions to compare")
     split = _splitting(spec)
-    profiles = tuple(_profile(spec, split, d, num_angles) for d in dimensions)
+    profiles = tuple(_profile(split, d, num_angles) for d in dimensions)
     minima = tuple(p.minimum for p in profiles)
 
     first, last = minima[0], minima[-1]

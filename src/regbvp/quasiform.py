@@ -12,11 +12,8 @@ are chosen so that integration by parts turns (l y, y) into
     sum_{k=1}^m [ (p_k y^(k), y^(k)) + (q_k y^(k), y^(k-1))
                   - (r_k y^(k-1), y^(k)) ] + (p_0 y, y) + (y_vee, y_wedge)
 
-with the endpoint vectors
-
-    y_wedge = (y(0), ..., y^(m-1)(0), y(1), ..., y^(m-1)(1)),
-    y_vee   = (y^[2m-1](0), ..., y^[m](0), -y^[2m-1](1), ..., -y^[m](1)).
-
+with the endpoint vectors y_wedge and y_vee that :func:`wedge_vee` reads
+off the quasi-derivatives at 0 and 1, the one definition of their layout.
 Boundary rows then read B y_wedge + C y_vee = 0.  The splitting is called
 completely regular when B^{-1}(im C) equals the orthogonal complement of
 ker C; in that case a matrix A exists with (y_vee, x) = (A y_wedge, x) for
@@ -46,9 +43,9 @@ __all__ = [
     "CompleteRegularityReport",
     "quasi_jets",
     "quasi_transition",
+    "wedge_vee",
     "split_bc",
     "check_completely_regular",
-    "boundary_form_matrix",
     "verify_form_identity",
 ]
 
@@ -140,22 +137,36 @@ def quasi_transition(spec: OperatorSpec) -> QuasiTransition:
     return QuasiTransition(m, t0, t1)
 
 
+def wedge_vee(block0, block1):
+    """The endpoint vectors (y_wedge, y_vee) of quasi-jet rows at 0 and 1.
+
+    ``block0`` and ``block1`` hold y^[0], ..., y^[2m-1] along their first
+    axis, at x = 0 and x = 1; the result stacks
+
+        y_wedge = (y(0), ..., y^(m-1)(0), y(1), ..., y^(m-1)(1)),
+        y_vee   = (y^[2m-1](0), ..., y^[m](0), -y^[2m-1](1), ..., -y^[m](1))
+
+    along the same axis (y^[k] = y^(k) for k < m).  The map is a signed
+    row selection.
+    """
+    m = block0.shape[0] // 2
+    wedge = np.concatenate([block0[:m], block1[:m]])
+    vee = np.concatenate([block0[m:][::-1], -block1[m:][::-1]])
+    return wedge, vee
+
+
 @dataclass(frozen=True)
 class SplitBC:
-    """Boundary rows written as B y_wedge + C y_vee = 0."""
+    """Boundary rows written as B y_wedge + C y_vee = 0.
+
+    ``transition`` is the :class:`QuasiTransition` the rows were split
+    with, or None for a split given directly.
+    """
 
     m: int
     B: np.ndarray
     C: np.ndarray
-    wedge_layout: tuple
-    vee_layout: tuple
-
-
-def _layouts(m):
-    wedge = tuple(f"y^({s})(0)" for s in range(m)) + tuple(f"y^({s})(1)" for s in range(m))
-    vee = (tuple(f"y^[{2 * m - 1 - i}](0)" for i in range(m))
-           + tuple(f"-y^[{2 * m - 1 - i}](1)" for i in range(m)))
-    return wedge, vee
+    transition: QuasiTransition | None
 
 
 def _lower_inverse(mat):
@@ -174,31 +185,26 @@ def _lower_inverse(mat):
 
 
 def split_bc(spec: OperatorSpec) -> SplitBC:
-    """Convert the boundary rows of a divergence-form spec to split form."""
+    """Convert the boundary rows of a divergence-form spec to split form.
+
+    Row j has coefficients alpha_j = a_j T_0^{-1} and beta_j = b_j T_1^{-1}
+    on the quasi-jets at 0 and 1, so the layout of :func:`wedge_vee`
+    applied to the columns (alpha_j, beta_j) gives the rows of B and C.
+    """
     form = _require_divergence(spec)
-    m = form.m
-    n = 2 * m
+    n = 2 * form.m
     trans = quasi_transition(spec)
     inv0 = _lower_inverse(trans.at_zero)
     inv1 = _lower_inverse(trans.at_one)
-
-    B = np.zeros((n, n), dtype=complex)
-    C = np.zeros((n, n), dtype=complex)
-    for j, row in enumerate(spec.rows):
-        alpha = np.array(row.a, dtype=complex) @ inv0  # coefficients on the quasi-jet at 0
-        beta = np.array(row.b, dtype=complex) @ inv1
-        B[j, :m] = alpha[:m]
-        B[j, m:] = beta[:m]
-        for i in range(m):
-            C[j, i] = alpha[n - 1 - i]
-            C[j, m + i] = -beta[n - 1 - i]
+    alpha = np.array([np.array(row.a, dtype=complex) @ inv0 for row in spec.rows])
+    beta = np.array([np.array(row.b, dtype=complex) @ inv1 for row in spec.rows])
+    B, C = (block.T for block in wedge_vee(alpha.T, beta.T))
 
     stacked = np.hstack([B, C])
     scale = max(np.abs(stacked).max(), 1.0)
     if np.linalg.matrix_rank(stacked, tol=1e-10 * scale) < n:
         raise SpecError("split boundary form [B | C] is rank deficient")
-    wedge, vee = _layouts(m)
-    return SplitBC(m, B, C, wedge, vee)
+    return SplitBC(form.m, B, C, trans)
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +264,7 @@ def _max_angle(basis1, basis2):
 
 @dataclass(frozen=True)
 class CompleteRegularityReport:
+    split: SplitBC
     completely_regular: bool
     preimage_basis: np.ndarray       # orthonormal basis of B^{-1}(im C)
     complement_basis: np.ndarray     # orthonormal basis of (ker C)^perp
@@ -283,30 +290,15 @@ def check_completely_regular(spec_or_split) -> CompleteRegularityReport:
     angles, max_angle = _max_angle(preimage, complement)
     verdict = preimage.shape[1] == complement.shape[1] and max_angle <= ANGLE_TOL
 
-    A = _boundary_form_matrix(split, preimage) if verdict else None
-    return CompleteRegularityReport(verdict, preimage, complement, angles, max_angle, A)
-
-
-def _boundary_form_matrix(split: SplitBC, preimage):
-    n = split.B.shape[0]
-    stacked = np.hstack([split.B, split.C])
-    pairs = null_space(stacked, rounding_cutoff(stacked))
-    y1, y2 = pairs[:n], pairs[n:]
-    proj = preimage @ preimage.conj().T
-    # A equals P y2 pinv(y1) restricted to the subspace: zero off it.
-    return proj @ y2 @ np.linalg.pinv(y1) @ proj
-
-
-def boundary_form_matrix(spec_or_split) -> np.ndarray:
-    """The matrix A with (y_vee, x) = (A y_wedge, x) on B^{-1}(im C).
-
-    Raises :class:`SpecError` when the splitting is not completely
-    regular (no such A exists then).
-    """
-    report = check_completely_regular(spec_or_split)
-    if not report.completely_regular:
-        raise SpecError("boundary form matrix requires a completely regular splitting")
-    return report.A
+    A = None
+    if verdict:
+        # the pairs (y_wedge, y_vee) of admissible y span the kernel of
+        # [B | C]; A is P y_vee pinv(y_wedge) P, zero off the subspace
+        stacked = np.hstack([B, C])
+        pairs = null_space(stacked, rounding_cutoff(stacked))
+        proj = preimage @ preimage.conj().T
+        A = proj @ pairs[n:] @ np.linalg.pinv(pairs[:n]) @ proj
+    return CompleteRegularityReport(split, verdict, preimage, complement, angles, max_angle, A)
 
 
 # ---------------------------------------------------------------------------
@@ -321,16 +313,20 @@ def verify_form_identity(spec: OperatorSpec, A=None):
     ``FORM_IDENTITY_DIMENSION``: polynomials of degree below
     FORM_IDENTITY_DIMENSION + n that satisfy the boundary rows.  F_strong
     is the Galerkin matrix of (l y, y) from the expanded expression
-    (:func:`regbvp.numrange.galerkin_form`); F_split is the split form of
-    the module docstring with boundary term (A y_wedge, y_wedge).  ``A``
-    defaults to the computed boundary form matrix.
+    (:func:`regbvp.numrange.galerkin_form`, kept as this reference);
+    F_split is the split form of the module docstring with boundary term
+    (A y_wedge, y_wedge).  ``A`` defaults to
+    ``check_completely_regular(spec).A``; :class:`SpecError` is raised
+    when the splitting is not completely regular (no such A exists then).
     """
     # numrange imports this module, so it can only be imported at call time
     from . import numrange
 
     _require_divergence(spec)
     if A is None:
-        A = boundary_form_matrix(spec)
+        A = check_completely_regular(spec).A
+        if A is None:
+            raise SpecError("the form identity requires a completely regular splitting")
     dim = FORM_IDENTITY_DIMENSION
     split = numrange._Splitting(spec, quasi_transition(spec), np.asarray(A, dtype=complex))
     strong = numrange.galerkin_form(spec, dim)

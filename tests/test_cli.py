@@ -2,10 +2,12 @@
 
 import argparse
 import ast
+import importlib
 import inspect
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -154,8 +156,16 @@ def test_spectrum_document(capsys):
     kinds = {entry["kind"] for entry in doc["clearance"]["rays"]}
     assert kinds == {"critical", "bisector"}
     by_angle = {round(entry["angle"], 6): entry for entry in doc["clearance"]["rays"]}
-    assert by_angle[0.0]["exit"] is None  # roots block the real axis
+    # r_probe = 15: the disk about 5 pi enters the real axis only at 15.21,
+    # so the last blocking disk is the one about 4 pi
+    assert doc["clearance"]["r_probe"] == 15.0
+    assert by_angle[0.0]["exit"] == cli._sig(4 * math.pi + 0.5)
     assert by_angle[round(math.pi / 2, 6)]["exit"] == 0.0
+    # r_probe = 12.5 lies inside the disk about 4 pi: the real axis is blocked
+    code, doc, _ = run_json(capsys, "spectrum", "dirichlet2", "--rmax", "13.5")
+    assert code == 0
+    by_angle = {round(entry["angle"], 6): entry for entry in doc["clearance"]["rays"]}
+    assert by_angle[0.0]["exit"] is None
 
 
 def test_spectrum_empty_for_degenerate_rows(capsys):
@@ -300,6 +310,15 @@ def test_scan_small_rmin(rmin, capsys):
     assert code == 0
     assert doc["ray"] == pytest.approx(math.pi / 2)
     assert doc["clearance"] == 0.0
+
+
+def test_scan_ray_clear_below_a_far_disk(capsys):
+    # on [3.7, 5.5] the real axis stays 0.64 from pi and 0.78 from 2 pi;
+    # the disk about 2 pi meets it only on [5.78, 6.78], beyond rmax
+    code, doc, _ = run_json(capsys, "scan", "dirichlet2", "green", "--ray", "0",
+                            "--rmin", "3.7", "--rmax", "5.5", "--samples", "3")
+    assert code == 0
+    assert doc["ray"] == 0.0
 
 
 def test_scan_blocked_ray_fails(capsys):
@@ -473,3 +492,16 @@ def test_package_draws_no_random_numbers():
     assert found == {}
     probe = ast.parse("import random\nfrom numpy import random\nx = np.random.default_rng(1)")
     assert _random_sources(probe) == ["random", "numpy.random", "np.random"]
+
+
+def test_every_export_resolves():
+    """Each name in the ``__all__`` of the package and of every module
+    exists: a stale export left by a deletion breaks ``from regbvp import *``
+    and every tool that walks the exports."""
+    package = importlib.import_module("regbvp")
+    modules = [package] + [importlib.import_module(f"regbvp.{info.name}")
+                           for info in pkgutil.iter_modules(package.__path__)]
+    missing = [f"{module.__name__}.{name}" for module in modules
+               for name in getattr(module, "__all__", ())
+               if not hasattr(module, name)]
+    assert missing == []

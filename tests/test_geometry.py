@@ -100,6 +100,15 @@ def test_clearance_blocked_returns_none():
     assert ray_clearance(0.0, disks, 10.0) is None
 
 
+def test_clearance_ignores_disks_entering_at_or_beyond_r_max():
+    # the disk about 6.3 meets the ray on [5.8, 6.8] only, past r_max = 5.5
+    disks = DiskSet((3.0, 6.3), 0.5)
+    assert ray_clearance(0.0, disks, 5.5) == pytest.approx(3.5)
+    assert ray_clearance(0.0, DiskSet((6.3,), 0.5), 5.8) == 0.0
+    # entering below r_max still blocks
+    assert ray_clearance(0.0, disks, 5.9) is None
+
+
 def test_clearance_takes_last_exit():
     disks = DiskSet((3.0, 7.0), 1.0)
     assert ray_clearance(0.0, disks, 100.0) == pytest.approx(8.0)

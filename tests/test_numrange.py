@@ -9,14 +9,18 @@ from numpy.polynomial import legendre as L
 from numpy.polynomial.polynomial import Polynomial
 
 from oracles import inner_01
-from regbvp import gallery
+from regbvp import gallery, numrange
 from regbvp.model import (
     ONE,
     ZERO,
     BoundaryRow,
+    ClassicalForm,
     DivergenceForm,
+    ModelForm,
     OperatorSpec,
     Poly,
+    SpecError,
+    as_divergence,
     operator_coefficients,
 )
 from regbvp.numrange import (
@@ -28,7 +32,7 @@ from regbvp.numrange import (
     support_function,
     support_profile,
 )
-from regbvp.quasiform import check_completely_regular
+from regbvp.quasiform import check_completely_regular, split_bc
 
 EPS = np.finfo(float).eps
 
@@ -186,6 +190,48 @@ def test_split_form_matches_strong_form_on_random_forms():
         assert gap <= SPLIT_AGREEMENT * np.linalg.norm(strong, 2), spec
     # both boundary terms, (A y_wedge, y_wedge) and (y_vee, y_wedge), ran
     assert kinds == {(2, True), (2, False), (4, True), (4, False)}
+
+
+def test_split_rows_vanish_on_the_basis_endpoint_vectors():
+    """split_bc and the split assembly share one endpoint layout: on the
+    constrained basis, B y_wedge + C y_vee is the boundary rows applied to
+    the basis, so it vanishes as far as those rows do.  (Relative to
+    ||[B | C]|| ||[y_wedge; y_vee]||: under clamped rows y_wedge is pure
+    rounding noise, so ||B|| ||y_wedge|| would be the residual itself.)"""
+    dim = 16
+    specs = [gallery.build(name) for name in sorted(gallery.EXAMPLES)]
+    for spec in specs + _random_divergence_specs():
+        spec = as_divergence(spec)
+        split = split_bc(spec)
+        _jets, wedge, vee = numrange._jets(numrange._splitting(spec), dim)
+        residual = np.linalg.norm(split.B @ wedge + split.C @ vee, 2) / (
+            np.linalg.norm(np.hstack([split.B, split.C]), 2)
+            * np.linalg.norm(np.vstack([wedge, vee]), 2))
+        at0, at1 = numrange._endpoint_jets(dim + spec.order, spec.order)
+        basis = constrained_basis(spec, dim)
+        rows = np.array([row.a + row.b for row in spec.rows], dtype=complex)
+        jets = np.vstack([at0 @ basis, at1 @ basis])
+        direct = np.linalg.norm(rows @ jets, 2) / (
+            np.linalg.norm(rows, 2) * np.linalg.norm(jets, 2))
+        assert residual <= 4 * direct + 64 * EPS, (spec, residual, direct)
+
+
+@pytest.mark.parametrize("spec", [
+    # odd order: no divergence form at all
+    OperatorSpec(3, ModelForm(), (BoundaryRow((1, 0, 0), (0, 0, 0)),
+                                  BoundaryRow((0, 1, 0), (0, 0, 0)),
+                                  BoundaryRow((0, 0, 0), (1, 0, 0)))),
+    # even order, but written in classical form
+    OperatorSpec(2, ClassicalForm({2: Poly((0, 5))}),
+                 (BoundaryRow((1, 0), (0, 0)), BoundaryRow((0, 0), (1, 0)))),
+], ids=["model3", "classical2"])
+def test_numerical_range_needs_a_divergence_form(spec):
+    with pytest.raises(SpecError):
+        half_plane_verdict(spec)
+    with pytest.raises(SpecError):
+        support_profile(spec, 8)
+    with pytest.raises(SpecError):
+        split_form(spec, 8)
 
 
 @pytest.mark.parametrize("name", sorted(gallery.EXAMPLES))

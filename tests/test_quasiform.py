@@ -24,7 +24,6 @@ from regbvp.model import (
 from regbvp.quasiform import (
     ANGLE_TOL,
     SplitBC,
-    boundary_form_matrix,
     check_completely_regular,
     quasi_jets,
     quasi_transition,
@@ -171,9 +170,11 @@ def test_split_reproduces_rows_on_random_polynomials(name, rng):
 
 def test_split_layout_labels():
     split = split_bc(gallery.build("dirichlet4"))
-    assert split.wedge_layout == ("y^(0)(0)", "y^(1)(0)", "y^(0)(1)", "y^(1)(1)")
-    assert len(split.vee_layout) == 4
     assert split.B.shape == (4, 4) and split.C.shape == (4, 4)
+    # y^[0..3] at 0 and at 1 stand for 0..3 and 10..13
+    wedge, vee = quasiform.wedge_vee(np.arange(4.0), np.arange(10.0, 14.0))
+    assert wedge.tolist() == [0.0, 1.0, 10.0, 11.0]
+    assert vee.tolist() == [3.0, 2.0, -13.0, -12.0]
 
 
 def rows_from_split(spec, B, C):
@@ -270,19 +271,20 @@ def test_small_principal_angles_resolved(angle, verdict):
     c, s = math.cos(angle), math.sin(angle)
     B = np.array([[0, 0, 0, 0], [0, 0, 0, 0], [-s, 0, c, 0], [0, 0, 0, 1]], dtype=complex)
     C = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
-    report = check_completely_regular(SplitBC(2, B, C, (), ()))
+    report = check_completely_regular(SplitBC(2, B, C, None))
     assert report.max_angle == pytest.approx(angle, rel=1e-6)
     assert report.completely_regular is verdict
     assert (report.max_angle <= ANGLE_TOL) is verdict
 
 
 def test_boundary_form_matrices_frozen():
-    a_robin = boundary_form_matrix(gallery.build("robin2"))
+    a_robin = check_completely_regular(gallery.build("robin2")).A
     assert np.allclose(a_robin, np.diag([1.0, 2.0]), atol=1e-10)
-    a_dir = boundary_form_matrix(gallery.build("dirichlet2"))
+    a_dir = check_completely_regular(gallery.build("dirichlet2")).A
     assert np.allclose(a_dir, 0.0, atol=1e-10)
+    assert check_completely_regular(gallery.build("mixed4")).A is None
     with pytest.raises(SpecError):
-        boundary_form_matrix(gallery.build("mixed4"))
+        verify_form_identity(gallery.build("mixed4"))
 
 
 def test_identity_vee_block_gives_a_equals_minus_b(rng):
