@@ -167,19 +167,21 @@ def _form_kind(spec):
     return "classical"
 
 
-def _divergence_view(spec):
-    """The operator rewritten in divergence form, or None when impossible."""
+def _complete_regularity(spec):
+    """The one splitting a command reads: the complete-regularity report,
+    or None when ``spec`` has no even-order divergence or model form."""
     try:
-        return as_divergence(spec)
+        as_divergence(spec)
     except SpecError:
         return None
+    return quasiform.check_completely_regular(spec)
 
 
 # ---------------------------------------------------------------------------
 # Document builders (shared between single commands and report)
 # ---------------------------------------------------------------------------
 
-def classification_document(spec, nbc, tol=None):
+def classification_document(spec, nbc, report, tol=None):
     verdict = birkhoff.classify_regularity(nbc, tol=tol)
     doc = {
         "order": spec.order,
@@ -195,14 +197,12 @@ def classification_document(spec, nbc, tol=None):
             "tolerance": verdict.tol,
         },
     }
-    divspec = _divergence_view(spec)
-    if divspec is None:
+    if report is None:
         doc["complete_regularity"] = {
             "applicable": False,
             "reason": "requires an even-order divergence or model form",
         }
         return doc
-    report = quasiform.check_completely_regular(divspec)
     fragment = {
         "applicable": True,
         "verdict": report.completely_regular,
@@ -213,7 +213,7 @@ def classification_document(spec, nbc, tol=None):
     }
     if report.completely_regular:
         fragment["boundary_form"] = [list(row) for row in report.A]
-        residual = quasiform.verify_form_identity(divspec, report.A)
+        residual = quasiform.verify_form_identity(report)
         fragment["form_identity_residual"] = _decade_above(max(residual, sys.float_info.epsilon))
         fragment["form_identity_dimension"] = quasiform.FORM_IDENTITY_DIMENSION
     else:
@@ -328,10 +328,9 @@ def scan_document(nbc, kind, ray, roots, rmin, rmax, samples, grid, csv_path=Non
     }
 
 
-def numrange_document(spec, max_dim=64, angles=numrange.DEFAULT_ANGLES,
-                      csv_path=None):
-    divspec = _divergence_view(spec)
-    if divspec is None:
+def numrange_document(report, max_dim=numrange.DEFAULT_DIMENSIONS[-1],
+                      angles=numrange.DEFAULT_ANGLES, csv_path=None):
+    if report is None:
         return {"applicable": False,
                 "reason": "requires an even-order divergence or model form"}
     dims = []
@@ -340,17 +339,17 @@ def numrange_document(spec, max_dim=64, angles=numrange.DEFAULT_ANGLES,
         dims.append(d)
         d *= 2
     dims.append(max_dim)
-    report = numrange.half_plane_verdict(divspec, dimensions=dims, num_angles=angles)
+    verdict = numrange.half_plane_verdict(report, dimensions=dims, num_angles=angles)
     if csv_path:
-        numrange.profiles_to_csv(report.profiles, csv_path)
+        numrange.profiles_to_csv(verdict.profiles, csv_path)
     return {
         "applicable": True,
-        "verdict": report.verdict,
-        "dimensions": list(report.dimensions),
+        "verdict": verdict.verdict,
+        "dimensions": list(verdict.dimensions),
         "evidence": [[d, _round_to_bound(m, b)] for d, m, b
-                     in zip(report.dimensions, report.minima, report.bounds)],
+                     in zip(verdict.dimensions, verdict.minima, verdict.bounds)],
         "error_bounds": [[d, _decade_above(b)] for d, b
-                         in zip(report.dimensions, report.bounds)],
+                         in zip(verdict.dimensions, verdict.bounds)],
         "angles": angles,
         "growth_factor": numrange.GROWTH_FACTOR,
         "slack": numrange.SLACK,
@@ -369,7 +368,8 @@ def gram_document(nbc, roots, radius):
 def cmd_classify(args):
     _require(args.tol is None or 0.0 <= args.tol < math.inf, "--tol", "finite and nonnegative")
     spec = _load_input(args.input)
-    doc = classification_document(spec, reduce_total_order(spec.rows), tol=args.tol)
+    doc = classification_document(spec, reduce_total_order(spec.rows),
+                                  _complete_regularity(spec), tol=args.tol)
     doc["input"] = args.input
     _emit_json(doc, args.output)
     return EXIT_OK if doc["birkhoff"]["regular"] else EXIT_NOT_REGULAR
@@ -409,8 +409,8 @@ def cmd_numrange(args):
     _require(args.max_dim > NUMRANGE_MIN_DIM, "--max-dim", f"above {NUMRANGE_MIN_DIM}")
     _require(args.angles >= 1, "--angles", "at least 1")
     spec = _load_input(args.input)
-    doc = numrange_document(spec, max_dim=args.max_dim, angles=args.angles,
-                            csv_path=args.output)
+    doc = numrange_document(_complete_regularity(spec), max_dim=args.max_dim,
+                            angles=args.angles, csv_path=args.output)
     doc["input"] = args.input
     _emit_json(doc)
     if not doc["applicable"]:
@@ -433,13 +433,17 @@ def cmd_report(args):
         timings[name] = time.perf_counter() - start
         return result
 
-    # One search serves every section that reads roots; if it fails, each
-    # of those sections carries its error.
+    # One root search and one splitting serve every section that reads
+    # them; if one fails, each section that reads it carries its error.
     found = run("roots", lambda: {"roots": spectral.find_roots(
         nbc, (SPECTRUM_RMIN, REPORT_RADIUS))})
+    regularity = run("complete_regularity", lambda: {"report": _complete_regularity(spec)})
 
     def on_roots(build):
         return lambda: build(found["roots"]) if "roots" in found else found
+
+    def on_regularity(build):
+        return lambda: build(regularity["report"]) if "report" in regularity else regularity
 
     def scans(roots):
         ray = _choose_ray(nbc, DEFAULT_SCAN["rmin"], DEFAULT_SCAN["rmax"], roots)
@@ -452,12 +456,12 @@ def cmd_report(args):
         "tool": {"name": "regbvp", "version": __version__},
         "input": args.input,
         "spec": spec_to_document(spec),
-        "classification": run("classification", lambda: classification_document(
-            spec, nbc, tol=args.tol)),
+        "classification": run("classification", on_regularity(
+            lambda report: classification_document(spec, nbc, report, tol=args.tol))),
         "spectrum": run("spectrum", on_roots(lambda roots: spectrum_document(nbc, roots))),
         "basis_conditioning": run("basis_conditioning", on_roots(
             lambda roots: gram_document(nbc, roots, REPORT_RADIUS))),
-        "numerical_range": run("numerical_range", lambda: numrange_document(spec)),
+        "numerical_range": run("numerical_range", on_regularity(numrange_document)),
     }
     scan_sections = run("scans", on_roots(scans))
     if "error" in scan_sections and set(scan_sections) == {"error"}:
@@ -516,7 +520,7 @@ def _build_parser():
 
     p = sub.add_parser("numrange", parents=[common],
                        help="support function of the quadratic form")
-    p.add_argument("--max-dim", type=int, default=64)
+    p.add_argument("--max-dim", type=int, default=numrange.DEFAULT_DIMENSIONS[-1])
     p.add_argument("--angles", type=int, default=numrange.DEFAULT_ANGLES)
     p.set_defaults(func=cmd_numrange)
 

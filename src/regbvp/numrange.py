@@ -18,8 +18,11 @@ assembly path, the quadratic-form identity of :mod:`regbvp.quasiform`,
                        - (r_k y^(k-1), y^(k)) ] + (p_0 y, y) + (y_vee, y_wedge),
 
 which needs no derivative above order m = n/2, only an even-order
-divergence or model form (any other spec raises SpecError).  Every
-integral is exact in coefficient space: the basis is orthonormal, so
+divergence or model form (any other spec raises SpecError).  It reads
+the transition and A of the :func:`regbvp.quasiform.check_completely_regular`
+report, which :func:`split_form`, :func:`support_profile` and
+:func:`half_plane_verdict` take in place of a spec.  Every integral is
+exact in coefficient space: the basis is orthonormal, so
 (f, g) is the inner product of coefficient vectors, a derivative is a
 triangular matrix and a polynomial coefficient acts through the
 three-term recurrence of x.  No quadrature is involved (numpy's
@@ -67,14 +70,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import legendre
 
-from .model import OperatorSpec, as_divergence, operator_coefficients
-from .quasiform import (
-    QuasiTransition,
-    check_completely_regular,
-    null_space,
-    rounding_cutoff,
-    wedge_vee,
-)
+from .model import OperatorSpec, SpecError, operator_coefficients
+from .quasiform import as_report, null_space, rounding_cutoff, wedge_vee
 
 __all__ = [
     "SupportProfile",
@@ -233,62 +230,43 @@ def _multiplication(poly, count):
     return out[:count]
 
 
-@dataclass(frozen=True)
-class _Splitting:
-    """What split assembly needs of one divergence-form spec.
-
-    ``boundary`` is the matrix A of a completely regular splitting, or
-    None for the term (y_vee, y_wedge).  ``root`` is set on the factored
-    path only (module docstring), with ``defect`` = ||A - root^H root||_2.
-    """
-
-    spec: OperatorSpec
-    transition: QuasiTransition
-    boundary: np.ndarray | None
-    root: np.ndarray | None = None
-    defect: float = 0.0
-
-
-def _splitting(spec: OperatorSpec):
-    """Split-assembly data; raises SpecError when ``spec`` has no
-    divergence form."""
-    spec = as_divergence(spec)
-    form = spec.form
-    report = check_completely_regular(spec)
-    transition, A = report.split.transition, report.A
+def _factor(report):
+    """(root, defect) with A = root^H root up to defect = ||A - root^H
+    root||_2 on the factored path (module docstring); None off it."""
+    form, A = report.spec.form, report.A
     squares = (not any(form.q) and not any(form.r)
                and all(p.degree <= 0 and (not p or (p.coeffs[0].imag == 0 and p.coeffs[0].real >= 0))
                        for p in form.p))
     if A is None or not squares:
-        return _Splitting(spec, transition, A)
+        return None
     lam, vec = np.linalg.eigh(0.5 * (A + A.conj().T))
     keep = lam > 0
     root = np.sqrt(lam[keep])[:, None] * vec[:, keep].conj().T
     defect = np.linalg.norm(A - root.conj().T @ root, 2)
     if defect > rounding_cutoff(A) * max(1.0, np.linalg.norm(A, 2)):
-        return _Splitting(spec, transition, A)
-    return _Splitting(spec, transition, A, root, defect)
+        return None
+    return root, defect
 
 
-def _jets(split: _Splitting, dim):
+def _jets(report, dim):
     """Derivative jets Y_0..Y_m and endpoint blocks (wedge, vee) of the
     constrained basis: Y_j holds the orthonormal coefficients of the
     basis functions' j-th derivatives, wedge and vee their y_wedge and
     y_vee vectors."""
-    spec = split.spec
+    spec = report.spec
     m = spec.form.m
     n = spec.order
     count = dim + n
     basis = constrained_basis(spec, dim)
     jets = [basis] + [_derivative_matrix(count, j) @ basis for j in range(1, m + 1)]
     at0, at1 = _endpoint_jets(count, n)
-    wedge, vee = wedge_vee(split.transition.at_zero @ (at0 @ basis),
-                           split.transition.at_one @ (at1 @ basis))
+    wedge, vee = wedge_vee(report.split.transition.at_zero @ (at0 @ basis),
+                           report.split.transition.at_one @ (at1 @ basis))
     return jets, wedge, vee
 
 
-def _split_matrix(split: _Splitting, jets, wedge, vee):
-    form = split.spec.form
+def _split_matrix(report, jets, wedge, vee):
+    form = report.spec.form
     count = jets[0].shape[0]
 
     def term(poly, left, right):
@@ -296,7 +274,7 @@ def _split_matrix(split: _Splitting, jets, wedge, vee):
             return poly.coeffs[0] * (left.conj().T @ right)
         return left.conj().T @ (_multiplication(poly, count) @ right)
 
-    out = wedge.conj().T @ (vee if split.boundary is None else split.boundary @ wedge)
+    out = wedge.conj().T @ (vee if report.A is None else report.A @ wedge)
     for k in range(form.m + 1):
         if form.p[k]:
             out = out + term(form.p[k], jets[k], jets[k])
@@ -307,11 +285,12 @@ def _split_matrix(split: _Splitting, jets, wedge, vee):
     return out
 
 
-def split_form(spec: OperatorSpec, dim):
+def split_form(spec_or_report, dim):
     """The dim x dim matrix of (l phi_k, phi_i), assembled from the split
-    quadratic form; equals :func:`galerkin_form` up to rounding."""
-    split = _splitting(spec)
-    return _split_matrix(split, *_jets(split, dim))
+    quadratic form of a spec or a report; equals :func:`galerkin_form`
+    up to rounding."""
+    report = as_report(spec_or_report)
+    return _split_matrix(report, *_jets(report, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -326,36 +305,39 @@ def support_function(form, theta):
     return float(np.linalg.eigvalsh(herm)[-1])
 
 
-def _support(split, dim, angles):
+def _support(report, dim, angles):
     """(sigma_dim over ``angles``, error bound of its minimum)."""
-    scale = (dim + split.spec.order) * EPS
-    jets, wedge, vee = _jets(split, dim)
-    if split.root is None:
-        form = _split_matrix(split, jets, wedge, vee)
+    scale = (dim + report.spec.order) * EPS
+    jets, wedge, vee = _jets(report, dim)
+    factor = _factor(report)
+    if factor is None:
+        form = _split_matrix(report, jets, wedge, vee)
         return (tuple(support_function(form, theta) for theta in angles),
                 scale * float(np.linalg.norm(form, 2)))
     # F = G^H G: sigma(theta) = cos(theta) * (s_max^2 where cos >= 0, else s_min^2)
-    p = split.spec.form.p
+    root, defect = factor
+    p = report.spec.form.p
     blocks = [math.sqrt(p[k].coeffs[0].real) * jets[k] for k in range(len(p)) if p[k]]
-    sv = np.linalg.svd(np.vstack(blocks + [split.root @ wedge]), compute_uv=False)
+    sv = np.linalg.svd(np.vstack(blocks + [root @ wedge]), compute_uv=False)
     delta = scale * sv[0]
-    defect = split.defect * np.linalg.norm(wedge, 2) ** 2
+    defect = defect * np.linalg.norm(wedge, 2) ** 2
     values = tuple(math.cos(theta) * float(sv[0] ** 2 if math.cos(theta) >= 0 else sv[-1] ** 2)
                    for theta in angles)
     behind = sv[0] if math.cos(angles[values.index(min(values))]) >= 0 else sv[-1]
     return values, float(2 * behind * delta + delta * delta + defect)
 
 
-def _profile(split, dim, num_angles):
+def _profile(report, dim, num_angles):
     angles = tuple(2.0 * math.pi * k / num_angles for k in range(num_angles))
-    values, bound = _support(split, dim, angles)
+    values, bound = _support(report, dim, angles)
     return SupportProfile(dimension=int(dim), angles=angles, values=values, bound=bound)
 
 
-def support_profile(spec: OperatorSpec, dim, num_angles=DEFAULT_ANGLES):
-    """sigma_dim(theta) over an even angle grid on [0, 2 pi); raises
-    SpecError when ``spec`` has no even-order divergence or model form."""
-    return _profile(_splitting(spec), dim, num_angles)
+def support_profile(spec_or_report, dim, num_angles=DEFAULT_ANGLES):
+    """sigma_dim(theta) over an even angle grid on [0, 2 pi), for a spec
+    or a report; raises SpecError when a spec has no even-order
+    divergence or model form."""
+    return _profile(as_report(spec_or_report), dim, num_angles)
 
 
 def profiles_to_csv(profiles, path):
@@ -367,7 +349,7 @@ def profiles_to_csv(profiles, path):
                 handle.write("%d,%.12e,%.12e\n" % (profile.dimension, theta, sigma))
 
 
-def half_plane_verdict(spec: OperatorSpec, dimensions=DEFAULT_DIMENSIONS,
+def half_plane_verdict(spec_or_report, dimensions=DEFAULT_DIMENSIONS,
                        num_angles=DEFAULT_ANGLES):
     """Decide whether the form values stay inside some half-plane.
 
@@ -376,14 +358,14 @@ def half_plane_verdict(spec: OperatorSpec, dimensions=DEFAULT_DIMENSIONS,
     supporting line: "half_plane".  Minima that grow by at least
     ``GROWTH_FACTOR`` at every doubling (once above 1) indicate that every
     direction eventually fails: "whole_plane".  Anything else is reported
-    as "undetermined".  Raises SpecError when ``spec`` has no even-order
-    divergence or model form.
+    as "undetermined".  Takes a spec or a report; raises SpecError when a
+    spec has no even-order divergence or model form.
     """
     dimensions = tuple(sorted(int(d) for d in dimensions))
     if len(dimensions) < 2:
         raise ValueError("need at least two dimensions to compare")
-    split = _splitting(spec)
-    profiles = tuple(_profile(split, d, num_angles) for d in dimensions)
+    report = as_report(spec_or_report)
+    profiles = tuple(_profile(report, d, num_angles) for d in dimensions)
     minima = tuple(p.minimum for p in profiles)
 
     first, last = minima[0], minima[-1]

@@ -21,10 +21,13 @@ admissible y and all x in B^{-1}(im C), which turns the boundary term of
 the quadratic form into (A y_wedge, y_wedge).
 
 The two subspaces coincide when their largest principal angle is at most
-the module constant ``ANGLE_TOL``.
+the module constant ``ANGLE_TOL``.  Specs come in an even-order
+divergence or model form (any other raises SpecError); the report of
+:func:`check_completely_regular` is the one splitting that
+:mod:`regbvp.numrange` and :func:`verify_form_identity` read.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,6 +37,7 @@ from .model import (
     OperatorSpec,
     Poly,
     SpecError,
+    as_divergence,
     expand_divergence,
 )
 
@@ -55,12 +59,6 @@ RECURRENCE_TOL = 1e-12
 # Trial-space dimension of verify_form_identity: its polynomials reach
 # degree 15 + n, far above the order n, at a cost of a few milliseconds.
 FORM_IDENTITY_DIMENSION = 16
-
-
-def _require_divergence(spec: OperatorSpec) -> DivergenceForm:
-    if not isinstance(spec.form, DivergenceForm):
-        raise SpecError("quadratic-form analysis requires the divergence form")
-    return spec.form
 
 
 def quasi_jets(form: DivergenceForm):
@@ -110,7 +108,7 @@ class QuasiTransition:
 
 
 def quasi_transition(spec: OperatorSpec) -> QuasiTransition:
-    form = _require_divergence(spec)
+    form = as_divergence(spec).form
     m = form.m
     n = 2 * m
     jets = quasi_jets(form)
@@ -185,14 +183,15 @@ def _lower_inverse(mat):
 
 
 def split_bc(spec: OperatorSpec) -> SplitBC:
-    """Convert the boundary rows of a divergence-form spec to split form.
+    """Convert the boundary rows of an even-order divergence or model form
+    spec to split form.
 
     Row j has coefficients alpha_j = a_j T_0^{-1} and beta_j = b_j T_1^{-1}
     on the quasi-jets at 0 and 1, so the layout of :func:`wedge_vee`
     applied to the columns (alpha_j, beta_j) gives the rows of B and C.
     """
-    form = _require_divergence(spec)
-    n = 2 * form.m
+    spec = as_divergence(spec)
+    n = spec.order
     trans = quasi_transition(spec)
     inv0 = _lower_inverse(trans.at_zero)
     inv1 = _lower_inverse(trans.at_one)
@@ -204,7 +203,7 @@ def split_bc(spec: OperatorSpec) -> SplitBC:
     scale = max(np.abs(stacked).max(), 1.0)
     if np.linalg.matrix_rank(stacked, tol=1e-10 * scale) < n:
         raise SpecError("split boundary form [B | C] is rank deficient")
-    return SplitBC(form.m, B, C, trans)
+    return SplitBC(spec.form.m, B, C, trans)
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +263,11 @@ def _max_angle(basis1, basis2):
 
 @dataclass(frozen=True)
 class CompleteRegularityReport:
+    """One operator's splitting: ``spec`` in divergence form (None for a
+    SplitBC given directly), its ``split`` and, when completely regular,
+    the boundary form matrix ``A`` (None otherwise)."""
+
+    spec: OperatorSpec | None
     split: SplitBC
     completely_regular: bool
     preimage_basis: np.ndarray       # orthonormal basis of B^{-1}(im C)
@@ -276,8 +280,9 @@ class CompleteRegularityReport:
 def check_completely_regular(spec_or_split) -> CompleteRegularityReport:
     """Decide whether B^{-1}(im C) coincides with the orthogonal
     complement of ker C, using rank-revealing SVDs and principal angles
-    (largest at most ANGLE_TOL)."""
-    split = spec_or_split if isinstance(spec_or_split, SplitBC) else split_bc(spec_or_split)
+    (largest at most ANGLE_TOL), for a spec or a :class:`SplitBC`."""
+    spec = None if isinstance(spec_or_split, SplitBC) else as_divergence(spec_or_split)
+    split = spec_or_split if spec is None else split_bc(spec)
     B, C = split.B, split.C
     n = B.shape[0]
 
@@ -298,37 +303,45 @@ def check_completely_regular(spec_or_split) -> CompleteRegularityReport:
         pairs = null_space(stacked, rounding_cutoff(stacked))
         proj = preimage @ preimage.conj().T
         A = proj @ pairs[n:] @ np.linalg.pinv(pairs[:n]) @ proj
-    return CompleteRegularityReport(split, verdict, preimage, complement, angles, max_angle, A)
+    return CompleteRegularityReport(spec, split, verdict, preimage, complement, angles, max_angle, A)
+
+
+def as_report(spec_or_report) -> CompleteRegularityReport:
+    """The splitting of a spec, decided here, or a report as it stands;
+    a report must name its spec."""
+    if not isinstance(spec_or_report, CompleteRegularityReport):
+        return check_completely_regular(spec_or_report)
+    if spec_or_report.spec is None:
+        raise SpecError("a report of a SplitBC given directly names no spec")
+    return spec_or_report
 
 
 # ---------------------------------------------------------------------------
 # Quadratic-form identity
 # ---------------------------------------------------------------------------
 
-def verify_form_identity(spec: OperatorSpec, A=None):
+def verify_form_identity(spec_or_report, A=None):
     """Relative residual ||F_strong - F_split||_2 / ||F_strong||_2 of the
     quadratic-form identity, over every admissible y at once.
 
     Both matrices act on the constrained trial space of dimension
-    ``FORM_IDENTITY_DIMENSION``: polynomials of degree below
-    FORM_IDENTITY_DIMENSION + n that satisfy the boundary rows.  F_strong
-    is the Galerkin matrix of (l y, y) from the expanded expression
-    (:func:`regbvp.numrange.galerkin_form`, kept as this reference);
-    F_split is the split form of the module docstring with boundary term
-    (A y_wedge, y_wedge).  ``A`` defaults to
-    ``check_completely_regular(spec).A``; :class:`SpecError` is raised
-    when the splitting is not completely regular (no such A exists then).
+    ``FORM_IDENTITY_DIMENSION`` (polynomials of degree below
+    FORM_IDENTITY_DIMENSION + n that satisfy the boundary rows):
+    F_strong is :func:`regbvp.numrange.galerkin_form`, kept as this
+    reference, and F_split is :func:`regbvp.numrange.split_form`, with
+    boundary term (A y_wedge, y_wedge).  Takes a spec or its report
+    (:func:`as_report`); a given ``A`` replaces the report's, and
+    :class:`SpecError` is raised when there is none (the splitting is
+    not completely regular).
     """
     # numrange imports this module, so it can only be imported at call time
     from . import numrange
 
-    _require_divergence(spec)
-    if A is None:
-        A = check_completely_regular(spec).A
-        if A is None:
-            raise SpecError("the form identity requires a completely regular splitting")
-    dim = FORM_IDENTITY_DIMENSION
-    split = numrange._Splitting(spec, quasi_transition(spec), np.asarray(A, dtype=complex))
-    strong = numrange.galerkin_form(spec, dim)
-    weak = numrange._split_matrix(split, *numrange._jets(split, dim))
+    report = as_report(spec_or_report)
+    if A is not None:
+        report = replace(report, A=np.asarray(A, dtype=complex))
+    if report.A is None:
+        raise SpecError("the form identity requires a completely regular splitting")
+    weak = numrange.split_form(report, FORM_IDENTITY_DIMENSION)
+    strong = numrange.galerkin_form(report.spec, FORM_IDENTITY_DIMENSION)
     return float(np.linalg.norm(strong - weak, 2) / np.linalg.norm(strong, 2))

@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from regbvp import cli, gallery, spectral
+from regbvp import cli, gallery, quasiform, spectral
 from regbvp.model import spec_to_document
 from regbvp.normalize import reduce_total_order
 from regbvp.spectral import EigenRoot
@@ -228,6 +228,34 @@ def test_command_searches_roots_once(argv, annulus, monkeypatch, capsys):
     code, _doc, _ = run_json(capsys, *argv)
     assert code == 0
     assert annuli == [annulus]
+
+
+def _count_calls(monkeypatch, module, name):
+    """Record every call of ``module.name``, under each regbvp module's
+    binding of it."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for loaded in list(sys.modules.values()):
+        if (getattr(loaded, "__name__", "").startswith("regbvp")
+                and getattr(loaded, name, None) is original):
+            monkeypatch.setattr(loaded, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["classify", "numrange", "report"])
+@pytest.mark.parametrize("name", ["robin2", "mixed4"])
+def test_command_decides_splitting_once(command, name, monkeypatch, capsys):
+    checks = _count_calls(monkeypatch, quasiform, "check_completely_regular")
+    transitions = _count_calls(monkeypatch, quasiform, "quasi_transition")
+    code, _doc, _ = run_json(capsys, command, name)
+    assert code == 0
+    assert len(checks) == 1
+    assert len(transitions) == 1
 
 
 def test_spectrum_multiplicities(capsys):

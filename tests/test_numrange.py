@@ -109,6 +109,16 @@ def test_constrained_basis_spans_known_functions():
     assert np.allclose(proj, target, atol=1e-8)
 
 
+def test_constrained_basis_rank_loss_is_a_spec_error():
+    # on polynomials of degree 4 the neumann4 rows (y'' and y''' at both
+    # ends) have rank 3, so a trial space of dimension 1 does not exist
+    spec = gallery.build("neumann4")
+    with pytest.raises(SpecError, match="lose rank"):
+        constrained_basis(spec, 1)
+    with pytest.raises(SpecError, match="lose rank"):
+        support_profile(spec, 1)
+
+
 # ---------------------------------------------------------------------------
 # Galerkin matrix against exact polynomial integration
 # ---------------------------------------------------------------------------
@@ -203,7 +213,7 @@ def test_split_rows_vanish_on_the_basis_endpoint_vectors():
     for spec in specs + _random_divergence_specs():
         spec = as_divergence(spec)
         split = split_bc(spec)
-        _jets, wedge, vee = numrange._jets(numrange._splitting(spec), dim)
+        _jets, wedge, vee = numrange._jets(check_completely_regular(spec), dim)
         residual = np.linalg.norm(split.B @ wedge + split.C @ vee, 2) / (
             np.linalg.norm(np.hstack([split.B, split.C]), 2)
             * np.linalg.norm(np.vstack([wedge, vee]), 2))

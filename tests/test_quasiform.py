@@ -14,6 +14,7 @@ from regbvp.model import (
     ONE,
     ZERO,
     BoundaryRow,
+    ClassicalForm,
     DivergenceForm,
     ModelForm,
     OperatorSpec,
@@ -21,6 +22,7 @@ from regbvp.model import (
     SpecError,
     operator_coefficients,
 )
+from regbvp.numrange import half_plane_verdict
 from regbvp.quasiform import (
     ANGLE_TOL,
     SplitBC,
@@ -132,10 +134,28 @@ def test_quasi_transition_rejects_wrong_expansion(monkeypatch):
 
 
 def test_quasi_transition_requires_divergence_form():
-    spec = OperatorSpec(2, ModelForm(),
+    spec = OperatorSpec(2, ClassicalForm(),
                         (make_row(2, a=((0, 1),)), make_row(2, b=((0, 1),))))
     with pytest.raises(SpecError):
         quasi_transition(spec)
+
+
+def test_model_form_splits_like_its_divergence_form():
+    """An even-order model form is rewritten in divergence form: with
+    dirichlet2's rows it gives dirichlet2's splitting, bit for bit."""
+    reference = gallery.build("dirichlet2")
+    model = OperatorSpec(2, ModelForm(), reference.rows)
+    expected = check_completely_regular(reference)
+    report = check_completely_regular(model)
+    assert report.spec == reference
+    for name in ("B", "C"):
+        assert np.array_equal(getattr(split_bc(model), name), getattr(expected.split, name))
+        assert np.array_equal(getattr(report.split, name), getattr(expected.split, name))
+    for name in ("at_zero", "at_one"):
+        assert np.array_equal(getattr(quasi_transition(model), name),
+                              getattr(expected.split.transition, name))
+    assert np.array_equal(report.A, expected.A)
+    assert verify_form_identity(model) == verify_form_identity(reference)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +359,24 @@ def test_form_identity_with_explicit_matrix():
     # does not vanish (Dirichlet admissible functions hide any A)
     bad = verify_form_identity(gallery.build("robin2"), A=np.zeros((2, 2)))
     assert bad > 1e-3
+
+
+def test_form_identity_reads_a_report():
+    spec = gallery.build("robin2")
+    report = check_completely_regular(spec)
+    assert verify_form_identity(report) == verify_form_identity(spec)
+    # a given A replaces the report's, as it does for a spec
+    wrong = np.zeros((2, 2))
+    assert verify_form_identity(report, A=wrong) == verify_form_identity(spec, A=wrong)
+
+
+def test_report_without_spec_is_rejected():
+    report = check_completely_regular(split_bc(gallery.build("robin2")))
+    assert report.spec is None and report.completely_regular
+    with pytest.raises(SpecError):
+        verify_form_identity(report)
+    with pytest.raises(SpecError):
+        half_plane_verdict(report)
 
 
 def test_form_identity_left_side_oracle(rng):
