@@ -1,0 +1,171 @@
+"""Exact shifted-Legendre calculus on the polynomial trial space.
+
+The trial space is spanned by the orthonormal shifted Legendre
+polynomials phi_k(x) = sqrt(2k + 1) P_k(2x - 1) on [0, 1], and the
+boundary rows become linear constraints on the coefficients
+(:func:`constrained_basis`).  Every integral is exact in coefficient
+space: the basis is orthonormal, so (f, g) is the inner product of
+coefficient vectors, a derivative is a triangular matrix
+(:func:`derivative_matrix`) and a polynomial coefficient acts through
+the three-term recurrence of x (:func:`multiplication`).  No quadrature
+is involved (numpy's Gauss-Legendre weights carry relative errors up to
+about 1e-11 at these sizes).  This is the Legendre-Galerkin setting of
+Shen (SIAM J. Sci. Comput. 15, 1994) and of the coefficient-space
+operators of Olver and Townsend (SIAM Review 55, 2013).
+
+:func:`galerkin_form` assembles the strong form (l phi_k, phi_i) =
+sum_j (c_j phi_k^(j), phi_i) with these exact operators, and is kept
+only as the reference side of the form identity check
+(:func:`regbvp.quasiform.verify_form_identity`): it takes n derivatives
+of the basis and has no boundary term.  ``tests/oracles.py`` integrates
+it symbolically.  The split assembly that the numerical range uses is
+:func:`regbvp.quasiform.split_form`.
+"""
+
+import numpy as np
+
+from .model import OperatorSpec, SpecError, operator_coefficients
+
+__all__ = [
+    "column_space",
+    "null_space",
+    "rounding_cutoff",
+    "endpoint_jets",
+    "derivative_matrix",
+    "multiplication",
+    "constrained_basis",
+    "galerkin_form",
+]
+
+SV_CUTOFF = 1e-10
+
+
+def _rank(s, cutoff):
+    """How many of the descending singular values ``s`` exceed ``cutoff`` times the largest."""
+    return int(np.sum(s > cutoff * s[0])) if s.size else 0
+
+
+def column_space(mat, cutoff=SV_CUTOFF):
+    u, s, _ = np.linalg.svd(mat)
+    return u[:, :_rank(s, cutoff)]
+
+
+def null_space(mat, cutoff=SV_CUTOFF):
+    """Orthonormal basis of the kernel of ``mat``, as C-contiguous columns.
+
+    Singular values up to ``cutoff`` times the largest count as zero; the
+    kernel of a zero matrix is the exact identity.
+    """
+    _, s, vh = np.linalg.svd(mat)
+    rank = _rank(s, cutoff)
+    if rank == 0:
+        return np.eye(mat.shape[1], dtype=complex)
+    return np.ascontiguousarray(vh[rank:].conj().T)
+
+
+def rounding_cutoff(mat):
+    """Relative singular-value cutoff at the rounding level of ``mat``."""
+    return np.finfo(float).eps * max(mat.shape)
+
+
+def _legendre_norms(count):
+    # shifted Legendre: integral of P_k(2x-1)^2 over [0,1] is 1/(2k+1)
+    return np.sqrt(2.0 * np.arange(count) + 1.0)
+
+
+def endpoint_jets(count, orders):
+    """phi_k^(j)(x) for x in {0, 1}; returns (at0, at1) of shape (orders, count).
+
+    Closed form: P_k^(j)(1) = prod_{i<j} (k(k+1) - i(i+1)) / (2(i+1)) and
+    P_k^(j)(-1) = (-1)^(k+j) P_k^(j)(1), with each factor doubled by
+    d/dx = 2 d/dt.  (Clenshaw sums at -1 alternate in sign and lose digits
+    at high degree.)
+    """
+    k = np.arange(count, dtype=float)
+    at1 = np.empty((orders, count))
+    value = _legendre_norms(count)
+    for j in range(orders):
+        if j:
+            value = value * (k * (k + 1) - (j - 1) * j) / j
+        at1[j] = value
+    sign = (-1.0) ** (np.arange(orders)[:, None] + k[None, :])
+    return sign * at1, at1
+
+
+def derivative_matrix(count, order):
+    """Column k: orthonormal coefficients of phi_k^(order) (upper triangular),
+    the order-th power of d/dx phi_k = sum over j < k with k - j odd of
+    2 sqrt(2j + 1) sqrt(2k + 1) phi_j."""
+    j, k = np.ogrid[:count, :count]
+    norms = _legendre_norms(count)
+    step = np.where((j < k) & ((k - j) % 2 == 1), 2.0 * np.outer(norms, norms), 0.0)
+    return np.linalg.matrix_power(step, order)
+
+
+def multiplication(poly, count):
+    """Rows and columns < count of the map y -> poly * y on orthonormal
+    coefficients, exactly: x phi_k = b_{k+1} phi_{k+1} + phi_k / 2
+    + b_k phi_{k-1} with b_k = k / (2 sqrt(4 k^2 - 1)), by Horner's rule."""
+    coeffs = poly.coeffs
+    size = count + poly.degree
+    k = np.arange(1.0, size)
+    off = (k / (2.0 * np.sqrt(4.0 * k * k - 1.0)))[:, None]
+    eye = np.eye(size, count)
+    out = coeffs[-1] * eye
+    for c in coeffs[-2::-1]:
+        prod = 0.5 * out
+        prod[:-1] += off * out[1:]
+        prod[1:] += off * out[:-1]
+        out = prod + c * eye
+    return out[:count]
+
+
+def constrained_basis(spec: OperatorSpec, dim):
+    """Orthonormal basis of {deg < dim + n polynomials with U_j(y) = 0}.
+
+    Returns a (dim + n, dim) matrix of shifted-Legendre coefficients whose
+    columns are orthonormal in L2(0, 1).  The subspace for a smaller dim
+    is contained in the subspace for a larger one.
+
+    The row entries grow like k^(2s) with the degree k, so the kernel is
+    taken after scaling every column to unit maximum and orthonormalized
+    afterwards: an SVD of the unscaled rows has a backward error of
+    eps times the largest entry, which tilts the subspace enough to move
+    the numerical-range minima of ``mixed4`` by 15 eps ||F_N||.  Columns
+    that no row sees (1 and x under free-beam rows) are kept as exact
+    unit vectors, ahead of the others, so that QR leaves them exact.
+    """
+    n = spec.order
+    if dim < 1:
+        raise ValueError("dimension must be positive")
+    count = dim + n
+    at0, at1 = endpoint_jets(count, n)
+    rows = np.empty((n, count), dtype=complex)
+    for j, row in enumerate(spec.rows):
+        rows[j] = np.asarray(row.a) @ at0 + np.asarray(row.b) @ at1
+    rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    largest = np.abs(rows).max(axis=0)
+    seen = largest > 0
+    columns = 1.0 / np.where(seen, largest, 1.0)
+    kernel = null_space(rows[:, seen] * columns[seen], rounding_cutoff(rows))
+    unseen = np.flatnonzero(~seen)
+    if unseen.size + kernel.shape[1] != dim:
+        raise SpecError(
+            f"boundary rows lose rank on the polynomial trial space "
+            f"(got a subspace of dimension {unseen.size + kernel.shape[1]}, expected {dim})")
+    full = np.zeros((count, dim), dtype=complex)
+    full[unseen, np.arange(unseen.size)] = 1.0
+    full[seen, unseen.size:] = kernel
+    return np.ascontiguousarray(np.linalg.qr(columns[:, None] * full)[0])
+
+
+def galerkin_form(spec: OperatorSpec, dim):
+    """The dim x dim matrix of (l phi_k, phi_i) on the constrained basis,
+    from the strong form sum_j c_j y^(j), exactly in coefficient space."""
+    count = dim + spec.order
+    form = np.zeros((count, count), dtype=complex)
+    for j, c in enumerate(operator_coefficients(spec)):
+        if c:
+            form += multiplication(c, count) @ derivative_matrix(count, j)
+    basis = constrained_basis(spec, dim)
+    return basis.conj().T @ form @ basis

@@ -11,33 +11,11 @@ containment of the form values in a half-plane, while minima that keep
 growing under dimension doubling indicate that the values fill the whole
 plane.
 
-Split assembly.  The Galerkin matrix F_N of (l phi_k, phi_i) has one
-assembly path, the quadratic-form identity of :mod:`regbvp.quasiform`,
-
-    (l y, y) = sum_k [ (p_k y^(k), y^(k)) + (q_k y^(k), y^(k-1))
-                       - (r_k y^(k-1), y^(k)) ] + (p_0 y, y) + (y_vee, y_wedge),
-
-which needs no derivative above order m = n/2, only an even-order
-divergence or model form (any other spec raises SpecError).  It reads
-the transition and A of the :func:`regbvp.quasiform.check_completely_regular`
-report, which :func:`split_form`, :func:`support_profile` and
-:func:`half_plane_verdict` take in place of a spec.  Every integral is
-exact in coefficient space: the basis is orthonormal, so
-(f, g) is the inner product of coefficient vectors, a derivative is a
-triangular matrix and a polynomial coefficient acts through the
-three-term recurrence of x.  No quadrature is involved (numpy's
-Gauss-Legendre weights carry relative errors up to about 1e-11 at these
-sizes).  The boundary term is (A y_wedge, y_wedge) when the splitting is
-completely regular and (y_vee, y_wedge) otherwise: on a completely
-regular trial space y_vee is A y_wedge, but computed from the basis it
-carries rounding noise that can exceed eps ||F_N|| (55 times over for
-the free beam at N = 64, where y_vee = 0 and y_wedge is large).
-:func:`galerkin_form` assembles the strong form (l phi_k, phi_i) =
-sum_j (c_j phi_k^(j), phi_i) with the same exact operators and no
-quadrature either, and is kept only as the reference side of the form
-identity check (:func:`regbvp.quasiform.verify_form_identity`): it
-takes n derivatives of the basis and has no boundary term.
-``tests/oracles.py`` integrates it symbolically.
+Assembly.  F_N is :func:`regbvp.quasiform.split_form` (a spec with no
+even-order divergence or model form raises SpecError), which this module
+re-exports with :func:`constrained_basis` and :func:`galerkin_form`;
+:func:`support_profile` and :func:`half_plane_verdict` take the report
+of :func:`regbvp.quasiform.check_completely_regular` in place of a spec.
 
 Support functions.  A sum of squares (q = r = 0, every p_k a nonnegative
 constant) with a completely regular splitting and a positive
@@ -68,10 +46,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import legendre
 
-from .model import OperatorSpec, SpecError, operator_coefficients
-from .quasiform import as_report, null_space, rounding_cutoff, wedge_vee
+from .legendre import constrained_basis, galerkin_form, rounding_cutoff
+from .quasiform import as_report, split_form, split_jets
 
 __all__ = [
     "SupportProfile",
@@ -125,111 +102,6 @@ class HalfPlaneReport:
     profiles: tuple
 
 
-def _legendre_norms(count):
-    # shifted Legendre: integral of P_k(2x-1)^2 over [0,1] is 1/(2k+1)
-    return np.sqrt(2.0 * np.arange(count) + 1.0)
-
-
-def _endpoint_jets(count, orders):
-    """phi_k^(j)(x) for x in {0, 1}; returns (at0, at1) of shape (orders, count).
-
-    Closed form: P_k^(j)(1) = prod_{i<j} (k(k+1) - i(i+1)) / (2(i+1)) and
-    P_k^(j)(-1) = (-1)^(k+j) P_k^(j)(1), with each factor doubled by
-    d/dx = 2 d/dt.  (Clenshaw sums at -1 alternate in sign and lose digits
-    at high degree.)
-    """
-    k = np.arange(count, dtype=float)
-    at1 = np.empty((orders, count))
-    value = _legendre_norms(count)
-    for j in range(orders):
-        if j:
-            value = value * (k * (k + 1) - (j - 1) * j) / j
-        at1[j] = value
-    sign = (-1.0) ** (np.arange(orders)[:, None] + k[None, :])
-    return sign * at1, at1
-
-
-def constrained_basis(spec: OperatorSpec, dim):
-    """Orthonormal basis of {deg < dim + n polynomials with U_j(y) = 0}.
-
-    Returns a (dim + n, dim) matrix of shifted-Legendre coefficients whose
-    columns are orthonormal in L2(0, 1).  The subspace for a smaller dim
-    is contained in the subspace for a larger one.
-
-    The row entries grow like k^(2s) with the degree k, so the kernel is
-    taken after scaling every column to unit maximum and orthonormalized
-    afterwards: an SVD of the unscaled rows has a backward error of
-    eps times the largest entry, which tilts the subspace enough to move
-    the numerical-range minima of ``mixed4`` by 15 eps ||F_N||.  Columns
-    that no row sees (1 and x under free-beam rows) are kept as exact
-    unit vectors, ahead of the others, so that QR leaves them exact.
-    """
-    n = spec.order
-    if dim < 1:
-        raise ValueError("dimension must be positive")
-    count = dim + n
-    at0, at1 = _endpoint_jets(count, n)
-    rows = np.empty((n, count), dtype=complex)
-    for j, row in enumerate(spec.rows):
-        rows[j] = np.asarray(row.a) @ at0 + np.asarray(row.b) @ at1
-    rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-    largest = np.abs(rows).max(axis=0)
-    seen = largest > 0
-    columns = 1.0 / np.where(seen, largest, 1.0)
-    kernel = null_space(rows[:, seen] * columns[seen], rounding_cutoff(rows))
-    unseen = np.flatnonzero(~seen)
-    if unseen.size + kernel.shape[1] != dim:
-        raise SpecError(
-            f"boundary rows lose rank on the polynomial trial space "
-            f"(got a subspace of dimension {unseen.size + kernel.shape[1]}, expected {dim})")
-    full = np.zeros((count, dim), dtype=complex)
-    full[unseen, np.arange(unseen.size)] = 1.0
-    full[seen, unseen.size:] = kernel
-    return np.ascontiguousarray(np.linalg.qr(columns[:, None] * full)[0])
-
-
-def galerkin_form(spec: OperatorSpec, dim):
-    """The dim x dim matrix of (l phi_k, phi_i) on the constrained basis,
-    from the strong form sum_j c_j y^(j), exactly in coefficient space."""
-    count = dim + spec.order
-    form = np.zeros((count, count), dtype=complex)
-    for j, c in enumerate(operator_coefficients(spec)):
-        if c:
-            form += _multiplication(c, count) @ _derivative_matrix(count, j)
-    basis = constrained_basis(spec, dim)
-    return basis.conj().T @ form @ basis
-
-
-# ---------------------------------------------------------------------------
-# Split assembly
-# ---------------------------------------------------------------------------
-
-def _derivative_matrix(count, order):
-    """Column k: orthonormal coefficients of phi_k^(order) (upper triangular)."""
-    norms = _legendre_norms(count)
-    out = np.zeros((count, count))
-    out[:count - order] = legendre.legder(np.diag(norms), order, scl=2.0, axis=0)
-    return out / norms[:, None]
-
-
-def _multiplication(poly, count):
-    """Rows and columns < count of the map y -> poly * y on orthonormal
-    coefficients, exactly: x phi_k = b_{k+1} phi_{k+1} + phi_k / 2
-    + b_k phi_{k-1} with b_k = k / (2 sqrt(4 k^2 - 1)), by Horner's rule."""
-    coeffs = poly.coeffs
-    size = count + poly.degree
-    k = np.arange(1.0, size)
-    off = (k / (2.0 * np.sqrt(4.0 * k * k - 1.0)))[:, None]
-    eye = np.eye(size, count)
-    out = coeffs[-1] * eye
-    for c in coeffs[-2::-1]:
-        prod = 0.5 * out
-        prod[:-1] += off * out[1:]
-        prod[1:] += off * out[:-1]
-        out = prod + c * eye
-    return out[:count]
-
-
 def _factor(report):
     """(root, defect) with A = root^H root up to defect = ||A - root^H
     root||_2 on the factored path (module docstring); None off it."""
@@ -248,51 +120,6 @@ def _factor(report):
     return root, defect
 
 
-def _jets(report, dim):
-    """Derivative jets Y_0..Y_m and endpoint blocks (wedge, vee) of the
-    constrained basis: Y_j holds the orthonormal coefficients of the
-    basis functions' j-th derivatives, wedge and vee their y_wedge and
-    y_vee vectors."""
-    spec = report.spec
-    m = spec.form.m
-    n = spec.order
-    count = dim + n
-    basis = constrained_basis(spec, dim)
-    jets = [basis] + [_derivative_matrix(count, j) @ basis for j in range(1, m + 1)]
-    at0, at1 = _endpoint_jets(count, n)
-    wedge, vee = wedge_vee(report.split.transition.at_zero @ (at0 @ basis),
-                           report.split.transition.at_one @ (at1 @ basis))
-    return jets, wedge, vee
-
-
-def _split_matrix(report, jets, wedge, vee):
-    form = report.spec.form
-    count = jets[0].shape[0]
-
-    def term(poly, left, right):
-        if poly.degree == 0:
-            return poly.coeffs[0] * (left.conj().T @ right)
-        return left.conj().T @ (_multiplication(poly, count) @ right)
-
-    out = wedge.conj().T @ (vee if report.A is None else report.A @ wedge)
-    for k in range(form.m + 1):
-        if form.p[k]:
-            out = out + term(form.p[k], jets[k], jets[k])
-        if form.q[k]:
-            out = out + term(form.q[k], jets[k - 1], jets[k])
-        if form.r[k]:
-            out = out - term(form.r[k], jets[k], jets[k - 1])
-    return out
-
-
-def split_form(spec_or_report, dim):
-    """The dim x dim matrix of (l phi_k, phi_i), assembled from the split
-    quadratic form of a spec or a report; equals :func:`galerkin_form`
-    up to rounding."""
-    report = as_report(spec_or_report)
-    return _split_matrix(report, *_jets(report, dim))
-
-
 # ---------------------------------------------------------------------------
 # Support functions
 # ---------------------------------------------------------------------------
@@ -308,14 +135,14 @@ def support_function(form, theta):
 def _support(report, dim, angles):
     """(sigma_dim over ``angles``, error bound of its minimum)."""
     scale = (dim + report.spec.order) * EPS
-    jets, wedge, vee = _jets(report, dim)
     factor = _factor(report)
     if factor is None:
-        form = _split_matrix(report, jets, wedge, vee)
+        form = split_form(report, dim)
         return (tuple(support_function(form, theta) for theta in angles),
                 scale * float(np.linalg.norm(form, 2)))
     # F = G^H G: sigma(theta) = cos(theta) * (s_max^2 where cos >= 0, else s_min^2)
     root, defect = factor
+    jets, wedge, vee = split_jets(report, dim)
     p = report.spec.form.p
     blocks = [math.sqrt(p[k].coeffs[0].real) * jets[k] for k in range(len(p)) if p[k]]
     sv = np.linalg.svd(np.vstack(blocks + [root @ wedge]), compute_uv=False)

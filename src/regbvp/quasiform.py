@@ -25,12 +25,32 @@ the module constant ``ANGLE_TOL``.  Specs come in an even-order
 divergence or model form (any other raises SpecError); the report of
 :func:`check_completely_regular` is the one splitting that
 :mod:`regbvp.numrange` and :func:`verify_form_identity` read.
+
+Split assembly.  :func:`split_form` is the one assembly path of the
+Galerkin matrix F_N of (l phi_k, phi_i) on the constrained trial space of
+:mod:`regbvp.legendre`.  It needs no derivative above order m = n/2 and
+reads the transition and A of a report.  The boundary term is
+(A y_wedge, y_wedge) when the splitting is completely regular and
+(y_vee, y_wedge) otherwise: on a completely regular trial space y_vee is
+A y_wedge, but computed from the basis it carries rounding noise that can
+exceed eps ||F_N|| (55 times over for the free beam at N = 64, where
+y_vee = 0 and y_wedge is large).
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .legendre import (
+    column_space,
+    constrained_basis,
+    derivative_matrix,
+    endpoint_jets,
+    galerkin_form,
+    multiplication,
+    null_space,
+    rounding_cutoff,
+)
 from .model import (
     ZERO,
     DivergenceForm,
@@ -50,10 +70,11 @@ __all__ = [
     "wedge_vee",
     "split_bc",
     "check_completely_regular",
+    "split_jets",
+    "split_form",
     "verify_form_identity",
 ]
 
-SV_CUTOFF = 1e-10
 ANGLE_TOL = 1e-8
 RECURRENCE_TOL = 1e-12
 # Trial-space dimension of verify_form_identity: its polynomials reach
@@ -210,31 +231,6 @@ def split_bc(spec: OperatorSpec) -> SplitBC:
 # Complete regularity
 # ---------------------------------------------------------------------------
 
-def _column_space(mat, cutoff=SV_CUTOFF):
-    u, s, _ = np.linalg.svd(mat)
-    if s.size == 0 or s[0] == 0:
-        return u[:, :0]
-    rank = int(np.sum(s > cutoff * s[0]))
-    return u[:, :rank]
-
-
-def null_space(mat, cutoff=SV_CUTOFF):
-    """Orthonormal basis of the kernel of ``mat``, as C-contiguous columns.
-
-    Singular values up to ``cutoff`` times the largest count as zero.
-    """
-    u, s, vh = np.linalg.svd(mat)
-    if s.size == 0 or s[0] == 0:
-        return np.eye(mat.shape[1], dtype=complex)
-    rank = int(np.sum(s > cutoff * s[0]))
-    return np.ascontiguousarray(vh[rank:].conj().T)
-
-
-def rounding_cutoff(mat):
-    """Relative singular-value cutoff at the rounding level of ``mat``."""
-    return np.finfo(float).eps * max(mat.shape)
-
-
 def _max_angle(basis1, basis2):
     """Principal angles between two column spaces (largest first) and
     their maximum.
@@ -248,8 +244,8 @@ def _max_angle(basis1, basis2):
         return np.array([]), 0.0
     if d1 == 0 or d2 == 0:
         return np.array([np.pi / 2]), np.pi / 2
-    q1 = _column_space(basis1, rounding_cutoff(basis1))
-    q2 = _column_space(basis2, rounding_cutoff(basis2))
+    q1 = column_space(basis1, rounding_cutoff(basis1))
+    q2 = column_space(basis2, rounding_cutoff(basis2))
     if q1.shape[1] < q2.shape[1]:
         q1, q2 = q2, q1
     cross = q1.conj().T @ q2
@@ -286,11 +282,11 @@ def check_completely_regular(spec_or_split) -> CompleteRegularityReport:
     B, C = split.B, split.C
     n = B.shape[0]
 
-    im_c = _column_space(C)
+    im_c = column_space(C)
     # B^{-1}(im C) = kernel of (projector onto (im C)^perp) @ B
     proj_perp = np.eye(n, dtype=complex) - im_c @ im_c.conj().T
     preimage = null_space(proj_perp @ B)
-    complement = _column_space(C.conj().T)  # (ker C)^perp = range C^H
+    complement = column_space(C.conj().T)  # (ker C)^perp = range C^H
 
     angles, max_angle = _max_angle(preimage, complement)
     verdict = preimage.shape[1] == complement.shape[1] and max_angle <= ANGLE_TOL
@@ -320,6 +316,51 @@ def as_report(spec_or_report) -> CompleteRegularityReport:
 # Quadratic-form identity
 # ---------------------------------------------------------------------------
 
+def split_jets(report, dim):
+    """Derivative jets Y_0..Y_m and endpoint blocks (wedge, vee) of the
+    constrained basis: Y_j holds the orthonormal coefficients of the
+    basis functions' j-th derivatives, wedge and vee their y_wedge and
+    y_vee vectors."""
+    spec = report.spec
+    m = spec.form.m
+    n = spec.order
+    count = dim + n
+    basis = constrained_basis(spec, dim)
+    jets = [basis] + [derivative_matrix(count, j) @ basis for j in range(1, m + 1)]
+    at0, at1 = endpoint_jets(count, n)
+    wedge, vee = wedge_vee(report.split.transition.at_zero @ (at0 @ basis),
+                           report.split.transition.at_one @ (at1 @ basis))
+    return jets, wedge, vee
+
+
+def _split_matrix(report, jets, wedge, vee):
+    form = report.spec.form
+    count = jets[0].shape[0]
+
+    def term(poly, left, right):
+        if poly.degree == 0:
+            return poly.coeffs[0] * (left.conj().T @ right)
+        return left.conj().T @ (multiplication(poly, count) @ right)
+
+    out = wedge.conj().T @ (vee if report.A is None else report.A @ wedge)
+    for k in range(form.m + 1):
+        if form.p[k]:
+            out = out + term(form.p[k], jets[k], jets[k])
+        if form.q[k]:
+            out = out + term(form.q[k], jets[k - 1], jets[k])
+        if form.r[k]:
+            out = out - term(form.r[k], jets[k], jets[k - 1])
+    return out
+
+
+def split_form(spec_or_report, dim):
+    """The dim x dim matrix of (l phi_k, phi_i), assembled from the split
+    quadratic form of a spec or a report; equals
+    :func:`regbvp.legendre.galerkin_form` up to rounding."""
+    report = as_report(spec_or_report)
+    return _split_matrix(report, *split_jets(report, dim))
+
+
 def verify_form_identity(spec_or_report, A=None):
     """Relative residual ||F_strong - F_split||_2 / ||F_strong||_2 of the
     quadratic-form identity, over every admissible y at once.
@@ -327,21 +368,18 @@ def verify_form_identity(spec_or_report, A=None):
     Both matrices act on the constrained trial space of dimension
     ``FORM_IDENTITY_DIMENSION`` (polynomials of degree below
     FORM_IDENTITY_DIMENSION + n that satisfy the boundary rows):
-    F_strong is :func:`regbvp.numrange.galerkin_form`, kept as this
-    reference, and F_split is :func:`regbvp.numrange.split_form`, with
-    boundary term (A y_wedge, y_wedge).  Takes a spec or its report
+    F_strong is :func:`regbvp.legendre.galerkin_form`, kept as this
+    reference, and F_split is :func:`split_form`, with boundary term
+    (A y_wedge, y_wedge).  Takes a spec or its report
     (:func:`as_report`); a given ``A`` replaces the report's, and
     :class:`SpecError` is raised when there is none (the splitting is
     not completely regular).
     """
-    # numrange imports this module, so it can only be imported at call time
-    from . import numrange
-
     report = as_report(spec_or_report)
     if A is not None:
         report = replace(report, A=np.asarray(A, dtype=complex))
     if report.A is None:
         raise SpecError("the form identity requires a completely regular splitting")
-    weak = numrange.split_form(report, FORM_IDENTITY_DIMENSION)
-    strong = numrange.galerkin_form(report.spec, FORM_IDENTITY_DIMENSION)
+    weak = split_form(report, FORM_IDENTITY_DIMENSION)
+    strong = galerkin_form(report.spec, FORM_IDENTITY_DIMENSION)
     return float(np.linalg.norm(strong - weak, 2) / np.linalg.norm(strong, 2))

@@ -522,6 +522,53 @@ def test_package_draws_no_random_numbers():
     assert _random_sources(probe) == ["random", "numpy.random", "np.random"]
 
 
+def _package_imports(tree, modules):
+    """Modules of the package that a syntax tree imports anywhere in it
+    (``from .x import``, ``from . import x``, ``regbvp.x``); a name that is
+    no module of the package stands for ``__init__``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            paths = [a.name.split(".")[1:] for a in node.names
+                     if a.name.split(".")[0] == "regbvp"]
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("regbvp")):
+            parts = (node.module or "").split(".")
+            path = parts[1:] if node.level == 0 else [part for part in parts if part]
+            paths = [path] if path else [[a.name] for a in node.names]
+        else:
+            continue
+        found |= {path[0] if path and path[0] in modules else "__init__" for path in paths}
+    return found
+
+
+def test_package_imports_run_one_way():
+    """Every import of the package sits at module level, the module import
+    graph is acyclic, and ``legendre`` reads nothing of the package but
+    ``model``: the exact trial-space calculus is the bottom layer that
+    ``quasiform`` and ``numrange`` build on."""
+    package = os.path.dirname(cli.__file__)
+    trees = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as handle:
+                trees[name[:-3]] = ast.parse(handle.read())
+    nested = [f"{name}.{node.name}" for name, tree in trees.items() for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and any(isinstance(inner, (ast.Import, ast.ImportFrom)) for inner in ast.walk(node))]
+    assert nested == []
+    graph = {name: _package_imports(tree, trees) for name, tree in trees.items()}
+    assert graph["legendre"] == {"model"}
+    left = dict(graph)
+    while left:
+        ready = [name for name, imports in left.items() if not imports & left.keys()]
+        assert ready, f"import cycle among {sorted(left)}"
+        for name in ready:
+            del left[name]
+    probe = ast.parse("from . import numrange, __version__\nfrom .model import Poly\n"
+                      "import regbvp.spectral\nfrom regbvp import cli\nimport numpy")
+    assert _package_imports(probe, trees) == {"numrange", "__init__", "model", "spectral", "cli"}
+
+
 def test_every_export_resolves():
     """Each name in the ``__all__`` of the package and of every module
     exists: a stale export left by a deletion breaks ``from regbvp import *``

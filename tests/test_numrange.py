@@ -9,7 +9,7 @@ from numpy.polynomial import legendre as L
 from numpy.polynomial.polynomial import Polynomial
 
 from oracles import inner_01
-from regbvp import gallery, numrange
+from regbvp import gallery
 from regbvp.model import (
     ONE,
     ZERO,
@@ -32,7 +32,8 @@ from regbvp.numrange import (
     support_function,
     support_profile,
 )
-from regbvp.quasiform import check_completely_regular, split_bc
+from regbvp.legendre import derivative_matrix, endpoint_jets
+from regbvp.quasiform import check_completely_regular, split_bc, split_jets
 
 EPS = np.finfo(float).eps
 
@@ -122,6 +123,24 @@ def test_constrained_basis_rank_loss_is_a_spec_error():
 # ---------------------------------------------------------------------------
 # Galerkin matrix against exact polynomial integration
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("count", [8, 33, 132])
+def test_derivative_matrix_closed_form_matches_legder(count):
+    """The powers of the closed-form step d/dx phi_k = sum over odd k - j
+    of 2 sqrt(2j + 1) sqrt(2k + 1) phi_j agree with numpy's Legendre
+    differentiation (the oracle here) to a few ulps per entry, with the
+    same zero pattern."""
+    norms = np.sqrt(2.0 * np.arange(count) + 1.0)
+    for order in range(5):
+        want = np.zeros((count, count))
+        want[:count - order] = L.legder(np.diag(norms), order, scl=2.0, axis=0)
+        want /= norms[:, None]
+        got = derivative_matrix(count, order)
+        assert np.array_equal(got != 0, want != 0), order
+        nonzero = want != 0
+        ulps = np.abs(got - want)[nonzero] / np.spacing(np.abs(want[nonzero]))
+        assert ulps.max(initial=0.0) <= 16, (order, ulps.max())
+
 
 @pytest.mark.parametrize("name", ["dirichlet2", "robin2", "mixed4"])
 def test_galerkin_matrix_matches_symbolic_integration(name):
@@ -213,11 +232,11 @@ def test_split_rows_vanish_on_the_basis_endpoint_vectors():
     for spec in specs + _random_divergence_specs():
         spec = as_divergence(spec)
         split = split_bc(spec)
-        _jets, wedge, vee = numrange._jets(check_completely_regular(spec), dim)
+        _jets, wedge, vee = split_jets(check_completely_regular(spec), dim)
         residual = np.linalg.norm(split.B @ wedge + split.C @ vee, 2) / (
             np.linalg.norm(np.hstack([split.B, split.C]), 2)
             * np.linalg.norm(np.vstack([wedge, vee]), 2))
-        at0, at1 = numrange._endpoint_jets(dim + spec.order, spec.order)
+        at0, at1 = endpoint_jets(dim + spec.order, spec.order)
         basis = constrained_basis(spec, dim)
         rows = np.array([row.a + row.b for row in spec.rows], dtype=complex)
         jets = np.vstack([at0 @ basis, at1 @ basis])
