@@ -14,7 +14,6 @@ values), 1 runtime failure.
 """
 
 import argparse
-import cmath
 import json
 import math
 import os
@@ -213,8 +212,10 @@ def classification_document(spec, nbc, report, tol=None):
     }
     if report.completely_regular:
         fragment["boundary_form"] = [list(row) for row in report.A]
+        # the (N + n) eps rounding model of numrange, N the trial dimension
+        floor = (quasiform.FORM_IDENTITY_DIMENSION + spec.order) * sys.float_info.epsilon
         residual = quasiform.verify_form_identity(report)
-        fragment["form_identity_residual"] = _decade_above(max(residual, sys.float_info.epsilon))
+        fragment["form_identity_residual"] = _decade_above(max(residual, floor))
         fragment["form_identity_dimension"] = quasiform.FORM_IDENTITY_DIMENSION
     else:
         fragment["boundary_form"] = None
@@ -222,10 +223,11 @@ def classification_document(spec, nbc, report, tol=None):
     return doc
 
 
-def _omega_sectors(n):
-    """The omega-sectors of opening epsilon = pi / (4 n) around the
-    critical rays; their bisectors are the candidate scan rays."""
-    return geometry.omega_sectors(n, math.pi / (4 * n))
+def _sector_opening(n):
+    """The opening epsilon = pi / (4 n) of the sectors removed around the
+    critical rays; the bisectors of the omega-sectors that remain are the
+    candidate scan rays."""
+    return math.pi / (4 * n)
 
 
 def spectrum_document(nbc, roots, rmax=DEFAULT_RMAX, sector=None):
@@ -238,12 +240,11 @@ def spectrum_document(nbc, roots, rmax=DEFAULT_RMAX, sector=None):
     groups = spectral.bracket_groups(reps)
     sizes = [sum(r.multiplicity for r in g) for g in groups]
 
-    sectors = _omega_sectors(n)
-    epsilon = sectors.epsilon
+    epsilon = _sector_opening(n)
+    sectors = geometry.omega_sectors(n, epsilon)
     rarity = []
-    for lo, hi in sectors.sectors:
-        moduli = sorted(abs(r.rho) for r in reps
-                        if geometry.SectorSet(((lo, hi),), epsilon).contains(cmath.phase(r.rho)))
+    for lo, hi in sectors:
+        moduli = sorted(abs(r.rho) for r in spectral.roots_in(reps, (0.0, math.inf), (lo, hi)))
         rarity.append({
             "sector": [lo, hi],
             "count": len(moduli),
@@ -251,16 +252,16 @@ def spectrum_document(nbc, roots, rmax=DEFAULT_RMAX, sector=None):
         })
 
     delta = spectral.CLEARANCE_DELTA
-    disks = geometry.DiskSet(tuple(r.rho for r in roots), delta)
+    centers = [r.rho for r in roots]
     r_probe = max(rmax - 2 * delta, r_min)
     rays = []
-    for angle in geometry.critical_rays(n).angles:
+    for angle in geometry.critical_rays(n):
         rays.append({"angle": angle, "kind": "critical",
-                     "exit": geometry.ray_clearance(angle, disks, r_probe)})
-    for lo, hi in sectors.sectors:
+                     "exit": geometry.ray_clearance(angle, centers, delta, r_probe)})
+    for lo, hi in sectors:
         mid = 0.5 * (lo + hi)
         rays.append({"angle": mid, "kind": "bisector",
-                     "exit": geometry.ray_clearance(mid, disks, r_probe)})
+                     "exit": geometry.ray_clearance(mid, centers, delta, r_probe)})
     rays.sort(key=lambda item: item["angle"])
 
     return {
@@ -284,7 +285,7 @@ def _choose_ray(nbc, rmin, rmax, roots):
     """First omega-sector bisector whose ray passes the clearance check
     against ``roots``."""
     errors = []
-    for lo, hi in _omega_sectors(nbc.n).sectors:
+    for lo, hi in geometry.omega_sectors(nbc.n, _sector_opening(nbc.n)):
         mid = 0.5 * (lo + hi)
         try:
             spectral.ray_clearance_check(roots, mid, rmin, rmax)

@@ -4,18 +4,19 @@ Eigenvalue parameters rho of an order-n problem cluster along finitely
 many critical rays: the directions phi where some exponent i*eps_k*rho
 (eps_k an n-th root of unity) becomes purely imaginary, i.e.
 Re(i eps_k e^{i phi}) = 0.  Between those rays, resolvent bounds hold
-uniformly; this module supplies the supporting set operations.
+uniformly.  Every value here is plain: an angle is a float, the rays are
+a sorted tuple of angles in [0, 2 pi), a sector is a pair (lo, hi), and
+eigenvalue disks are their complex centres with one common radius.  The
+test whether a parameter lies in a closed sector is
+``spectral.roots_in``.
 """
 
 import cmath
 import math
-from dataclasses import dataclass
 
 __all__ = [
-    "RaySet",
-    "SectorSet",
-    "DiskSet",
     "critical_rays",
+    "ray_distance",
     "omega_sectors",
     "ray_clearance",
     "is_rare",
@@ -33,52 +34,11 @@ def _wrap(angle):
     return 0.0 if abs(a - _TWO_PI) < 1e-15 else a
 
 
-@dataclass(frozen=True)
-class RaySet:
-    """Sorted distinct ray directions in [0, 2 pi)."""
-
-    angles: tuple
-
-    def distance(self, angle):
-        """Smallest angular distance from ``angle`` to any ray."""
-        a = _wrap(angle)
-        best = math.inf
-        for r in self.angles:
-            d = abs(a - r)
-            best = min(best, d, _TWO_PI - d)
-        return best
-
-
-@dataclass(frozen=True)
-class SectorSet:
-    """Closed angular sectors [lo, hi], disjoint, sorted by lo."""
-
-    sectors: tuple
-    epsilon: float
-
-    def contains(self, angle):
-        a = _wrap(angle)
-        return any(lo - 1e-15 <= a <= hi + 1e-15 for lo, hi in self.sectors)
-
-
-@dataclass(frozen=True)
-class DiskSet:
-    """Disks of a common radius around a set of complex centers."""
-
-    centers: tuple
-    radius: float
-
-    def __post_init__(self):
-        if self.radius < 0:
-            raise ValueError("disk radius must be nonnegative")
-        object.__setattr__(self, "centers", tuple(complex(c) for c in self.centers))
-
-
-def critical_rays(n) -> RaySet:
-    """Critical ray directions for order ``n``.
+def critical_rays(n):
+    """Critical ray directions for order ``n``, sorted, in [0, 2 pi).
 
     These are the directions where some exponent i*eps_k*rho is purely
-    imaginary: phi = +-pi/2 - arg(i eps_k).  The set has n elements for
+    imaginary: phi = +-pi/2 - arg(i eps_k).  There are n of them for
     even n and 2n for odd n.
     """
     if not (isinstance(n, int) and n >= 1):
@@ -89,30 +49,35 @@ def critical_rays(n) -> RaySet:
         alpha = cmath.phase(1j * cmath.exp(2j * cmath.pi * k / n))
         for sign in (1.0, -1.0):
             angles.add(round(_wrap(sign * half - alpha), 12))
-    return RaySet(tuple(sorted(angles)))
+    return tuple(sorted(angles))
 
 
-def omega_sectors(n, epsilon) -> SectorSet:
-    """Closed sectors left after removing an open sector of opening
-    ``epsilon`` bisected by every critical ray."""
+def ray_distance(angle, rays):
+    """Smallest angular distance from ``angle`` to any of the ``rays``."""
+    a = _wrap(angle)
+    best = math.inf
+    for r in rays:
+        d = abs(a - r)
+        best = min(best, d, _TWO_PI - d)
+    return best
+
+
+def omega_sectors(n, epsilon):
+    """The closed sectors (lo, hi), sorted by lo, left after removing an
+    open sector of opening ``epsilon`` bisected by every critical ray."""
     if not 0 < epsilon < math.pi / (2 * n):
         raise ValueError("epsilon must lie in (0, pi/(2n))")
-    rays = critical_rays(n).angles
+    rays = critical_rays(n)
     half = epsilon / 2.0
-    sectors = []
-    for i, lo_ray in enumerate(rays):
-        hi_ray = rays[(i + 1) % len(rays)]
-        if i + 1 == len(rays):
-            hi_ray += _TWO_PI
-        lo, hi = lo_ray + half, hi_ray - half
-        if hi > lo:
-            sectors.append((lo, hi))
-    return SectorSet(tuple(sectors), epsilon)
+    # neighbouring rays lie pi/n or 2 pi/n apart, more than epsilon
+    return tuple((lo + half, hi - half)
+                 for lo, hi in zip(rays, rays[1:] + (rays[0] + _TWO_PI,)))
 
 
-def ray_clearance(angle, disks: DiskSet, r_max):
+def ray_clearance(angle, centers, radius, r_max):
     """Smallest radius beyond which the ray of direction ``angle`` meets no
-    disk, or ``None`` when intersections persist up to ``r_max``.
+    disk of the given ``radius`` about the complex ``centers``, or
+    ``None`` when intersections persist up to ``r_max``.
 
     The ray is {t e^{i angle} : t >= 0}.  A disk intersecting it blocks
     the parameter interval up to the far intersection point; clearance is
@@ -120,15 +85,16 @@ def ray_clearance(angle, disks: DiskSet, r_max):
     A disk that enters the ray only at or beyond ``r_max`` blocks nothing
     below it and is ignored.
     """
+    if radius < 0:
+        raise ValueError("disk radius must be nonnegative")
     direction = cmath.exp(1j * angle)
-    delta = disks.radius
     exit_point = 0.0
-    for center in disks.centers:
+    for center in map(complex, centers):
         w = center / direction  # coordinates along/across the ray
         t_star = w.real
         dist = abs(w.imag) if t_star >= 0 else abs(center)
-        if dist <= delta:
-            half_chord = math.sqrt(max(delta * delta - w.imag * w.imag, 0.0))
+        if dist <= radius:
+            half_chord = math.sqrt(max(radius * radius - w.imag * w.imag, 0.0))
             if t_star - half_chord < r_max:
                 exit_point = max(exit_point, t_star + half_chord)
     if exit_point >= r_max:

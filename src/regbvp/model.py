@@ -129,19 +129,11 @@ class Poly:
             coeffs = tuple(k * c for k, c in enumerate(coeffs))[1:]
         return Poly(coeffs)
 
-    def conjugate(self):
-        """Coefficient-wise conjugate; equals conj(p(x)) for real x."""
-        return Poly(tuple(c.conjugate() for c in self.coeffs))
-
     def __call__(self, x):
         acc = 0j
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def integral_01(self):
-        """Definite integral over [0, 1]."""
-        return sum((c / (k + 1) for k, c in enumerate(self.coeffs)), 0j)
 
 
 ZERO = Poly()
@@ -188,10 +180,6 @@ class BoundaryRow:
         vec = np.asarray(vec, dtype=complex)
         n = vec.size // 2
         return BoundaryRow(tuple(vec[:n]), tuple(vec[n:]))
-
-    def apply_to_jets(self, jet0, jet1):
-        """Evaluate the row on derivative jets at the two endpoints."""
-        return sum(self.a[s] * jet0[s] + self.b[s] * jet1[s] for s in range(self.n))
 
 
 # ---------------------------------------------------------------------------

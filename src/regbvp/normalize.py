@@ -68,59 +68,49 @@ def reduce_total_order(spec_or_rows) -> NormalizedBC:
     tol = DUST_TOL * max(np.abs(mat).max(), 1.0)
     transform = np.eye(count, dtype=complex)
 
-    def orders():
-        return [_row_order(mat[j], n, tol) for j in range(count)]
-
-    kappa_prev = None
-    while True:
-        ords = orders()
-        if min(ords) < 0:
-            raise RankError("boundary rows are linearly dependent")
-        kappa = sum(ords)
-        # kappa must never increase while eliminating
-        assert kappa_prev is None or kappa < kappa_prev, "total order increased"
-        kappa_prev = kappa
-
-        changed = False
-        for k in sorted(set(ords), reverse=True):
-            members = [j for j in range(count) if ords[j] == k]
-            if len(members) < 2:
+    ords = [_row_order(mat[j], n, tol) for j in range(count)]
+    kappa_in = sum(ords)
+    # Eliminating a leading pair of order k touches only that row and
+    # lowers its order, so one sweep from the top order down meets every
+    # group once, after the groups above it are done.
+    for k in range(n - 1, -1, -1):
+        members = [j for j in range(count) if ords[j] == k]
+        if len(members) < 2:
+            continue
+        pairs = np.array([[mat[j][k], mat[j][n + k]] for j in members])
+        norms = np.abs(pairs).max(axis=1)
+        first = members[int(np.argmax(norms))]
+        p1 = np.array([mat[first][k], mat[first][n + k]])
+        # second pivot: largest residual after projecting out the first
+        best_second, best_res = None, tol
+        for j in members:
+            if j == first:
                 continue
-            pairs = np.array([[mat[j][k], mat[j][n + k]] for j in members])
-            norms = np.abs(pairs).max(axis=1)
-            first = members[int(np.argmax(norms))]
-            p1 = np.array([mat[first][k], mat[first][n + k]])
-            # second pivot: largest residual after projecting out the first
-            best_second, best_res = None, tol
-            for j in members:
-                if j == first:
-                    continue
-                pj = np.array([mat[j][k], mat[j][n + k]])
-                res = pj - (np.vdot(p1, pj) / np.vdot(p1, p1)) * p1
-                if np.abs(res).max() > best_res:
-                    best_res = np.abs(res).max()
-                    best_second = j
-            pivots = [first] if best_second is None else [first, best_second]
-            basis = np.array([[mat[j][k], mat[j][n + k]] for j in pivots]).T
-            for j in members:
-                if j in pivots:
-                    continue
-                target = np.array([mat[j][k], mat[j][n + k]])
-                coeff, *_ = np.linalg.lstsq(basis, target, rcond=None)
-                for c, piv in zip(coeff, pivots):
-                    mat[j] -= c * mat[piv]
-                    transform[j] -= c * transform[piv]
-                # the leading pair is now zero by construction; clear dust
-                mat[j][k] = 0.0
-                mat[j][n + k] = 0.0
-                mat[j][np.abs(mat[j]) <= tol] = 0.0
-                changed = True
-            if changed:
-                break  # re-derive orders before touching lower groups
-        if not changed:
-            break
+            pj = np.array([mat[j][k], mat[j][n + k]])
+            res = pj - (np.vdot(p1, pj) / np.vdot(p1, p1)) * p1
+            if np.abs(res).max() > best_res:
+                best_res = np.abs(res).max()
+                best_second = j
+        pivots = [first] if best_second is None else [first, best_second]
+        basis = np.array([[mat[j][k], mat[j][n + k]] for j in pivots]).T
+        for j in members:
+            if j in pivots:
+                continue
+            target = np.array([mat[j][k], mat[j][n + k]])
+            coeff, *_ = np.linalg.lstsq(basis, target, rcond=None)
+            for c, piv in zip(coeff, pivots):
+                mat[j] -= c * mat[piv]
+                transform[j] -= c * transform[piv]
+            # the leading pair is now zero by construction; clear dust
+            mat[j][k] = 0.0
+            mat[j][n + k] = 0.0
+            mat[j][np.abs(mat[j]) <= tol] = 0.0
+            ords[j] = _row_order(mat[j], n, tol)
 
-    ords = orders()
+    if min(ords) < 0:
+        raise RankError("boundary rows are linearly dependent")
+    # kappa must never increase while eliminating
+    assert sum(ords) <= kappa_in, "total order increased"
     perm = sorted(range(count), key=lambda j: -ords[j])
     mat = mat[perm]
     transform = transform[perm]

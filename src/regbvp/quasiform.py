@@ -176,16 +176,13 @@ def wedge_vee(block0, block1):
 
 @dataclass(frozen=True)
 class SplitBC:
-    """Boundary rows written as B y_wedge + C y_vee = 0.
-
-    ``transition`` is the :class:`QuasiTransition` the rows were split
-    with, or None for a split given directly.
-    """
+    """Boundary rows written as B y_wedge + C y_vee = 0, with the
+    :class:`QuasiTransition` the rows were split with."""
 
     m: int
     B: np.ndarray
     C: np.ndarray
-    transition: QuasiTransition | None
+    transition: QuasiTransition
 
 
 def _lower_inverse(mat):
@@ -259,11 +256,11 @@ def _max_angle(basis1, basis2):
 
 @dataclass(frozen=True)
 class CompleteRegularityReport:
-    """One operator's splitting: ``spec`` in divergence form (None for a
-    SplitBC given directly), its ``split`` and, when completely regular,
-    the boundary form matrix ``A`` (None otherwise)."""
+    """One operator's splitting: ``spec`` in divergence form, its
+    ``split`` and, when completely regular, the boundary form matrix
+    ``A`` (None otherwise)."""
 
-    spec: OperatorSpec | None
+    spec: OperatorSpec
     split: SplitBC
     completely_regular: bool
     preimage_basis: np.ndarray       # orthonormal basis of B^{-1}(im C)
@@ -273,12 +270,12 @@ class CompleteRegularityReport:
     A: np.ndarray | None
 
 
-def check_completely_regular(spec_or_split) -> CompleteRegularityReport:
+def check_completely_regular(spec) -> CompleteRegularityReport:
     """Decide whether B^{-1}(im C) coincides with the orthogonal
     complement of ker C, using rank-revealing SVDs and principal angles
-    (largest at most ANGLE_TOL), for a spec or a :class:`SplitBC`."""
-    spec = None if isinstance(spec_or_split, SplitBC) else as_divergence(spec_or_split)
-    split = spec_or_split if spec is None else split_bc(spec)
+    (largest at most ANGLE_TOL)."""
+    spec = as_divergence(spec)
+    split = split_bc(spec)
     B, C = split.B, split.C
     n = B.shape[0]
 
@@ -303,12 +300,9 @@ def check_completely_regular(spec_or_split) -> CompleteRegularityReport:
 
 
 def as_report(spec_or_report) -> CompleteRegularityReport:
-    """The splitting of a spec, decided here, or a report as it stands;
-    a report must name its spec."""
+    """The splitting of a spec, decided here, or a report as it stands."""
     if not isinstance(spec_or_report, CompleteRegularityReport):
         return check_completely_regular(spec_or_report)
-    if spec_or_report.spec is None:
-        raise SpecError("a report of a SplitBC given directly names no spec")
     return spec_or_report
 
 

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import DiskSet, critical_rays, ray_clearance
+from .geometry import critical_rays, ray_clearance, ray_distance
 from .normalize import NormalizedBC
 
 __all__ = [
@@ -680,8 +680,11 @@ def _fit_exponent(radii, values):
 
 
 def roots_in(roots, annulus, sector=None):
-    """The roots with r_min <= |rho| <= r_max, and inside ``sector``
-    (angle_lo, angle_hi) when one is given, in their original order."""
+    """The roots with r_min <= |rho| <= r_max, and inside the closed
+    ``sector`` (angle_lo, angle_hi) when one is given, in their original
+    order.  This is the one closed-sector test of the package: arg(rho)
+    is measured from the sector's midpoint modulo 2 pi, so the sector may
+    start at any angle."""
     lo, hi = sector if sector is not None else (-math.pi, math.pi)
     return tuple(root for root in roots if annulus[0] <= abs(root.rho) <= annulus[1] and abs(
         math.remainder(cmath.phase(root.rho) - 0.5 * (lo + hi), 2 * math.pi)) <= 0.5 * (hi - lo))
@@ -703,8 +706,7 @@ def ray_clearance_check(roots, ray_angle, r_min, r_max):
     there.  Raises ValueError when that radius is beyond ``r_min``.
     """
     near = roots_in(roots, clearance_annulus(r_min, r_max))
-    disks = DiskSet(tuple(r.rho for r in near), CLEARANCE_DELTA)
-    clearance = ray_clearance(ray_angle, disks, r_max)
+    clearance = ray_clearance(ray_angle, [r.rho for r in near], CLEARANCE_DELTA, r_max)
     if clearance is None:
         raise ValueError(
             f"ray at angle {ray_angle:.4f} is blocked by eigenvalue disks up to r_max")
@@ -748,7 +750,7 @@ def resolvent_scan(nbc: NormalizedBC, ray_angle, roots, r_min=5.0, r_max=60.0,
     critical ray, and ``roots`` feed :func:`ray_clearance_check`.  For a
     regular problem the fitted exponent approaches -n.
     """
-    if critical_rays(nbc.n).distance(ray_angle) < 1e-3:
+    if ray_distance(ray_angle, critical_rays(nbc.n)) < 1e-3:
         raise ValueError("ray angle lies on a critical ray")
     return _ray_scan("resolvent", lambda rho: resolvent_norm(nbc, rho),
                      ray_angle, roots, r_min, r_max, samples)

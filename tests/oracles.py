@@ -109,6 +109,16 @@ def c_int01(f):
     return sum(a / (k + 1) for k, a in enumerate(f))
 
 
+def integral_01(p):
+    """Definite integral of a Poly over [0, 1]."""
+    return sum((c / (k + 1) for k, c in enumerate(p.coeffs)), 0j)
+
+
+def apply_to_jets(row, jet0, jet1):
+    """Evaluate a boundary row on derivative jets at the two endpoints."""
+    return sum(row.a[s] * jet0[s] + row.b[s] * jet1[s] for s in range(row.n))
+
+
 def inner_01(f, g):
     """L2(0, 1) inner product of two polynomials, conjugate-linear in
     ``g``, from their coefficient lists."""

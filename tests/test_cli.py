@@ -61,6 +61,18 @@ def test_classify_completely_regular_payload(capsys):
     assert frag["form_identity_residual"] <= 1e-8
 
 
+@pytest.mark.parametrize("residual", [9.46e-16, 1.066e-15])
+def test_form_identity_residual_prints_its_rounding_decade(monkeypatch, capsys, residual):
+    """Two equally accurate derivative matrices give dirichlet2 the
+    residuals 9.46e-16 and 1.066e-15.  The printed decade rests on the
+    (N + n) eps rounding model, so both print 1e-14 instead of falling on
+    either side of 1e-15."""
+    monkeypatch.setattr(quasiform, "verify_form_identity", lambda report: residual)
+    code, doc, _ = run_json(capsys, "classify", "dirichlet2")
+    assert code == 0
+    assert doc["complete_regularity"]["form_identity_residual"] == 1e-14
+
+
 def test_classify_unknown_input_exit_four(capsys):
     code, out, err = run_cli(capsys, "classify", "no_such_example")
     assert code == 4
