@@ -26,8 +26,12 @@ cos(theta) lambda_min(F_N) elsewhere, and both extreme eigenvalues are
 squares of singular values of G: small eigenvalues then come out far
 below the noise eps ||F_N|| of any eigensolver applied to F_N itself
 (Demmel and Veselic, SIAM J. Matrix Anal. Appl. 13, 1992).  Every other
-form takes one eigenvalue solve per angle of the rotated Hermitian part
-of F_N (Johnson, SIAM J. Numer. Anal. 15, 1978).
+form takes eigenvalue solves of the rotated Hermitian part H_N(theta) of
+e^{i theta} F_N (Johnson, SIAM J. Numer. Anal. 15, 1978), one per
+antipodal pair of angles: H_N(theta + pi) = -H_N(theta), so
+sigma_N(theta + pi) = lambda_max(-H_N(theta)) = -lambda_min(H_N(theta))
+comes from the solve at theta.  An odd grid has no such pairs and takes
+one solve per angle.
 
 Error bounds.  Every profile carries an estimate of the rounding error
 of its minimum: (N + n) eps ||F_N||_2 on the eigenvalue path, and
@@ -124,22 +128,32 @@ def _factor(report):
 # Support functions
 # ---------------------------------------------------------------------------
 
-def support_function(form, theta):
-    """max of Re(e^{i theta} (F v, v)) over unit vectors v."""
-    form = np.asarray(form, dtype=complex)
+def _extremes(form, theta):
+    """(lambda_min, lambda_max) of the Hermitian part of e^{i theta} F:
+    sigma(theta) and -sigma(theta + pi) from one eigenvalue solve."""
     rotated = cmath.exp(1j * theta) * form
     herm = 0.5 * (rotated + rotated.conj().T)
-    return float(np.linalg.eigvalsh(herm)[-1])
+    lam = np.linalg.eigvalsh(herm)
+    return float(lam[0]), float(lam[-1])
+
+
+def support_function(form, theta):
+    """max of Re(e^{i theta} (F v, v)) over unit vectors v."""
+    return _extremes(np.asarray(form, dtype=complex), theta)[1]
 
 
 def _support(report, dim, angles):
-    """(sigma_dim over ``angles``, error bound of its minimum)."""
+    """(sigma_dim over the evenly spaced ``angles``, error bound of its
+    minimum)."""
     scale = (dim + report.spec.order) * EPS
     factor = _factor(report)
     if factor is None:
         form = split_form(report, dim)
-        return (tuple(support_function(form, theta) for theta in angles),
-                scale * float(np.linalg.norm(form, 2)))
+        # angle k + pairs is angle k + pi on an even grid; an odd grid has no pairs
+        pairs = len(angles) // 2 if len(angles) % 2 == 0 else 0
+        extremes = [_extremes(form, theta) for theta in angles[:len(angles) - pairs]]
+        values = [hi for _lo, hi in extremes] + [-lo for lo, _hi in extremes[:pairs]]
+        return tuple(values), scale * float(np.linalg.norm(form, 2))
     # F = G^H G: sigma(theta) = cos(theta) * (s_max^2 where cos >= 0, else s_min^2)
     root, defect = factor
     jets, wedge, vee = split_jets(report, dim)
@@ -155,6 +169,8 @@ def _support(report, dim, angles):
 
 
 def _profile(report, dim, num_angles):
+    if num_angles < 1:
+        raise ValueError("need at least one angle")
     angles = tuple(2.0 * math.pi * k / num_angles for k in range(num_angles))
     values, bound = _support(report, dim, angles)
     return SupportProfile(dimension=int(dim), angles=angles, values=values, bound=bound)
@@ -163,7 +179,7 @@ def _profile(report, dim, num_angles):
 def support_profile(spec_or_report, dim, num_angles=DEFAULT_ANGLES):
     """sigma_dim(theta) over an even angle grid on [0, 2 pi), for a spec
     or a report; raises SpecError when a spec has no even-order
-    divergence or model form."""
+    divergence or model form, and ValueError for fewer than one angle."""
     return _profile(as_report(spec_or_report), dim, num_angles)
 
 
@@ -186,11 +202,12 @@ def half_plane_verdict(spec_or_report, dimensions=DEFAULT_DIMENSIONS,
     ``GROWTH_FACTOR`` at every doubling (once above 1) indicate that every
     direction eventually fails: "whole_plane".  Anything else is reported
     as "undetermined".  Takes a spec or a report; raises SpecError when a
-    spec has no even-order divergence or model form.
+    spec has no even-order divergence or model form, and ValueError for
+    fewer than two distinct dimensions or fewer than one angle.
     """
     dimensions = tuple(sorted(int(d) for d in dimensions))
-    if len(dimensions) < 2:
-        raise ValueError("need at least two dimensions to compare")
+    if len(set(dimensions)) != len(dimensions) or len(dimensions) < 2:
+        raise ValueError("need at least two distinct dimensions to compare")
     report = as_report(spec_or_report)
     profiles = tuple(_profile(report, d, num_angles) for d in dimensions)
     minima = tuple(p.minimum for p in profiles)

@@ -266,8 +266,9 @@ def test_numerical_range_needs_a_divergence_form(spec):
 @pytest.mark.parametrize("name", sorted(gallery.EXAMPLES))
 def test_support_paths_agree_with_rotated_eigenvalues(name):
     # the factored path (the sums of squares: every completely regular
-    # example) gives what one eigvalsh per angle of the split matrix
-    # gives, within the eigvalsh error bound
+    # example) and the paired eigenvalue path (one eigvalsh per antipodal
+    # pair) give what one eigvalsh per angle of the split matrix gives,
+    # within the eigvalsh error bound
     spec = gallery.build(name)
     for dim in (8, 16):
         profile = support_profile(spec, dim, num_angles=16)
@@ -275,6 +276,54 @@ def test_support_paths_agree_with_rotated_eigenvalues(name):
         slack = (dim + spec.order) * EPS * np.linalg.norm(form, 2)
         for theta, value in zip(profile.angles, profile.values):
             assert abs(value - support_function(form, theta)) <= slack
+
+
+def _non_self_adjoint_spec():
+    """p_0 y - y'' + q_1 y' + (r_1 y)' with complex linear p_0, q_1 and
+    r_1 and coupled complex rows: an order-2 divergence form off the
+    gallery that takes the eigenvalue path."""
+    rng = random.Random(2024)
+
+    def linear():
+        return Poly(tuple(complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(2)))
+
+    form = DivergenceForm(1, p=(linear(), ONE), q=(ZERO, linear()), r=(ZERO, linear()))
+    return OperatorSpec(2, form, _random_coupled_rows(rng, 2))
+
+
+@pytest.mark.parametrize("num_angles", [16, 7])
+def test_paired_support_values_match_one_angle_solves(num_angles):
+    # an even grid reads sigma(theta + pi) as -lambda_min at theta; an odd
+    # grid solves every angle; both agree with the one-angle oracle
+    spec = _non_self_adjoint_spec()
+    for dim in (8, 16, 32):
+        profile = support_profile(spec, dim, num_angles=num_angles)
+        form = split_form(spec, dim)
+        assert len(profile.values) == num_angles
+        for theta, value in zip(profile.angles, profile.values):
+            assert abs(value - support_function(form, theta)) <= profile.bound, (dim, theta)
+
+
+def test_eigenvalue_path_solves_once_per_antipodal_pair(monkeypatch):
+    calls = []
+    solve = np.linalg.eigvalsh
+
+    def counting(matrix):
+        calls.append(matrix.shape)
+        return solve(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    mixed4 = gallery.build("mixed4")
+    report = half_plane_verdict(mixed4)
+    assert report.dimensions == (8, 16, 32, 64)
+    assert len(calls) == 4 * 32
+    calls.clear()
+    half_plane_verdict(mixed4, num_angles=7)
+    assert len(calls) == 4 * 7
+    calls.clear()
+    # the sums of squares take one SVD per dimension and no eigvalsh
+    half_plane_verdict(gallery.build("dirichlet2"))
+    assert calls == []
 
 
 def test_indefinite_boundary_matrix_takes_eigenvalue_path():
@@ -435,3 +484,20 @@ def test_whole_plane_minima_grow():
 def test_half_plane_verdict_needs_two_dimensions():
     with pytest.raises(ValueError):
         half_plane_verdict(gallery.build("dirichlet2"), dimensions=(8,))
+
+
+@pytest.mark.parametrize("dimensions", [(8, 8), (16, 8, 16), (8, 8, 8)])
+def test_half_plane_verdict_rejects_repeated_dimensions(dimensions):
+    # one dimension twice is no growth test: mixed4 fills the plane, but
+    # equal minima at (8, 8) would read "half_plane"
+    with pytest.raises(ValueError, match="distinct"):
+        half_plane_verdict(gallery.build("mixed4"), dimensions=dimensions)
+
+
+@pytest.mark.parametrize("num_angles", [0, -3])
+def test_empty_angle_grid_is_rejected(num_angles):
+    spec = gallery.build("mixed4")
+    with pytest.raises(ValueError, match="need at least one angle"):
+        support_profile(spec, 8, num_angles=num_angles)
+    with pytest.raises(ValueError, match="need at least one angle"):
+        half_plane_verdict(spec, num_angles=num_angles)
