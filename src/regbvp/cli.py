@@ -465,7 +465,7 @@ def cmd_report(args):
         "numerical_range": run("numerical_range", on_regularity(numrange_document)),
     }
     scan_sections = run("scans", on_roots(scans))
-    if "error" in scan_sections and set(scan_sections) == {"error"}:
+    if set(scan_sections) == {"error"}:
         doc["green_decay"] = scan_sections
         doc["resolvent_decay"] = scan_sections
     else:

@@ -168,19 +168,16 @@ def _support(report, dim, angles):
     return values, float(2 * behind * delta + delta * delta + defect)
 
 
-def _profile(report, dim, num_angles):
+def support_profile(spec_or_report, dim, num_angles=DEFAULT_ANGLES):
+    """sigma_dim(theta) over an even angle grid on [0, 2 pi), for a spec
+    or a report; raises SpecError when a spec has no even-order
+    divergence or model form, and ValueError for fewer than one angle."""
+    report = as_report(spec_or_report)
     if num_angles < 1:
         raise ValueError("need at least one angle")
     angles = tuple(2.0 * math.pi * k / num_angles for k in range(num_angles))
     values, bound = _support(report, dim, angles)
     return SupportProfile(dimension=int(dim), angles=angles, values=values, bound=bound)
-
-
-def support_profile(spec_or_report, dim, num_angles=DEFAULT_ANGLES):
-    """sigma_dim(theta) over an even angle grid on [0, 2 pi), for a spec
-    or a report; raises SpecError when a spec has no even-order
-    divergence or model form, and ValueError for fewer than one angle."""
-    return _profile(as_report(spec_or_report), dim, num_angles)
 
 
 def profiles_to_csv(profiles, path):
@@ -209,7 +206,7 @@ def half_plane_verdict(spec_or_report, dimensions=DEFAULT_DIMENSIONS,
     if len(set(dimensions)) != len(dimensions) or len(dimensions) < 2:
         raise ValueError("need at least two distinct dimensions to compare")
     report = as_report(spec_or_report)
-    profiles = tuple(_profile(report, d, num_angles) for d in dimensions)
+    profiles = tuple(support_profile(report, d, num_angles) for d in dimensions)
     minima = tuple(p.minimum for p in profiles)
 
     first, last = minima[0], minima[-1]

@@ -12,12 +12,16 @@ raw exponentials.
 Only :func:`find_roots` searches for zeros, always over a full annulus.
 The ray clearance check, the scans and Gram conditioning filter a root
 tuple from the caller, and a sector is a filter too (:func:`roots_in`),
-so one search serves a whole command.  The search runs batched per
-subdivision level: the Newton steps of all boxes of a level are one array
-computation, and so are the first winding samples of the initial grid
-and of the four children of each split.  No evaluation takes more than
-``BATCH_POINTS`` points at once.  Batching changes no result: every
-point's determinant, Newton step and residual is the one it gets alone.
+so one search serves a whole command.  The search has one retry rule:
+a failed contour (a box, a split, a verification circle) rebuilds the
+partition with shifted lines; boxes always split at their midpoints,
+and no multiplicity is taken from a box count in place of a circle.
+The search runs batched per subdivision level: the Newton steps of all
+boxes of a level are one array computation, and so are the first
+winding samples of the initial grid and of the four children of each
+split.  No evaluation takes more than ``BATCH_POINTS`` points at once.
+Batching changes no result: every point's determinant, Newton step and
+residual is the one it gets alone.
 
 Fixed numerical choices are module constants: the Newton residual
 ``RESIDUAL_TOL``, the search limits ``MAX_DEPTH`` and ``MAX_GRID``, the
@@ -410,10 +414,10 @@ def _by_modulus(roots, modulus, rtol):
     return [root for run in runs for root in sorted(run, key=phase)]
 
 
-def _split_box(box, fr=0.5, fa=0.5):
+def _split_box(box):
     r0, r1, a0, a1 = box
-    rm = r0 + (r1 - r0) * fr
-    am = a0 + (a1 - a0) * fa
+    rm = r0 + (r1 - r0) * 0.5
+    am = a0 + (a1 - a0) * 0.5
     return [(r0, rm, a0, am), (rm, r1, a0, am), (r0, rm, am, a1), (rm, r1, am, a1)]
 
 
@@ -433,6 +437,13 @@ def find_roots(nbc: NormalizedBC, annulus):
     turns what it finds, and checks the turned zeros against the winding
     count of the whole annulus.  Only the two circles are fixed: the
     partition lines and the seam of the sector move off a zero.
+
+    There is one retry rule.  Any ContourError (a box count, a split
+    whose child counts do not add up to the parent's, or a verification
+    circle) and any shortfall against the whole-annulus count rebuild
+    the partition with shifted lines and seam, up to 6 partitions; the
+    last error is raised.  Boxes always split at their midpoints, and
+    every multiplicity comes from the winding of a circle.
 
     The subdivision runs level by level: the boxes of one level are
     polished in one Newton batch, and the four children of a split are
@@ -486,18 +497,12 @@ def find_roots(nbc: NormalizedBC, annulus):
                     found.append((key, EigenRoot(complex(rho), complex(rho) ** n,
                                                  int(count), float(res))))
                     continue
-                for fractions in ((0.5, 0.5), (0.53, 0.47), (0.47, 0.56), (0.515, 0.485)):
-                    children = _split_box(box, *fractions)
-                    try:
-                        child_counts = _box_counts(char, children)
-                    except ContourError:
-                        continue
-                    if sum(child_counts) == count:
-                        deeper += [(key + (i,), child, child_count) for i, (child, child_count)
-                                   in enumerate(zip(children, child_counts)) if child_count != 0]
-                        break
-                else:
+                children = _split_box(box)
+                child_counts = _box_counts(char, children)
+                if sum(child_counts) != count:
                     raise ContourError(f"winding counts failed to split box {box}")
+                deeper += [(key + (i,), child, child_count) for i, (child, child_count)
+                           in enumerate(zip(children, child_counts)) if child_count != 0]
             level = deeper
             depth += 1
         return [root for _, root in sorted(found, key=lambda item: item[0])]
@@ -507,8 +512,10 @@ def find_roots(nbc: NormalizedBC, annulus):
         # with a small winding circle: a zero sitting on a partition line
         # splits its winding across the adjacent boxes, and a box may even
         # credit such a split count to a different zero; the circle gives
-        # every cluster its true multiplicity.  The first circles are
-        # sampled together, and the verified roots polished together.
+        # every cluster its true multiplicity.  Each circle is wound once:
+        # a circle that fails raises, and the partition moves.  The
+        # circles are sampled together, and the verified roots polished
+        # together.
         clusters = []
         for root in _by_modulus(candidates, lambda root: abs(root.rho), CLUSTER_TOL):
             for cluster in clusters:
@@ -528,19 +535,8 @@ def find_roots(nbc: NormalizedBC, annulus):
         circles = _start_contours(
             char, [_circle_contour(rep.rho, radius) for rep, radius in zip(reps, radii)])
         verified = []
-        for rep, cluster, radius, circle in zip(reps, clusters, radii, circles):
-            mult = None
-            for attempt in range(8):
-                if attempt:
-                    radius *= 0.7
-                    circle = _start_contours(char, [_circle_contour(rep.rho, radius)])[0]
-                try:
-                    mult = _winding(char, circle)
-                    break
-                except ContourError:
-                    pass
-            if mult is None:
-                mult = max(root.multiplicity for root in cluster)
+        for rep, circle in zip(reps, circles):
+            mult = _winding(char, circle)
             if mult > 0:
                 verified.append((rep.rho, mult))
         polished = _newton(char, [rho for rho, _ in verified], [mult for _, mult in verified])
@@ -549,12 +545,12 @@ def find_roots(nbc: NormalizedBC, annulus):
         return _by_modulus(final, lambda root: abs(root.rho), CLUSTER_TOL)
 
     # Initial partition: coarse boxes with edges of bounded arc length.
-    # Partition lines may accidentally pass through (or very near) zeros;
-    # on a contour failure, or when the verified multiplicities add up to
-    # less than the winding total (an even-order zero on a line leaves no
-    # phase jump and can go missing silently), the partition is rebuilt
-    # with its interior lines shifted, and so is the seam of the sector,
-    # which is arbitrary.
+    # Partition lines may accidentally pass through (or very near) zeros.
+    # The one retry: on a ContourError from a box, a split or a circle,
+    # or when the verified multiplicities add up to less than the winding
+    # total (an even-order zero on a line leaves no phase jump and can go
+    # missing silently), the partition is rebuilt with its interior lines
+    # shifted, and so is the seam of the sector, which is arbitrary.
     grid_r = max(1, min(MAX_GRID, math.ceil((r_max - r_min) / 12.0)))
     grid_a = max(1, min(MAX_GRID, math.ceil(width * r_max / 12.0)))
     for attempt in range(6):
@@ -570,12 +566,12 @@ def find_roots(nbc: NormalizedBC, annulus):
         ]
         try:
             found = subdivide(boxes)
+            found += [EigenRoot(root.rho * turn, root.lam, root.multiplicity, root.residual)
+                      for turn in char.eps[1:] for root in found]
+            final = cluster_and_verify(found)
         except ContourError as exc:
             last_error = exc
             continue
-        found += [EigenRoot(root.rho * turn, root.lam, root.multiplicity, root.residual)
-                  for turn in char.eps[1:] for root in found]
-        final = cluster_and_verify(found)
         if sum(root.multiplicity for root in final) >= total:
             return tuple(final)
         last_error = ContourError(

@@ -9,7 +9,7 @@ from numpy.polynomial import legendre as L
 from numpy.polynomial.polynomial import Polynomial
 
 from oracles import apply_to_jets, inner_01
-from regbvp import gallery
+from regbvp import gallery, numrange, quasiform
 from regbvp.model import (
     ONE,
     ZERO,
@@ -324,6 +324,28 @@ def test_eigenvalue_path_solves_once_per_antipodal_pair(monkeypatch):
     # the sums of squares take one SVD per dimension and no eigvalsh
     half_plane_verdict(gallery.build("dirichlet2"))
     assert calls == []
+
+
+def test_half_plane_verdict_builds_each_profile_with_support_profile(monkeypatch):
+    # the splitting is decided once, and every profile comes from the
+    # public support_profile, where a wrapper around it can count the work
+    dims, decided = [], []
+    profile, decide = numrange.support_profile, quasiform.check_completely_regular
+
+    def counted_profile(report, dim, num_angles):
+        dims.append(dim)
+        return profile(report, dim, num_angles)
+
+    def counted_decide(spec):
+        decided.append(spec)
+        return decide(spec)
+
+    monkeypatch.setattr(numrange, "support_profile", counted_profile)
+    monkeypatch.setattr(quasiform, "check_completely_regular", counted_decide)
+    dimensions = (8, 16, 32)
+    report = half_plane_verdict(gallery.build("mixed4"), dimensions=dimensions, num_angles=8)
+    assert dims == list(dimensions) == list(report.dimensions)
+    assert len(decided) == 1
 
 
 def test_indefinite_boundary_matrix_takes_eigenvalue_path():

@@ -9,11 +9,12 @@ the nearest squared root.
 
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
 
-from conftest import clearance_roots
+from conftest import clearance_roots, make_row
 from oracles import apply_to_jets
 from regbvp import gallery, spectral
 from regbvp.normalize import reduce_total_order
@@ -204,6 +205,67 @@ def test_find_roots_work_count(monkeypatch):
     find_roots(_nbc("dirichlet2"), (0.5, 66.5))
     assert len(sizes) <= 466
     assert max(sizes) <= spectral.BATCH_POINTS
+
+
+def test_failing_verification_circle_is_loud(monkeypatch):
+    # every multiplicity comes from a circle: when no circle winds, each
+    # partition fails and the search raises instead of falling back on
+    # the box counts
+    wind = spectral._winding
+
+    def no_circles(char, contour):
+        if len(contour) == 1:
+            raise spectral.ContourError("circle refused")
+        return wind(char, contour)
+
+    monkeypatch.setattr(spectral, "_winding", no_circles)
+    with pytest.raises(spectral.ContourError, match="circle refused"):
+        find_roots(_nbc("dirichlet2"), (0.5, 20.0))
+
+
+def _coupled_operator(seed):
+    """A seeded order-2 model operator with two coupled rows of N(0,1)
+    complex coefficients on y and y' at both ends."""
+    rng = random.Random(seed)
+
+    def coefficient():
+        return complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+
+    return reduce_total_order([make_row(2, a=[(0, coefficient()), (1, coefficient())],
+                                        b=[(0, coefficient()), (1, coefficient())])
+                               for _ in range(2)])
+
+
+def test_failed_split_moves_the_partition(monkeypatch):
+    # on (0.5, 20) the order-2 partition has 12 boxes, and a split counts
+    # 4 children; this operator's first partition succeeds and splits
+    nbc = _coupled_operator(1)
+    sizes = []
+    count = spectral._box_counts
+
+    def counted(char, boxes):
+        sizes.append(len(boxes))
+        return count(char, boxes)
+
+    monkeypatch.setattr(spectral, "_box_counts", counted)
+    plain = find_roots(nbc, (0.5, 20.0))
+    assert sizes.count(12) == 1 and 4 in sizes
+    sizes.clear()
+    refused = []
+
+    def refuse_first_split(char, boxes):
+        if len(boxes) == 4 and not refused:
+            refused.append(boxes)
+            raise spectral.ContourError("split refused")
+        return counted(char, boxes)
+
+    monkeypatch.setattr(spectral, "_box_counts", refuse_first_split)
+    moved = find_roots(nbc, (0.5, 20.0))
+    # the failed split rebuilt the partition once, with shifted lines
+    assert refused and sizes.count(12) == 2
+    assert [root.multiplicity for root in moved] == [root.multiplicity for root in plain]
+    for got, want in zip(moved, plain):
+        assert abs(got.rho - want.rho) <= 1e-12
 
 
 def test_fourth_order_root_count_consistency():
