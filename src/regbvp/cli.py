@@ -166,6 +166,12 @@ def _form_kind(spec):
     return "classical"
 
 
+# The complete-regularity and numerical-range sections of a spec that
+# ``_complete_regularity`` cannot split.
+_NOT_APPLICABLE = {"applicable": False,
+                   "reason": "requires an even-order divergence or model form"}
+
+
 def _complete_regularity(spec):
     """The one splitting a command reads: the complete-regularity report,
     or None when ``spec`` has no even-order divergence or model form."""
@@ -197,10 +203,7 @@ def classification_document(spec, nbc, report, tol=None):
         },
     }
     if report is None:
-        doc["complete_regularity"] = {
-            "applicable": False,
-            "reason": "requires an even-order divergence or model form",
-        }
+        doc["complete_regularity"] = dict(_NOT_APPLICABLE)
         return doc
     fragment = {
         "applicable": True,
@@ -332,8 +335,7 @@ def scan_document(nbc, kind, ray, roots, rmin, rmax, samples, grid, csv_path=Non
 def numrange_document(report, max_dim=numrange.DEFAULT_DIMENSIONS[-1],
                       angles=numrange.DEFAULT_ANGLES, csv_path=None):
     if report is None:
-        return {"applicable": False,
-                "reason": "requires an even-order divergence or model form"}
+        return dict(_NOT_APPLICABLE)
     dims = []
     d = NUMRANGE_MIN_DIM
     while d < max_dim:
@@ -423,55 +425,46 @@ def cmd_report(args):
     _require(args.tol is None or 0.0 <= args.tol < math.inf, "--tol", "finite and nonnegative")
     spec = _load_input(args.input)
     nbc = reduce_total_order(spec.rows)
+    scan = [DEFAULT_SCAN[key] for key in ("rmin", "rmax", "samples", "grid")]
     timings = {}
 
-    def run(name, fn):
+    def run(name, build, *inputs):
+        """``build(*inputs)``, timed under ``name``.  A failed input, or a
+        failure of ``build``, is returned as the exception itself."""
         start = time.perf_counter()
+        failed = [value for value in inputs if isinstance(value, Exception)]
         try:
-            result = fn()
+            result = failed[0] if failed else build(*inputs)
         except Exception as exc:        # keep partial results
-            result = {"error": f"{type(exc).__name__}: {exc}"}
+            result = exc
         timings[name] = time.perf_counter() - start
         return result
 
-    # One root search and one splitting serve every section that reads
-    # them; if one fails, each section that reads it carries its error.
-    found = run("roots", lambda: {"roots": spectral.find_roots(
-        nbc, (SPECTRUM_RMIN, REPORT_RADIUS))})
-    regularity = run("complete_regularity", lambda: {"report": _complete_regularity(spec)})
-
-    def on_roots(build):
-        return lambda: build(found["roots"]) if "roots" in found else found
-
-    def on_regularity(build):
-        return lambda: build(regularity["report"]) if "report" in regularity else regularity
-
-    def scans(roots):
-        ray = _choose_ray(nbc, DEFAULT_SCAN["rmin"], DEFAULT_SCAN["rmax"], roots)
-        return {name: run(name, lambda kind=kind: scan_document(
-            nbc, kind, ray, roots, DEFAULT_SCAN["rmin"], DEFAULT_SCAN["rmax"],
-            DEFAULT_SCAN["samples"], DEFAULT_SCAN["grid"]))
-            for name, kind in (("green_decay", "green"), ("resolvent_decay", "resolvent"))}
-
-    doc = {
-        "tool": {"name": "regbvp", "version": __version__},
-        "input": args.input,
-        "spec": spec_to_document(spec),
-        "classification": run("classification", on_regularity(
-            lambda report: classification_document(spec, nbc, report, tol=args.tol))),
-        "spectrum": run("spectrum", on_roots(lambda roots: spectrum_document(nbc, roots))),
-        "basis_conditioning": run("basis_conditioning", on_roots(
-            lambda roots: gram_document(nbc, roots, REPORT_RADIUS))),
-        "numerical_range": run("numerical_range", on_regularity(numrange_document)),
+    # One root search, one splitting and one scan ray serve every section
+    # that reads them; if one fails, each section that reads it carries
+    # its error.
+    roots = run("roots", spectral.find_roots, nbc, (SPECTRUM_RMIN, REPORT_RADIUS))
+    report = run("complete_regularity", _complete_regularity, spec)
+    ray = run("ray", _choose_ray, nbc, *scan[:2], roots)
+    sections = {
+        "classification": run("classification", classification_document,
+                              spec, nbc, report, args.tol),
+        "spectrum": run("spectrum", spectrum_document, nbc, roots),
+        "basis_conditioning": run("basis_conditioning", gram_document,
+                                  nbc, roots, REPORT_RADIUS),
+        "numerical_range": run("numerical_range", numrange_document, report),
+        "green_decay": run("green_decay", scan_document, nbc, "green", ray, roots, *scan),
+        "resolvent_decay": run("resolvent_decay", scan_document,
+                               nbc, "resolvent", ray, roots, *scan),
     }
-    scan_sections = run("scans", on_roots(scans))
-    if set(scan_sections) == {"error"}:
-        doc["green_decay"] = scan_sections
-        doc["resolvent_decay"] = scan_sections
-    else:
-        doc.update(scan_sections)
+    doc = {"tool": {"name": "regbvp", "version": __version__},
+           "input": args.input,
+           "spec": spec_to_document(spec)}
+    for name, section in sections.items():
+        doc[name] = ({"error": f"{type(section).__name__}: {section}"}
+                     if isinstance(section, Exception) else section)
     if args.timings:
-        doc["timings"] = {name: value for name, value in sorted(timings.items())}
+        doc["timings"] = dict(sorted(timings.items()))
     _emit_json(doc, args.output)
     return EXIT_OK
 

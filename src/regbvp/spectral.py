@@ -31,6 +31,7 @@ widths ``LAMBDA_TOL`` and ``BRACKET_TAU`` (tau).
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -89,7 +90,8 @@ class ContourError(RuntimeError):
 class ScaledValue:
     """A complex value stored as ``mantissa * exp(log_scale)``.
 
-    ``0.5 <= |mantissa| <= 2`` unless the value is exactly zero.
+    :func:`char_det` puts the whole modulus into ``log_scale``, so
+    ``|mantissa|`` is 1 up to rounding, or 0 for an exact zero.
     """
 
     mantissa: complex
@@ -236,6 +238,14 @@ def char_det(nbc: NormalizedBC, rho) -> ScaledValue:
 # ---------------------------------------------------------------------------
 # Root finding by the argument principle
 # ---------------------------------------------------------------------------
+
+class _Candidate(NamedTuple):
+    """A polished point of the subdivision, before its multiplicity is
+    wound on a circle: the point and its Newton residual."""
+
+    rho: complex
+    residual: float
+
 
 def _edge_points(box, edge, ts):
     """Points on one of the four polar-box edges at parameters ts in [0,1]."""
@@ -494,8 +504,7 @@ def find_roots(nbc: NormalizedBC, annulus):
                           <= (box[3] - box[2]) / 2 + pad_a)
                 if ((res <= RESIDUAL_TOL and in_box)
                         or depth >= MAX_DEPTH or _box_diameter(box) <= diam_tol):
-                    found.append((key, EigenRoot(complex(rho), complex(rho) ** n,
-                                                 int(count), float(res))))
+                    found.append((key, _Candidate(complex(rho), float(res))))
                     continue
                 children = _split_box(box)
                 child_counts = _box_counts(char, children)
@@ -566,7 +575,7 @@ def find_roots(nbc: NormalizedBC, annulus):
         ]
         try:
             found = subdivide(boxes)
-            found += [EigenRoot(root.rho * turn, root.lam, root.multiplicity, root.residual)
+            found += [_Candidate(root.rho * turn, root.residual)
                       for turn in char.eps[1:] for root in found]
             final = cluster_and_verify(found)
         except ContourError as exc:
@@ -650,11 +659,21 @@ def green_kernel(nbc: NormalizedBC, rho, x, xi):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_nodes(count):
+    """Gauss-Legendre nodes and weights on [0, 1], computed once per
+    ``count``; the arrays are shared, so they are read-only."""
+    t, w = np.polynomial.legendre.leggauss(count)
+    x, w = 0.5 * (t + 1.0), 0.5 * w
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def resolvent_norm(nbc: NormalizedBC, rho, quad_nodes=64) -> float:
     """L2 operator norm of the resolvent at rho^n, by Nystrom discretization
     of the Green kernel on a Gauss-Legendre grid."""
-    t, w = np.polynomial.legendre.leggauss(quad_nodes)
-    x, w = 0.5 * (t + 1.0), 0.5 * w
+    x, w = _gauss_nodes(quad_nodes)
     g = _green_matrix(nbc, rho, x, x)
     sw = np.sqrt(w)
     a = sw[:, None] * g * sw[None, :]

@@ -445,18 +445,43 @@ def test_report_deterministic_bytes(tmp_path, capsys):
     assert first.read_bytes() == second.read_bytes()
 
 
+REPORT_SECTIONS = ("classification", "spectrum", "basis_conditioning",
+                   "numerical_range", "green_decay", "resolvent_decay")
+
+
 def test_report_sections_and_timings_flag(capsys):
     code, doc, _ = run_json(capsys, "report", "robin2")
     assert code == 0
-    for key in ("tool", "input", "spec", "classification", "spectrum",
-                "basis_conditioning", "numerical_range", "green_decay",
-                "resolvent_decay"):
+    for key in ("tool", "input", "spec") + REPORT_SECTIONS:
         assert key in doc, key
     assert "timings" not in doc
 
     code, doc, _ = run_json(capsys, "report", "robin2", "--timings")
     assert code == 0
-    assert "timings" in doc
+    # one key per section, and one per input the sections share
+    assert set(doc["timings"]) == {"roots", "complete_regularity", "ray", *REPORT_SECTIONS}
+
+
+@pytest.mark.parametrize("module, name, readers", [
+    (spectral, "find_roots",
+     ("spectrum", "basis_conditioning", "green_decay", "resolvent_decay")),
+    (quasiform, "check_completely_regular", ("classification", "numerical_range")),
+    (cli, "_choose_ray", ("green_decay", "resolvent_decay")),
+])
+def test_report_failure_reaches_every_reader(module, name, readers, monkeypatch, capsys):
+    """A failed root search, splitting or scan ray is recorded, with the
+    same error, in every section that reads it, and in no other."""
+    def fail(*args):
+        raise RuntimeError(f"{name} failed")
+
+    monkeypatch.setattr(module, name, fail)
+    code, doc, _ = run_json(capsys, "report", "robin2")
+    assert code == 0
+    for section in REPORT_SECTIONS:
+        if section in readers:
+            assert doc[section] == {"error": f"RuntimeError: {name} failed"}, section
+        else:
+            assert "error" not in doc[section], section
 
 
 def test_report_keeps_partial_failures(capsys):
