@@ -27,7 +27,6 @@ from .numrange import HalfPlaneReport, half_plane_verdict, support_profile
 from .quasiform import (
     CompleteRegularityReport,
     check_completely_regular,
-    split_bc,
     verify_form_identity,
 )
 from .spectral import (
@@ -84,7 +83,6 @@ __all__ = [
     "resolvent_norm",
     "resolvent_scan",
     "spec_to_document",
-    "split_bc",
     "support_profile",
     "theta_determinants",
     "verify_form_identity",

@@ -6,13 +6,7 @@ periodic, initial-value (degenerate), and a mixed set whose quadratic form
 is unbounded in every direction.
 """
 
-from .model import (
-    BoundaryRow,
-    DivergenceForm,
-    OperatorSpec,
-    ZERO,
-    ONE,
-)
+from .model import BoundaryRow, DivergenceForm, OperatorSpec
 
 __all__ = [
     "dirichlet2",
@@ -38,15 +32,9 @@ def _row(n, a=(), b=()):
     return BoundaryRow(tuple(av), tuple(bv))
 
 
-def _form(m):
-    zeros = (ZERO,) * (m + 1)
-    p = (ZERO,) * m + (ONE,)
-    return DivergenceForm(m=m, p=p, q=zeros, r=zeros)
-
-
 def dirichlet2():
     """-y'' with y(0) = y(1) = 0."""
-    return OperatorSpec(2, _form(1), [
+    return OperatorSpec(2, DivergenceForm.model(1), [
         _row(2, a=[(0, 1)]),
         _row(2, b=[(0, 1)]),
     ])
@@ -54,7 +42,7 @@ def dirichlet2():
 
 def dirichlet4():
     """y'''' with y = y' = 0 at both ends (clamped)."""
-    return OperatorSpec(4, _form(2), [
+    return OperatorSpec(4, DivergenceForm.model(2), [
         _row(4, a=[(0, 1)]),
         _row(4, a=[(1, 1)]),
         _row(4, b=[(0, 1)]),
@@ -64,7 +52,7 @@ def dirichlet4():
 
 def neumann2():
     """-y'' with y'(0) = y'(1) = 0."""
-    return OperatorSpec(2, _form(1), [
+    return OperatorSpec(2, DivergenceForm.model(1), [
         _row(2, a=[(1, 1)]),
         _row(2, b=[(1, 1)]),
     ])
@@ -72,7 +60,7 @@ def neumann2():
 
 def neumann4():
     """y'''' with y'' = y''' = 0 at both ends (free)."""
-    return OperatorSpec(4, _form(2), [
+    return OperatorSpec(4, DivergenceForm.model(2), [
         _row(4, a=[(2, 1)]),
         _row(4, a=[(3, 1)]),
         _row(4, b=[(2, 1)]),
@@ -82,7 +70,7 @@ def neumann4():
 
 def periodic2():
     """-y'' with y(0) = y(1), y'(0) = y'(1); all eigenvalues double."""
-    return OperatorSpec(2, _form(1), [
+    return OperatorSpec(2, DivergenceForm.model(1), [
         _row(2, a=[(1, 1)], b=[(1, -1)]),
         _row(2, a=[(0, 1)], b=[(0, -1)]),
     ])
@@ -91,7 +79,7 @@ def periodic2():
 def cauchy2():
     """-y'' with y(0) = y'(0) = 0: an initial-value problem with empty
     spectrum, the standard non-regular control case."""
-    return OperatorSpec(2, _form(1), [
+    return OperatorSpec(2, DivergenceForm.model(1), [
         _row(2, a=[(0, 1)]),
         _row(2, a=[(1, 1)]),
     ])
@@ -101,7 +89,7 @@ def mixed4():
     """y'''' with -y'''(0) + y''(0) + y(0) = 0, y'''(1) + y(1) = 0,
     y'(0) = 0, y'(1) = 0: regular in the determinant sense, but the
     quadratic form values fill the whole plane."""
-    return OperatorSpec(4, _form(2), [
+    return OperatorSpec(4, DivergenceForm.model(2), [
         _row(4, a=[(3, -1), (2, 1), (0, 1)]),
         _row(4, b=[(3, 1), (0, 1)]),
         _row(4, a=[(1, 1)]),
@@ -112,7 +100,7 @@ def mixed4():
 def robin2():
     """-y'' with y'(0) - y(0) = 0, y'(1) + 2 y(1) = 0: separated rows
     with a nonzero boundary contribution to the quadratic form."""
-    return OperatorSpec(2, _form(1), [
+    return OperatorSpec(2, DivergenceForm.model(1), [
         _row(2, a=[(1, 1), (0, -1)]),
         _row(2, b=[(1, 1), (0, 2)]),
     ])

@@ -62,13 +62,10 @@ from .model import (
 )
 
 __all__ = [
-    "QuasiTransition",
-    "SplitBC",
     "CompleteRegularityReport",
     "quasi_jets",
     "quasi_transition",
     "wedge_vee",
-    "split_bc",
     "check_completely_regular",
     "split_jets",
     "split_form",
@@ -115,20 +112,13 @@ def quasi_jets(form: DivergenceForm):
     return jets
 
 
-@dataclass(frozen=True)
-class QuasiTransition:
-    """Endpoint matrices T with quasi-jet = T @ ordinary-jet.
+def quasi_transition(spec: OperatorSpec):
+    """Endpoint matrices (T_0, T_1) with quasi-jet = T @ ordinary-jet at
+    x = 0 and x = 1.
 
-    ``at_zero``/``at_one`` are (2m x 2m) lower-triangular with diagonal
-    (1, ..., 1, -1, +1, -1, ...); both are invertible with |det| = 1.
+    Both are (2m x 2m) lower-triangular with diagonal
+    (1, ..., 1, -1, +1, -1, ...), so invertible with |det| = 1.
     """
-
-    m: int
-    at_zero: np.ndarray
-    at_one: np.ndarray
-
-
-def quasi_transition(spec: OperatorSpec) -> QuasiTransition:
     form = as_divergence(spec).form
     m = form.m
     n = 2 * m
@@ -153,7 +143,7 @@ def quasi_transition(spec: OperatorSpec) -> QuasiTransition:
     for mat in (t0, t1):
         if abs(abs(np.linalg.det(mat)) - 1.0) > 1e-8:
             raise AssertionError("quasi-derivative transition must have |det| = 1")
-    return QuasiTransition(m, t0, t1)
+    return t0, t1
 
 
 def wedge_vee(block0, block1):
@@ -174,17 +164,6 @@ def wedge_vee(block0, block1):
     return wedge, vee
 
 
-@dataclass(frozen=True)
-class SplitBC:
-    """Boundary rows written as B y_wedge + C y_vee = 0, with the
-    :class:`QuasiTransition` the rows were split with."""
-
-    m: int
-    B: np.ndarray
-    C: np.ndarray
-    transition: QuasiTransition
-
-
 def _lower_inverse(mat):
     """Inverse of a lower-triangular matrix by forward substitution.
 
@@ -200,37 +179,12 @@ def _lower_inverse(mat):
     return inv
 
 
-def split_bc(spec: OperatorSpec) -> SplitBC:
-    """Convert the boundary rows of an even-order divergence or model form
-    spec to split form.
-
-    Row j has coefficients alpha_j = a_j T_0^{-1} and beta_j = b_j T_1^{-1}
-    on the quasi-jets at 0 and 1, so the layout of :func:`wedge_vee`
-    applied to the columns (alpha_j, beta_j) gives the rows of B and C.
-    """
-    spec = as_divergence(spec)
-    n = spec.order
-    trans = quasi_transition(spec)
-    inv0 = _lower_inverse(trans.at_zero)
-    inv1 = _lower_inverse(trans.at_one)
-    alpha = np.array([np.array(row.a, dtype=complex) @ inv0 for row in spec.rows])
-    beta = np.array([np.array(row.b, dtype=complex) @ inv1 for row in spec.rows])
-    B, C = (block.T for block in wedge_vee(alpha.T, beta.T))
-
-    stacked = np.hstack([B, C])
-    scale = max(np.abs(stacked).max(), 1.0)
-    if np.linalg.matrix_rank(stacked, tol=1e-10 * scale) < n:
-        raise SpecError("split boundary form [B | C] is rank deficient")
-    return SplitBC(spec.form.m, B, C, trans)
-
-
 # ---------------------------------------------------------------------------
 # Complete regularity
 # ---------------------------------------------------------------------------
 
 def _max_angle(basis1, basis2):
-    """Principal angles between two column spaces (largest first) and
-    their maximum.
+    """The largest principal angle between two column spaces.
 
     Angles with cos^2 >= 1/2 come from the sines, the singular values of
     the part of one basis orthogonal to the other (Bjorck and Golub 1973):
@@ -238,9 +192,9 @@ def _max_angle(basis1, basis2):
     """
     d1, d2 = basis1.shape[1], basis2.shape[1]
     if d1 == 0 and d2 == 0:
-        return np.array([]), 0.0
+        return 0.0
     if d1 == 0 or d2 == 0:
-        return np.array([np.pi / 2]), np.pi / 2
+        return np.pi / 2
     q1 = column_space(basis1, rounding_cutoff(basis1))
     q2 = column_space(basis2, rounding_cutoff(basis2))
     if q1.shape[1] < q2.shape[1]:
@@ -251,33 +205,50 @@ def _max_angle(basis1, basis2):
     angles = np.where(cosines ** 2 >= 0.5,
                       np.arcsin(np.clip(sines, -1.0, 1.0)),
                       np.arccos(np.clip(cosines, -1.0, 1.0)))
-    return angles, float(np.max(angles)) if angles.size else 0.0
+    return float(np.max(angles)) if angles.size else 0.0
 
 
 @dataclass(frozen=True)
 class CompleteRegularityReport:
-    """One operator's splitting: ``spec`` in divergence form, its
-    ``split`` and, when completely regular, the boundary form matrix
-    ``A`` (None otherwise)."""
+    """One operator's splitting: ``spec`` in divergence form, the
+    quasi-derivative transition (``at_zero``, ``at_one``) of
+    :func:`quasi_transition`, its boundary rows written as
+    B y_wedge + C y_vee = 0 and, when completely regular, the boundary
+    form matrix ``A`` (None otherwise)."""
 
     spec: OperatorSpec
-    split: SplitBC
+    at_zero: np.ndarray
+    at_one: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
     completely_regular: bool
     preimage_basis: np.ndarray       # orthonormal basis of B^{-1}(im C)
     complement_basis: np.ndarray     # orthonormal basis of (ker C)^perp
-    principal_angles: np.ndarray
     max_angle: float
     A: np.ndarray | None
 
 
 def check_completely_regular(spec) -> CompleteRegularityReport:
-    """Decide whether B^{-1}(im C) coincides with the orthogonal
-    complement of ker C, using rank-revealing SVDs and principal angles
-    (largest at most ANGLE_TOL)."""
+    """Split the boundary rows of an even-order divergence or model form
+    spec as B y_wedge + C y_vee = 0 and decide whether B^{-1}(im C)
+    coincides with the orthogonal complement of ker C, using
+    rank-revealing SVDs and principal angles (largest at most ANGLE_TOL).
+
+    Raises :class:`SpecError` when [B | C] is rank deficient."""
     spec = as_divergence(spec)
-    split = split_bc(spec)
-    B, C = split.B, split.C
-    n = B.shape[0]
+    n = spec.order
+    # row j has coefficients alpha_j = a_j T_0^{-1} and beta_j = b_j T_1^{-1}
+    # on the quasi-jets at 0 and 1, so the layout of wedge_vee applied to
+    # the columns (alpha_j, beta_j) gives the rows of B and C
+    at_zero, at_one = quasi_transition(spec)
+    inv0, inv1 = _lower_inverse(at_zero), _lower_inverse(at_one)
+    alpha = np.array([np.array(row.a, dtype=complex) @ inv0 for row in spec.rows])
+    beta = np.array([np.array(row.b, dtype=complex) @ inv1 for row in spec.rows])
+    B, C = (block.T for block in wedge_vee(alpha.T, beta.T))
+    stacked = np.hstack([B, C])
+    scale = max(np.abs(stacked).max(), 1.0)
+    if np.linalg.matrix_rank(stacked, tol=1e-10 * scale) < n:
+        raise SpecError("split boundary form [B | C] is rank deficient")
 
     im_c = column_space(C)
     # B^{-1}(im C) = kernel of (projector onto (im C)^perp) @ B
@@ -285,18 +256,18 @@ def check_completely_regular(spec) -> CompleteRegularityReport:
     preimage = null_space(proj_perp @ B)
     complement = column_space(C.conj().T)  # (ker C)^perp = range C^H
 
-    angles, max_angle = _max_angle(preimage, complement)
+    max_angle = _max_angle(preimage, complement)
     verdict = preimage.shape[1] == complement.shape[1] and max_angle <= ANGLE_TOL
 
     A = None
     if verdict:
         # the pairs (y_wedge, y_vee) of admissible y span the kernel of
         # [B | C]; A is P y_vee pinv(y_wedge) P, zero off the subspace
-        stacked = np.hstack([B, C])
         pairs = null_space(stacked, rounding_cutoff(stacked))
         proj = preimage @ preimage.conj().T
         A = proj @ pairs[n:] @ np.linalg.pinv(pairs[:n]) @ proj
-    return CompleteRegularityReport(spec, split, verdict, preimage, complement, angles, max_angle, A)
+    return CompleteRegularityReport(spec, at_zero, at_one, B, C, verdict,
+                                    preimage, complement, max_angle, A)
 
 
 def as_report(spec_or_report) -> CompleteRegularityReport:
@@ -322,8 +293,7 @@ def split_jets(report, dim):
     basis = constrained_basis(spec, dim)
     jets = [basis] + [derivative_matrix(count, j) @ basis for j in range(1, m + 1)]
     at0, at1 = endpoint_jets(count, n)
-    wedge, vee = wedge_vee(report.split.transition.at_zero @ (at0 @ basis),
-                           report.split.transition.at_one @ (at1 @ basis))
+    wedge, vee = wedge_vee(report.at_zero @ (at0 @ basis), report.at_one @ (at1 @ basis))
     return jets, wedge, vee
 
 

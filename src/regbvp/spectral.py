@@ -38,6 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .birkhoff import unit_roots
 from .geometry import critical_rays, ray_clearance, ray_distance
 from .normalize import NormalizedBC
 
@@ -144,8 +145,12 @@ class SpectralScan:
 # Characteristic determinant
 # ---------------------------------------------------------------------------
 
-def _unit_roots(n):
-    return np.exp(2j * np.pi * np.arange(n) / n)
+def _exponents(eps, rho):
+    """The exponents z_k = i eps_k rho and the column shifts
+    max(0, Re z_k): column k of every scaled matrix carries the factor
+    e^(-shift_k)."""
+    z = 1j * eps * rho
+    return z, np.maximum(z.real, 0.0)
 
 
 class _Char(NamedTuple):
@@ -160,7 +165,7 @@ class _Char(NamedTuple):
 
 
 def _char(nbc: NormalizedBC):
-    return _Char(nbc.n, _unit_roots(nbc.n),
+    return _Char(nbc.n, np.array(unit_roots(nbc.n)),
                  np.array([row.a for row in nbc.rows], dtype=complex),
                  np.array([row.b for row in nbc.rows], dtype=complex))
 
@@ -177,8 +182,7 @@ def _char_matrices(char, rhos, derivative=False):
     n, eps, a, b = char
     rhos = np.asarray(rhos, dtype=complex).ravel()
 
-    z = 1j * eps[None, :] * rhos[:, None]                       # (N, n)
-    shift = np.maximum(z.real, 0.0)
+    z, shift = _exponents(eps[None, :], rhos[:, None])          # (N, n)
     scaled_exp = np.exp(z - shift)                              # e^z * column scale
     col_scale = np.exp(-shift)
 
@@ -605,7 +609,7 @@ def _green_matrix(nbc: NormalizedBC, rho, xs, xis):
     rho = complex(rho)
     xs = np.asarray(xs, dtype=float)
     xis = np.asarray(xis, dtype=float)
-    z = 1j * eps * rho                      # (n,)
+    z, shift = _exponents(eps, rho)         # (n,)
     gamma = (1j * eps) / (n * rho ** (n - 1))
     growing = z.real > 0.0
 
@@ -640,7 +644,6 @@ def _green_matrix(nbc: NormalizedBC, rho, xs, xis):
     mats, _, row_scales = _char_matrices(char, [rho])
     coeffs = np.linalg.solve(mats[0], rhs / row_scales[0][:, None])
 
-    shift = np.maximum(z.real, 0.0)
     e_cols = np.exp(np.outer(xs, z) - shift[None, :])           # scaled e^(z x)
     return g - e_cols @ coeffs
 
@@ -796,9 +799,8 @@ def eigenfunction(nbc: NormalizedBC, root: EigenRoot):
     mats, _, _ = _char_matrices(char, [root.rho])
     _u, s, vh = np.linalg.svd(mats[0])
     vecs = vh[char.n - root.multiplicity:].conj()
-    eps = char.eps
-    col_scale = np.exp(-np.maximum((1j * eps * root.rho).real, 0.0))
-    out = vecs * col_scale[None, :]
+    _z, shift = _exponents(char.eps, root.rho)
+    out = vecs * np.exp(-shift)[None, :]
     norms = np.linalg.norm(out, axis=1, keepdims=True)
     return out / norms
 
@@ -860,7 +862,7 @@ def _exp_integral(mu):
 def _l2_gram(funcs):
     """Gram matrix of exponential sums given as (rho, coefficient) pairs."""
     count = len(funcs)
-    zs = [1j * _unit_roots(c.size) * rho for rho, c in funcs]
+    zs = [1j * np.array(unit_roots(c.size)) * rho for rho, c in funcs]
     gram = np.zeros((count, count), dtype=complex)
     for p in range(count):
         for q in range(p + 1):

@@ -14,7 +14,7 @@ import sys
 import pytest
 
 from regbvp import cli, gallery, quasiform, spectral
-from regbvp.model import spec_to_document
+from regbvp.model import ClassicalForm, OperatorSpec, Poly, spec_to_document
 from regbvp.normalize import reduce_total_order
 from regbvp.spectral import EigenRoot
 
@@ -109,6 +109,16 @@ def test_classify_odd_order_marks_cr_not_applicable(tmp_path, capsys):
     frag = out["complete_regularity"]
     assert frag["applicable"] is False
     assert "reason" in frag
+
+
+def test_classify_classical_spec_file(tmp_path, capsys):
+    spec = OperatorSpec(2, ClassicalForm({2: Poly((0, 5))}), gallery.build("dirichlet2").rows)
+    path = tmp_path / "classical2.json"
+    path.write_text(json.dumps(spec_to_document(spec)))
+    code, doc, _ = run_json(capsys, "classify", str(path))
+    assert code == 0
+    assert doc["form"] == "classical"
+    assert doc["complete_regularity"]["applicable"] is False
 
 
 def test_usage_error_exits_two(capsys):

@@ -161,9 +161,27 @@ def test_divergence_order_mismatch():
 # JSON round trips
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", sorted(gallery.EXAMPLES))
+# The gallery, plus one spec of each wire form it does not use: a model
+# form, a classical form and a divergence form with nonzero p, q and r.
+WIRE_SPECS = {name: gallery.build(name) for name in gallery.EXAMPLES}
+WIRE_SPECS["model3"] = OperatorSpec(3, ModelForm(), (
+    make_row(3, a=((0, 1 - 2j),), b=((2, 0.5),)),
+    make_row(3, a=((1, 1),)),
+    make_row(3, b=((0, 1),)),
+))
+WIRE_SPECS["classical3"] = OperatorSpec(
+    3, ClassicalForm({2: Poly((0, 5)), 3: Poly((1j, 0, -2))}), WIRE_SPECS["model3"].rows)
+WIRE_SPECS["divergence4"] = OperatorSpec(4, DivergenceForm(
+    2,
+    p=(Poly((1, -1)), Poly((0, 2j)), ONE),
+    q=(ZERO, Poly((3,)), Poly((0, 0, 1))),
+    r=(ZERO, Poly((1j,)), Poly((2, 1))),
+), gallery.build("mixed4").rows)
+
+
+@pytest.mark.parametrize("name", sorted(WIRE_SPECS))
 def test_document_round_trip(name):
-    spec = gallery.build(name)
+    spec = WIRE_SPECS[name]
     doc = spec_to_document(spec)
     again = parse_spec(doc)
     assert again == spec

@@ -33,7 +33,7 @@ from regbvp.numrange import (
     support_profile,
 )
 from regbvp.legendre import derivative_matrix, endpoint_jets
-from regbvp.quasiform import check_completely_regular, split_bc, split_jets
+from regbvp.quasiform import check_completely_regular, split_jets
 
 EPS = np.finfo(float).eps
 
@@ -222,17 +222,18 @@ def test_split_form_matches_strong_form_on_random_forms():
 
 
 def test_split_rows_vanish_on_the_basis_endpoint_vectors():
-    """split_bc and the split assembly share one endpoint layout: on the
-    constrained basis, B y_wedge + C y_vee is the boundary rows applied to
-    the basis, so it vanishes as far as those rows do.  (Relative to
-    ||[B | C]|| ||[y_wedge; y_vee]||: under clamped rows y_wedge is pure
-    rounding noise, so ||B|| ||y_wedge|| would be the residual itself.)"""
+    """The report's B and C and the split assembly share one endpoint
+    layout: on the constrained basis, B y_wedge + C y_vee is the boundary
+    rows applied to the basis, so it vanishes as far as those rows do.
+    (Relative to ||[B | C]|| ||[y_wedge; y_vee]||: under clamped rows
+    y_wedge is pure rounding noise, so ||B|| ||y_wedge|| would be the
+    residual itself.)"""
     dim = 16
     specs = [gallery.build(name) for name in sorted(gallery.EXAMPLES)]
     for spec in specs + _random_divergence_specs():
         spec = as_divergence(spec)
-        split = split_bc(spec)
-        _jets, wedge, vee = split_jets(check_completely_regular(spec), dim)
+        split = check_completely_regular(spec)
+        _jets, wedge, vee = split_jets(split, dim)
         residual = np.linalg.norm(split.B @ wedge + split.C @ vee, 2) / (
             np.linalg.norm(np.hstack([split.B, split.C]), 2)
             * np.linalg.norm(np.vstack([wedge, vee]), 2))
@@ -501,6 +502,26 @@ def test_whole_plane_minima_grow():
     report = half_plane_verdict(gallery.build("mixed4"))
     for prev, nxt in zip(report.minima, report.minima[1:]):
         assert nxt >= 1.5 * prev
+
+
+@pytest.mark.parametrize("minima, verdict", [
+    ((2.0, 3.0, 4.5, 6.75), "whole_plane"),   # growth 1.5 at every doubling
+    ((2.0, 3.0, 4.0, 6.0), "undetermined"),   # one doubling grows by 4/3 only
+    ((0.5, 0.9, 2.0, 3.0), "whole_plane"),    # doublings from minima <= 1 are skipped
+    ((1.0, 1.05), "half_plane"),              # within SLACK of the first minimum
+])
+def test_half_plane_verdict_rule(monkeypatch, minima, verdict):
+    """The verdict rule alone, on fixed minima in place of computed ones."""
+    dimensions = tuple(8 * 2 ** k for k in range(len(minima)))
+    by_dimension = dict(zip(dimensions, minima))
+
+    def fixed_profile(report, dim, num_angles):
+        return numrange.SupportProfile(dim, (0.0,), (by_dimension[dim],), 0.0)
+
+    monkeypatch.setattr(numrange, "support_profile", fixed_profile)
+    report = half_plane_verdict(gallery.build("dirichlet2"), dimensions=dimensions)
+    assert report.minima == minima
+    assert report.verdict == verdict
 
 
 def test_half_plane_verdict_needs_two_dimensions():

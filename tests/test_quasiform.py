@@ -27,7 +27,6 @@ from regbvp.quasiform import (
     check_completely_regular,
     quasi_jets,
     quasi_transition,
-    split_bc,
     verify_form_identity,
 )
 
@@ -80,10 +79,9 @@ def test_quasi_jet_top_row_is_the_expression(rng):
 
 def test_quasi_transition_triangular_unit_diagonal():
     for spec in (gallery.build("dirichlet4"), _nontrivial_spec()):
-        trans = quasi_transition(spec)
-        m = trans.m
+        m = spec.form.m
         n = 2 * m
-        for mat in (trans.at_zero, trans.at_one):
+        for mat in quasi_transition(spec):
             assert np.allclose(np.triu(mat, 1), 0.0, atol=1e-12)
             diag = np.diagonal(mat)
             want = [1.0 if j <= m else (-1.0) ** (j - m) for j in range(n)]
@@ -114,8 +112,8 @@ def test_quasi_transition_accepts_random_fourth_order_forms():
     # orders, so their coefficients may differ in the last bits
     rng = random.Random(7)
     for _ in range(200):
-        trans = quasi_transition(_random_clamped_spec(rng))
-        assert abs(abs(np.linalg.det(trans.at_zero)) - 1.0) < 1e-9
+        at_zero, _ = quasi_transition(_random_clamped_spec(rng))
+        assert abs(abs(np.linalg.det(at_zero)) - 1.0) < 1e-9
 
 
 def test_quasi_transition_rejects_wrong_expansion(monkeypatch):
@@ -146,12 +144,10 @@ def test_model_form_splits_like_its_divergence_form():
     expected = check_completely_regular(reference)
     report = check_completely_regular(model)
     assert report.spec == reference
-    for name in ("B", "C"):
-        assert np.array_equal(getattr(split_bc(model), name), getattr(expected.split, name))
-        assert np.array_equal(getattr(report.split, name), getattr(expected.split, name))
-    for name in ("at_zero", "at_one"):
-        assert np.array_equal(getattr(quasi_transition(model), name),
-                              getattr(expected.split.transition, name))
+    for name in ("B", "C", "at_zero", "at_one"):
+        assert np.array_equal(getattr(report, name), getattr(expected, name))
+    for mat, name in zip(quasi_transition(model), ("at_zero", "at_one")):
+        assert np.array_equal(mat, getattr(expected, name))
     assert np.array_equal(report.A, expected.A)
     assert verify_form_identity(model) == verify_form_identity(reference)
 
@@ -174,7 +170,7 @@ def _wedge_and_vee(form, y):
 @pytest.mark.parametrize("name", ["dirichlet2", "robin2", "mixed4", "neumann4"])
 def test_split_reproduces_rows_on_random_polynomials(name, rng):
     spec = gallery.build(name)
-    split = split_bc(spec)
+    split = check_completely_regular(spec)
     n = spec.order
     for _ in range(5):
         y = Poly(tuple(rng.normal(size=n + 4) + 1j * rng.normal(size=n + 4)))
@@ -187,7 +183,7 @@ def test_split_reproduces_rows_on_random_polynomials(name, rng):
 
 
 def test_split_layout_labels():
-    split = split_bc(gallery.build("dirichlet4"))
+    split = check_completely_regular(gallery.build("dirichlet4"))
     assert split.B.shape == (4, 4) and split.C.shape == (4, 4)
     # y^[0..3] at 0 and at 1 stand for 0..3 and 10..13
     wedge, vee = quasiform.wedge_vee(np.arange(4.0), np.arange(10.0, 14.0))
@@ -196,13 +192,14 @@ def test_split_layout_labels():
 
 
 def rows_from_split(spec, B, C):
-    """Inverse of :func:`split_bc`: boundary rows realizing given (B, C)
-    for the expression of ``spec`` (whose own rows are ignored)."""
+    """Inverse of the row split of :func:`check_completely_regular`:
+    boundary rows realizing given (B, C) for the expression of ``spec``
+    (whose own rows are ignored)."""
     m = spec.form.m
     n = 2 * m
     B = np.asarray(B, dtype=complex)
     C = np.asarray(C, dtype=complex)
-    trans = quasi_transition(spec)
+    at_zero, at_one = quasi_transition(spec)
     rows = []
     for j in range(n):
         alpha = np.zeros(n, dtype=complex)
@@ -212,17 +209,17 @@ def rows_from_split(spec, B, C):
         for i in range(m):
             alpha[n - 1 - i] += C[j, i]
             beta[n - 1 - i] += -C[j, m + i]
-        a = alpha @ trans.at_zero
-        b = beta @ trans.at_one
+        a = alpha @ at_zero
+        b = beta @ at_one
         rows.append(BoundaryRow(tuple(a), tuple(b)))
     return tuple(rows)
 
 
 def test_rows_from_split_round_trip(rng):
     spec = _nontrivial_spec()
-    split = split_bc(spec)
+    split = check_completely_regular(spec)
     rebuilt = rows_from_split(spec, split.B, split.C)
-    again = split_bc(OperatorSpec(spec.order, spec.form, rebuilt))
+    again = check_completely_regular(OperatorSpec(spec.order, spec.form, rebuilt))
     assert np.allclose(again.B, split.B, atol=1e-9)
     assert np.allclose(again.C, split.C, atol=1e-9)
     # the rebuilt rows span the original ones
@@ -264,8 +261,8 @@ def test_clamped_rows_completely_regular_for_random_forms(n):
     rng = random.Random(7)
     for _ in range(50):
         spec = _random_clamped_spec(rng, n)
-        assert not split_bc(spec).C.any()
         report = check_completely_regular(spec)
+        assert not report.C.any()
         assert report.completely_regular, report.max_angle
         assert not report.A.any()
 
@@ -331,7 +328,7 @@ def test_invertible_vee_block_is_completely_regular():
     singular value: the preimage gets dimension 1 against 2."""
     rows = (BoundaryRow((-1, 1 + 1j), (0, 0)), BoundaryRow((0, 0), (2j, 1)))
     spec = OperatorSpec(2, ModelForm(), rows)
-    split = split_bc(spec)
+    split = check_completely_regular(spec)
     assert np.linalg.svd(split.C, compute_uv=False).min() >= 0.5
     assert verify_form_identity(spec, A=-np.linalg.solve(split.C, split.B)) <= 1e-12
     assert check_completely_regular(spec).completely_regular

@@ -111,6 +111,26 @@ def test_periodic_double_roots():
     assert all(abs(r.rho.imag) <= 1e-8 for r in by_value)
 
 
+@pytest.mark.xfail(strict=True, reason="double zeros of a non-semisimple operator are "
+                   "polished on a determinant that cancels near them; the fix lands "
+                   "with ROADMAP open item 1 (Newton on the m-1st derivative of the "
+                   "exponential polynomial)")
+def test_non_semisimple_double_roots_on_their_closed_form():
+    """-y'' with y'(0) + y'(1) = 0 and y(0) = 0: Delta is proportional to
+    rho (1 + cos rho), so every zero (2k+1) pi is double, with a single
+    eigenfunction.  Each root must be double, lie within 1e-12 (1 + |rho|)
+    of its closed form and carry a finite residual."""
+    nbc = reduce_total_order((make_row(2, a=((1, 1),), b=((1, 1),)), make_row(2, a=((0, 1),))))
+    roots = find_roots(nbc, (0.5, 40.0))
+    targets = sorted(sign * (2 * k + 1) * math.pi for k in range(6) for sign in (1, -1))
+    nearest = [min(targets, key=lambda t: abs(root.rho - t)) for root in roots]
+    assert sorted(nearest) == targets
+    for root, target in zip(roots, nearest):
+        assert root.multiplicity == 2
+        assert math.isfinite(root.residual)
+        assert abs(root.rho - target) <= 1e-12 * (1 + abs(target)), (root, target)
+
+
 def test_empty_spectrum():
     nbc = _nbc("cauchy2")
     assert find_roots(nbc, (0.5, 30.0)) == ()
