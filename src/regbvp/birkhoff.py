@@ -11,9 +11,16 @@ For odd n a companion determinant ``theta_1`` -- identical except that the
 middle column switches from the ``a`` to the ``b`` coefficient -- must be
 nonzero as well.
 
-Determinants are evaluated by a division-free Laplace expansion over
-column subsets, so rational (Gaussian-integer) inputs give exact values
-whenever the roots of unity are exactly representable (n = 1, 2, 4).
+Both are read off the characteristic determinant itself.  Column k of the
+boundary matrix on e^(i eps_k rho x) is alpha_k(rho) + e^(i eps_k rho)
+beta_k(rho), so Delta(rho) = sum_S P_S(rho) e^(i rho sum_(k in S) eps_k)
+over the column subsets S, and :func:`determinant_terms` builds every P_S
+by a division-free expansion over the columns.  On the leading forms,
+theta_0 is i^(-kappa) times the rho^kappa coefficient of P_S for
+S = {k >= ceil(n/2)}, and theta_1 that of S = {k >= ceil(n/2) - 1}.
+Rational (Gaussian-integer) inputs give exact values whenever the roots
+of unity are exactly representable (n = 1, 2, 4).  The spectral engine
+reads the same expansion, with equal frequencies merged.
 """
 
 import cmath
@@ -27,7 +34,7 @@ from .normalize import NormalizedBC, leading_forms, reduce_total_order
 __all__ = [
     "RegularityVerdict",
     "unit_roots",
-    "theta_matrix",
+    "determinant_terms",
     "theta_determinants",
     "classify_regularity",
 ]
@@ -48,59 +55,72 @@ def unit_roots(n):
     return tuple(_snap(cmath.exp(2j * cmath.pi * k / n)) for k in range(n))
 
 
-def _det_exact(matrix):
-    """Division-free determinant (Laplace over column subsets), O(n 2^n)."""
-    n = len(matrix)
-    full = (1 << n) - 1
-    memo = {0: 1.0 + 0.0j}
+def determinant_terms(n, rows):
+    """The characteristic determinant of ``rows`` as an exponential
+    polynomial, one term per column subset.
 
-    def det(mask):
-        if mask in memo:
-            return memo[mask]
-        row = bin(mask).count("1") - 1
-        acc = 0j
-        sign = -1.0 if row % 2 else 1.0  # cofactor row parity
-        rest = mask
-        while rest:
-            col_bit = rest & (-rest)
-            col = col_bit.bit_length() - 1
-            entry = matrix[row][col]
-            if entry != 0:
-                acc += sign * entry * det(mask ^ col_bit)
-            sign = -sign
-            rest ^= col_bit
-        memo[mask] = acc
-        return acc
+    ``rows`` are pairs (a, b) of the coefficients of y^(s)(0) and
+    y^(s)(1), s < n.  On e^(i eps_k rho x) row j takes the value
+    alpha_jk(rho) + e^(i eps_k rho) beta_jk(rho), with
+    alpha_jk(rho) = sum_s a_js (i eps_k rho)^s and beta_jk likewise from
+    b, so by multilinearity in the columns
 
-    return det(full)
+        Delta(rho) = sum_S P_S(rho) e^(i rho f_S),   f_S = sum_(k in S) eps_k,
 
+    where P_S is the determinant that takes the columns k in S from beta.
+    The expansion runs row by row over the free columns, without division.
 
-def theta_matrix(forms, n, swap_middle=False):
-    """Matrix behind the theta determinant for leading forms (k_j, a_j, b_j).
-
-    ``swap_middle`` selects the odd-order companion where the middle column
-    carries the ``b`` coefficient instead of ``a``.
+    Returns {S: (f_S, P_S, M_S)} over the column subsets S (bit masks)
+    that some product reaches: P_S holds the coefficients of P_S(rho),
+    ascending, and M_S the sums of the moduli of the products added into
+    each of them.
     """
-    if len(forms) != n:
-        raise ValueError(f"expected {n} leading forms, got {len(forms)}")
     eps = unit_roots(n)
-    m = (n + 1) // 2
-    mat = [[0j] * n for _ in range(n)]
-    for j, (k, a, b) in enumerate(forms):
-        for i in range(n):
-            use_b = i >= m or (swap_middle and i == m - 1)
-            coeff = b if use_b else a
-            mat[j][i] = coeff * eps[i] ** k
-    return mat
+    states = {(0, 0): (np.ones(1, dtype=complex), np.ones(1))}   # (used, S) -> (P, M)
+    for a, b in rows:
+        deg = max((s for s in range(n) if a[s] != 0 or b[s] != 0), default=0)
+        entries = [[np.array([c[s] * (1j * e) ** s for s in range(deg + 1)]) for c in (a, b)]
+                   for e in eps]
+        reached = {}
+        for (used, subset), (poly, moduli) in states.items():
+            for k in range(n):
+                bit = 1 << k
+                if used & bit:
+                    continue
+                sign = -1 if (used >> k).bit_count() % 2 else 1  # used columns right of k
+                for entry, taken in zip(entries[k], (0, bit)):
+                    if entry.any():
+                        key = (used | bit, subset | taken)
+                        p, m = reached.get(key, (0, 0))
+                        reached[key] = (p + sign * np.convolve(poly, entry),
+                                        m + np.convolve(moduli, np.abs(entry)))
+        states = reached
+    return {subset: (_snap(sum(eps[k] for k in range(n) if subset >> k & 1)), poly, moduli)
+            for (_, subset), (poly, moduli) in states.items()}
 
 
 def theta_determinants(forms, n):
-    """Pair (theta0, theta1); theta1 is None for even n."""
-    theta0 = _det_exact(theta_matrix(forms, n))
-    if n % 2 == 0:
-        return theta0, None
-    theta1 = _det_exact(theta_matrix(forms, n, swap_middle=True))
-    return theta0, theta1
+    """Pair (theta0, theta1) of leading forms (k_j, a_j, b_j); theta1 is
+    None for even n.
+
+    theta0 is i^(-kappa) times the rho^kappa coefficient of the term
+    S = {k >= m}, m = ceil(n/2), of :func:`determinant_terms` on the rows
+    a_j y^(k_j)(0) + b_j y^(k_j)(1); theta1 that of S = {k >= m - 1}.
+    """
+    if len(forms) != n:
+        raise ValueError(f"expected {n} leading forms, got {len(forms)}")
+    rows = [tuple(tuple(c if s == k else 0j for s in range(n)) for c in (a, b))
+            for k, a, b in forms]
+    terms = determinant_terms(n, rows)
+    kappa = sum(k for k, _, _ in forms)
+
+    def theta(first):
+        term = terms.get((1 << n) - (1 << first))
+        # adding to 0j clears the negative zeros the unit factor can leave
+        return 0j if term is None else 0j + (-1j) ** kappa * term[1][kappa]
+
+    m = (n + 1) // 2
+    return theta(m), None if n % 2 == 0 else theta(m - 1)
 
 
 @dataclass(frozen=True)

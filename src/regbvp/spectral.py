@@ -2,12 +2,22 @@
 
 Solutions of the model equation l0(y) = rho^n y are e^(i eps_k rho x) with
 eps_k the n-th roots of unity.  The characteristic determinant
-Delta(rho) = det[U_j(e_k)] vanishes exactly at the eigenvalue parameters;
-its entries grow like e^(Re(i eps_k rho)), so every column is rescaled by
-e^(-max(0, Re(i eps_k rho))) and every row by its largest entry, with the
-logs accumulated separately.  All quantities derived here (roots, Green
-kernel, resolvent norms) work on the scaled matrices and never form the
-raw exponentials.
+Delta(rho) = det[U_j(e_k)] vanishes exactly at the eigenvalue parameters.
+Column k of that matrix is alpha_k(rho) + e^(i eps_k rho) beta_k(rho)
+with polynomial alpha_k and beta_k, so Delta is the exponential polynomial
+
+    Delta(rho) = sum_f P_f(rho) e^(i rho f),
+
+with f running over the distinct subset sums of the eps_k and each P_f of
+degree at most kappa.  Its coefficients come from
+:func:`birkhoff.determinant_terms` (the expansion that also gives theta0
+and theta1), built once per operator; Delta is zero identically when
+every coefficient is, and :func:`find_roots` then raises.  Delta, scaled
+by e^(-max_f Re(i rho f)) with the log of the scale kept apart, and its
+derivatives (P_f -> P_f' + i f P_f) are evaluated by Horner, one
+polynomial per frequency, without forming the raw exponentials.  The
+Green kernel and the eigenfunctions solve on one scaled boundary matrix
+at a single rho instead.
 
 Only :func:`find_roots` searches for zeros, always over a full annulus.
 The ray clearance check, the scans and Gram conditioning filter a root
@@ -21,7 +31,10 @@ boxes of a level are one array computation, and so are the first
 winding samples of the initial grid and of the four children of each
 split.  No evaluation takes more than ``BATCH_POINTS`` points at once.
 Batching changes no result: every point's determinant, Newton step and
-residual is the one it gets alone.
+residual is the one it gets alone.  A box is polished by the step
+-m Delta/Delta' with its count m; a root whose circle winds m times is
+polished by Newton on Delta^(m-1), whose zero there is simple, so a
+multiple root is not limited by the cancellation of Delta near it.
 
 Fixed numerical choices are module constants: the Newton residual
 ``RESIDUAL_TOL``, the search limits ``MAX_DEPTH`` and ``MAX_GRID``, the
@@ -38,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .birkhoff import unit_roots
+from .birkhoff import determinant_terms, unit_roots
 from .geometry import critical_rays, ray_clearance, ray_distance
 from .normalize import NormalizedBC
 
@@ -64,8 +77,8 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-8
-# The most rho values one _char_matrices call evaluates: batches beyond it
-# buy no speed and only raise the peak memory.
+# The most rho values one _evaluate call takes: batches beyond it buy no
+# speed and only raise the peak memory.
 BATCH_POINTS = 1024
 NEWTON_MAX_ITER = 50
 MAX_DEPTH = 40
@@ -153,90 +166,113 @@ def _exponents(eps, rho):
     return z, np.maximum(z.real, 0.0)
 
 
-class _Char(NamedTuple):
-    """What the boundary matrices of one operator are built from: the
-    order, the unit roots eps_k and the row coefficients.  A search builds
-    it once and passes it to every evaluation."""
+def _rows(nbc: NormalizedBC):
+    """The unit roots eps_k and the row coefficients a, b, as arrays."""
+    return (np.array(unit_roots(nbc.n)), np.array([row.a for row in nbc.rows], dtype=complex),
+            np.array([row.b for row in nbc.rows], dtype=complex))
+
+
+def _boundary_matrix(nbc: NormalizedBC, rho):
+    """The scaled boundary matrix [U_j(e^(z_k x))] at one rho: column k
+    carries the factor e^(-shift_k) of :func:`_exponents`, and each row is
+    divided by its largest entry.  Returns (matrix, row divisors), so a
+    right-hand side can be scaled to match."""
+    n, (eps, a, b) = nbc.n, _rows(nbc)
+    z, shift = _exponents(eps, rho)
+    powers = np.ones((n, n), dtype=complex)                     # (k, s) = z_k^s
+    for s in range(1, n):
+        powers[:, s] = powers[:, s - 1] * z
+    # entry (j, k) = sum_s a[j,s] z_k^s * col + b[j,s] z_k^s e^z * col
+    mat = (np.einsum("js,ks->jk", a, powers) * np.exp(-shift)
+           + np.einsum("js,ks->jk", b, powers) * np.exp(z - shift))
+    row_norm = np.abs(mat).max(axis=1)
+    safe = np.where(row_norm > 0.0, row_norm, 1.0)
+    return mat / safe[:, None], safe
+
+
+class _Delta(NamedTuple):
+    """Delta(rho) = sum_f P_f(rho) e^(i rho f) of one operator: the order,
+    the distinct frequencies f, and row by row the coefficients of P_f,
+    ascending."""
 
     n: int
-    eps: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
+    freqs: np.ndarray
+    coeffs: np.ndarray
 
 
-def _char(nbc: NormalizedBC):
-    return _Char(nbc.n, np.array(unit_roots(nbc.n)),
-                 np.array([row.a for row in nbc.rows], dtype=complex),
-                 np.array([row.b for row in nbc.rows], dtype=complex))
+def _negligible(coeffs, moduli):
+    """The one rule for a zero coefficient of Delta: it is at most 64 eps
+    times the sum of the moduli of the products added into it, so that
+    rounding alone can account for it."""
+    return np.abs(coeffs) <= 64 * np.finfo(float).eps * moduli
 
 
-def _char_matrices(char, rhos, derivative=False):
-    """Scaled boundary matrices for a batch of at most BATCH_POINTS rho values.
+@functools.lru_cache(maxsize=16)
+def _delta(rows):
+    """The Delta of the normalized ``rows``, built once per operator: the
+    terms of :func:`birkhoff.determinant_terms` with equal frequencies
+    merged, and the coefficients :func:`_negligible` set to zero.  A
+    frequency left with none is dropped, so Delta vanishes identically
+    when none is left."""
+    terms = [term for _, term in sorted(determinant_terms(
+        len(rows), [(row.a, row.b) for row in rows]).items())]
+    freqs = np.array([freq for freq, _, _ in terms])
+    group = [int(np.argmax(np.abs(freqs - freq) <= 1e-12)) for freq in freqs]
+    firsts = sorted(set(group))
+    coeffs, moduli = (np.array([sum(term[part] for term, g in zip(terms, group) if g == first)
+                                for first in firsts]) for part in (1, 2))
+    coeffs[_negligible(coeffs, moduli)] = 0.0
+    kept = coeffs.any(axis=1)
+    delta = _Delta(len(rows), freqs[firsts][kept], coeffs[kept])
+    delta.freqs.flags.writeable = delta.coeffs.flags.writeable = False  # cached, so shared
+    return delta
 
-    Returns (mats, log_scales, row_scales), where ``row_scales`` are the
-    divisors applied to the rows (so a right-hand side can be scaled to
-    match), and, when ``derivative`` is set, also the derivative matrices
-    with identical scaling (so that the trace formula tr(M^-1 M') is
-    unaffected).
+
+def _derivative(freqs, coeffs):
+    """The coefficients of Delta' from those of Delta: P_f -> P_f' + i f P_f."""
+    out = 1j * freqs[:, None] * coeffs
+    out[:, :-1] += coeffs[:, 1:] * np.arange(1, coeffs.shape[1])
+    return out
+
+
+def _evaluate(delta, tables, rhos):
+    """sum_f T_f(rho) e^(i rho f - shift) for every coefficient table T in
+    ``tables`` (shape (tables, frequencies, degree + 1)), by Horner, at at
+    most BATCH_POINTS values rho, with shift = max_f Re(i rho f).
+
+    Returns (values of shape (tables, points), shifts).
     """
-    n, eps, a, b = char
+    z = 1j * delta.freqs[:, None] * rhos[None, :]
+    shift = z.real.max(axis=0, initial=-np.inf)
+    acc = np.zeros(tables.shape[:2] + rhos.shape, dtype=complex)
+    for d in range(tables.shape[2] - 1, -1, -1):
+        acc = acc * rhos + tables[:, :, d, None]
+    # summed one frequency at a time, in order: numpy's sum over an axis
+    # would change its order, and the bits, with the number of points
+    values = np.zeros((tables.shape[0], rhos.size), dtype=complex)
+    for term in (acc * np.exp(z - shift)).transpose(1, 0, 2):
+        values = values + term
+    return values, shift
+
+
+def _char_det_batch(delta, rhos, tables=None):
+    """(values, shifts) of :func:`_evaluate` at any number of rho values,
+    BATCH_POINTS at a time; ``tables`` defaults to Delta alone."""
+    tables = delta.coeffs[None] if tables is None else tables
     rhos = np.asarray(rhos, dtype=complex).ravel()
-
-    z, shift = _exponents(eps[None, :], rhos[:, None])          # (N, n)
-    scaled_exp = np.exp(z - shift)                              # e^z * column scale
-    col_scale = np.exp(-shift)
-
-    powers = np.ones((rhos.size, n, n), dtype=complex)          # (N, k, s) = z_k^s
-    for s in range(1, n):
-        powers[:, :, s] = powers[:, :, s - 1] * z
-
-    # entry (j, k) = sum_s a[j,s] z_k^s * col + b[j,s] z_k^s e^z * col
-    mats = (np.einsum("js,Nks->Njk", a, powers) * col_scale[:, None, :]
-            + np.einsum("js,Nks->Njk", b, powers) * scaled_exp[:, None, :])
-    log_scales = shift.sum(axis=1)
-
-    row_norm = np.abs(mats).max(axis=2)                         # (N, j)
-    safe = np.where(row_norm > 0.0, row_norm, 1.0)
-    mats = mats / safe[:, :, None]
-    log_scales = log_scales + np.log(safe).sum(axis=1)
-
-    if not derivative:
-        return mats, log_scales, safe
-
-    dpow = np.zeros_like(powers)                                # d/drho z_k^s
-    for s in range(1, n):
-        dpow[:, :, s] = s * powers[:, :, s - 1] * (1j * eps[None, :])
-    dexp = powers * (1j * eps[None, :, None])                   # d/drho of z^s * e^z, part 1
-    dmats = (np.einsum("js,Nks->Njk", a, dpow) * col_scale[:, None, :]
-             + np.einsum("js,Nks->Njk", b, dpow + dexp) * scaled_exp[:, None, :])
-    dmats = dmats / safe[:, :, None]
-    return mats, log_scales, safe, dmats
-
-
-def _chunks(rhos):
-    """``rhos`` as a flat array, in slices of at most BATCH_POINTS values."""
-    rhos = np.asarray(rhos, dtype=complex).ravel()
-    return [rhos[i:i + BATCH_POINTS] for i in range(0, rhos.size, BATCH_POINTS)]
-
-
-def _char_det_batch(char, rhos):
-    """(scaled determinants, log scales) for any number of rho values."""
-    dets, logs = [], []
-    for chunk in _chunks(rhos):
-        mats, log_scales, _ = _char_matrices(char, chunk)
-        dets.append(np.linalg.det(mats))
-        logs.append(log_scales)
-    return np.concatenate(dets), np.concatenate(logs)
+    parts = [_evaluate(delta, tables, rhos[i:i + BATCH_POINTS])
+             for i in range(0, rhos.size, BATCH_POINTS)]
+    return (np.concatenate([values for values, _ in parts], axis=1),
+            np.concatenate([shifts for _, shifts in parts]))
 
 
 def char_det(nbc: NormalizedBC, rho) -> ScaledValue:
     """Characteristic determinant of the model problem at ``rho``."""
-    dets, logs = _char_det_batch(_char(nbc), [rho])
-    d, scale = complex(dets[0]), float(logs[0])
+    values, shifts = _char_det_batch(_delta(nbc.rows), [rho])
+    d, scale = complex(values[0, 0]), float(shifts[0])
     if d == 0:
         return ScaledValue(0j, scale)
-    mag = math.log(abs(d))
-    return ScaledValue(d / abs(d), scale + mag)
+    return ScaledValue(d / abs(d), scale + math.log(abs(d)))
 
 
 # ---------------------------------------------------------------------------
@@ -282,32 +318,29 @@ def _circle_contour(center, radius):
 
 
 def _log_abs_array(dets, logs):
-    mags = np.abs(dets)
-    out = np.full(mags.shape, -np.inf)
-    nz = mags > 0.0
-    out[nz] = logs[nz] + np.log(mags[nz])
-    return out
+    with np.errstate(divide="ignore"):          # log 0 = -inf
+        return logs + np.log(np.abs(dets))
 
 
-def _start_contours(char, contours):
+def _start_contours(delta, contours):
     """The first samples on closed ``contours``, from one batched evaluation.
 
     Each contour is a list of (points_of_ts, length) paths, where
     ``points_of_ts`` maps parameters in [0, 1] to complex rho values.
     Returns, per contour, its paths as (points_of_ts, ts, dets, logs).
     """
-    paths = [(points, np.linspace(0.0, 1.0, max(9, min(4000, int(4 + 1.5 * char.n * length)))))
+    paths = [(points, np.linspace(0.0, 1.0, max(9, min(4000, int(4 + 1.5 * delta.n * length)))))
              for contour in contours for points, length in contour]
     if not paths:
         return []
-    dets, logs = _char_det_batch(char, np.concatenate([points(ts) for points, ts in paths]))
+    (dets,), logs = _char_det_batch(delta, np.concatenate([points(ts) for points, ts in paths]))
     ends = np.cumsum([ts.size for _, ts in paths])
     started = iter([(points, ts, dets[end - ts.size:end], logs[end - ts.size:end])
                     for (points, ts), end in zip(paths, ends)])
     return [[next(started) for _ in contour] for contour in contours]
 
 
-def _path_phase(char, points_of_ts, ts, dets, logs):
+def _path_phase(delta, points_of_ts, ts, dets, logs):
     """Accumulated phase of Delta along a started path, refined where
     neighbouring samples differ in phase by more than pi / 2.
 
@@ -325,7 +358,7 @@ def _path_phase(char, points_of_ts, ts, dets, logs):
         if bad.size == 0:
             return float(np.sum(diffs))
         mid_ts = 0.5 * (ts[bad] + ts[bad + 1])
-        mids, mid_logs = _char_det_batch(char, points_of_ts(mid_ts))
+        (mids,), mid_logs = _char_det_batch(delta, points_of_ts(mid_ts))
         mid_la = _log_abs_array(mids, mid_logs)
         dip = np.minimum(la[bad], la[bad + 1]) - NEAR_ZERO_DIP
         if not np.all(np.isfinite(mid_la)) or np.any(mid_la < dip):
@@ -339,70 +372,66 @@ def _path_phase(char, points_of_ts, ts, dets, logs):
     raise ContourError("phase tracking failed to settle along an edge")
 
 
-def _winding(char, contour):
+def _winding(delta, contour):
     """Winding of Delta around a started contour: the zero count inside."""
-    winding = sum(_path_phase(char, *path) for path in contour) / (2 * math.pi)
+    winding = sum(_path_phase(delta, *path) for path in contour) / (2 * math.pi)
     rounded = int(round(winding))
     if abs(winding - rounded) > 0.25:
         raise ContourError(f"non-integral winding {winding:.3f}")
     return rounded
 
 
-def _box_counts(char, boxes):
+def _box_counts(delta, boxes):
     """Zero counts of polar ``boxes``, sampled together; the first
     ContourError in box order is raised."""
-    return [_winding(char, contour)
-            for contour in _start_contours(char, [_box_contour(box) for box in boxes])]
+    return [_winding(delta, contour)
+            for contour in _start_contours(delta, [_box_contour(box) for box in boxes])]
 
 
-def _log_derivatives(char, rhos):
-    """Delta'/Delta at ``rhos`` as the trace tr(M^-1 M'), or None where
-    the scaled matrix is exactly singular."""
-    out = []
-    for chunk in _chunks(rhos):
-        mats, _, _, dmats = _char_matrices(char, chunk, derivative=True)
-        try:
-            out.extend(np.trace(np.linalg.solve(mats, dmats), axis1=1, axis2=2))
-        except np.linalg.LinAlgError:
-            # one singular matrix fails the whole batch: solve one by one
-            for mat, dmat in zip(mats, dmats):
-                try:
-                    out.append(np.trace(np.linalg.solve(mat, dmat)))
-                except np.linalg.LinAlgError:
-                    out.append(None)
-    return [None if trace is None else complex(trace) for trace in out]
+def _newton(delta, starts, multiplicities, polish=False):
+    """Polish each start with Newton steps, all points in lockstep.
 
+    A point of multiplicity m steps by -m Delta/Delta', or, when
+    ``polish``, by -Delta^(m-1)/Delta^(m): an m-fold zero of Delta is a
+    simple zero of Delta^(m-1), which does not cancel near it.  Each step
+    evaluates the tables of Delta, Delta', ... in one call.  A point
+    stops once its step is below 1e-13 (relative); when ``polish``, it
+    goes on while each step is at most half the one before, since the
+    polished roots are the ones printed.
 
-def _newton(char, starts, multiplicities):
-    """Polish each start with Newton steps on the logarithmic derivative,
-    all points in lockstep.
-
-    Returns [(rho, residual)] with residual = |last step| / (1 + |rho|); the
-    trace formula tr(M^-1 M') equals Delta'/Delta exactly for any row and
-    column scaling, so the iteration is overflow-free.  Steps and
-    residuals are taken per point in Python arithmetic, so a point's
-    result does not depend on the batch it runs in.
+    Returns [(rho, residual)] with residual = |last step| / (1 + |rho|).
+    Steps and residuals are taken per point in Python arithmetic, so a
+    point's result does not depend on the batch it runs in.
     """
+    orders = [m - 1 if polish else 0 for m in multiplicities]
+    tables = [delta.coeffs]
+    for _ in range(max(orders, default=0) + 1):
+        tables.append(_derivative(delta.freqs, tables[-1]))
+    tables = np.array(tables)
     rhos = list(starts)
     best = list(starts)
     best_res = [math.inf] * len(rhos)
+    last_res = [math.inf] * len(rhos)
     active = range(len(rhos))
     for _ in range(NEWTON_MAX_ITER):
         if not active:
             break
-        traces = _log_derivatives(char, [rhos[i] for i in active])
+        values, _ = _char_det_batch(delta, [rhos[i] for i in active], tables)
         going = []
-        for i, trace in zip(active, traces):
-            if (trace is None or not math.isfinite(trace.real)
-                    or not math.isfinite(trace.imag) or trace == 0):
+        for col, i in enumerate(active):
+            value, slope = complex(values[orders[i], col]), complex(values[orders[i] + 1, col])
+            if slope == 0:
                 continue
-            step = -multiplicities[i] / trace
+            step = -(1 if polish else multiplicities[i]) * value / slope
+            if not cmath.isfinite(step):
+                continue
             rhos[i] = rhos[i] + step
             res = abs(step) / (1.0 + abs(rhos[i]))
             if res < best_res[i]:
                 best[i], best_res[i] = rhos[i], res
-            if res >= 1e-13:
+            if res >= 1e-13 or (polish and res <= 0.5 * last_res[i]):
                 going.append(i)
+            last_res[i] = res
         active = going
     return list(zip(best, best_res))
 
@@ -445,9 +474,9 @@ def find_roots(nbc: NormalizedBC, annulus):
 
     ``annulus`` is (r_min, r_max) with 0 < r_min < r_max.  Zeros are
     isolated by argument-principle winding counts on adaptively
-    subdivided polar boxes and polished by Newton steps on the
-    logarithmic derivative; ``multiplicity`` comes from a winding count
-    around each zero.  The search covers one sector of angle 2 pi / n and
+    subdivided polar boxes and polished by Newton steps (see
+    :func:`_newton`); ``multiplicity`` comes from a winding count around
+    each zero.  Raises ValueError when Delta vanishes identically.  The search covers one sector of angle 2 pi / n and
     turns what it finds, and checks the turned zeros against the winding
     count of the whole annulus.  Only the two circles are fixed: the
     partition lines and the seam of the sector move off a zero.
@@ -469,14 +498,17 @@ def find_roots(nbc: NormalizedBC, annulus):
     if not 0 < r_min < r_max:
         raise ValueError("annulus radii must satisfy 0 < r_min < r_max")
     n = nbc.n
-    char = _char(nbc)
+    delta = _delta(nbc.rows)
+    if not delta.freqs.size:
+        raise ValueError("the characteristic determinant vanishes identically: "
+                         "every \u03bb is an eigenvalue")
     # rho -> eps_k rho permutes the exponentials e^(i eps_j rho x), so the
     # zeros repeat in every sector of angle 2 pi / n.  One sector is
     # searched (its seam moves with the partition) and turned.
     width = 2 * math.pi / n
     # the count of the whole annulus, whose boundary no partition line
     # crosses, checks that no zero went missing on a line
-    total = _box_counts(char, [(r_min, r_max, 0.0, 2 * math.pi)])[0]
+    total = _box_counts(delta, [(r_min, r_max, 0.0, 2 * math.pi)])[0]
     diam_tol = max(1e-10 * r_max, 1e-12)
 
     def subdivide(boxes):
@@ -484,7 +516,7 @@ def find_roots(nbc: NormalizedBC, annulus):
         # to it, so sorting by key gives the depth-first order.
         found = []
         level = [((i,), box, count)
-                 for i, (box, count) in enumerate(zip(boxes, _box_counts(char, boxes)))
+                 for i, (box, count) in enumerate(zip(boxes, _box_counts(delta, boxes)))
                  if count != 0]
         depth = 0
         while level:
@@ -493,7 +525,7 @@ def find_roots(nbc: NormalizedBC, annulus):
             # cluster tighter than the tolerance); distinct roots keep it
             # oscillating at the separation scale and the box is subdivided.
             polished = _newton(
-                char, [0.5 * (box[0] + box[1]) * cmath.exp(0.5j * (box[2] + box[3]))
+                delta, [0.5 * (box[0] + box[1]) * cmath.exp(0.5j * (box[2] + box[3]))
                        for _, box, _ in level], [count for _, _, count in level])
             deeper = []
             for (key, box, count), (rho, res) in zip(level, polished):
@@ -511,7 +543,7 @@ def find_roots(nbc: NormalizedBC, annulus):
                     found.append((key, _Candidate(complex(rho), float(res))))
                     continue
                 children = _split_box(box)
-                child_counts = _box_counts(char, children)
+                child_counts = _box_counts(delta, children)
                 if sum(child_counts) != count:
                     raise ContourError(f"winding counts failed to split box {box}")
                 deeper += [(key + (i,), child, child_count) for i, (child, child_count)
@@ -546,13 +578,14 @@ def find_roots(nbc: NormalizedBC, annulus):
                 radius = min(radius, 0.45 * min(others))
             radii.append(radius)
         circles = _start_contours(
-            char, [_circle_contour(rep.rho, radius) for rep, radius in zip(reps, radii)])
+            delta, [_circle_contour(rep.rho, radius) for rep, radius in zip(reps, radii)])
         verified = []
         for rep, circle in zip(reps, circles):
-            mult = _winding(char, circle)
+            mult = _winding(delta, circle)
             if mult > 0:
                 verified.append((rep.rho, mult))
-        polished = _newton(char, [rho for rho, _ in verified], [mult for _, mult in verified])
+        polished = _newton(delta, [rho for rho, _ in verified], [mult for _, mult in verified],
+                           polish=True)
         final = [EigenRoot(complex(rho), complex(rho) ** n, int(mult), float(res))
                  for (_, mult), (rho, res) in zip(verified, polished)]
         return _by_modulus(final, lambda root: abs(root.rho), CLUSTER_TOL)
@@ -580,7 +613,7 @@ def find_roots(nbc: NormalizedBC, annulus):
         try:
             found = subdivide(boxes)
             found += [_Candidate(root.rho * turn, root.residual)
-                      for turn in char.eps[1:] for root in found]
+                      for turn in unit_roots(n)[1:] for root in found]
             final = cluster_and_verify(found)
         except ContourError as exc:
             last_error = exc
@@ -604,8 +637,7 @@ def _green_matrix(nbc: NormalizedBC, rho, xs, xis):
     the diagonal, and the boundary correction is solved on the scaled
     matrix, so the evaluation is overflow-free for large |rho|.
     """
-    char = _char(nbc)
-    n, eps, a, b = char
+    n, (eps, a, b) = nbc.n, _rows(nbc)
     rho = complex(rho)
     xs = np.asarray(xs, dtype=float)
     xis = np.asarray(xis, dtype=float)
@@ -639,10 +671,10 @@ def _green_matrix(nbc: NormalizedBC, rho, xs, xis):
     rhs = (np.einsum("js,sk,kK->jK", a, s_powers, at0)
            + np.einsum("js,sk,kK->jK", b, s_powers, at1))
 
-    # the boundary matrix rows are rescaled inside _char_matrices, so the
-    # right-hand side must be rescaled identically before solving
-    mats, _, row_scales = _char_matrices(char, [rho])
-    coeffs = np.linalg.solve(mats[0], rhs / row_scales[0][:, None])
+    # the boundary matrix rows are rescaled inside _boundary_matrix, so
+    # the right-hand side must be rescaled identically before solving
+    mat, row_scales = _boundary_matrix(nbc, rho)
+    coeffs = np.linalg.solve(mat, rhs / row_scales[:, None])
 
     e_cols = np.exp(np.outer(xs, z) - shift[None, :])           # scaled e^(z x)
     return g - e_cols @ coeffs
@@ -795,11 +827,10 @@ def eigenfunction(nbc: NormalizedBC, root: EigenRoot):
     """
     if root.multiplicity > 2:
         raise ValueError("unexpected multiplicity > 2")
-    char = _char(nbc)
-    mats, _, _ = _char_matrices(char, [root.rho])
-    _u, s, vh = np.linalg.svd(mats[0])
-    vecs = vh[char.n - root.multiplicity:].conj()
-    _z, shift = _exponents(char.eps, root.rho)
+    mat, _ = _boundary_matrix(nbc, root.rho)
+    _u, s, vh = np.linalg.svd(mat)
+    vecs = vh[nbc.n - root.multiplicity:].conj()
+    _z, shift = _exponents(np.array(unit_roots(nbc.n)), root.rho)
     out = vecs * np.exp(-shift)[None, :]
     norms = np.linalg.norm(out, axis=1, keepdims=True)
     return out / norms

@@ -2,8 +2,8 @@
 
 Everything in this module is deliberately written along a different
 algorithmic path than the library code it checks: determinants are
-expanded recursively by cofactors instead of the library's subset
-dynamic programming, differential expressions are expanded with raw
+expanded recursively by cofactors, or factored by numpy's LU, instead
+of the library's subset expansion, differential expressions are expanded with raw
 coefficient-list arithmetic instead of the Poly class, and integrals
 are evaluated term by term from monomials.  Agreement between the two
 paths is what the tests assert.
@@ -64,6 +64,42 @@ def theta_pair(forms, n):
     if n % 2 == 0:
         return theta0, None
     return theta0, cofactor_det(build(True))
+
+
+def boundary_logdet(rows, rho):
+    """(phase, log|det|, condition) of the boundary matrix
+    [U_j(e^(i eps_k rho x))] at ``rho``, by numpy's LU.
+
+    The matrix is built from the raw rows with unit roots from cmath, not
+    by the library's subset expansion.  Every column and then every row
+    is scaled to unit largest modulus before the factorization, and the
+    logs of the scale factors are added back; ``condition`` is the
+    2-norm condition number of the scaled matrix, which bounds the
+    relative error of its determinant to about eps times itself.
+    """
+    n = len(rows)
+    z = [1j * cmath.rect(1.0, 2.0 * math.pi * k / n) * rho for k in range(n)]
+    mat = np.array([[sum((row.a[s] + row.b[s] * cmath.exp(zk)) * zk ** s for s in range(n))
+                     for zk in z] for row in rows])
+    cols = np.abs(mat).max(axis=0)
+    mat = mat / cols
+    row_max = np.abs(mat).max(axis=1)
+    mat = mat / row_max[:, None]
+    phase, log_abs = np.linalg.slogdet(mat)
+    return (complex(phase), float(log_abs + np.log(cols).sum() + np.log(row_max).sum()),
+            float(np.linalg.cond(mat)))
+
+
+def winding_number(phase, center, radius):
+    """Change of arg of ``phase(rho)`` around a circle, in turns; the
+    circle is sampled until no phase step exceeds pi / 2."""
+    count = 16
+    while True:
+        points = center + radius * np.exp(2j * np.pi * np.arange(count + 1) / count)
+        steps = np.angle(np.exp(1j * np.diff([cmath.phase(phase(p)) for p in points])))
+        if np.all(np.abs(steps) < 0.5 * math.pi) or count >= 4096:
+            return float(steps.sum()) / (2.0 * math.pi)
+        count *= 2
 
 
 # ---------------------------------------------------------------------------

@@ -504,6 +504,26 @@ def test_report_keeps_partial_failures(capsys):
     assert "error" in doc["basis_conditioning"]
 
 
+def test_identically_vanishing_determinant_is_named(tmp_path, capsys):
+    """-y'' with y'(0) = y'(1), y(0) = -y(1): Delta vanishes identically.
+    `spectrum` exits 1 with the message, and the report carries it in
+    every section that reads the root search."""
+    doc = {"order": 2, "form": {"type": "model"},
+           "boundary_conditions": [
+               {"a": {"1": [1.0, 0.0]}, "b": {"1": [-1.0, 0.0]}},
+               {"a": {"0": [1.0, 0.0]}, "b": {"0": [1.0, 0.0]}}]}
+    path = tmp_path / "vanishing.json"
+    path.write_text(json.dumps(doc))
+    message = "the characteristic determinant vanishes identically: every \u03bb is an eigenvalue"
+    code, _out, err = run_cli(capsys, "spectrum", str(path))
+    assert code == 1
+    assert err == f"error: {message}\n"
+    code, report, _ = run_json(capsys, "report", str(path))
+    assert code == 0
+    for section in ("spectrum", "basis_conditioning", "green_decay", "resolvent_decay"):
+        assert report[section] == {"error": f"ValueError: {message}"}, section
+
+
 @pytest.mark.parametrize("name", ["dirichlet2", "mixed4", "cauchy2"])
 def test_report_matches_golden(name, tmp_path, capsys):
     golden = os.path.join(GOLDEN_DIR, f"report_{name}.json")
