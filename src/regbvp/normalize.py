@@ -27,15 +27,13 @@ class NormalizedBC:
 
     ``rows`` are the recombined boundary rows sorted by descending order;
     ``orders`` are their derivative orders ``k_j``; ``kappa`` is the total
-    order; ``transform`` is the invertible matrix ``T`` with
-    ``rows = T @ original_rows`` (as coefficient vectors).
+    order.
     """
 
     order: int
     rows: tuple
     orders: tuple
     kappa: int
-    transform: np.ndarray
 
     @property
     def n(self):
@@ -66,7 +64,6 @@ def reduce_total_order(spec_or_rows) -> NormalizedBC:
     mat = np.array([row.as_vector() for row in rows])
     count = len(rows)
     tol = DUST_TOL * max(np.abs(mat).max(), 1.0)
-    transform = np.eye(count, dtype=complex)
 
     ords = [_row_order(mat[j], n, tol) for j in range(count)]
     kappa_in = sum(ords)
@@ -100,7 +97,6 @@ def reduce_total_order(spec_or_rows) -> NormalizedBC:
             coeff, *_ = np.linalg.lstsq(basis, target, rcond=None)
             for c, piv in zip(coeff, pivots):
                 mat[j] -= c * mat[piv]
-                transform[j] -= c * transform[piv]
             # the leading pair is now zero by construction; clear dust
             mat[j][k] = 0.0
             mat[j][n + k] = 0.0
@@ -113,10 +109,9 @@ def reduce_total_order(spec_or_rows) -> NormalizedBC:
     assert sum(ords) <= kappa_in, "total order increased"
     perm = sorted(range(count), key=lambda j: -ords[j])
     mat = mat[perm]
-    transform = transform[perm]
     ords = [ords[j] for j in perm]
     rows_out = tuple(BoundaryRow.from_vector(mat[j]) for j in range(count))
-    return NormalizedBC(n, rows_out, tuple(ords), sum(ords), transform)
+    return NormalizedBC(n, rows_out, tuple(ords), sum(ords))
 
 
 def leading_forms(nbc: NormalizedBC):

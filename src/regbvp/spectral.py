@@ -22,10 +22,13 @@ at a single rho instead.
 Only :func:`find_roots` searches for zeros, always over a full annulus.
 The ray clearance check, the scans and Gram conditioning filter a root
 tuple from the caller, and a sector is a filter too (:func:`roots_in`),
-so one search serves a whole command.  The search has one retry rule:
-a failed contour (a box, a split, a verification circle) rebuilds the
-partition with shifted lines; boxes always split at their midpoints,
-and no multiplicity is taken from a box count in place of a circle.
+so one search serves a whole command.  Every contour it winds (a polar
+box, the annulus, a verification circle) is a list of radial segments
+and arcs from one constructor, :func:`_path`.  The search has one retry
+rule: a failed contour (a box, a split, a verification circle) rebuilds
+the partition with shifted lines; boxes always split at their
+midpoints, and no multiplicity is taken from a box count in place of a
+circle.
 The search runs batched per subdivision level: the Newton steps of all
 boxes of a level are one array computation, and so are the first
 winding samples of the initial grid and of the four children of each
@@ -287,34 +290,21 @@ class _Candidate(NamedTuple):
     residual: float
 
 
-def _edge_points(box, edge, ts):
-    """Points on one of the four polar-box edges at parameters ts in [0,1]."""
-    r0, r1, a0, a1 = box
-    ts = np.asarray(ts, dtype=float)
-    if edge == 0:    # radial, angle a0, r0 -> r1
-        return (r0 + (r1 - r0) * ts) * np.exp(1j * a0)
-    if edge == 1:    # arc at r1, a0 -> a1
-        return r1 * np.exp(1j * (a0 + (a1 - a0) * ts))
-    if edge == 2:    # radial, angle a1, r1 -> r0
-        return (r1 - (r1 - r0) * ts) * np.exp(1j * a1)
-    return r0 * np.exp(1j * (a1 - (a1 - a0) * ts))  # arc at r0, a1 -> a0
+def _path(r0, r1, a0, a1, center=0.0):
+    """The path center + (r0 + (r1 - r0) t) e^(i (a0 + (a1 - a0) t)), t in
+    [0, 1], as (points_of_ts, length): a radial segment when a0 = a1, an
+    arc when r0 = r1.  Every contour of the search is a list of these."""
+    def points(ts):
+        return center + (r0 + (r1 - r0) * ts) * np.exp(1j * (a0 + (a1 - a0) * ts))
+
+    return points, abs(r1 - r0) + abs(a1 - a0) * max(r0, r1)
 
 
 def _box_contour(box):
-    """The boundary of a polar box as (points_of_ts, length) paths; a full
-    annulus has only its two circles."""
+    """The boundary of a polar box, counterclockwise, as four paths."""
     r0, r1, a0, a1 = box
-    lengths = (r1 - r0, (a1 - a0) * r1, r1 - r0, (a1 - a0) * r0)
-    edges = (1, 3) if abs((a1 - a0) - 2 * math.pi) < 1e-12 else (0, 1, 2, 3)
-    return [(lambda ts, e=edge: _edge_points(box, e, ts), lengths[edge]) for edge in edges]
-
-
-def _circle_contour(center, radius):
-    """A circle as a one-path contour."""
-    def points(ts):
-        return center + radius * np.exp(2j * np.pi * ts)
-
-    return [(points, 2 * math.pi * radius)]
+    return [_path(r0, r1, a0, a0), _path(r1, r1, a0, a1),
+            _path(r1, r0, a1, a1), _path(r0, r0, a1, a0)]
 
 
 def _log_abs_array(dets, logs):
@@ -325,8 +315,8 @@ def _log_abs_array(dets, logs):
 def _start_contours(delta, contours):
     """The first samples on closed ``contours``, from one batched evaluation.
 
-    Each contour is a list of (points_of_ts, length) paths, where
-    ``points_of_ts`` maps parameters in [0, 1] to complex rho values.
+    Each contour is a list of :func:`_path` paths (points_of_ts, length),
+    where ``points_of_ts`` maps parameters in [0, 1] to complex rho values.
     Returns, per contour, its paths as (points_of_ts, ts, dets, logs).
     """
     paths = [(points, np.linspace(0.0, 1.0, max(9, min(4000, int(4 + 1.5 * delta.n * length)))))
@@ -476,10 +466,14 @@ def find_roots(nbc: NormalizedBC, annulus):
     isolated by argument-principle winding counts on adaptively
     subdivided polar boxes and polished by Newton steps (see
     :func:`_newton`); ``multiplicity`` comes from a winding count around
-    each zero.  Raises ValueError when Delta vanishes identically.  The search covers one sector of angle 2 pi / n and
-    turns what it finds, and checks the turned zeros against the winding
-    count of the whole annulus.  Only the two circles are fixed: the
-    partition lines and the seam of the sector move off a zero.
+    each zero.  Box edges, the boundary of the annulus and the
+    verification circles are all one kind of path (:func:`_path`).
+    Raises ValueError when Delta vanishes identically.
+
+    The search covers one sector of angle 2 pi / n and turns what it
+    finds, and checks the turned zeros against the winding count of the
+    whole annulus.  Only the two circles are fixed: the partition lines
+    and the seam of the sector move off a zero.
 
     There is one retry rule.  Any ContourError (a box count, a split
     whose child counts do not add up to the parent's, or a verification
@@ -490,9 +484,7 @@ def find_roots(nbc: NormalizedBC, annulus):
 
     The subdivision runs level by level: the boxes of one level are
     polished in one Newton batch, and the four children of a split are
-    counted from one batch of first contour samples.  The candidates
-    reach clustering in depth-first order of their boxes, whatever the
-    batches.
+    counted from one batch of first contour samples.
     """
     r_min, r_max = annulus
     if not 0 < r_min < r_max:
@@ -508,15 +500,13 @@ def find_roots(nbc: NormalizedBC, annulus):
     width = 2 * math.pi / n
     # the count of the whole annulus, whose boundary no partition line
     # crosses, checks that no zero went missing on a line
-    total = _box_counts(delta, [(r_min, r_max, 0.0, 2 * math.pi)])[0]
+    boundary = [_path(r_max, r_max, 0.0, 2 * math.pi), _path(r_min, r_min, 2 * math.pi, 0.0)]
+    total = _winding(delta, _start_contours(delta, [boundary])[0])
     diam_tol = max(1e-10 * r_max, 1e-12)
 
     def subdivide(boxes):
-        # Each box carries its path key, the indices of the boxes leading
-        # to it, so sorting by key gives the depth-first order.
         found = []
-        level = [((i,), box, count)
-                 for i, (box, count) in enumerate(zip(boxes, _box_counts(delta, boxes)))
+        level = [(box, count) for box, count in zip(boxes, _box_counts(delta, boxes))
                  if count != 0]
         depth = 0
         while level:
@@ -526,9 +516,9 @@ def find_roots(nbc: NormalizedBC, annulus):
             # oscillating at the separation scale and the box is subdivided.
             polished = _newton(
                 delta, [0.5 * (box[0] + box[1]) * cmath.exp(0.5j * (box[2] + box[3]))
-                       for _, box, _ in level], [count for _, _, count in level])
+                       for box, _ in level], [count for _, count in level])
             deeper = []
-            for (key, box, count), (rho, res) in zip(level, polished):
+            for (box, count), (rho, res) in zip(level, polished):
                 r, ang = abs(rho), cmath.phase(rho)
                 # accept only roots (essentially) inside this box; a polished
                 # point in a neighbouring box belongs to that box's count
@@ -540,17 +530,17 @@ def find_roots(nbc: NormalizedBC, annulus):
                           <= (box[3] - box[2]) / 2 + pad_a)
                 if ((res <= RESIDUAL_TOL and in_box)
                         or depth >= MAX_DEPTH or _box_diameter(box) <= diam_tol):
-                    found.append((key, _Candidate(complex(rho), float(res))))
+                    found.append(_Candidate(complex(rho), float(res)))
                     continue
                 children = _split_box(box)
                 child_counts = _box_counts(delta, children)
                 if sum(child_counts) != count:
                     raise ContourError(f"winding counts failed to split box {box}")
-                deeper += [(key + (i,), child, child_count) for i, (child, child_count)
-                           in enumerate(zip(children, child_counts)) if child_count != 0]
+                deeper += [(child, child_count) for child, child_count
+                           in zip(children, child_counts) if child_count != 0]
             level = deeper
             depth += 1
-        return [root for _, root in sorted(found, key=lambda item: item[0])]
+        return found
 
     def cluster_and_verify(candidates):
         # Cluster seam/corner duplicates, then confirm each multiplicity
@@ -578,7 +568,8 @@ def find_roots(nbc: NormalizedBC, annulus):
                 radius = min(radius, 0.45 * min(others))
             radii.append(radius)
         circles = _start_contours(
-            delta, [_circle_contour(rep.rho, radius) for rep, radius in zip(reps, radii)])
+            delta, [[_path(radius, radius, 0.0, 2 * math.pi, rep.rho)]
+                    for rep, radius in zip(reps, radii)])
         verified = []
         for rep, circle in zip(reps, circles):
             mult = _winding(delta, circle)

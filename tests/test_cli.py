@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import cmath
 import importlib
 import inspect
 import json
@@ -13,7 +14,7 @@ import sys
 
 import pytest
 
-from regbvp import cli, gallery, quasiform, spectral
+from regbvp import cli, gallery, geometry, quasiform, spectral
 from regbvp.model import ClassicalForm, OperatorSpec, Poly, spec_to_document
 from regbvp.normalize import reduce_total_order
 from regbvp.spectral import EigenRoot
@@ -95,6 +96,17 @@ def test_classify_corrupt_file_exit_four(tmp_path, capsys):
     code, _out, err = run_cli(capsys, "classify", str(path))
     assert code == 4
     assert err
+
+
+def test_classify_rejected_spec_file_exit_four(tmp_path, capsys):
+    doc = spec_to_document(gallery.build("dirichlet2"))
+    doc["boundary_conditions"][0] = {"a": {"0": [0.0, 0.0]}}
+    path = tmp_path / "zero_row.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "classify", str(path))
+    assert code == 4
+    assert out == ""
+    assert "boundary row 0 is identically zero" in err
 
 
 def test_classify_odd_order_marks_cr_not_applicable(tmp_path, capsys):
@@ -492,6 +504,21 @@ def test_report_failure_reaches_every_reader(module, name, readers, monkeypatch,
             assert doc[section] == {"error": f"RuntimeError: {name} failed"}, section
         else:
             assert "error" not in doc[section], section
+
+
+def test_choose_ray_names_every_blocked_bisector():
+    """One root on every omega-sector bisector at |rho| = 10 blocks each
+    candidate ray past r_min = 5, so no scan ray is left."""
+    nbc = reduce_total_order(gallery.build("dirichlet2").rows)
+    bisectors = [0.5 * (lo + hi)
+                 for lo, hi in geometry.omega_sectors(nbc.n, cli._sector_opening(nbc.n))]
+    roots = tuple(EigenRoot(rho, rho ** nbc.n, 1, 0.0)
+                  for rho in (10.0 * cmath.exp(1j * mid) for mid in bisectors))
+    with pytest.raises(RuntimeError, match="^no usable scan ray found: ") as exc:
+        cli._choose_ray(nbc, 5.0, 60.0, roots)
+    reasons = str(exc.value).removeprefix("no usable scan ray found: ").split("; ")
+    assert [reason.split(": ")[0] for reason in reasons] == [f"{mid:.3f}" for mid in bisectors]
+    assert all("only clears eigenvalue disks beyond 10.500" in reason for reason in reasons)
 
 
 def test_report_keeps_partial_failures(capsys):

@@ -1,6 +1,9 @@
 """Polynomials, boundary rows, spec parsing, and expression expansion."""
 
+import functools
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -195,23 +198,64 @@ def test_load_spec_from_file(tmp_path):
     assert load_spec(path) == spec
 
 
+def _dirichlet2_doc(**top):
+    """The document of dirichlet2 with the given top-level keys replaced."""
+    doc = spec_to_document(gallery.build("dirichlet2"))
+    doc.update(top)
+    return doc
+
+
+def _row_doc(row):
+    """The document of dirichlet2 with its first boundary row replaced."""
+    doc = _dirichlet2_doc()
+    doc["boundary_conditions"][0] = row
+    return doc
+
+
+def _classical_doc(p):
+    return _dirichlet2_doc(form={"type": "classical", "p": p})
+
+
+def _parsing(document):
+    return functools.partial(parse_spec, document)
+
+
+# Each rejected input and the message of the check that must reject it.
+SPEC_ERRORS = [
+    (_parsing([]), "input document must be a JSON object"),
+    (_parsing(_dirichlet2_doc(extra=1)), "unknown top-level keys ['extra']"),
+    (_parsing(_dirichlet2_doc(order=0)), "'order' must be a positive integer"),
+    (_parsing(_dirichlet2_doc(form={})), "'form' must be an object with a 'type'"),
+    (_parsing(_dirichlet2_doc(form={"type": "mystery"})), "unknown form type 'mystery'"),
+    (_parsing(_dirichlet2_doc(order=3, form={"type": "divergence"})),
+     "divergence form requires an even order"),
+    (_parsing(_classical_doc([])), "form.p: expected an object keyed by integer strings"),
+    (_parsing(_classical_doc({"x": []})), "form.p: bad index 'x'"),
+    (_parsing(_classical_doc({"1": []})), "form.p: index 1 outside 2..2"),
+    (_parsing(_classical_doc({"2": 5})), "form.p[2]: expected a list of [re, im] pairs"),
+    (_parsing({"order": 2, "form": {"type": "model"}}), "'boundary_conditions' must be a list"),
+    (_parsing(_row_doc({"c": {}})), "boundary row 0: expected an object with keys 'a', 'b'"),
+    (_parsing(_row_doc({"a": []})), "boundary row 0.a: expected an object"),
+    (_parsing(_row_doc({"a": {"x": [1.0, 0.0]}})), "boundary row 0.a: bad index 'x'"),
+    (_parsing(_row_doc({"a": {"7": [1.0, 0.0]}})),
+     "boundary row 0.a: derivative order 7 outside 0..1"),
+    (_parsing(_row_doc({"a": {"0": [1.0]}})),
+     "boundary row 0.a[0]: expected a [re, im] pair, got [1.0]"),
+    (_parsing(_row_doc({"a": {"0": [math.inf, 0.0]}})),
+     "boundary row 0.a[0]: non-finite component"),
+    (_parsing(_row_doc({"a": {"0": [0.0, 0.0]}})), "boundary row 0 is identically zero"),
+    (lambda: OperatorSpec(0, ModelForm(), ()), "order must be a positive integer"),
+    (lambda: OperatorSpec(2, None, ()), "unknown form None"),
+    (lambda: OperatorSpec(2, ModelForm(), (make_row(3, a=[(0, 1)]), make_row(3, b=[(0, 1)]))),
+     "boundary row length does not match the order"),
+]
+
+
 def test_parse_spec_error_reporting():
-    with pytest.raises(SpecError):
-        parse_spec({"order": 2, "form": {"type": "model"}})  # rows missing
-    with pytest.raises(SpecError):
-        parse_spec({"order": 2, "form": {"type": "mystery"},
-                    "boundary_conditions": []})
-    with pytest.raises(SpecError):
-        parse_spec({"order": 0, "form": {"type": "model"},
-                    "boundary_conditions": []})
-    doc = spec_to_document(gallery.build("dirichlet2"))
-    doc["boundary_conditions"][0]["a"]["0"] = [1.0]  # not an [re, im] pair
-    with pytest.raises(SpecError):
-        parse_spec(doc)
-    doc = spec_to_document(gallery.build("dirichlet2"))
-    doc["boundary_conditions"][0]["a"] = {"7": [1.0, 0.0]}  # order out of range
-    with pytest.raises(SpecError):
-        parse_spec(doc)
+    """Each rejected input raises SpecError from the check that names it."""
+    for build, message in SPEC_ERRORS:
+        with pytest.raises(SpecError, match=re.escape(message)):
+            build()
 
 
 # ---------------------------------------------------------------------------

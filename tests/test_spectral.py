@@ -129,13 +129,20 @@ VANISHING = {
 @pytest.mark.parametrize("name", sorted(VANISHING))
 def test_identically_vanishing_determinant_is_named(name, recombined):
     """Every coefficient of Delta is zero, so every lambda is an
-    eigenvalue: the search says so instead of failing on a contour."""
+    eigenvalue: the search says so instead of failing on a contour, and
+    char_det is an exact zero everywhere."""
     rows = VANISHING[name]
     if recombined:
         rows = oracles.random_mix(np.random.default_rng(17), rows)
+    nbc = reduce_total_order(rows)
     with pytest.raises(ValueError, match="^the characteristic determinant vanishes "
                        "identically: every \u03bb is an eigenvalue$"):
-        find_roots(reduce_total_order(rows), (0.5, 20.0))
+        find_roots(nbc, (0.5, 20.0))
+    for rho in (0.7, 3 * math.pi, -12.5 + 4j, 40j):
+        det = char_det(nbc, rho)
+        assert det.mantissa == 0
+        assert det.log_abs == -math.inf
+        assert det.value == 0
 
 
 # ---------------------------------------------------------------------------
