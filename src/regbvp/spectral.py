@@ -24,26 +24,34 @@ The ray clearance check, the scans and Gram conditioning filter a root
 tuple from the caller, and a sector is a filter too (:func:`roots_in`),
 so one search serves a whole command.  Every contour it winds (a polar
 box, the annulus, a verification circle) is a list of radial segments
-and arcs from one constructor, :func:`_path`.  The search has one retry
-rule: a failed contour (a box, a split, a verification circle) rebuilds
-the partition with shifted lines; boxes always split at their
-midpoints, and no multiplicity is taken from a box count in place of a
-circle.
+and arcs, each a :class:`_Path`, and one function winds them all,
+:func:`_windings`.  The search has one retry rule: a failed contour (a
+box, a split, a verification circle) rebuilds the partition with
+shifted lines; boxes always split at their midpoints, and no
+multiplicity is taken from a box count in place of a circle.
 The search runs batched per subdivision level: the Newton steps of all
-boxes of a level are one array computation, and so are the first
-winding samples of the initial grid and of the four children of each
-split.  No evaluation takes more than ``BATCH_POINTS`` points at once.
-Batching changes no result: every point's determinant, Newton step and
-residual is the one it gets alone.  A box is polished by the step
--m Delta/Delta' with its count m; a root whose circle winds m times is
-polished by Newton on Delta^(m-1), whose zero there is simple, so a
-multiple root is not limited by the cancellation of Delta near it.
+boxes of a level are one array computation.  Windings are batched too:
+the contours of the initial grid, of the four children of a split, of
+the annulus, or of all verification circles are wound together, with
+one evaluation for the first samples of every path and one per round
+for the refinement midpoints of every path.  No evaluation takes more
+than ``BATCH_POINTS`` points at once.  Batching changes no result: every
+point's determinant, Newton step and residual, and every path's
+samples, refinements and phase sum, are the ones it gets alone.  A box
+is polished by the step -m Delta/Delta' with its count m; a root whose
+circle winds m times is polished by Newton on Delta^(m-1), whose zero
+there is simple, so a multiple root is not limited by the cancellation
+of Delta near it.
 
 Fixed numerical choices are module constants: the Newton residual
 ``RESIDUAL_TOL``, the search limits ``MAX_DEPTH`` and ``MAX_GRID``, the
-batch cap ``BATCH_POINTS``, the radius ``CLEARANCE_DELTA`` (delta) of
-the disks a scan ray must clear, and the eigenvalue merge and bracket
-widths ``LAMBDA_TOL`` and ``BRACKET_TAU`` (tau).
+batch cap ``BATCH_POINTS``, the phase tracking of a path (its first
+samples ``FIRST_SAMPLES_MIN``, ``FIRST_SAMPLES_MAX`` and
+``FIRST_SAMPLES_PER_LENGTH``, its limits ``REFINE_ROUNDS`` and
+``MAX_PATH_SAMPLES``, and the dip ``NEAR_ZERO_DIP`` that marks a zero
+near it), the radius ``CLEARANCE_DELTA`` (delta) of the disks a scan
+ray must clear, and the eigenvalue merge and bracket widths
+``LAMBDA_TOL`` and ``BRACKET_TAU`` (tau).
 """
 
 import cmath
@@ -93,6 +101,16 @@ CLUSTER_TOL = 1e-7
 # boundary conditions can make Delta exponentially small relative to the
 # matrix scale everywhere without vanishing anywhere.)
 NEAR_ZERO_DIP = 25.0
+# Phase tracking along a contour path of length L: it starts from
+# max(FIRST_SAMPLES_MIN, min(FIRST_SAMPLES_MAX,
+#     int(4 + FIRST_SAMPLES_PER_LENGTH n L)))
+# samples and halves its large phase steps for at most REFINE_ROUNDS
+# rounds, up to MAX_PATH_SAMPLES samples.
+FIRST_SAMPLES_MIN = 9
+FIRST_SAMPLES_MAX = 4000
+FIRST_SAMPLES_PER_LENGTH = 1.5
+REFINE_ROUNDS = 24
+MAX_PATH_SAMPLES = 200000
 
 CLEARANCE_DELTA = 0.5
 LAMBDA_TOL = 1e-6
@@ -290,21 +308,27 @@ class _Candidate(NamedTuple):
     residual: float
 
 
-def _path(r0, r1, a0, a1, center=0.0):
+class _Path(NamedTuple):
     """The path center + (r0 + (r1 - r0) t) e^(i (a0 + (a1 - a0) t)), t in
-    [0, 1], as (points_of_ts, length): a radial segment when a0 = a1, an
-    arc when r0 = r1.  Every contour of the search is a list of these."""
-    def points(ts):
-        return center + (r0 + (r1 - r0) * ts) * np.exp(1j * (a0 + (a1 - a0) * ts))
+    [0, 1]: a radial segment when a0 = a1, an arc when r0 = r1.  Every
+    contour of the search is a list of these."""
 
-    return points, abs(r1 - r0) + abs(a1 - a0) * max(r0, r1)
+    r0: float
+    r1: float
+    a0: float
+    a1: float
+    center: complex = 0.0
+
+    @property
+    def length(self):
+        return abs(self.r1 - self.r0) + abs(self.a1 - self.a0) * max(self.r0, self.r1)
 
 
 def _box_contour(box):
     """The boundary of a polar box, counterclockwise, as four paths."""
     r0, r1, a0, a1 = box
-    return [_path(r0, r1, a0, a0), _path(r1, r1, a0, a1),
-            _path(r1, r0, a1, a1), _path(r0, r0, a1, a0)]
+    return [_Path(r0, r1, a0, a0), _Path(r1, r1, a0, a1),
+            _Path(r1, r0, a1, a1), _Path(r0, r0, a1, a0)]
 
 
 def _log_abs_array(dets, logs):
@@ -312,70 +336,109 @@ def _log_abs_array(dets, logs):
         return logs + np.log(np.abs(dets))
 
 
-def _start_contours(delta, contours):
-    """The first samples on closed ``contours``, from one batched evaluation.
+def _windings(delta, contours):
+    """Winding of Delta around each closed contour (a list of
+    :class:`_Path` paths): the zero counts inside, all wound together.
 
-    Each contour is a list of :func:`_path` paths (points_of_ts, length),
-    where ``points_of_ts`` maps parameters in [0, 1] to complex rho values.
-    Returns, per contour, its paths as (points_of_ts, ts, dets, logs).
+    Each path starts from its first samples (see FIRST_SAMPLES_MIN),
+    equispaced as ``np.linspace`` places them, and each round halves
+    every step across which the phase of Delta jumps by more than
+    pi / 2.  The first samples of all paths are one evaluation, and so
+    are the midpoints of each round, so the batch costs one evaluation
+    more than the refinement rounds of its slowest path.  Every path's
+    samples, refinements and phase sum are the ones it gets alone.
+
+    A path through a zero, a midpoint far below its neighbours in
+    log|Delta| (a zero close to the path), REFINE_ROUNDS rounds or more
+    than MAX_PATH_SAMPLES samples fail the path, and a non-integral
+    winding fails its contour.  The ContourError raised is the first in
+    contour order; once a path fails, no later path is refined.
     """
-    paths = [(points, np.linspace(0.0, 1.0, max(9, min(4000, int(4 + 1.5 * delta.n * length)))))
-             for contour in contours for points, length in contour]
+    paths = [path for contour in contours for path in contour]
     if not paths:
         return []
-    (dets,), logs = _char_det_batch(delta, np.concatenate([points(ts) for points, ts in paths]))
-    ends = np.cumsum([ts.size for _, ts in paths])
-    started = iter([(points, ts, dets[end - ts.size:end], logs[end - ts.size:end])
-                    for (points, ts), end in zip(paths, ends)])
-    return [[next(started) for _ in contour] for contour in contours]
+    r0, r1, a0, a1 = (np.array(column, dtype=float) for column in list(zip(*paths))[:4])
+    center = np.array([path.center for path in paths], dtype=complex)
 
+    def sample(owner, ts):
+        """log|Delta| and arg Delta at parameters ``ts`` on paths ``owner``,
+        the points built and evaluated BATCH_POINTS at a time."""
+        parts = []
+        for i in range(0, ts.size, BATCH_POINTS):
+            on, t = owner[i:i + BATCH_POINTS], ts[i:i + BATCH_POINTS]
+            (dets,), logs = _evaluate(delta, delta.coeffs[None], center[on] + (
+                r0[on] + (r1 - r0)[on] * t) * np.exp(1j * (a0[on] + (a1 - a0)[on] * t)))
+            parts.append((_log_abs_array(dets, logs), np.angle(dets)))
+        return (np.concatenate(part) for part in zip(*parts))
 
-def _path_phase(delta, points_of_ts, ts, dets, logs):
-    """Accumulated phase of Delta along a started path, refined where
-    neighbouring samples differ in phase by more than pi / 2.
+    sizes = np.array([max(FIRST_SAMPLES_MIN, min(FIRST_SAMPLES_MAX, int(
+        4 + FIRST_SAMPLES_PER_LENGTH * delta.n * path.length))) for path in paths])
+    ends = np.cumsum(sizes)
+    owner = np.repeat(np.arange(len(paths)), sizes)             # the path of each sample
+    # t = k (1 / (size - 1)), and 1 at the end: the bits of np.linspace
+    ts = ((np.arange(owner.size) - np.repeat(ends - sizes, sizes))
+          * np.repeat(1.0 / (sizes - 1), sizes))
+    ts[ends - 1] = 1.0
+    la, phases = sample(owner, ts)
+    results = [None] * len(paths)       # a path's phase sum, or its ContourError
+    first_failure = len(paths)
 
-    A sample far below its neighbours in log|Delta| signals a zero close
-    to the path and raises ContourError so the caller can move the path.
-    """
-    la = _log_abs_array(dets, logs)
-    if not np.all(np.isfinite(la)):
-        raise ContourError("contour passes through a determinant zero")
-    phases = np.angle(dets)
+    def fail(failed, message):
+        nonlocal first_failure
+        for p in map(int, failed):
+            if results[p] is None:
+                results[p] = ContourError(message)
+                first_failure = min(first_failure, p)
 
-    for _ in range(24):
-        diffs = np.angle(np.exp(1j * np.diff(phases)))
-        bad = np.nonzero(np.abs(diffs) > 0.5 * math.pi)[0]
-        if bad.size == 0:
-            return float(np.sum(diffs))
-        mid_ts = 0.5 * (ts[bad] + ts[bad + 1])
-        (mids,), mid_logs = _char_det_batch(delta, points_of_ts(mid_ts))
-        mid_la = _log_abs_array(mids, mid_logs)
-        dip = np.minimum(la[bad], la[bad + 1]) - NEAR_ZERO_DIP
-        if not np.all(np.isfinite(mid_la)) or np.any(mid_la < dip):
-            raise ContourError("contour too close to a determinant zero")
-        order = np.argsort(np.concatenate([ts, mid_ts]))
-        ts = np.concatenate([ts, mid_ts])[order]
-        phases = np.concatenate([phases, np.angle(mids)])[order]
-        la = np.concatenate([la, mid_la])[order]
-        if ts.size > 200000:
+    fail(owner[~np.isfinite(la)], "contour passes through a determinant zero")
+    for _ in range(REFINE_ROUNDS):
+        live = np.array([result is None for result in results])
+        live[first_failure:] = False
+        keep = live[owner]
+        owner, ts, phases, la = owner[keep], ts[keep], phases[keep], la[keep]
+        if not owner.size:
             break
-    raise ContourError("phase tracking failed to settle along an edge")
+        diffs = np.angle(np.exp(1j * np.diff(phases)))
+        bad = np.flatnonzero((np.abs(diffs) > 0.5 * math.pi) & (owner[1:] == owner[:-1]))
+        unsettled = set(owner[bad].tolist())
+        starts = np.flatnonzero(np.diff(owner, prepend=-1))
+        stops = np.append(starts[1:], owner.size)
+        for p, start, stop in zip(owner[starts].tolist(), starts, stops):
+            if p not in unsettled:
+                results[p] = float(np.sum(diffs[start:stop - 1]))
+        if not bad.size:
+            break
+        mid_owner, mid_ts = owner[bad], 0.5 * (ts[bad] + ts[bad + 1])
+        mid_la, mid_phases = sample(mid_owner, mid_ts)
+        dip = np.minimum(la[bad], la[bad + 1]) - NEAR_ZERO_DIP
+        fail(mid_owner[~np.isfinite(mid_la) | (mid_la < dip)],
+             "contour too close to a determinant zero")
+        owner, ts, phases, la = (np.insert(old, bad + 1, new) for old, new in (
+            (owner, mid_owner), (ts, mid_ts), (phases, mid_phases), (la, mid_la)))
+        fail(np.flatnonzero(np.bincount(owner, minlength=len(paths)) > MAX_PATH_SAMPLES),
+             "phase tracking failed to settle along an edge")
+    fail([p for p in range(first_failure) if results[p] is None],
+         "phase tracking failed to settle along an edge")
 
-
-def _winding(delta, contour):
-    """Winding of Delta around a started contour: the zero count inside."""
-    winding = sum(_path_phase(delta, *path) for path in contour) / (2 * math.pi)
-    rounded = int(round(winding))
-    if abs(winding - rounded) > 0.25:
-        raise ContourError(f"non-integral winding {winding:.3f}")
-    return rounded
+    counts = []
+    in_order = iter(results)
+    for contour in contours:
+        phase_sums = [next(in_order) for _ in contour]
+        for result in phase_sums:
+            if isinstance(result, ContourError):
+                raise result
+        winding = sum(phase_sums) / (2 * math.pi)
+        rounded = int(round(winding))
+        if abs(winding - rounded) > 0.25:
+            raise ContourError(f"non-integral winding {winding:.3f}")
+        counts.append(rounded)
+    return counts
 
 
 def _box_counts(delta, boxes):
-    """Zero counts of polar ``boxes``, sampled together; the first
+    """Zero counts of polar ``boxes``, wound together; the first
     ContourError in box order is raised."""
-    return [_winding(delta, contour)
-            for contour in _start_contours(delta, [_box_contour(box) for box in boxes])]
+    return _windings(delta, [_box_contour(box) for box in boxes])
 
 
 def _newton(delta, starts, multiplicities, polish=False):
@@ -467,7 +530,7 @@ def find_roots(nbc: NormalizedBC, annulus):
     subdivided polar boxes and polished by Newton steps (see
     :func:`_newton`); ``multiplicity`` comes from a winding count around
     each zero.  Box edges, the boundary of the annulus and the
-    verification circles are all one kind of path (:func:`_path`).
+    verification circles are all one kind of path (:class:`_Path`).
     Raises ValueError when Delta vanishes identically.
 
     The search covers one sector of angle 2 pi / n and turns what it
@@ -483,8 +546,11 @@ def find_roots(nbc: NormalizedBC, annulus):
     every multiplicity comes from the winding of a circle.
 
     The subdivision runs level by level: the boxes of one level are
-    polished in one Newton batch, and the four children of a split are
-    counted from one batch of first contour samples.
+    polished in one Newton batch.  The boxes of the initial partition,
+    the four children of a split, the annulus and all verification
+    circles are each wound as one batch (:func:`_windings`), in which a
+    path's samples, refinements and phase sum are the ones it gets
+    alone.
     """
     r_min, r_max = annulus
     if not 0 < r_min < r_max:
@@ -500,8 +566,8 @@ def find_roots(nbc: NormalizedBC, annulus):
     width = 2 * math.pi / n
     # the count of the whole annulus, whose boundary no partition line
     # crosses, checks that no zero went missing on a line
-    boundary = [_path(r_max, r_max, 0.0, 2 * math.pi), _path(r_min, r_min, 2 * math.pi, 0.0)]
-    total = _winding(delta, _start_contours(delta, [boundary])[0])
+    boundary = [_Path(r_max, r_max, 0.0, 2 * math.pi), _Path(r_min, r_min, 2 * math.pi, 0.0)]
+    (total,) = _windings(delta, [boundary])
     diam_tol = max(1e-10 * r_max, 1e-12)
 
     def subdivide(boxes):
@@ -567,14 +633,9 @@ def find_roots(nbc: NormalizedBC, annulus):
             if others:
                 radius = min(radius, 0.45 * min(others))
             radii.append(radius)
-        circles = _start_contours(
-            delta, [[_path(radius, radius, 0.0, 2 * math.pi, rep.rho)]
-                    for rep, radius in zip(reps, radii)])
-        verified = []
-        for rep, circle in zip(reps, circles):
-            mult = _winding(delta, circle)
-            if mult > 0:
-                verified.append((rep.rho, mult))
+        mults = _windings(delta, [[_Path(radius, radius, 0.0, 2 * math.pi, rep.rho)]
+                                  for rep, radius in zip(reps, radii)])
+        verified = [(rep.rho, mult) for rep, mult in zip(reps, mults) if mult > 0]
         polished = _newton(delta, [rho for rho, _ in verified], [mult for _, mult in verified],
                            polish=True)
         final = [EigenRoot(complex(rho), complex(rho) ** n, int(mult), float(res))

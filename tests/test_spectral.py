@@ -324,16 +324,62 @@ def test_failing_verification_circle_is_loud(monkeypatch):
     # every multiplicity comes from a circle: when no circle winds, each
     # partition fails and the search raises instead of falling back on
     # the box counts
-    wind = spectral._winding
+    wind = spectral._windings
 
-    def no_circles(delta, contour):
-        if len(contour) == 1:
+    def no_circles(delta, contours):
+        if any(len(contour) == 1 for contour in contours):
             raise spectral.ContourError("circle refused")
-        return wind(delta, contour)
+        return wind(delta, contours)
 
-    monkeypatch.setattr(spectral, "_winding", no_circles)
+    monkeypatch.setattr(spectral, "_windings", no_circles)
     with pytest.raises(spectral.ContourError, match="circle refused"):
         find_roots(_nbc("dirichlet2"), (0.5, 20.0))
+
+
+@pytest.mark.parametrize("name", ["dirichlet4", "mixed4"])
+def test_windings_of_a_batch_are_those_alone(name, monkeypatch):
+    # the children of a split box, the whole annulus, verification
+    # circles, and a circle passing 1e-3 from a root that needs several
+    # refinement rounds: wound together, each count is the one it gets
+    # alone, and the batch takes as many evaluations as its slowest
+    # contour (one for the first samples, one per round)
+    nbc = _nbc(name)
+    delta = spectral._delta(nbc.rows)
+    roots = find_roots(nbc, (0.5, 20.0))
+    contours = [spectral._box_contour(box)
+                for box in spectral._split_box((0.5, 20.0, -0.3, 0.5 * math.pi - 0.3))]
+    contours.append([spectral._Path(20.0, 20.0, 0.0, 2 * math.pi),
+                     spectral._Path(0.5, 0.5, 2 * math.pi, 0.0)])
+    contours += [[spectral._Path(1e-3, 1e-3, 0.0, 2 * math.pi, root.rho)] for root in roots[:4]]
+    contours.append([spectral._Path(0.05, 0.05, 0.0, 2 * math.pi, roots[0].rho + 0.049)])
+    monkeypatch.setattr(spectral, "BATCH_POINTS", 1 << 20)
+    sizes = _count_evaluations(monkeypatch)
+    alone, calls = [], []
+    for contour in contours:
+        sizes.clear()
+        alone += spectral._windings(delta, [contour])
+        calls.append(len(sizes))
+    sizes.clear()
+    assert spectral._windings(delta, contours) == alone
+    assert len(sizes) == max(calls) >= 3
+    assert alone[4] == len(roots_in(roots, (0.5, 20.0))) and alone[-5:] == [1] * 5
+
+
+def test_windings_raise_the_first_failing_contour():
+    # on dirichlet2 (Delta proportional to sin rho) the segment [2, 4] of
+    # the real axis crosses the zero pi and never settles, while the
+    # segment [0, 1] starts on the exact zero rho = 0 and fails at once;
+    # wound after a good circle, the error is the second contour's
+    delta = spectral._delta(_nbc("dirichlet2").rows)
+    circle = [spectral._Path(0.5, 0.5, 0.0, 2 * math.pi, math.pi)]
+    crossing, through = [spectral._Path(2.0, 4.0, 0.0, 0.0)], [spectral._Path(0.0, 1.0, 0.0, 0.0)]
+    assert spectral._windings(delta, [circle]) == [1]
+    with pytest.raises(spectral.ContourError, match="^contour passes through a determinant zero$"):
+        spectral._windings(delta, [through])
+    for contours in ([circle, crossing, through], [circle, crossing]):
+        with pytest.raises(spectral.ContourError,
+                           match="^phase tracking failed to settle along an edge$"):
+            spectral._windings(delta, contours)
 
 
 def _coupled_operator(seed):
