@@ -3,10 +3,12 @@
 Subcommands: ``classify``, ``spectrum``, ``scan``, ``numrange``, ``report``.
 Inputs are operator-spec JSON files or names of built-in examples.  All
 output is deterministic: floating-point values are rounded to 12
-significant digits (numerical-range minima and spectrum roots to the
-power of ten their error estimates allow, residuals to the power of ten at
-or above them), keys are sorted, no random numbers are drawn, and nothing
-time- or machine-dependent is emitted unless ``--timings`` is given.
+significant digits (numerical-range minima, spectrum roots and the
+resolvent scan's exponent, fit residual and sample ratio to the power of
+ten their error estimates allow, residuals and error estimates to the
+power of ten at or above them), keys are sorted, no random numbers are
+drawn, and nothing time- or machine-dependent is emitted unless
+``--timings`` is given.
 
 Exit codes: 0 success (``classify``: regular), 3 not regular
 (``classify`` only), 4 invalid input (including out-of-range flag
@@ -316,7 +318,7 @@ def scan_document(nbc, kind, ray, roots, rmin, rmax, samples, grid, csv_path=Non
     values = [value * abs(rho) ** (-expected) for rho, value in scan.samples]
     ranked = sorted(values)
     median = ranked[len(ranked) // 2]
-    return {
+    doc = {
         "kind": kind,
         "ray": scan.ray_angle,
         "rmin": rmin,
@@ -330,6 +332,19 @@ def scan_document(nbc, kind, ray, roots, rmin, rmax, samples, grid, csv_path=Non
         "compensated_max_over_median": float(max(values) / median) if median > 0 else None,
         "clearance": scan.clearance,
     }
+    if scan.errors is not None:
+        # to first order, a sample error e moves log(value) by e, the fit
+        # residual by at most the largest e, and a ratio of two samples
+        # by twice the largest e, relative
+        worst = max(scan.errors)
+        ratio = doc["compensated_max_over_median"]
+        doc.update(exponent=_round_to_bound(scan.exponent, scan.exponent_error),
+                   fit_residual=_round_to_bound(scan.fit_residual, worst),
+                   sample_error=_decade_above(worst),
+                   fallback_samples=len(scan.fallbacks))
+        if ratio is not None:
+            doc["compensated_max_over_median"] = _round_to_bound(ratio, 2.0 * worst * ratio)
+    return doc
 
 
 def numrange_document(report, max_dim=numrange.DEFAULT_DIMENSIONS[-1],

@@ -13,12 +13,16 @@ about 1e-11 at these sizes).  This is the Legendre-Galerkin setting of
 Shen (SIAM J. Sci. Comput. 15, 1994) and of the coefficient-space
 operators of Olver and Townsend (SIAM Review 55, 2013).
 
-:func:`galerkin_form` assembles the strong form (l phi_k, phi_i) =
-sum_j (c_j phi_k^(j), phi_i) with these exact operators, and is kept
-only as the reference side of the form identity check
-(:func:`regbvp.quasiform.verify_form_identity`): it takes n derivatives
-of the basis and has no boundary term.  ``tests/oracles.py`` integrates
-it symbolically.  The split assembly that the numerical range uses is
+:func:`strong_operator` is the map y -> l y = sum_j c_j y^(j) on these
+coefficients, and it has two callers.  :func:`galerkin_form` projects it
+onto the constrained basis, (l phi_k, phi_i), as the reference side of
+the form identity check (:func:`regbvp.quasiform.verify_form_identity`):
+it takes n derivatives of the basis and has no boundary term.
+``tests/oracles.py`` integrates it symbolically.  The resolvent norms of
+:mod:`regbvp.spectral` apply it to the constrained basis without
+projecting: for the model expression, whose coefficient is constant,
+u -> (l - lambda) u is then an exact rectangular matrix.  The split
+assembly that the numerical range uses is
 :func:`regbvp.quasiform.split_form`.
 """
 
@@ -34,6 +38,7 @@ __all__ = [
     "derivative_matrix",
     "multiplication",
     "constrained_basis",
+    "strong_operator",
     "galerkin_form",
 ]
 
@@ -159,13 +164,19 @@ def constrained_basis(spec: OperatorSpec, dim):
     return np.ascontiguousarray(np.linalg.qr(columns[:, None] * full)[0])
 
 
-def galerkin_form(spec: OperatorSpec, dim):
-    """The dim x dim matrix of (l phi_k, phi_i) on the constrained basis,
-    from the strong form sum_j c_j y^(j), exactly in coefficient space."""
-    count = dim + spec.order
+def strong_operator(spec: OperatorSpec, count):
+    """The count x count matrix of y -> sum_j c_j y^(j) on the orthonormal
+    coefficients of polynomials of degree < count, rows < count: exact
+    when every c_j is constant, since l y then has degree < count."""
     form = np.zeros((count, count), dtype=complex)
     for j, c in enumerate(operator_coefficients(spec)):
         if c:
             form += multiplication(c, count) @ derivative_matrix(count, j)
+    return form
+
+
+def galerkin_form(spec: OperatorSpec, dim):
+    """The dim x dim matrix of (l phi_k, phi_i) on the constrained basis,
+    from the strong form sum_j c_j y^(j), exactly in coefficient space."""
     basis = constrained_basis(spec, dim)
-    return basis.conj().T @ form @ basis
+    return basis.conj().T @ strong_operator(spec, dim + spec.order) @ basis

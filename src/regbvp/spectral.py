@@ -43,6 +43,22 @@ circle winds m times is polished by Newton on Delta^(m-1), whose zero
 there is simple, so a multiple root is not limited by the cancellation
 of Delta near it.
 
+Green kernel and resolvent.  The Green sup scan samples the kernel on a
+lattice.  The resolvent norm does not use the kernel: on the constrained
+Legendre space V_N of :mod:`regbvp.legendre`, u -> (l - lambda) u is the
+exact (N + n) x N coefficient matrix M_N = L B - lambda B, whose
+smallest singular value is 1 / ||(l - lambda)^-1|| on V_N (Trefethen and
+Embree, Spectra and Pseudospectra, 2005).  L B and B are assembled once
+per scan at N = 16 and N = 32, and each sample takes the singular values
+of both.  Its relative error estimate is the larger of the difference
+between the two sizes and eps ||M_32|| / sigma_min.  A sample whose
+estimate exceeds ``RESOLVENT_MAX_ERROR`` falls back to the Nystrom
+discretization of the Green kernel, estimated by the same rule from 32
+and 64 Gauss-Legendre nodes, and the scan lists it; near the spectrum of
+a problem that is not regular, sigma_min falls below the rounding of
+M_N.  The Nystrom kernel converges only like q^-2 on its diagonal kink
+(Kress, Linear Integral Equations, ch. 12), so it serves only there.
+
 Fixed numerical choices are module constants: the Newton residual
 ``RESIDUAL_TOL``, the search limits ``MAX_DEPTH`` and ``MAX_GRID``, the
 batch cap ``BATCH_POINTS``, the phase tracking of a path (its first
@@ -50,7 +66,9 @@ samples ``FIRST_SAMPLES_MIN``, ``FIRST_SAMPLES_MAX`` and
 ``FIRST_SAMPLES_PER_LENGTH``, its limits ``REFINE_ROUNDS`` and
 ``MAX_PATH_SAMPLES``, and the dip ``NEAR_ZERO_DIP`` that marks a zero
 near it), the radius ``CLEARANCE_DELTA`` (delta) of the disks a scan
-ray must clear, and the eigenvalue merge and bracket widths
+ray must clear, the resolvent's sizes ``RESOLVENT_DIMENSIONS``, its
+fallback threshold ``RESOLVENT_MAX_ERROR`` and the fallback's node
+counts ``NYSTROM_NODES``, and the eigenvalue merge and bracket widths
 ``LAMBDA_TOL`` and ``BRACKET_TAU`` (tau).
 """
 
@@ -64,6 +82,8 @@ import numpy as np
 
 from .birkhoff import determinant_terms, unit_roots
 from .geometry import critical_rays, ray_clearance, ray_distance
+from .legendre import constrained_basis, strong_operator
+from .model import ModelForm, OperatorSpec
 from .normalize import NormalizedBC
 
 __all__ = [
@@ -113,6 +133,12 @@ REFINE_ROUNDS = 24
 MAX_PATH_SAMPLES = 200000
 
 CLEARANCE_DELTA = 0.5
+# Resolvent norms: the coefficient-space sizes N compared, the relative
+# error estimate above which a sample falls back to the Nystrom kernel,
+# and the node counts that kernel compares.
+RESOLVENT_DIMENSIONS = (16, 32)
+RESOLVENT_MAX_ERROR = 1e-6
+NYSTROM_NODES = (32, 64)
 LAMBDA_TOL = 1e-6
 BRACKET_TAU = 0.05
 
@@ -173,6 +199,20 @@ class SpectralScan:
     exponent: float
     fit_residual: float
     clearance: float
+    errors: tuple | None    # relative error estimate of each sample
+    fallbacks: tuple        # indices of the samples taken by a fallback
+
+    @property
+    def exponent_error(self):
+        """First-order bound on the error of ``exponent`` from the sample
+        errors: the fitted slope is sum_i w_i log(value_i), so it moves by
+        at most sum_i |w_i| errors_i.  None when the samples carry no
+        estimate."""
+        if self.errors is None:
+            return None
+        x = np.log([abs(rho) for rho, _ in self.samples])
+        x = x - x.mean()
+        return float(np.abs(x) @ np.asarray(self.errors) / (x @ x))
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +576,8 @@ def find_roots(nbc: NormalizedBC, annulus):
     The search covers one sector of angle 2 pi / n and turns what it
     finds, and checks the turned zeros against the winding count of the
     whole annulus.  Only the two circles are fixed: the partition lines
-    and the seam of the sector move off a zero.
+    and the seam of the sector move off a zero.  No partition puts the
+    seam on the real axis, where real zeros lie.
 
     There is one retry rule.  Any ContourError (a box count, a split
     whose child counts do not add up to the parent's, or a verification
@@ -648,10 +689,12 @@ def find_roots(nbc: NormalizedBC, annulus):
     # or when the verified multiplicities add up to less than the winding
     # total (an even-order zero on a line leaves no phase jump and can go
     # missing silently), the partition is rebuilt with its interior lines
-    # shifted, and so is the seam of the sector, which is arbitrary.
+    # shifted, and so is the seam of the sector, which is arbitrary.  The
+    # first partition is already shifted: a seam on arg rho = 0 would lie
+    # on the real zeros that so many operators have.
     grid_r = max(1, min(MAX_GRID, math.ceil((r_max - r_min) / 12.0)))
     grid_a = max(1, min(MAX_GRID, math.ceil(width * r_max / 12.0)))
-    for attempt in range(6):
+    for attempt in range(1, 7):
         shift = 0.31 * attempt / (attempt + 1.0)
         r_edges = np.linspace(r_min, r_max, grid_r + 1)
         a_edges = np.linspace(0.0, width, grid_a + 1)
@@ -757,14 +800,70 @@ def _gauss_nodes(count):
     return x, w
 
 
-def resolvent_norm(nbc: NormalizedBC, rho, quad_nodes=64) -> float:
-    """L2 operator norm of the resolvent at rho^n, by Nystrom discretization
-    of the Green kernel on a Gauss-Legendre grid."""
-    x, w = _gauss_nodes(quad_nodes)
-    g = _green_matrix(nbc, rho, x, x)
+def _estimate(coarse, fine, largest):
+    """The relative error estimate of a norm taken at two sizes, from the
+    smaller one ``coarse`` and the larger one ``fine``: the larger of
+    their difference and eps times the largest singular value of the
+    larger matrix, over ``fine``; infinite when ``fine`` is 0."""
+    coarse, fine, largest = float(coarse), float(fine), float(largest)
+    if fine == 0.0:
+        return math.inf
+    return max(abs(coarse - fine), np.finfo(float).eps * largest) / fine
+
+
+def _coefficient_operators(nbc: NormalizedBC):
+    """(L B, B) at each of RESOLVENT_DIMENSIONS N, once per scan: B the
+    constrained basis of the model expression with the normalized rows,
+    (N + n) x N, and L the strong operator on its coefficients, so that
+    u -> (l - lambda) u on V_N is exactly L B - lambda B."""
+    spec = OperatorSpec(nbc.n, ModelForm(), nbc.rows)
+    operators = []
+    for dim in RESOLVENT_DIMENSIONS:
+        basis = constrained_basis(spec, dim)
+        operators.append((strong_operator(spec, dim + nbc.n) @ basis, basis))
+    return operators
+
+
+def _nystrom_norm(nbc: NormalizedBC, rho, nodes):
+    """Largest singular value of the Green kernel sampled on ``nodes``
+    Gauss-Legendre nodes and weighted by their square roots (Nystrom)."""
+    x, w = _gauss_nodes(nodes)
     sw = np.sqrt(w)
-    a = sw[:, None] * g * sw[None, :]
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    return float(np.linalg.svd(sw[:, None] * _green_matrix(nbc, rho, x, x) * sw[None, :],
+                               compute_uv=False)[0])
+
+
+def _resolvent_sample(nbc: NormalizedBC, operators, rho):
+    """(norm, relative error estimate, fell back) of the resolvent at
+    rho^n, from the :func:`_coefficient_operators`, or from the Nystrom
+    kernel when their estimate exceeds RESOLVENT_MAX_ERROR."""
+    lam = complex(rho) ** nbc.n
+    coarse, fine = (np.linalg.svd(image - lam * basis, compute_uv=False)
+                    for image, basis in operators)
+    error = _estimate(coarse[-1], fine[-1], fine[0])
+    if error <= RESOLVENT_MAX_ERROR:
+        return 1.0 / float(fine[-1]), error, False
+    coarse, fine = (_nystrom_norm(nbc, rho, nodes) for nodes in NYSTROM_NODES)
+    return fine, _estimate(coarse, fine, fine), True
+
+
+def resolvent_norm(nbc: NormalizedBC, rho) -> float:
+    """L2 operator norm of the resolvent of the model problem at rho^n.
+
+    On the constrained polynomial space V_N of degree < N + n, u ->
+    (l - lambda) u is the exact (N + n) x N matrix M_N = L B - lambda B
+    in orthonormal Legendre coefficients (:func:`_coefficient_operators`),
+    so 1 / sigma_min(M_N) is the norm of the resolvent on V_N, and it
+    rises to the norm as N grows.  It is taken at N = 16 and N = 32
+    (RESOLVENT_DIMENSIONS), and its relative error estimate is the larger
+    of |sigma_16 - sigma_32| / sigma_32 and eps ||M_32|| / sigma_32.  Where
+    that estimate exceeds RESOLVENT_MAX_ERROR (near the spectrum of a
+    problem that is not regular, sigma_min falls below the rounding of
+    M_N), the norm is the largest singular value of the Nystrom
+    discretization of the Green kernel on 64 Gauss-Legendre nodes, whose
+    estimate compares 32 and 64 nodes (NYSTROM_NODES) by the same rule.
+    """
+    return _resolvent_sample(nbc, _coefficient_operators(nbc), rho)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -819,15 +918,19 @@ def ray_clearance_check(roots, ray_angle, r_min, r_max):
     return clearance
 
 
-def _ray_scan(kind, value, ray_angle, roots, r_min, r_max, samples):
-    """``value(rho)`` at ``samples`` geometric radii from r_min to r_max
+def _ray_scan(kind, sample, ray_angle, roots, r_min, r_max, samples):
+    """``sample(rho)`` at ``samples`` geometric radii from r_min to r_max
     along a ray that :func:`ray_clearance_check` passes, with the fitted
-    power law."""
+    power law.  ``sample`` gives (value, relative error estimate or None,
+    fell back)."""
     clearance = ray_clearance_check(roots, ray_angle, r_min, r_max)
     radii = np.geomspace(r_min, r_max, samples)
-    out = tuple((rho, value(rho)) for rho in radii * cmath.exp(1j * ray_angle))
-    exponent, rms = _fit_exponent(radii, [v for _, v in out])
-    return SpectralScan(kind, float(ray_angle), out, exponent, rms, clearance)
+    rhos = radii * cmath.exp(1j * ray_angle)
+    values, errors, fell_back = zip(*map(sample, rhos))
+    exponent, rms = _fit_exponent(radii, values)
+    return SpectralScan(kind, float(ray_angle), tuple(zip(rhos, values)), exponent, rms,
+                        clearance, None if None in errors else errors,
+                        tuple(i for i, fell in enumerate(fell_back) if fell))
 
 
 def green_sup_scan(nbc: NormalizedBC, ray_angle, roots, r_min=5.0, r_max=60.0,
@@ -836,25 +939,33 @@ def green_sup_scan(nbc: NormalizedBC, ray_angle, roots, r_min=5.0, r_max=60.0,
 
     ``roots`` feed :func:`ray_clearance_check`.  The fitted exponent
     estimates the decay order of the kernel; for a regular problem on a
-    noncritical ray it approaches -(n - 1).
+    noncritical ray it approaches -(n - 1).  The samples carry no error
+    estimate.
     """
     lattice = (np.arange(grid) + 0.5) / grid
     return _ray_scan(
-        "green_sup", lambda rho: float(np.abs(_green_matrix(nbc, rho, lattice, lattice)).max()),
+        "green_sup",
+        lambda rho: (float(np.abs(_green_matrix(nbc, rho, lattice, lattice)).max()), None, False),
         ray_angle, roots, r_min, r_max, samples)
 
 
 def resolvent_scan(nbc: NormalizedBC, ray_angle, roots, r_min=5.0, r_max=60.0,
                    samples=24) -> SpectralScan:
-    """Resolvent norms along a ray.
+    """Resolvent norms along a ray, as :func:`resolvent_norm` takes them.
 
     The direction must keep a positive angular distance from every
     critical ray, and ``roots`` feed :func:`ray_clearance_check`.  For a
-    regular problem the fitted exponent approaches -n.
+    regular problem the fitted exponent approaches -n.  The coefficient
+    operators are assembled once per scan; each sample costs one singular
+    value decomposition at each of the two sizes, and the Nystrom kernel
+    at two node counts where it falls back.  The scan carries each
+    sample's relative error estimate and the indices of the samples that
+    fell back.
     """
     if ray_distance(ray_angle, critical_rays(nbc.n)) < 1e-3:
         raise ValueError("ray angle lies on a critical ray")
-    return _ray_scan("resolvent", lambda rho: resolvent_norm(nbc, rho),
+    operators = _coefficient_operators(nbc)
+    return _ray_scan("resolvent", lambda rho: _resolvent_sample(nbc, operators, rho),
                      ray_angle, roots, r_min, r_max, samples)
 
 

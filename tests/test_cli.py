@@ -551,6 +551,47 @@ def test_identically_vanishing_determinant_is_named(tmp_path, capsys):
         assert report[section] == {"error": f"ValueError: {message}"}, section
 
 
+def _printed_decimals(value):
+    return len(repr(value).partition(".")[2])
+
+
+def test_report_resolvent_exponents_print_backed_digits(capsys):
+    """The resolvent exponent is printed to the digits its samples' error
+    estimates back: -2 on neumann2 and periodic2, whose norm on the ray
+    pi / 2 is exactly 1 / r^2, and on dirichlet2 every printed digit of
+    the fit of its closed form 1 / (pi^2 + r^2)."""
+    radii = [5.0 * 12.0 ** (k / 23) for k in range(24)]
+    closed, _ = spectral._fit_exponent(radii, [1.0 / (math.pi ** 2 + r * r) for r in radii])
+    assert abs(closed - -1.8925930398913) <= 1e-12
+    printed = {}
+    for name in ("dirichlet2", "neumann2", "periodic2"):
+        code, doc, _ = run_json(capsys, "report", name)
+        assert code == 0
+        section = doc["resolvent_decay"]
+        assert abs(section["ray"] - 0.5 * math.pi) <= 1e-9
+        assert section["fallback_samples"] == 0
+        assert section["sample_error"] <= 1e-10
+        printed[name] = section["exponent"]
+    assert printed["neumann2"] == printed["periodic2"] == -2.0
+    decimals = _printed_decimals(printed["dirichlet2"])
+    assert decimals >= 10
+    assert round(-1.8925930398913, decimals) == printed["dirichlet2"]
+
+
+def test_report_counts_resolvent_fallbacks(capsys):
+    """cauchy2 is not regular: its resolvent report still shows growth,
+    and counts the samples that fell back to the Nystrom kernel; the
+    Green scan, which makes no estimate, gains no key."""
+    code, doc, _ = run_json(capsys, "report", "cauchy2")
+    assert code == 0
+    section = doc["resolvent_decay"]
+    assert section["exponent"] >= 0.0
+    assert section["decay_bound_satisfied"] is False
+    assert 0 < section["fallback_samples"] < section["samples"]
+    assert "fallback_samples" not in doc["green_decay"]
+    assert "sample_error" not in doc["green_decay"]
+
+
 @pytest.mark.parametrize("name", ["dirichlet2", "mixed4", "cauchy2"])
 def test_report_matches_golden(name, tmp_path, capsys):
     golden = os.path.join(GOLDEN_DIR, f"report_{name}.json")
