@@ -35,13 +35,19 @@ the contours of the initial grid, of the four children of a split, of
 the annulus, or of all verification circles are wound together, with
 one evaluation for the first samples of every path and one per round
 for the refinement midpoints of every path.  No evaluation takes more
-than ``BATCH_POINTS`` points at once.  Batching changes no result: every
-point's determinant, Newton step and residual, and every path's
-samples, refinements and phase sum, are the ones it gets alone.  A box
-is polished by the step -m Delta/Delta' with its count m; a root whose
-circle winds m times is polished by Newton on Delta^(m-1), whose zero
-there is simple, so a multiple root is not limited by the cancellation
-of Delta near it.
+than ``BATCH_POINTS`` points at once.  A box is polished by the step
+-m Delta/Delta' with its count m, which converges only where its m
+zeros coincide (Delves and Lyness, Math. Comp. 21, 1967).  So a box of
+the initial partition with m >= 2 is split without a step, and a box
+whose split separated some of its zeros but left m >= 2 follows the
+level's other boxes: it steps while they do, and stops when the last
+of them stops.  Batching changes no other result: every point's
+determinant, every Newton step and residual of a box that follows
+nothing, and every path's samples, refinements and phase sum, are the
+ones it gets alone; a follower takes the steps it gets alone, but how
+many depends on its level.  A root whose circle winds m times is
+polished by Newton on Delta^(m-1), whose zero there is simple, so a
+multiple root is not limited by the cancellation of Delta near it.
 
 Green kernel and resolvent.  The Green sup scan samples the kernel on a
 lattice.  The resolvent norm does not use the kernel: on the constrained
@@ -481,7 +487,7 @@ def _box_counts(delta, boxes):
     return _windings(delta, [_box_contour(box) for box in boxes])
 
 
-def _newton(delta, starts, multiplicities, polish=False):
+def _newton(delta, starts, multiplicities, polish=False, follows=None):
     """Polish each start with Newton steps, all points in lockstep.
 
     A point of multiplicity m steps by -m Delta/Delta', or, when
@@ -490,11 +496,14 @@ def _newton(delta, starts, multiplicities, polish=False):
     evaluates the tables of Delta, Delta', ... in one call.  A point
     stops once its step is below 1e-13 (relative); when ``polish``, it
     goes on while each step is at most half the one before, since the
-    polished roots are the ones printed.
+    polished roots are the ones printed.  A point flagged in ``follows``
+    also stops, converged or not, on the step the last unflagged point
+    stops; when every point is flagged, none follows.
 
     Returns [(rho, residual)] with residual = |last step| / (1 + |rho|).
-    Steps and residuals are taken per point in Python arithmetic, so a
-    point's result does not depend on the batch it runs in.
+    Steps and residuals are taken per point in Python arithmetic, so the
+    result of a point that follows nothing does not depend on the batch
+    it runs in.
     """
     orders = [m - 1 if polish else 0 for m in multiplicities]
     tables = [delta.coeffs]
@@ -502,12 +511,14 @@ def _newton(delta, starts, multiplicities, polish=False):
         tables.append(_derivative(delta.freqs, tables[-1]))
     tables = np.array(tables)
     rhos = list(starts)
+    if follows is None or all(follows):
+        follows = [False] * len(rhos)
     best = list(starts)
     best_res = [math.inf] * len(rhos)
     last_res = [math.inf] * len(rhos)
     active = range(len(rhos))
     for _ in range(NEWTON_MAX_ITER):
-        if not active:
+        if all(follows[i] for i in active):     # no point left to follow, or none left
             break
         values, _ = _char_det_batch(delta, [rhos[i] for i in active], tables)
         going = []
@@ -587,7 +598,14 @@ def find_roots(nbc: NormalizedBC, annulus):
     every multiplicity comes from the winding of a circle.
 
     The subdivision runs level by level: the boxes of one level are
-    polished in one Newton batch.  The boxes of the initial partition,
+    polished in one Newton batch, with the box count m as multiplicity.
+    That step converges only where the m zeros coincide.  A box of the
+    initial partition with m >= 2 is split without a step.  A box leads
+    the batch when m = 1, when m is its parent's count (the split kept
+    its zeros together), or at ``MAX_DEPTH`` or the smallest diameter; a
+    box whose count fell at its split but is still >= 2 follows, and
+    stops when the last leader stops.  A level with no leader steps every
+    box until it stops alone.  The boxes of the initial partition,
     the four children of a split, the annulus and all verification
     circles are each wound as one batch (:func:`_windings`), in which a
     path's samples, refinements and phase sum are the ones it gets
@@ -613,37 +631,57 @@ def find_roots(nbc: NormalizedBC, annulus):
 
     def subdivide(boxes):
         found = []
-        level = [(box, count) for box, count in zip(boxes, _box_counts(delta, boxes))
+        # a level entry is (box, count, the count of the box it was split
+        # from, or None in the initial partition)
+        level = [(box, count, None) for box, count in zip(boxes, _box_counts(delta, boxes))
                  if count != 0]
         depth = 0
         while level:
-            # Newton with the box count as multiplicity: converges only when
-            # the count is concentrated at one point (an m-fold zero, or a
-            # cluster tighter than the tolerance); distinct roots keep it
-            # oscillating at the separation scale and the box is subdivided.
-            polished = _newton(
+            # Newton with the box count m as multiplicity converges only
+            # when the m zeros coincide (an m-fold zero, or a cluster tighter
+            # than the tolerance); distinct roots keep it oscillating at the
+            # separation scale and the box is subdivided.  So a box of the
+            # initial partition with m >= 2 is split at once.  A box leads
+            # the level's Newton batch when m = 1, when its split kept all
+            # of its parent's zeros, or at a search limit; a box whose split
+            # separated some of its zeros but left m >= 2 follows, and stops
+            # with the last leader.
+            roles = []          # "lead", "follow", or None: split at once
+            for box, count, parent in level:
+                if (count in (1, parent) or depth >= MAX_DEPTH
+                        or _box_diameter(box) <= diam_tol):
+                    roles.append("lead")
+                else:
+                    roles.append(None if parent is None else "follow")
+            stepped = [(box, count, role == "follow")
+                       for (box, count, _), role in zip(level, roles) if role]
+            polished = iter(_newton(
                 delta, [0.5 * (box[0] + box[1]) * cmath.exp(0.5j * (box[2] + box[3]))
-                       for box, _ in level], [count for _, count in level])
+                       for box, _, _ in stepped], [count for _, count, _ in stepped],
+                follows=[follows for _, _, follows in stepped]))
             deeper = []
-            for (box, count), (rho, res) in zip(level, polished):
-                r, ang = abs(rho), cmath.phase(rho)
-                # accept only roots (essentially) inside this box; a polished
-                # point in a neighbouring box belongs to that box's count
-                pad_r = 1e-6 * (box[1] - box[0]) + 1e-12
-                pad_a = 1e-6 * (box[3] - box[2]) + 1e-12
-                mid_a = 0.5 * (box[2] + box[3])
-                in_box = (box[0] - pad_r <= r <= box[1] + pad_r
-                          and abs(cmath.phase(cmath.exp(1j * (ang - mid_a))))
-                          <= (box[3] - box[2]) / 2 + pad_a)
-                if ((res <= RESIDUAL_TOL and in_box)
-                        or depth >= MAX_DEPTH or _box_diameter(box) <= diam_tol):
-                    found.append(_Candidate(complex(rho), float(res)))
-                    continue
+            for (box, count, _), role in zip(level, roles):
+                if role:
+                    rho, res = next(polished)
+                    r, ang = abs(rho), cmath.phase(rho)
+                    # accept only roots (essentially) inside this box; a
+                    # polished point in a neighbouring box belongs to that
+                    # box's count
+                    pad_r = 1e-6 * (box[1] - box[0]) + 1e-12
+                    pad_a = 1e-6 * (box[3] - box[2]) + 1e-12
+                    mid_a = 0.5 * (box[2] + box[3])
+                    in_box = (box[0] - pad_r <= r <= box[1] + pad_r
+                              and abs(cmath.phase(cmath.exp(1j * (ang - mid_a))))
+                              <= (box[3] - box[2]) / 2 + pad_a)
+                    if ((res <= RESIDUAL_TOL and in_box)
+                            or depth >= MAX_DEPTH or _box_diameter(box) <= diam_tol):
+                        found.append(_Candidate(complex(rho), float(res)))
+                        continue
                 children = _split_box(box)
                 child_counts = _box_counts(delta, children)
                 if sum(child_counts) != count:
                     raise ContourError(f"winding counts failed to split box {box}")
-                deeper += [(child, child_count) for child, child_count
+                deeper += [(child, child_count, count) for child, child_count
                            in zip(children, child_counts) if child_count != 0]
             level = deeper
             depth += 1
@@ -836,10 +874,13 @@ def _nystrom_norm(nbc: NormalizedBC, rho, nodes):
 def _resolvent_sample(nbc: NormalizedBC, operators, rho):
     """(norm, relative error estimate, fell back) of the resolvent at
     rho^n, from the :func:`_coefficient_operators`, or from the Nystrom
-    kernel when their estimate exceeds RESOLVENT_MAX_ERROR."""
+    kernel when their estimate exceeds RESOLVENT_MAX_ERROR; (inf, 0,
+    False) when sigma_min at the larger size is exactly 0."""
     lam = complex(rho) ** nbc.n
     coarse, fine = (np.linalg.svd(image - lam * basis, compute_uv=False)
                     for image, basis in operators)
+    if fine[-1] == 0.0:     # V_N holds an eigenfunction: lambda is an eigenvalue
+        return math.inf, 0.0, False
     error = _estimate(coarse[-1], fine[-1], fine[0])
     if error <= RESOLVENT_MAX_ERROR:
         return 1.0 / float(fine[-1]), error, False
@@ -862,6 +903,8 @@ def resolvent_norm(nbc: NormalizedBC, rho) -> float:
     M_N), the norm is the largest singular value of the Nystrom
     discretization of the Green kernel on 64 Gauss-Legendre nodes, whose
     estimate compares 32 and 64 nodes (NYSTROM_NODES) by the same rule.
+    Where sigma_32 is exactly 0, V_N holds an eigenfunction and the norm
+    is ``inf``.
     """
     return _resolvent_sample(nbc, _coefficient_operators(nbc), rho)[0]
 
