@@ -357,9 +357,14 @@ def numrange_document(report, max_dim=numrange.DEFAULT_DIMENSIONS[-1],
         dims.append(d)
         d *= 2
     dims.append(max_dim)
-    verdict = numrange.half_plane_verdict(report, dimensions=dims, num_angles=angles)
     if csv_path:
-        numrange.profiles_to_csv(verdict.profiles, csv_path)
+        # the CSV needs every angle, so the verdict reads the full profiles
+        profiles = [numrange.support_profile(report, d, angles) for d in dims]
+        numrange.profiles_to_csv(profiles, csv_path)
+        verdict = numrange.HalfPlaneReport.from_minima(
+            dims, [p.minimum for p in profiles], [p.bound for p in profiles])
+    else:
+        verdict = numrange.half_plane_verdict(report, dimensions=dims, num_angles=angles)
     return {
         "applicable": True,
         "verdict": verdict.verdict,

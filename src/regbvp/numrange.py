@@ -43,6 +43,23 @@ by N + n to cover the assembly; they are not proofs, and
 references on the gallery.  A matrix A that is semidefinite only up to
 rounding is replaced by the nearest such matrix, and the change times
 ||W||_2^2 is added to the bound.
+
+Pruned minima.  :func:`support_profile` solves the full angle grid;
+:func:`half_plane_verdict` needs only each dimension's minimum.  Its
+premise is the nesting above: sigma_N(theta) >= sigma_M(theta) for
+M < N at every angle, so the computed values satisfy sigma_N(theta) >=
+sigma_M(theta) - (b_M + b_N) with b the error bounds (the bound of the
+eigenvalue path holds for every eigenvalue of H_N(theta), not only the
+minimum).  The smallest dimension solves the full grid.  Each larger
+one visits the solves (antipodal pairs, or single angles on an odd
+grid) in ascending order of their least value at the largest dimension
+that solved them, and stops at the first solve whose value, less the
+two bounds, exceeds the best value found at this dimension: no later
+solve can go below it.  The angle of the minimum is always solved from
+the same matrix, so each minimum is the float of the full grid; a
+half-plane form takes one or two solves per larger dimension, a
+whole-plane form nearly the full grid.  The factored path is cheap for
+every angle and is not pruned.
 """
 
 import cmath
@@ -103,7 +120,33 @@ class HalfPlaneReport:
     dimensions: tuple
     minima: tuple
     bounds: tuple
-    profiles: tuple
+
+    @classmethod
+    def from_minima(cls, dimensions, minima, bounds):
+        """The verdict on minima m_N for ascending ``dimensions``.
+
+        The minima are nondecreasing in N.  A final minimum within
+        ``SLACK`` (relative) of the first indicates a supporting line:
+        "half_plane".  Minima that grow by at least ``GROWTH_FACTOR`` at
+        every step (once above 1) indicate that every direction
+        eventually fails: "whole_plane".  Anything else is
+        "undetermined".
+        """
+        minima = tuple(minima)
+        first, last = minima[0], minima[-1]
+        allowance = SLACK * max(1.0, abs(first))
+        if last <= first + allowance:
+            verdict = "half_plane"
+        else:
+            grew = last > 1.0
+            for prev, nxt in zip(minima, minima[1:]):
+                if prev <= 1.0:
+                    continue
+                if nxt < GROWTH_FACTOR * prev:
+                    grew = False
+            verdict = "whole_plane" if grew else "undetermined"
+        return cls(verdict=verdict, dimensions=tuple(dimensions), minima=minima,
+                   bounds=tuple(bounds))
 
 
 def _factor(report):
@@ -142,25 +185,43 @@ def support_function(form, theta):
     return _extremes(np.asarray(form, dtype=complex), theta)[1]
 
 
+def _grid(angles):
+    """(solves, pairs) of an angle grid: on an even grid angle k + pairs
+    is angle k + pi, and solve k serves both; an odd grid has no pairs
+    and takes one solve per angle."""
+    pairs = len(angles) // 2 if len(angles) % 2 == 0 else 0
+    return len(angles) - pairs, pairs
+
+
+def _solve(form, angles, k, pairs):
+    """sigma at the angles of solve ``k``: angle k, and angle k + pairs
+    on an even grid."""
+    lo, hi = _extremes(form, angles[k])
+    return (hi, -lo) if pairs else (hi,)
+
+
+def _rounding_bound(report, dim, form):
+    """The error bound of the eigenvalue path at ``dim``."""
+    return (dim + report.spec.order) * EPS * float(np.linalg.norm(form, 2))
+
+
 def _support(report, dim, angles):
     """(sigma_dim over the evenly spaced ``angles``, error bound of its
     minimum)."""
-    scale = (dim + report.spec.order) * EPS
     factor = _factor(report)
     if factor is None:
         form = split_form(report, dim)
-        # angle k + pairs is angle k + pi on an even grid; an odd grid has no pairs
-        pairs = len(angles) // 2 if len(angles) % 2 == 0 else 0
-        extremes = [_extremes(form, theta) for theta in angles[:len(angles) - pairs]]
-        values = [hi for _lo, hi in extremes] + [-lo for lo, _hi in extremes[:pairs]]
-        return tuple(values), scale * float(np.linalg.norm(form, 2))
+        solves, pairs = _grid(angles)
+        sigma = [_solve(form, angles, k, pairs) for k in range(solves)]
+        values = tuple(s[0] for s in sigma) + tuple(s[1] for s in sigma[:pairs])
+        return values, _rounding_bound(report, dim, form)
     # F = G^H G: sigma(theta) = cos(theta) * (s_max^2 where cos >= 0, else s_min^2)
     root, defect = factor
     jets, wedge, vee = split_jets(report, dim)
     p = report.spec.form.p
     blocks = [math.sqrt(p[k].coeffs[0].real) * jets[k] for k in range(len(p)) if p[k]]
     sv = np.linalg.svd(np.vstack(blocks + [root @ wedge]), compute_uv=False)
-    delta = scale * sv[0]
+    delta = (dim + report.spec.order) * EPS * sv[0]
     defect = defect * np.linalg.norm(wedge, 2) ** 2
     values = tuple(math.cos(theta) * float(sv[0] ** 2 if math.cos(theta) >= 0 else sv[-1] ** 2)
                    for theta in angles)
@@ -168,14 +229,41 @@ def _support(report, dim, angles):
     return values, float(2 * behind * delta + delta * delta + defect)
 
 
+def _pruned_minima(report, dimensions, angles):
+    """(minima, bounds) of the eigenvalue path, each dimension solving
+    only the angles that can still hold its minimum (module docstring)."""
+    solves, pairs = _grid(angles)
+    # per solve: the least sigma of its angles at the largest dimension
+    # that solved it, and that dimension's bound; -inf before any solve,
+    # so the smallest dimension solves the full grid
+    floor, floor_bound = [-math.inf] * solves, [0.0] * solves
+    minima, bounds = [], []
+    for dim in dimensions:
+        form = split_form(report, dim)
+        bound = _rounding_bound(report, dim, form)
+        best = math.inf
+        for k in sorted(range(solves), key=floor.__getitem__):
+            if floor[k] - (floor_bound[k] + bound) > best:
+                break
+            floor[k], floor_bound[k] = min(_solve(form, angles, k, pairs)), bound
+            best = min(best, floor[k])
+        minima.append(best)
+        bounds.append(bound)
+    return tuple(minima), tuple(bounds)
+
+
+def _angle_grid(num_angles):
+    if num_angles < 1:
+        raise ValueError("need at least one angle")
+    return tuple(2.0 * math.pi * k / num_angles for k in range(num_angles))
+
+
 def support_profile(spec_or_report, dim, num_angles=DEFAULT_ANGLES):
     """sigma_dim(theta) over an even angle grid on [0, 2 pi), for a spec
     or a report; raises SpecError when a spec has no even-order
     divergence or model form, and ValueError for fewer than one angle."""
     report = as_report(spec_or_report)
-    if num_angles < 1:
-        raise ValueError("need at least one angle")
-    angles = tuple(2.0 * math.pi * k / num_angles for k in range(num_angles))
+    angles = _angle_grid(num_angles)
     values, bound = _support(report, dim, angles)
     return SupportProfile(dimension=int(dim), angles=angles, values=values, bound=bound)
 
@@ -193,33 +281,22 @@ def half_plane_verdict(spec_or_report, dimensions=DEFAULT_DIMENSIONS,
                        num_angles=DEFAULT_ANGLES):
     """Decide whether the form values stay inside some half-plane.
 
-    The minima m_N = min_theta sigma_N(theta) are nondecreasing in N.  A
-    final minimum within ``SLACK`` (relative) of the first indicates a
-    supporting line: "half_plane".  Minima that grow by at least
-    ``GROWTH_FACTOR`` at every doubling (once above 1) indicate that every
-    direction eventually fails: "whole_plane".  Anything else is reported
-    as "undetermined".  Takes a spec or a report; raises SpecError when a
-    spec has no even-order divergence or model form, and ValueError for
-    fewer than two distinct dimensions or fewer than one angle.
+    The minima m_N = min_theta sigma_N(theta) over the angle grid of
+    :func:`support_profile` are the same floats its profiles give; the
+    eigenvalue path finds them by the pruned search of the module
+    docstring.  :meth:`HalfPlaneReport.from_minima` gives the verdict.
+    Takes a spec or a report; raises SpecError when a spec has no
+    even-order divergence or model form, and ValueError for fewer than
+    two distinct dimensions or fewer than one angle.
     """
     dimensions = tuple(sorted(int(d) for d in dimensions))
     if len(set(dimensions)) != len(dimensions) or len(dimensions) < 2:
         raise ValueError("need at least two distinct dimensions to compare")
     report = as_report(spec_or_report)
-    profiles = tuple(support_profile(report, d, num_angles) for d in dimensions)
-    minima = tuple(p.minimum for p in profiles)
-
-    first, last = minima[0], minima[-1]
-    allowance = SLACK * max(1.0, abs(first))
-    if last <= first + allowance:
-        verdict = "half_plane"
+    angles = _angle_grid(num_angles)
+    if _factor(report) is None:
+        minima, bounds = _pruned_minima(report, dimensions, angles)
     else:
-        grew = last > 1.0
-        for prev, nxt in zip(minima, minima[1:]):
-            if prev <= 1.0:
-                continue
-            if nxt < GROWTH_FACTOR * prev:
-                grew = False
-        verdict = "whole_plane" if grew else "undetermined"
-    return HalfPlaneReport(verdict=verdict, dimensions=dimensions, minima=minima,
-                           bounds=tuple(p.bound for p in profiles), profiles=profiles)
+        supports = [_support(report, d, angles) for d in dimensions]
+        minima, bounds = [min(values) for values, _ in supports], [b for _, b in supports]
+    return HalfPlaneReport.from_minima(dimensions, minima, bounds)

@@ -371,10 +371,14 @@ class _Path(NamedTuple):
 
 
 def _box_contour(box):
-    """The boundary of a polar box, counterclockwise, as four paths."""
+    """The boundary of a polar box, counterclockwise, as four paths; a box
+    spanning a full turn (order 1) keeps only its two arcs, since its two
+    radial edges are one segment wound both ways."""
     r0, r1, a0, a1 = box
-    return [_Path(r0, r1, a0, a0), _Path(r1, r1, a0, a1),
-            _Path(r1, r0, a1, a1), _Path(r0, r0, a1, a0)]
+    outer, inner = _Path(r1, r1, a0, a1), _Path(r0, r0, a1, a0)
+    if abs((a1 - a0) - 2 * math.pi) < 1e-12:
+        return [outer, inner]
+    return [_Path(r0, r1, a0, a0), outer, _Path(r1, r0, a1, a1), inner]
 
 
 def _log_abs_array(dets, logs):

@@ -407,6 +407,22 @@ def test_numrange_whole_plane(tmp_path, capsys):
     assert len(lines) == 1 + 3 * 32
 
 
+def test_numrange_csv_is_the_full_grid(tmp_path, capsys):
+    # -o writes every angle of every dimension (the golden is the output
+    # of the full-grid search), and the verdict read from those profiles
+    # is the pruned search's
+    csv_path = tmp_path / "profiles.csv"
+    argv = ["numrange", "mixed4", "--max-dim", "32", "--angles", "32"]
+    code, with_csv, _ = run_json(capsys, *argv, "-o", str(csv_path))
+    assert code == 0
+    with open(os.path.join(GOLDEN_DIR, "numrange_mixed4.csv"), "rb") as handle:
+        assert csv_path.read_bytes() == handle.read()
+    assert len(csv_path.read_text().splitlines()) == 1 + 3 * 32
+    code, without_csv, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert with_csv == without_csv
+
+
 def test_numrange_half_plane(capsys):
     code, doc, _ = run_json(capsys, "numrange", "dirichlet2",
                             "--max-dim", "16", "--angles", "32")

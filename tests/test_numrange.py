@@ -1,5 +1,6 @@
 """Galerkin support functions and half-plane containment verdicts."""
 
+import collections
 import math
 import random
 
@@ -305,48 +306,135 @@ def test_paired_support_values_match_one_angle_solves(num_angles):
             assert abs(value - support_function(form, theta)) <= profile.bound, (dim, theta)
 
 
-def test_eigenvalue_path_solves_once_per_antipodal_pair(monkeypatch):
-    calls = []
+def _indefinite_spec():
+    """-y'' with y'(0) + y(0) = 0 and y'(1) + 2 y(1) = 0: q = r = 0 and
+    p_1 = 1, but the boundary matrix A = diag(-1, 2) is indefinite, so
+    the form takes the eigenvalue path and its values stay in a
+    half-plane."""
+    return OperatorSpec(2, DivergenceForm.model(1),
+                        (BoundaryRow((1, 1), (0, 0)), BoundaryRow((0, 0), (2, 1))))
+
+
+def _count_solves(monkeypatch):
+    """Counter of eigvalsh calls by matrix size, which is the dimension."""
+    calls = collections.Counter()
     solve = np.linalg.eigvalsh
 
     def counting(matrix):
-        calls.append(matrix.shape)
+        calls[matrix.shape[0]] += 1
         return solve(matrix)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    mixed4 = gallery.build("mixed4")
-    report = half_plane_verdict(mixed4)
-    assert report.dimensions == (8, 16, 32, 64)
-    assert len(calls) == 4 * 32
-    calls.clear()
-    half_plane_verdict(mixed4, num_angles=7)
-    assert len(calls) == 4 * 7
-    calls.clear()
+    return calls
+
+
+@pytest.mark.parametrize("spec, num_angles, solves", [
+    # the smallest dimension solves all 32 antipodal pairs (or all 7
+    # angles); a larger one only the pairs whose value at a smaller
+    # dimension, less both error bounds, is not above its best value
+    (gallery.build("mixed4"), 64, {8: 32, 16: 25, 32: 29, 64: 27}),
+    (gallery.build("mixed4"), 7, {8: 7, 16: 2, 32: 4, 64: 2}),
+    (_indefinite_spec(), 64, {8: 32, 16: 1, 32: 1, 64: 1}),
+    (_indefinite_spec(), 7, {8: 7, 16: 2, 32: 2, 64: 2}),
     # the sums of squares take one SVD per dimension and no eigvalsh
-    half_plane_verdict(gallery.build("dirichlet2"))
-    assert calls == []
+    (gallery.build("dirichlet2"), 64, {}),
+], ids=["mixed4", "mixed4-odd", "indefinite", "indefinite-odd", "dirichlet2"])
+def test_pruned_search_solve_counts(monkeypatch, spec, num_angles, solves):
+    calls = _count_solves(monkeypatch)
+    report = half_plane_verdict(spec, num_angles=num_angles)
+    assert report.dimensions == (8, 16, 32, 64)
+    assert dict(calls) == solves
 
 
-def test_half_plane_verdict_builds_each_profile_with_support_profile(monkeypatch):
-    # the splitting is decided once, and every profile comes from the
-    # public support_profile, where a wrapper around it can count the work
+def test_half_plane_verdict_decides_splitting_once(monkeypatch):
+    # the splitting is decided once, and each dimension's matrix is
+    # assembled once
     dims, decided = [], []
-    profile, decide = numrange.support_profile, quasiform.check_completely_regular
+    assemble, decide = numrange.split_form, quasiform.check_completely_regular
 
-    def counted_profile(report, dim, num_angles):
+    def counted_assemble(report, dim):
         dims.append(dim)
-        return profile(report, dim, num_angles)
+        return assemble(report, dim)
 
     def counted_decide(spec):
         decided.append(spec)
         return decide(spec)
 
-    monkeypatch.setattr(numrange, "support_profile", counted_profile)
+    monkeypatch.setattr(numrange, "split_form", counted_assemble)
     monkeypatch.setattr(quasiform, "check_completely_regular", counted_decide)
     dimensions = (8, 16, 32)
     report = half_plane_verdict(gallery.build("mixed4"), dimensions=dimensions, num_angles=8)
     assert dims == list(dimensions) == list(report.dimensions)
     assert len(decided) == 1
+
+
+def _random_rows(rng, n, coupled):
+    """n random complex rows: coupled ones involve both ends; separated
+    ones put n/2 rows at each end, with the same derivative orders at
+    both ends (y at one end and y' at the other is ROADMAP item 1)."""
+    def coefficients(k):
+        return tuple(complex(rng.gauss(0, 1), rng.gauss(0, 1)) if s <= k else 0j
+                     for s in range(n))
+    if coupled:
+        return _random_coupled_rows(rng, n)
+    orders = rng.sample(range(n), n // 2)
+    zero = (0j,) * n
+    return (tuple(BoundaryRow(coefficients(k), zero) for k in orders)
+            + tuple(BoundaryRow(zero, coefficients(k)) for k in orders))
+
+
+def _random_forms(seed, count):
+    """``count`` seeded complex forms, cycling through orders 2 and 4 with
+    separated and coupled rows."""
+    rng = random.Random(seed)
+    return [OperatorSpec(n, _random_form(rng, n // 2), _random_rows(rng, n, coupled))
+            for n, coupled in [((2, 4)[i % 2], i % 4 >= 2) for i in range(count)]]
+
+
+def _assert_full_grid_minima(report, dimensions, num_angles):
+    verdict = half_plane_verdict(report, dimensions=dimensions, num_angles=num_angles)
+    profiles = [support_profile(report, d, num_angles) for d in sorted(dimensions)]
+    assert verdict.minima == tuple(min(p.values) for p in profiles)
+    assert verdict.bounds == tuple(p.bound for p in profiles)
+
+
+@pytest.mark.parametrize("name", sorted(gallery.EXAMPLES))
+def test_verdict_minima_are_full_grid_minima_on_gallery(name):
+    report = check_completely_regular(gallery.build(name))
+    _assert_full_grid_minima(report, numrange.DEFAULT_DIMENSIONS, numrange.DEFAULT_ANGLES)
+    _assert_full_grid_minima(report, (8, 16, 32, 48), 7)
+
+
+def test_verdict_minima_are_full_grid_minima_on_random_forms():
+    # the pruned search skips only angles whose values cannot be the
+    # minimum, so every minimum is the float of the full grid: on an
+    # even grid, an odd one and a ladder that does not double
+    eigenvalue_path = 0
+    for spec in _random_forms(101, 120):
+        report = check_completely_regular(spec)
+        eigenvalue_path += numrange._factor(report) is None
+        _assert_full_grid_minima(report, (8, 16, 32), 32)
+        _assert_full_grid_minima(report, (8, 16, 32, 48), 7)
+    assert eigenvalue_path >= 100
+
+
+def test_support_values_nested_within_error_bounds():
+    # the premise of the pruned search: the trial spaces are nested, so
+    # sigma_N(theta) >= sigma_M(theta) for M < N at every angle, up to
+    # the two error bounds
+    checked = 0
+    for spec in _random_forms(202, 24):
+        report = check_completely_regular(spec)
+        if numrange._factor(report) is not None:    # not the eigenvalue path
+            continue
+        profiles = [support_profile(report, d, num_angles=16) for d in (8, 16, 32, 64, 128)]
+        for i, small in enumerate(profiles):
+            for large in profiles[i + 1:]:
+                for lo, hi in zip(small.values, large.values):
+                    assert hi >= lo - (small.bound + large.bound), (small.dimension,
+                                                                   large.dimension)
+                    checked += 1
+    assert checked >= 20 * 10 * 16
 
 
 def test_indefinite_boundary_matrix_takes_eigenvalue_path():
@@ -357,8 +445,7 @@ def test_indefinite_boundary_matrix_takes_eigenvalue_path():
     # = 2 sinh(k) / k.
     k = 0.8711803574937484
     assert abs(k * math.sinh(k) + math.cosh(k) - 2 * math.sinh(k) / k) <= 1e-14
-    spec = OperatorSpec(2, DivergenceForm.model(1),
-                        (BoundaryRow((1, 1), (0, 0)), BoundaryRow((0, 0), (2, 1))))
+    spec = _indefinite_spec()
     for dim in (8, 16, 32):
         profile = support_profile(spec, dim, num_angles=16)
         assert profile.angles[8] == math.pi
@@ -510,16 +597,10 @@ def test_whole_plane_minima_grow():
     ((0.5, 0.9, 2.0, 3.0), "whole_plane"),    # doublings from minima <= 1 are skipped
     ((1.0, 1.05), "half_plane"),              # within SLACK of the first minimum
 ])
-def test_half_plane_verdict_rule(monkeypatch, minima, verdict):
+def test_half_plane_verdict_rule(minima, verdict):
     """The verdict rule alone, on fixed minima in place of computed ones."""
     dimensions = tuple(8 * 2 ** k for k in range(len(minima)))
-    by_dimension = dict(zip(dimensions, minima))
-
-    def fixed_profile(report, dim, num_angles):
-        return numrange.SupportProfile(dim, (0.0,), (by_dimension[dim],), 0.0)
-
-    monkeypatch.setattr(numrange, "support_profile", fixed_profile)
-    report = half_plane_verdict(gallery.build("dirichlet2"), dimensions=dimensions)
+    report = numrange.HalfPlaneReport.from_minima(dimensions, minima, (0.0,) * len(minima))
     assert report.minima == minima
     assert report.verdict == verdict
 

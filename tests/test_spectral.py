@@ -413,6 +413,41 @@ def test_windings_of_a_batch_are_those_alone(name, monkeypatch):
     assert alone[4] == len(roots_in(roots, (0.5, 20.0))) and alone[-5:] == [1] * 5
 
 
+def _coupled_first_order_operators(seed, count):
+    """Order-1 model operators a y(0) + b y(1) = 0 with complex N(0, 1)
+    coefficients, drawn as perfbench's coupled random operators are."""
+    rng = random.Random(seed)
+    specs = []
+    for _ in range(count):
+        rng.randrange(0, 1)             # the row's derivative order, always 0
+        a, b = (complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(2))
+        specs.append(OperatorSpec(1, ModelForm(), (make_row(1, a=[(0, a)], b=[(0, b)]),)))
+    return specs
+
+
+def test_full_turn_box_winds_only_its_arcs(monkeypatch):
+    # below r_max ~ 1.9 an order-1 search has one box spanning a full
+    # turn, whose two radial edges are one segment wound both ways; it
+    # winds only its arcs, with the roots of the four-edge contour
+    def four_edges(box):
+        r0, r1, a0, a1 = box
+        return [spectral._Path(r0, r1, a0, a0), spectral._Path(r1, r1, a0, a1),
+                spectral._Path(r1, r0, a1, a1), spectral._Path(r0, r0, a1, a0)]
+
+    assert len(spectral._box_contour((0.25, 1.5, 0.1, 0.1 + 2 * math.pi))) == 2
+    assert len(spectral._box_contour((0.25, 1.5, 0.1, 0.1 + math.pi))) == 4
+    nbcs = [reduce_total_order(spec) for spec in _coupled_first_order_operators(3, 20)]
+    sizes = _count_evaluations(monkeypatch)
+    arcs = [find_roots(nbc, (0.25, 1.5)) for nbc in nbcs]
+    arc_points = sum(sizes)
+    sizes.clear()
+    monkeypatch.setattr(spectral, "_box_contour", four_edges)
+    edges = [find_roots(nbc, (0.25, 1.5)) for nbc in nbcs]
+    assert (arc_points, sum(sizes)) == (1318, 1678)
+    assert repr(arcs) == repr(edges)
+    assert sum(len(roots) for roots in arcs) == 9
+
+
 def test_windings_raise_the_first_failing_contour():
     # on dirichlet2 (Delta proportional to sin rho) the segment [2, 4] of
     # the real axis crosses the zero pi and never settles, while the
