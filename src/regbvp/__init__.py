@@ -4,7 +4,7 @@ splittings, and numerical verification through kernel/resolvent decay,
 eigenvalue localization, and numerical-range geometry."""
 
 from . import gallery
-from .birkhoff import RegularityVerdict, classify_regularity, theta_determinants
+from .birkhoff import RegularityVerdict, classify_regularity
 from .geometry import critical_rays, is_rare, omega_sectors, ray_clearance
 from .model import (
     BoundaryRow,
@@ -22,7 +22,7 @@ from .model import (
     parse_spec,
     spec_to_document,
 )
-from .normalize import NormalizedBC, leading_forms, reduce_total_order
+from .normalize import NormalizedBC, reduce_total_order
 from .numrange import HalfPlaneReport, half_plane_verdict, support_profile
 from .quasiform import (
     CompleteRegularityReport,
@@ -73,7 +73,6 @@ __all__ = [
     "green_sup_scan",
     "half_plane_verdict",
     "is_rare",
-    "leading_forms",
     "load_spec",
     "omega_sectors",
     "operator_coefficients",
@@ -84,7 +83,6 @@ __all__ = [
     "resolvent_scan",
     "spec_to_document",
     "support_profile",
-    "theta_determinants",
     "verify_form_identity",
     "__version__",
 ]

@@ -1,41 +1,42 @@
-"""Regularity classification of normalized boundary rows.
+"""The characteristic determinant, and regularity read off it.
 
-The decision is made from the leading boundary forms alone.  With
-``eps_k = exp(2 pi i (k-1)/n)`` the n x n matrix whose row j is
+On e^(i eps_k rho x), eps_k = exp(2 pi i (k-1)/n), column k of the
+boundary matrix is alpha_k(rho) + e^(i eps_k rho) beta_k(rho) with
+polynomial alpha_k and beta_k, so the characteristic determinant is the
+exponential polynomial Delta(rho) = sum_f P_f(rho) e^(i rho f), f over
+the distinct subset sums of the eps_k, each P_f of degree at most kappa.
+:func:`determinant_terms` expands it once per column subset, without
+division, and :func:`_delta` merges equal frequencies into the cached
+record of an operator that the classification, the root search and
+``spectral.char_det`` all read; :func:`_negligible` is its one zero
+rule.  :func:`_evaluate` takes Delta and its derivatives
+(:func:`_derivative`) by Horner, scaled by e^(-max_f Re(i rho f)).
 
-    a_j * eps_i^{k_j}   in the first half of the columns,
-    b_j * eps_i^{k_j}   in the remaining columns,
-
-has determinant ``theta_0``.  For even n the verdict is ``theta_0 != 0``.
-For odd n a companion determinant ``theta_1`` -- identical except that the
-middle column switches from the ``a`` to the ``b`` coefficient -- must be
-nonzero as well.
-
-Both are read off the characteristic determinant itself.  Column k of the
-boundary matrix on e^(i eps_k rho x) is alpha_k(rho) + e^(i eps_k rho)
-beta_k(rho), so Delta(rho) = sum_S P_S(rho) e^(i rho sum_(k in S) eps_k)
-over the column subsets S, and :func:`determinant_terms` builds every P_S
-by a division-free expansion over the columns.  On the leading forms,
-theta_0 is i^(-kappa) times the rho^kappa coefficient of P_S for
-S = {k >= ceil(n/2)}, and theta_1 that of S = {k >= ceil(n/2) - 1}.
-Rational (Gaussian-integer) inputs give exact values whenever the roots
-of unity are exactly representable (n = 1, 2, 4).  The spectral engine
-reads the same expansion, with equal frequencies merged.
+Regularity is read off two vertices of that distribution diagram.  With
+m = ceil(n/2), theta_0 is (-i)^kappa times the rho^kappa coefficient of
+Delta at the frequency of S = {k >= m}, and theta_1 that of
+S = {k >= m - 1}; a frequency Delta lacks gives 0.  On leading pairs
+(a_j, b_j) of orders k_j, theta_0 is the determinant whose row j is
+a_j eps_i^{k_j} in the first m columns and b_j eps_i^{k_j} in the rest,
+and theta_1 switches the middle column from ``a`` to ``b``.  For even n
+the verdict is ``theta_0 != 0``; for odd n, theta_1 must be nonzero as
+well.  Rational (Gaussian-integer) inputs give exact values whenever the
+roots of unity are exactly representable (n = 1, 2, 4).
 """
 
 import cmath
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .model import OperatorSpec
-from .normalize import NormalizedBC, leading_forms, reduce_total_order
+from .normalize import NormalizedBC, reduce_total_order
 
 __all__ = [
     "RegularityVerdict",
     "unit_roots",
     "determinant_terms",
-    "theta_determinants",
     "classify_regularity",
 ]
 
@@ -99,28 +100,70 @@ def determinant_terms(n, rows):
             for (_, subset), (poly, moduli) in states.items()}
 
 
-def theta_determinants(forms, n):
-    """Pair (theta0, theta1) of leading forms (k_j, a_j, b_j); theta1 is
-    None for even n.
+class _Delta(NamedTuple):
+    """Delta(rho) = sum_f P_f(rho) e^(i rho f) of one operator: the order,
+    the distinct frequencies f, and row by row the coefficients of P_f,
+    ascending."""
 
-    theta0 is i^(-kappa) times the rho^kappa coefficient of the term
-    S = {k >= m}, m = ceil(n/2), of :func:`determinant_terms` on the rows
-    a_j y^(k_j)(0) + b_j y^(k_j)(1); theta1 that of S = {k >= m - 1}.
+    n: int
+    freqs: np.ndarray
+    coeffs: np.ndarray
+
+
+def _negligible(coeffs, moduli):
+    """The one rule for a zero coefficient of Delta: it is at most 64 eps
+    times the sum of the moduli of the products added into it, so that
+    rounding alone can account for it."""
+    return np.abs(coeffs) <= 64 * np.finfo(float).eps * moduli
+
+
+@functools.lru_cache(maxsize=16)
+def _delta(rows):
+    """The Delta of the normalized ``rows``, built once per operator: the
+    terms of :func:`determinant_terms` with equal frequencies merged, and
+    the coefficients :func:`_negligible` set to zero.  A frequency left
+    with none is dropped, so Delta vanishes identically when none is
+    left."""
+    terms = [term for _, term in sorted(determinant_terms(
+        len(rows), [(row.a, row.b) for row in rows]).items())]
+    freqs = np.array([freq for freq, _, _ in terms])
+    group = [int(np.argmax(np.abs(freqs - freq) <= 1e-12)) for freq in freqs]
+    firsts = sorted(set(group))
+    coeffs, moduli = (np.array([sum(term[part] for term, g in zip(terms, group) if g == first)
+                                for first in firsts]) for part in (1, 2))
+    coeffs[_negligible(coeffs, moduli)] = 0.0
+    kept = coeffs.any(axis=1)
+    delta = _Delta(len(rows), freqs[firsts][kept], coeffs[kept])
+    delta.freqs.flags.writeable = delta.coeffs.flags.writeable = False  # cached, so shared
+    return delta
+
+
+def _derivative(freqs, coeffs):
+    """The coefficients of Delta' from those of Delta: P_f -> P_f' + i f P_f."""
+    out = 1j * freqs[:, None] * coeffs
+    out[:, :-1] += coeffs[:, 1:] * np.arange(1, coeffs.shape[1])
+    return out
+
+
+def _evaluate(delta, tables, rhos):
+    """sum_f T_f(rho) e^(i rho f - shift) for every coefficient table T in
+    ``tables`` (shape (tables, frequencies, degree + 1)), by Horner, at the
+    values ``rhos`` (a batch; memory grows with it), with
+    shift = max_f Re(i rho f).
+
+    Returns (values of shape (tables, points), shifts).
     """
-    if len(forms) != n:
-        raise ValueError(f"expected {n} leading forms, got {len(forms)}")
-    rows = [tuple(tuple(c if s == k else 0j for s in range(n)) for c in (a, b))
-            for k, a, b in forms]
-    terms = determinant_terms(n, rows)
-    kappa = sum(k for k, _, _ in forms)
-
-    def theta(first):
-        term = terms.get((1 << n) - (1 << first))
-        # adding to 0j clears the negative zeros the unit factor can leave
-        return 0j if term is None else 0j + (-1j) ** kappa * term[1][kappa]
-
-    m = (n + 1) // 2
-    return theta(m), None if n % 2 == 0 else theta(m - 1)
+    z = 1j * delta.freqs[:, None] * rhos[None, :]
+    shift = z.real.max(axis=0, initial=-np.inf)
+    acc = np.zeros(tables.shape[:2] + rhos.shape, dtype=complex)
+    for d in range(tables.shape[2] - 1, -1, -1):
+        acc = acc * rhos + tables[:, :, d, None]
+    # summed one frequency at a time, in order: numpy's sum over an axis
+    # would change its order, and the bits, with the number of points
+    values = np.zeros((tables.shape[0], rhos.size), dtype=complex)
+    for term in (acc * np.exp(z - shift)).transpose(1, 0, 2):
+        values = values + term
+    return values, shift
 
 
 @dataclass(frozen=True)
@@ -136,21 +179,29 @@ class RegularityVerdict:
 def classify_regularity(spec, tol=None) -> RegularityVerdict:
     """Classify an operator spec (or pre-normalized rows).
 
-    ``tol`` is the magnitude below which a determinant counts as zero; the
-    default scales with the product of the leading-pair magnitudes, which
-    is how the determinant itself scales under row rescaling.
+    theta0 and theta1 are read off the operator's Delta (see the module
+    docstring).  ``tol`` is the magnitude below which a determinant
+    counts as zero; the default scales with the product of the
+    leading-pair magnitudes, which is how the determinant itself scales
+    under row rescaling.
     """
-    if isinstance(spec, NormalizedBC):
-        nbc = spec
-    elif isinstance(spec, OperatorSpec):
-        nbc = reduce_total_order(spec)
-    else:
-        nbc = reduce_total_order(tuple(spec))
-    n = nbc.n
-    forms = leading_forms(nbc)
+    nbc = spec if isinstance(spec, NormalizedBC) else reduce_total_order(spec)
+    n, kappa = nbc.n, nbc.kappa
     if tol is None:
-        scale = float(np.prod([max(abs(a), abs(b)) for _, a, b in forms]))
+        scale = float(np.prod([max(abs(row.a[k]), abs(row.b[k]))
+                               for row, k in zip(nbc.rows, nbc.orders)]))
         tol = 1e-9 * max(scale, 1e-300)
-    theta0, theta1 = theta_determinants(forms, n)
+    delta = _delta(nbc.rows)
+    eps = unit_roots(n)
+
+    def theta(first):
+        """(-i)^kappa times the rho^kappa coefficient of Delta at the
+        frequency of S = {k >= first}."""
+        hit = np.flatnonzero(np.abs(delta.freqs - _snap(sum(eps[first:]))) <= 1e-12)
+        # adding to 0j clears the negative zeros the unit factor can leave
+        return 0j if not hit.size else 0j + (-1j) ** kappa * delta.coeffs[hit[0], kappa]
+
+    m = (n + 1) // 2
+    theta0, theta1 = theta(m), None if n % 2 == 0 else theta(m - 1)
     regular = abs(theta0) > tol and (theta1 is None or abs(theta1) > tol)
-    return RegularityVerdict(regular, theta0, theta1, nbc.kappa, nbc.orders, tol)
+    return RegularityVerdict(regular, theta0, theta1, kappa, nbc.orders, tol)

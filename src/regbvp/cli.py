@@ -3,10 +3,11 @@
 Subcommands: ``classify``, ``spectrum``, ``scan``, ``numrange``, ``report``.
 Inputs are operator-spec JSON files or names of built-in examples.  All
 output is deterministic: floating-point values are rounded to 12
-significant digits (numerical-range minima, spectrum roots and the
-resolvent scan's exponent, fit residual and sample ratio to the power of
-ten their error estimates allow, residuals and error estimates to the
-power of ten at or above them), keys are sorted, no random numbers are
+significant digits (numerical-range minima, spectrum roots, the
+resolvent scan's exponent, fit residual and sample ratio, and the
+resolvent samples ``scan -o`` writes, to the power of ten their error
+estimates allow; residuals and error estimates to the power of ten at or
+above them), keys are sorted, no random numbers are
 drawn, and nothing time- or machine-dependent is emitted unless
 ``--timings`` is given.
 
@@ -16,6 +17,7 @@ values), 1 runtime failure.
 """
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -301,6 +303,27 @@ def _choose_ray(nbc, rmin, rmax, roots):
     raise RuntimeError("no usable scan ray found: " + "; ".join(errors))
 
 
+def scan_to_csv(scan, path):
+    """Write scan samples as CSV with log columns for decay fitting.
+
+    A sample with a relative error estimate e (the resolvent's) writes
+    its quantity and log quantity rounded by :func:`_round_to_bound` with
+    the bounds e * quantity and e; every other column, and every column
+    of a kernel scan, which carries no estimate, is written to 13
+    significant digits.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write("abs_rho,arg_rho,quantity,log_abs_rho,log_quantity\n")
+        for i, (rho, value) in enumerate(scan.samples):
+            columns = ["%.12e" % x for x in (abs(rho), cmath.phase(rho), value,
+                                             math.log(abs(rho)), math.log(value))]
+            if scan.errors is not None:
+                error = scan.errors[i]
+                columns[2] = str(_sig(_round_to_bound(value, error * value)))
+                columns[4] = str(_sig(_round_to_bound(math.log(value), error)))
+            handle.write(",".join(columns) + "\n")
+
+
 def scan_document(nbc, kind, ray, roots, rmin, rmax, samples, grid, csv_path=None):
     n = nbc.n
     if kind == "green":
@@ -314,7 +337,7 @@ def scan_document(nbc, kind, ray, roots, rmin, rmax, samples, grid, csv_path=Non
     else:
         raise ValueError(f"unknown scan kind {kind!r}")
     if csv_path:
-        spectral.scan_to_csv(scan, csv_path)
+        scan_to_csv(scan, csv_path)
     values = [value * abs(rho) ** (-expected) for rho, value in scan.samples]
     ranked = sorted(values)
     median = ranked[len(ranked) // 2]

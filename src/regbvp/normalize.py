@@ -6,7 +6,9 @@ order, the leading pairs (a_j, b_j) live in C^2 and therefore admit at most
 two linearly independent representatives; every further row of that order
 can have its leading pair eliminated, which strictly lowers its order.
 After normalization the rows are sorted by descending order, so that
-k_j > k_{j+2} for all j.
+k_j > k_{j+2} for all j, and every coefficient at most ``DUST_TOL``
+times the largest is exactly zero, so that no row reaches above its
+order.
 """
 
 from dataclasses import dataclass
@@ -15,7 +17,7 @@ import numpy as np
 
 from .model import BoundaryRow, OperatorSpec, RankError
 
-__all__ = ["NormalizedBC", "reduce_total_order", "leading_forms"]
+__all__ = ["NormalizedBC", "reduce_total_order"]
 
 # Coefficients below DUST_TOL times the largest (or 1) count as zero.
 DUST_TOL = 1e-12
@@ -107,20 +109,12 @@ def reduce_total_order(spec_or_rows) -> NormalizedBC:
         raise RankError("boundary rows are linearly dependent")
     # kappa must never increase while eliminating
     assert sum(ords) <= kappa_in, "total order increased"
+    # dust becomes exactly zero in every row, so that no row reaches above
+    # its order and the degree of the characteristic determinant is kappa
+    mat[np.abs(mat) <= tol] = 0.0
     perm = sorted(range(count), key=lambda j: -ords[j])
     mat = mat[perm]
     ords = [ords[j] for j in perm]
     rows_out = tuple(BoundaryRow.from_vector(mat[j]) for j in range(count))
     return NormalizedBC(n, rows_out, tuple(ords), sum(ords))
 
-
-def leading_forms(nbc: NormalizedBC):
-    """Leading boundary forms ``(k_j, a_j, b_j)`` of normalized rows.
-
-    ``a_j`` and ``b_j`` are the coefficients of ``y^(k_j)`` at the two
-    endpoints; at least one of them is nonzero for every row.
-    """
-    out = []
-    for row, k in zip(nbc.rows, nbc.orders):
-        out.append((k, row.a[k], row.b[k]))
-    return tuple(out)

@@ -1,23 +1,13 @@
 """Spectral engine for the model expression (-i)^n y^(n).
 
-Solutions of the model equation l0(y) = rho^n y are e^(i eps_k rho x) with
-eps_k the n-th roots of unity.  The characteristic determinant
-Delta(rho) = det[U_j(e_k)] vanishes exactly at the eigenvalue parameters.
-Column k of that matrix is alpha_k(rho) + e^(i eps_k rho) beta_k(rho)
-with polynomial alpha_k and beta_k, so Delta is the exponential polynomial
-
-    Delta(rho) = sum_f P_f(rho) e^(i rho f),
-
-with f running over the distinct subset sums of the eps_k and each P_f of
-degree at most kappa.  Its coefficients come from
-:func:`birkhoff.determinant_terms` (the expansion that also gives theta0
-and theta1), built once per operator; Delta is zero identically when
-every coefficient is, and :func:`find_roots` then raises.  Delta, scaled
-by e^(-max_f Re(i rho f)) with the log of the scale kept apart, and its
-derivatives (P_f -> P_f' + i f P_f) are evaluated by Horner, one
-polynomial per frequency, without forming the raw exponentials.  The
-Green kernel and the eigenfunctions solve on one scaled boundary matrix
-at a single rho instead.
+The characteristic determinant Delta(rho) = det[U_j(e^(i eps_k rho x))]
+vanishes exactly at the eigenvalue parameters.  It is the exponential
+polynomial sum_f P_f(rho) e^(i rho f) of :mod:`regbvp.birkhoff`, which
+builds its one record per operator and evaluates it by Horner; the
+classification reads theta0 and theta1 off the same record.  This module
+winds, polishes and scans on it, and :func:`find_roots` raises when
+Delta vanishes identically.  The Green kernel and the eigenfunctions
+solve on one scaled boundary matrix at a single rho instead.
 
 Only :func:`find_roots` searches for zeros, always over a full annulus.
 The ray clearance check, the scans and Gram conditioning filter a root
@@ -86,7 +76,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .birkhoff import determinant_terms, unit_roots
+from .birkhoff import _delta, _derivative, _evaluate, unit_roots
 from .geometry import critical_rays, ray_clearance, ray_distance
 from .legendre import constrained_basis, strong_operator
 from .model import ModelForm, OperatorSpec
@@ -110,7 +100,6 @@ __all__ = [
     "distinct_eigenvalues",
     "bracket_groups",
     "gram_condition",
-    "scan_to_csv",
 ]
 
 RESIDUAL_TOL = 1e-8
@@ -257,71 +246,6 @@ def _boundary_matrix(nbc: NormalizedBC, rho):
     return mat / safe[:, None], safe
 
 
-class _Delta(NamedTuple):
-    """Delta(rho) = sum_f P_f(rho) e^(i rho f) of one operator: the order,
-    the distinct frequencies f, and row by row the coefficients of P_f,
-    ascending."""
-
-    n: int
-    freqs: np.ndarray
-    coeffs: np.ndarray
-
-
-def _negligible(coeffs, moduli):
-    """The one rule for a zero coefficient of Delta: it is at most 64 eps
-    times the sum of the moduli of the products added into it, so that
-    rounding alone can account for it."""
-    return np.abs(coeffs) <= 64 * np.finfo(float).eps * moduli
-
-
-@functools.lru_cache(maxsize=16)
-def _delta(rows):
-    """The Delta of the normalized ``rows``, built once per operator: the
-    terms of :func:`birkhoff.determinant_terms` with equal frequencies
-    merged, and the coefficients :func:`_negligible` set to zero.  A
-    frequency left with none is dropped, so Delta vanishes identically
-    when none is left."""
-    terms = [term for _, term in sorted(determinant_terms(
-        len(rows), [(row.a, row.b) for row in rows]).items())]
-    freqs = np.array([freq for freq, _, _ in terms])
-    group = [int(np.argmax(np.abs(freqs - freq) <= 1e-12)) for freq in freqs]
-    firsts = sorted(set(group))
-    coeffs, moduli = (np.array([sum(term[part] for term, g in zip(terms, group) if g == first)
-                                for first in firsts]) for part in (1, 2))
-    coeffs[_negligible(coeffs, moduli)] = 0.0
-    kept = coeffs.any(axis=1)
-    delta = _Delta(len(rows), freqs[firsts][kept], coeffs[kept])
-    delta.freqs.flags.writeable = delta.coeffs.flags.writeable = False  # cached, so shared
-    return delta
-
-
-def _derivative(freqs, coeffs):
-    """The coefficients of Delta' from those of Delta: P_f -> P_f' + i f P_f."""
-    out = 1j * freqs[:, None] * coeffs
-    out[:, :-1] += coeffs[:, 1:] * np.arange(1, coeffs.shape[1])
-    return out
-
-
-def _evaluate(delta, tables, rhos):
-    """sum_f T_f(rho) e^(i rho f - shift) for every coefficient table T in
-    ``tables`` (shape (tables, frequencies, degree + 1)), by Horner, at at
-    most BATCH_POINTS values rho, with shift = max_f Re(i rho f).
-
-    Returns (values of shape (tables, points), shifts).
-    """
-    z = 1j * delta.freqs[:, None] * rhos[None, :]
-    shift = z.real.max(axis=0, initial=-np.inf)
-    acc = np.zeros(tables.shape[:2] + rhos.shape, dtype=complex)
-    for d in range(tables.shape[2] - 1, -1, -1):
-        acc = acc * rhos + tables[:, :, d, None]
-    # summed one frequency at a time, in order: numpy's sum over an axis
-    # would change its order, and the bits, with the number of points
-    values = np.zeros((tables.shape[0], rhos.size), dtype=complex)
-    for term in (acc * np.exp(z - shift)).transpose(1, 0, 2):
-        values = values + term
-    return values, shift
-
-
 def _char_det_batch(delta, rhos, tables=None):
     """(values, shifts) of :func:`_evaluate` at any number of rho values,
     BATCH_POINTS at a time; ``tables`` defaults to Delta alone."""
@@ -371,14 +295,12 @@ class _Path(NamedTuple):
 
 
 def _box_contour(box):
-    """The boundary of a polar box, counterclockwise, as four paths; a box
-    spanning a full turn (order 1) keeps only its two arcs, since its two
-    radial edges are one segment wound both ways."""
+    """The boundary of a polar box, counterclockwise, as four paths.  A
+    box spanning a full turn (order 1) winds its two radial edges too,
+    one segment both ways, whose phases cancel."""
     r0, r1, a0, a1 = box
-    outer, inner = _Path(r1, r1, a0, a1), _Path(r0, r0, a1, a0)
-    if abs((a1 - a0) - 2 * math.pi) < 1e-12:
-        return [outer, inner]
-    return [_Path(r0, r1, a0, a0), outer, _Path(r1, r0, a1, a1), inner]
+    return [_Path(r0, r1, a0, a0), _Path(r1, r1, a0, a1), _Path(r1, r0, a1, a1),
+            _Path(r0, r0, a1, a0)]
 
 
 def _log_abs_array(dets, logs):
@@ -1014,15 +936,6 @@ def resolvent_scan(nbc: NormalizedBC, ray_angle, roots, r_min=5.0, r_max=60.0,
     operators = _coefficient_operators(nbc)
     return _ray_scan("resolvent", lambda rho: _resolvent_sample(nbc, operators, rho),
                      ray_angle, roots, r_min, r_max, samples)
-
-
-def scan_to_csv(scan: SpectralScan, path):
-    """Write scan samples as CSV with log columns for decay fitting."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("abs_rho,arg_rho,quantity,log_abs_rho,log_quantity\n")
-        for rho, value in scan.samples:
-            handle.write("%.12e,%.12e,%.12e,%.12e,%.12e\n" % (
-                abs(rho), cmath.phase(rho), value, math.log(abs(rho)), math.log(value)))
 
 
 # ---------------------------------------------------------------------------

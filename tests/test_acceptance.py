@@ -19,7 +19,7 @@ from conftest import REGULAR_GALLERY, clearance_roots, make_row
 from regbvp import cli, gallery
 from regbvp.birkhoff import classify_regularity
 from regbvp.geometry import is_rare
-from regbvp.normalize import leading_forms, reduce_total_order
+from regbvp.normalize import reduce_total_order
 from regbvp.numrange import half_plane_verdict
 from regbvp.quasiform import check_completely_regular, verify_form_identity
 from regbvp.spectral import (
@@ -66,7 +66,8 @@ def test_criterion_2_determinant_oracle_suite():
         verdict = classify_regularity(spec)
         assert verdict.theta0 == want, (name, verdict.theta0)
         nbc = reduce_total_order(spec)
-        o0, _ = oracles.theta_pair(leading_forms(nbc), nbc.n)
+        forms = [(k, row.a[k], row.b[k]) for row, k in zip(nbc.rows, nbc.orders)]
+        o0, _ = oracles.theta_pair(forms, nbc.n)
         assert abs(verdict.theta0 - o0) <= 1e-12 * max(1.0, abs(o0)), name
 
     first = classify_regularity((make_row(1, a=((0, 1),), b=((0, -1),)),))

@@ -3,7 +3,9 @@
 Expected values were derived by hand (2x2 and block determinants over
 snapped roots of unity) and frozen; the cofactor oracle recomputes every
 determinant by Laplace expansion along the first row, a different
-algorithm from the library's subset dynamic programming.
+algorithm from the library's subset dynamic programming, on which
+``classify_regularity`` reads theta0 and theta1 off the characteristic
+determinant.
 """
 
 import numpy as np
@@ -12,12 +14,9 @@ import pytest
 import oracles
 from conftest import make_row
 from regbvp import gallery
-from regbvp.birkhoff import (
-    classify_regularity,
-    theta_determinants,
-    unit_roots,
-)
-from regbvp.normalize import leading_forms, reduce_total_order
+from regbvp.birkhoff import classify_regularity, unit_roots
+from regbvp.model import BoundaryRow
+from regbvp.normalize import NormalizedBC, reduce_total_order
 
 
 # ---------------------------------------------------------------------------
@@ -47,8 +46,9 @@ def test_theta_frozen_values_exact(name):
 def test_theta_matches_cofactor_oracle(name):
     spec = gallery.build(name)
     nbc = reduce_total_order(spec)
-    forms = leading_forms(nbc)
-    t0, t1 = theta_determinants(forms, nbc.n)
+    verdict = classify_regularity(nbc)
+    t0, t1 = verdict.theta0, verdict.theta1
+    forms = [(k, row.a[k], row.b[k]) for row, k in zip(nbc.rows, nbc.orders)]
     o0, o1 = oracles.theta_pair(forms, nbc.n)
     assert abs(t0 - o0) <= 1e-12 * max(1.0, abs(o0))
     assert (t1 is None) == (o1 is None)
@@ -74,7 +74,9 @@ def test_regularity_verdicts_for_gallery():
 
 
 def test_random_forms_against_oracle(rng):
-    """300 random leading-form sets, orders 1..5, both determinants."""
+    """300 random leading-form sets, orders 1..5, both determinants.  A
+    set is taken as it stands, not normalized: its rows
+    a_j y^(k_j)(0) + b_j y^(k_j)(1) go to the classification as given."""
     for trial in range(300):
         n = int(rng.integers(1, 6))
         forms = []
@@ -82,7 +84,11 @@ def test_random_forms_against_oracle(rng):
             k = int(rng.integers(0, n))
             a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
             forms.append((k, complex(a), complex(b)))
-        t0, t1 = theta_determinants(forms, n)
+        rows = tuple(BoundaryRow(*(tuple(c if s == k else 0j for s in range(n)) for c in (a, b)))
+                     for k, a, b in forms)
+        verdict = classify_regularity(
+            NormalizedBC(n, rows, tuple(k for k, _, _ in forms), sum(k for k, _, _ in forms)))
+        t0, t1 = verdict.theta0, verdict.theta1
         o0, o1 = oracles.theta_pair(forms, n)
         scale = max(1.0, abs(o0))
         assert abs(t0 - o0) <= 1e-10 * scale, f"trial {trial}"
@@ -129,7 +135,3 @@ def test_unit_roots_snapped():
     r3 = unit_roots(3)
     assert abs(r3[1] - np.exp(2j * np.pi / 3)) < 1e-15
 
-
-def test_theta_matrix_shape_check():
-    with pytest.raises(ValueError, match="expected 2 leading forms, got 1"):
-        theta_determinants([(0, 1 + 0j, 0j)], 2)

@@ -11,10 +11,12 @@ import os
 import pkgutil
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
-from regbvp import cli, gallery, geometry, quasiform, spectral
+from conftest import clearance_roots
+from regbvp import birkhoff, cli, gallery, geometry, quasiform, spectral
 from regbvp.model import ClassicalForm, OperatorSpec, Poly, spec_to_document
 from regbvp.normalize import reduce_total_order
 from regbvp.spectral import EigenRoot
@@ -346,6 +348,35 @@ def test_scan_green_document_and_csv(tmp_path, capsys):
     assert len(lines) == 9
 
 
+def test_scan_csv_writes_backed_digits(tmp_path):
+    # a resolvent sample (good to about 4e-9 relative on mixed4) and its
+    # log end on a digit worth at least ten times their bounds e * value
+    # and e, and carry at most 12 significant digits; a kernel sample
+    # carries no estimate and keeps 13
+    nbc = reduce_total_order(gallery.build("mixed4"))
+    roots = clearance_roots(nbc, math.pi / 8, 5.0, 20.0)
+    resolvent = spectral.resolvent_scan(nbc, math.pi / 8, roots, r_min=5.0, r_max=20.0,
+                                        samples=4)
+    path = tmp_path / "scan.csv"
+    cli.scan_to_csv(resolvent, path)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert len(rows) == 4
+    for (rho, value), error, row in zip(resolvent.samples, resolvent.errors, rows):
+        assert 0 < error < 1e-8
+        for text, exact, bound in ((row[2], value, error * value),
+                                   (row[4], math.log(value), error)):
+            digits = Decimal(text).as_tuple()
+            assert len(digits.digits) <= 12
+            assert 10.0 ** digits.exponent >= 10.0 * bound * (1 - 1e-12)
+            assert abs(float(text) - exact) <= 50.0 * bound
+        assert row[0] == "%.12e" % abs(rho)
+    green = spectral.green_sup_scan(nbc, math.pi / 8, roots, r_min=5.0, r_max=20.0,
+                                    samples=4, grid=16)
+    cli.scan_to_csv(green, path)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert [row[2] for row in rows] == ["%.12e" % value for _, value in green.samples]
+
+
 def test_scan_resolvent_document(capsys):
     code, doc, _ = run_json(capsys, "scan", "dirichlet2", "resolvent",
                             "--rmin", "8", "--rmax", "40", "--samples", "6")
@@ -626,6 +657,22 @@ def test_report_searches_roots_once(name, tmp_path, monkeypatch, capsys):
     assert annuli == [(0.5, 66.5)]
 
 
+def test_report_expands_the_determinant_once(tmp_path, monkeypatch, capsys):
+    # the classification and the root search read one record of Delta
+    calls = []
+    expand = birkhoff.determinant_terms
+
+    def counted(n, rows):
+        calls.append(n)
+        return expand(n, rows)
+
+    monkeypatch.setattr(birkhoff, "determinant_terms", counted)
+    birkhoff._delta.cache_clear()
+    assert cli.main(["report", "mixed4", "-o", str(tmp_path / "report.json")]) == 0
+    capsys.readouterr()
+    assert calls == [4]
+
+
 def test_cli_import_does_not_load_scipy():
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -718,6 +765,36 @@ def test_package_imports_run_one_way():
     probe = ast.parse("from . import numrange, __version__\nfrom .model import Poly\n"
                       "import regbvp.spectral\nfrom regbvp import cli\nimport numpy")
     assert _package_imports(probe, trees) == {"numrange", "__init__", "model", "spectral", "cli"}
+
+
+def _names_read(tree):
+    """Every name a syntax tree reads, as a name, an attribute or an
+    import (under its own name and its alias)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found |= {a.name.split(".")[-1] for a in node.names}
+    return found
+
+
+def test_only_birkhoff_expands_the_determinant():
+    """The characteristic determinant has one expansion: no module but
+    ``birkhoff`` reaches ``determinant_terms``, by any name."""
+    package = os.path.dirname(cli.__file__)
+    readers = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as handle:
+                if "determinant_terms" in _names_read(ast.parse(handle.read())):
+                    readers.append(name[:-3])
+    assert readers == ["birkhoff"]
+    for probe in ("birkhoff.determinant_terms(2, rows)",
+                  "from .birkhoff import determinant_terms as expand"):
+        assert "determinant_terms" in _names_read(ast.parse(probe))
 
 
 def test_every_export_resolves():

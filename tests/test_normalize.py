@@ -1,14 +1,17 @@
 """Boundary-row normalization: minimal total order and leading forms."""
 
+import math
+
 import numpy as np
 import pytest
 
 import oracles
 from conftest import make_row
-from regbvp import gallery
+from regbvp import birkhoff, gallery
 from regbvp.birkhoff import classify_regularity
 from regbvp.model import RankError
-from regbvp.normalize import leading_forms, reduce_total_order
+from regbvp.normalize import reduce_total_order
+from regbvp.spectral import find_roots
 
 
 def test_proportional_leading_rows_reduce():
@@ -44,18 +47,30 @@ def test_mixed_fourth_order_example():
     nbc = reduce_total_order(gallery.build("mixed4"))
     assert nbc.orders == (3, 3, 1, 1)
     assert nbc.kappa == 8
-    forms = leading_forms(nbc)
-    assert [(k, complex(a), complex(b)) for k, a, b in forms] == [
+    assert [(k, row.a[k], row.b[k]) for row, k in zip(nbc.rows, nbc.orders)] == [
         (3, -1 + 0j, 0j), (3, 0j, 1 + 0j), (1, 1 + 0j, 0j), (1, 0j, 1 + 0j)]
 
 
 def test_leading_forms_read_off():
     periodic = reduce_total_order(gallery.build("periodic2"))
-    assert [(k, a, b) for k, a, b in leading_forms(periodic)] == [
+    assert [(k, row.a[k], row.b[k]) for row, k in zip(periodic.rows, periodic.orders)] == [
         (1, 1 + 0j, -1 + 0j), (0, 1 + 0j, -1 + 0j)]
     cauchy = reduce_total_order(gallery.build("cauchy2"))
-    assert [(k, a, b) for k, a, b in leading_forms(cauchy)] == [
+    assert [(k, row.a[k], row.b[k]) for row, k in zip(cauchy.rows, cauchy.orders)] == [
         (1, 1 + 0j, 0j), (0, 1 + 0j, 0j)]
+
+
+def test_dust_is_cleared_in_every_row():
+    # y(0) + 1e-14 y'(0) = 0 is kept as it stands, at order 0; its dust
+    # goes too, so kappa is the degree of Delta and the zeros are those
+    # of sin rho (3.2e-14 off pi with the dust)
+    rows = (make_row(2, a=((0, 1), (1, 1e-14))), make_row(2, b=((0, 1),)))
+    nbc = reduce_total_order(rows)
+    assert (nbc.orders, nbc.kappa) == ((0, 0), 0)
+    assert all(row.a[1] == row.b[1] == 0 for row in nbc.rows)
+    assert birkhoff._delta(nbc.rows).coeffs.shape == (2, nbc.kappa + 1)
+    root = min(find_roots(nbc, (0.5, 4.0)), key=lambda r: abs(r.rho - math.pi))
+    assert abs(root.rho - math.pi) <= 2 * np.finfo(float).eps * math.pi
 
 
 def test_transform_reproduces_rows():
@@ -89,7 +104,7 @@ def test_order_gap_invariant():
         ks = nbc.orders
         assert all(ks[j] >= ks[j + 1] for j in range(len(ks) - 1))
         assert all(ks[j] > ks[j + 2] for j in range(len(ks) - 2))
-        assert all(max(abs(a), abs(b)) > 0 for _, a, b in leading_forms(nbc))
+        assert all(max(abs(row.a[k]), abs(row.b[k])) > 0 for row, k in zip(nbc.rows, ks))
 
 
 def test_recombination_invariance_200():

@@ -18,7 +18,8 @@ import pytest
 import oracles
 from conftest import clearance_roots, make_row
 from oracles import apply_to_jets
-from regbvp import gallery, spectral
+from regbvp import birkhoff, gallery, spectral
+from regbvp.cli import scan_to_csv
 from regbvp.legendre import constrained_basis, strong_operator
 from regbvp.model import ModelForm, OperatorSpec
 from regbvp.normalize import reduce_total_order
@@ -38,7 +39,6 @@ from regbvp.spectral import (
     resolvent_norm,
     resolvent_scan,
     roots_in,
-    scan_to_csv,
 )
 
 
@@ -104,7 +104,7 @@ def test_char_det_against_oracle_determinant():
     for _ in range(300):
         n = int(rng.integers(1, 6))
         nbc = reduce_total_order(oracles.random_rows(rng, n))
-        delta = spectral._delta(nbc.rows)
+        delta = birkhoff._delta(nbc.rows)
         for _ in range(5):
             rho = cmath.rect(rng.uniform(0.0, 66.5), rng.uniform(0.0, 2.0 * math.pi))
             got = char_det(nbc, rho).log_abs
@@ -269,7 +269,7 @@ def test_full_circle_roots_out_to_report_radius(name):
 
 
 def _count_evaluations(monkeypatch):
-    """Record the number of points of every _evaluate call."""
+    """Record the number of points of every _evaluate call of the search."""
     sizes = []
     evaluate = spectral._evaluate
 
@@ -285,7 +285,7 @@ def test_batched_newton_independent_of_batch(monkeypatch):
     # pi is a simple root, where Newton stops after one step; the centre
     # between pi and 2 pi, with the box count 2 as multiplicity, keeps
     # oscillating until NEWTON_MAX_ITER
-    delta = spectral._delta(_nbc("dirichlet2").rows)
+    delta = birkhoff._delta(_nbc("dirichlet2").rows)
     starts, mults = [complex(math.pi), 4.6 + 0.3j], [1, 2]
     sizes = _count_evaluations(monkeypatch)
     alone = [spectral._newton(delta, [start], [mult])[0] for start, mult in zip(starts, mults)]
@@ -321,13 +321,13 @@ def test_batched_newton_independent_of_batch(monkeypatch):
 def test_evaluation_independent_of_batch():
     # mixed4's Delta has 5 frequencies; each point's Delta and Delta' are
     # the same bits alone as among 300
-    delta = spectral._delta(_nbc("mixed4").rows)
-    tables = np.array([delta.coeffs, spectral._derivative(delta.freqs, delta.coeffs)])
+    delta = birkhoff._delta(_nbc("mixed4").rows)
+    tables = np.array([delta.coeffs, birkhoff._derivative(delta.freqs, delta.coeffs)])
     rng = np.random.default_rng(1)
     rhos = 20.0 * (rng.normal(size=300) + 1j * rng.normal(size=300))
-    values, shifts = spectral._evaluate(delta, tables, rhos)
+    values, shifts = birkhoff._evaluate(delta, tables, rhos)
     for k, rho in enumerate(rhos):
-        alone, shift = spectral._evaluate(delta, tables, rhos[k:k + 1])
+        alone, shift = birkhoff._evaluate(delta, tables, rhos[k:k + 1])
         assert repr((alone[:, 0].tolist(), shift[0])) == repr((values[:, k].tolist(), shifts[k]))
 
 
@@ -392,7 +392,7 @@ def test_windings_of_a_batch_are_those_alone(name, monkeypatch):
     # alone, and the batch takes as many evaluations as its slowest
     # contour (one for the first samples, one per round)
     nbc = _nbc(name)
-    delta = spectral._delta(nbc.rows)
+    delta = birkhoff._delta(nbc.rows)
     roots = find_roots(nbc, (0.5, 20.0))
     contours = [spectral._box_contour(box)
                 for box in spectral._split_box((0.5, 20.0, -0.3, 0.5 * math.pi - 0.3))]
@@ -425,27 +425,23 @@ def _coupled_first_order_operators(seed, count):
     return specs
 
 
-def test_full_turn_box_winds_only_its_arcs(monkeypatch):
+def test_full_turn_box_roots_match_closed_form():
     # below r_max ~ 1.9 an order-1 search has one box spanning a full
-    # turn, whose two radial edges are one segment wound both ways; it
-    # winds only its arcs, with the roots of the four-edge contour
-    def four_edges(box):
-        r0, r1, a0, a1 = box
-        return [spectral._Path(r0, r1, a0, a0), spectral._Path(r1, r1, a0, a1),
-                spectral._Path(r1, r0, a1, a1), spectral._Path(r0, r0, a1, a0)]
-
-    assert len(spectral._box_contour((0.25, 1.5, 0.1, 0.1 + 2 * math.pi))) == 2
-    assert len(spectral._box_contour((0.25, 1.5, 0.1, 0.1 + math.pi))) == 4
-    nbcs = [reduce_total_order(spec) for spec in _coupled_first_order_operators(3, 20)]
-    sizes = _count_evaluations(monkeypatch)
-    arcs = [find_roots(nbc, (0.25, 1.5)) for nbc in nbcs]
-    arc_points = sum(sizes)
-    sizes.clear()
-    monkeypatch.setattr(spectral, "_box_contour", four_edges)
-    edges = [find_roots(nbc, (0.25, 1.5)) for nbc in nbcs]
-    assert (arc_points, sum(sizes)) == (1318, 1678)
-    assert repr(arcs) == repr(edges)
-    assert sum(len(roots) for roots in arcs) == 9
+    # turn, whose two radial edges are one segment wound both ways; its
+    # roots are those of a + b e^(i rho) = 0, rho = -i log(-a/b) + 2 pi k
+    specs = _coupled_first_order_operators(3, 20)
+    found = 0
+    for spec in specs:
+        (row,) = spec.rows
+        base = -1j * cmath.log(-row.a[0] / row.b[0])
+        want = [base + 2 * math.pi * k for k in range(-1, 2)
+                if 0.25 < abs(base + 2 * math.pi * k) < 1.5]
+        roots = find_roots(reduce_total_order(spec), (0.25, 1.5))
+        assert [root.multiplicity for root in roots] == [1] * len(want)
+        for w in want:
+            assert min(abs(root.rho - w) for root in roots) <= 1e-14 * (1 + abs(w))
+        found += len(roots)
+    assert found == 9
 
 
 def test_windings_raise_the_first_failing_contour():
@@ -453,7 +449,7 @@ def test_windings_raise_the_first_failing_contour():
     # the real axis crosses the zero pi and never settles, while the
     # segment [0, 1] starts on the exact zero rho = 0 and fails at once;
     # wound after a good circle, the error is the second contour's
-    delta = spectral._delta(_nbc("dirichlet2").rows)
+    delta = birkhoff._delta(_nbc("dirichlet2").rows)
     circle = [spectral._Path(0.5, 0.5, 0.0, 2 * math.pi, math.pi)]
     crossing, through = [spectral._Path(2.0, 4.0, 0.0, 0.0)], [spectral._Path(0.0, 1.0, 0.0, 0.0)]
     assert spectral._windings(delta, [circle]) == [1]
