@@ -23,7 +23,7 @@ from .model import (
     spec_to_document,
 )
 from .normalize import NormalizedBC, reduce_total_order
-from .numrange import HalfPlaneReport, half_plane_verdict, support_profile
+from .numrange import HalfPlaneReport, half_plane_verdict, support_profiles
 from .quasiform import (
     CompleteRegularityReport,
     check_completely_regular,
@@ -82,7 +82,7 @@ __all__ = [
     "resolvent_norm",
     "resolvent_scan",
     "spec_to_document",
-    "support_profile",
+    "support_profiles",
     "verify_form_identity",
     "__version__",
 ]

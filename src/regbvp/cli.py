@@ -3,13 +3,13 @@
 Subcommands: ``classify``, ``spectrum``, ``scan``, ``numrange``, ``report``.
 Inputs are operator-spec JSON files or names of built-in examples.  All
 output is deterministic: floating-point values are rounded to 12
-significant digits (numerical-range minima, spectrum roots, the
-resolvent scan's exponent, fit residual and sample ratio, and the
-resolvent samples ``scan -o`` writes, to the power of ten their error
-estimates allow; residuals and error estimates to the power of ten at or
-above them), keys are sorted, no random numbers are
-drawn, and nothing time- or machine-dependent is emitted unless
-``--timings`` is given.
+significant digits (numerical-range minima and the support values
+``numrange -o`` writes, spectrum roots, the resolvent scan's exponent,
+fit residual and sample ratio, and the resolvent samples ``scan -o``
+writes, to the power of ten their error estimates allow; residuals and
+error estimates to the power of ten at or above them), keys are sorted,
+no random numbers are drawn, and nothing time- or machine-dependent is
+emitted unless ``--timings`` is given.
 
 Exit codes: 0 success (``classify``: regular), 3 not regular
 (``classify`` only), 4 invalid input (including out-of-range flag
@@ -324,6 +324,23 @@ def scan_to_csv(scan, path):
             handle.write(",".join(columns) + "\n")
 
 
+def profiles_to_csv(profiles, path):
+    """Write support profiles as ``N, theta, sigma`` CSV rows, each sigma
+    rounded by :func:`_round_to_bound` with its profile's bound.
+
+    On the eigenvalue path that bound holds for every value of the
+    profile.  On the factored path it covers the side of the minimum;
+    the other side's values, cos(theta) s^2, err by at most
+    2 (N + n) eps relative, below the 12 significant digits kept.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write("N,theta,sigma\n")
+        for profile in profiles:
+            for theta, sigma in zip(profile.angles, profile.values):
+                handle.write("%d,%.12e,%s\n" % (profile.dimension, theta,
+                                                 _sig(_round_to_bound(sigma, profile.bound))))
+
+
 def scan_document(nbc, kind, ray, roots, rmin, rmax, samples, grid, csv_path=None):
     n = nbc.n
     if kind == "green":
@@ -382,8 +399,8 @@ def numrange_document(report, max_dim=numrange.DEFAULT_DIMENSIONS[-1],
     dims.append(max_dim)
     if csv_path:
         # the CSV needs every angle, so the verdict reads the full profiles
-        profiles = [numrange.support_profile(report, d, angles) for d in dims]
-        numrange.profiles_to_csv(profiles, csv_path)
+        profiles = numrange.support_profiles(report, dims, angles)
+        profiles_to_csv(profiles, csv_path)
         verdict = numrange.HalfPlaneReport.from_minima(
             dims, [p.minimum for p in profiles], [p.bound for p in profiles])
     else:

@@ -13,6 +13,19 @@ about 1e-11 at these sizes).  This is the Legendre-Galerkin setting of
 Shen (SIAM J. Sci. Comput. 15, 1994) and of the coefficient-space
 operators of Olver and Townsend (SIAM Review 55, 2013).
 
+The constrained trial spaces V_N (degree < N + n, boundary rows
+satisfied) are nested, and :func:`constrained_basis` builds one basis
+for all of them, following Shen's basis recombination: past a head of
+2n modes, where the rows have full rank, each further basis function is
+the kernel vector of the rows on a window of n + 1 consecutive modes,
+from one batched solve.  Rows are normalized over the head, so no
+scaling depends on the dimension, and one QR at the end keeps the
+nesting exact: for N >= n the first N columns span V_N and are zero
+from row N + n on.  Every matrix on V_N is thus the leading block of
+the one on the largest space, so a ladder of dimensions is assembled
+once (:mod:`regbvp.numrange`, the resolvent operators of
+:mod:`regbvp.spectral`).
+
 :func:`strong_operator` is the map y -> l y = sum_j c_j y^(j) on these
 coefficients, and it has two callers.  :func:`galerkin_form` projects it
 onto the constrained basis, (l phi_k, phi_i), as the reference side of
@@ -126,41 +139,78 @@ def multiplication(poly, count):
 
 
 def constrained_basis(spec: OperatorSpec, dim):
-    """Orthonormal basis of {deg < dim + n polynomials with U_j(y) = 0}.
+    """Orthonormal basis of V_dim = {deg < dim + n polynomials with U_j(y) = 0}.
 
     Returns a (dim + n, dim) matrix of shifted-Legendre coefficients whose
-    columns are orthonormal in L2(0, 1).  The subspace for a smaller dim
-    is contained in the subspace for a larger one.
+    columns are orthonormal in L2(0, 1).  The basis is nested degree by
+    degree: for n <= N <= dim its first N columns span V_N, and they are
+    exactly zero in every row from N + n on, so they are the first N
+    columns of the basis for any larger dimension up to rounding, and
+    every Galerkin matrix on V_N is the leading N x N block of the one on
+    V_dim.
 
-    The row entries grow like k^(2s) with the degree k, so the kernel is
-    taken after scaling every column to unit maximum and orthonormalized
-    afterwards: an SVD of the unscaled rows has a backward error of
-    eps times the largest entry, which tilts the subspace enough to move
-    the numerical-range minima of ``mixed4`` by 15 eps ||F_N||.  Columns
-    that no row sees (1 and x under free-beam rows) are kept as exact
-    unit vectors, ahead of the others, so that QR leaves them exact.
+    The columns are built as in Shen's Legendre-Galerkin recombination
+    (SIAM J. Sci. Comput. 15, 1994), each from a few consecutive modes,
+    before one QR orthonormalizes them all; QR keeps the nesting, since
+    its column k combines input columns 0..k only.
+
+    - The head: the kernel of the rows on the first min(2n, dim + n)
+      modes, where n independent rows have full rank n (Hermite
+      interpolation), so it has dimension n (dim when dim < n).  Modes
+      that no row sees (1 and x under free-beam rows) are exact unit
+      vectors, placed first, so that QR leaves them exact.
+    - The window vectors: for every further mode j + n (n <= j < dim),
+      the kernel vector on modes j..j + n with coefficient 1 on mode
+      j + n, from one batched solve of the n x n blocks on modes
+      j..j + n - 1.  Where a block is singular to working precision (a
+      coefficient of its solution exceeds 1 / SV_CUTOFF, or the batched
+      solve fails), the vector is the least-norm one on all modes below
+      j + n instead, which exists because the head has full rank; a mode
+      past the head that no row sees gets its unit vector this way.
+
+    The row entries grow like k^(2s) with the degree k, so each row is
+    normalized over the head and every column is scaled to unit maximum
+    before the kernel is taken, and the basis is orthonormalized after
+    the scaling is undone: an SVD of the unscaled rows has a backward
+    error of eps times the largest entry, which tilts the subspace enough
+    to move the numerical-range minima of ``mixed4`` by 15 eps ||F_N||.
+    No scaling depends on dim.
     """
     n = spec.order
     if dim < 1:
         raise ValueError("dimension must be positive")
     count = dim + n
+    head = min(2 * n, count)
     at0, at1 = endpoint_jets(count, n)
     rows = np.empty((n, count), dtype=complex)
     for j, row in enumerate(spec.rows):
         rows[j] = np.asarray(row.a) @ at0 + np.asarray(row.b) @ at1
-    rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    rows = rows / np.linalg.norm(rows[:, :head], axis=1, keepdims=True)
     largest = np.abs(rows).max(axis=0)
-    seen = largest > 0
-    columns = 1.0 / np.where(seen, largest, 1.0)
-    kernel = null_space(rows[:, seen] * columns[seen], rounding_cutoff(rows))
+    columns = 1.0 / np.where(largest > 0, largest, 1.0)
+    scaled = rows * columns
+    seen = largest[:head] > 0
+    kernel = null_space(scaled[:, :head][:, seen], rounding_cutoff(rows[:, :head]))
     unseen = np.flatnonzero(~seen)
-    if unseen.size + kernel.shape[1] != dim:
+    if unseen.size + kernel.shape[1] != head - n:
+        found = unseen.size + kernel.shape[1] + dim - (head - n)
         raise SpecError(
             f"boundary rows lose rank on the polynomial trial space "
-            f"(got a subspace of dimension {unseen.size + kernel.shape[1]}, expected {dim})")
+            f"(got a subspace of dimension {found}, expected {dim})")
     full = np.zeros((count, dim), dtype=complex)
     full[unseen, np.arange(unseen.size)] = 1.0
-    full[seen, unseen.size:] = kernel
+    full[np.flatnonzero(seen), unseen.size:head - n] = kernel
+    tops = np.arange(head, count)
+    window = tops[:, None] + np.arange(-n, 0)
+    try:
+        tail = np.linalg.solve(scaled[:, window].transpose(1, 0, 2),
+                               -scaled[:, tops].T[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        tail = np.full(window.shape, np.nan)
+    full[tops, tops - n] = 1.0
+    full[window, (tops - n)[:, None]] = tail
+    for top in tops[~(np.abs(tail).max(axis=1) * SV_CUTOFF <= 1.0)]:
+        full[:top, top - n] = np.linalg.lstsq(scaled[:, :top], -scaled[:, top])[0]
     return np.ascontiguousarray(np.linalg.qr(columns[:, None] * full)[0])
 
 

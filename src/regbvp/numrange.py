@@ -14,8 +14,15 @@ plane.
 Assembly.  F_N is :func:`regbvp.quasiform.split_form` (a spec with no
 even-order divergence or model form raises SpecError), which this module
 re-exports with :func:`constrained_basis` and :func:`galerkin_form`;
-:func:`support_profile` and :func:`half_plane_verdict` take the report
+:func:`support_profiles` and :func:`half_plane_verdict` take the report
 of :func:`regbvp.quasiform.check_completely_regular` in place of a spec.
+A ladder of dimensions is assembled once, at its largest dimension: the
+first N columns of :func:`constrained_basis` span V_N for every N from
+the order n on, and are exactly zero from row N + n on, so F_N is the
+leading N x N block of the largest matrix, and on the factored path G's
+jets for V_N are their leading N columns.  A dimension below n is
+assembled on its own.  The verdict and the profiles of one ladder
+therefore read the same matrices.
 
 Support functions.  A sum of squares (q = r = 0, every p_k a nonnegative
 constant) with a completely regular splitting and a positive
@@ -44,7 +51,7 @@ references on the gallery.  A matrix A that is semidefinite only up to
 rounding is replaced by the nearest such matrix, and the change times
 ||W||_2^2 is added to the bound.
 
-Pruned minima.  :func:`support_profile` solves the full angle grid;
+Pruned minima.  :func:`support_profiles` solves the full angle grid;
 :func:`half_plane_verdict` needs only each dimension's minimum.  Its
 premise is the nesting above: sigma_N(theta) >= sigma_M(theta) for
 M < N at every angle, so the computed values satisfy sigma_N(theta) >=
@@ -56,10 +63,11 @@ grid) in ascending order of their least value at the largest dimension
 that solved them, and stops at the first solve whose value, less the
 two bounds, exceeds the best value found at this dimension: no later
 solve can go below it.  The angle of the minimum is always solved from
-the same matrix, so each minimum is the float of the full grid; a
-half-plane form takes one or two solves per larger dimension, a
-whole-plane form nearly the full grid.  The factored path is cheap for
-every angle and is not pruned.
+the same leading block, so each minimum is the float that the full grid
+of :func:`support_profiles` gives on the same ladder; a half-plane form
+takes one or two solves per larger dimension, a whole-plane form nearly
+the full grid.  The factored path is cheap for every angle and is not
+pruned.
 """
 
 import cmath
@@ -78,9 +86,8 @@ __all__ = [
     "galerkin_form",
     "split_form",
     "support_function",
-    "support_profile",
+    "support_profiles",
     "half_plane_verdict",
-    "profiles_to_csv",
 ]
 
 DEFAULT_DIMENSIONS = (8, 16, 32, 64)
@@ -205,28 +212,41 @@ def _rounding_bound(report, dim, form):
     return (dim + report.spec.order) * EPS * float(np.linalg.norm(form, 2))
 
 
-def _support(report, dim, angles):
-    """(sigma_dim over the evenly spaced ``angles``, error bound of its
-    minimum)."""
-    factor = _factor(report)
-    if factor is None:
-        form = split_form(report, dim)
-        solves, pairs = _grid(angles)
-        sigma = [_solve(form, angles, k, pairs) for k in range(solves)]
-        values = tuple(s[0] for s in sigma) + tuple(s[1] for s in sigma[:pairs])
-        return values, _rounding_bound(report, dim, form)
-    # F = G^H G: sigma(theta) = cos(theta) * (s_max^2 where cos >= 0, else s_min^2)
+def _forms(report, dimensions):
+    """F_N for each of ``dimensions``: the leading N x N blocks of the one
+    assembly at the largest, which are F_N for every N >= n (module
+    docstring); a smaller N is assembled on its own."""
+    largest = max(dimensions)
+    top = split_form(report, largest)
+    return [top[:dim, :dim] if dim >= report.spec.order or dim == largest
+            else split_form(report, dim) for dim in dimensions]
+
+
+def _factored_supports(report, factor, dimensions, angles):
+    """(sigma_N over the ``angles``, error bound of its minimum) for each
+    of ``dimensions`` on the factored path, from the jets of the one
+    assembly at the largest (leading columns, as in :func:`_forms`).
+    F = G^H G gives sigma(theta) = cos(theta) * (s_max^2 where cos >= 0,
+    else s_min^2)."""
     root, defect = factor
-    jets, wedge, vee = split_jets(report, dim)
+    largest = max(dimensions)
+    top_jets, top_wedge, _ = split_jets(report, largest)
     p = report.spec.form.p
-    blocks = [math.sqrt(p[k].coeffs[0].real) * jets[k] for k in range(len(p)) if p[k]]
-    sv = np.linalg.svd(np.vstack(blocks + [root @ wedge]), compute_uv=False)
-    delta = (dim + report.spec.order) * EPS * sv[0]
-    defect = defect * np.linalg.norm(wedge, 2) ** 2
-    values = tuple(math.cos(theta) * float(sv[0] ** 2 if math.cos(theta) >= 0 else sv[-1] ** 2)
-                   for theta in angles)
-    behind = sv[0] if math.cos(angles[values.index(min(values))]) >= 0 else sv[-1]
-    return values, float(2 * behind * delta + delta * delta + defect)
+    supports = []
+    for dim in dimensions:
+        if dim >= report.spec.order or dim == largest:
+            jets, wedge = [jet[:, :dim] for jet in top_jets], top_wedge[:, :dim]
+        else:
+            jets, wedge, _ = split_jets(report, dim)
+        blocks = [math.sqrt(p[k].coeffs[0].real) * jets[k] for k in range(len(p)) if p[k]]
+        sv = np.linalg.svd(np.vstack(blocks + [root @ wedge]), compute_uv=False)
+        delta = (dim + report.spec.order) * EPS * sv[0]
+        values = tuple(math.cos(theta) * float(sv[0] ** 2 if math.cos(theta) >= 0 else sv[-1] ** 2)
+                       for theta in angles)
+        behind = sv[0] if math.cos(angles[values.index(min(values))]) >= 0 else sv[-1]
+        bound = 2 * behind * delta + delta * delta + defect * np.linalg.norm(wedge, 2) ** 2
+        supports.append((values, float(bound)))
+    return supports
 
 
 def _pruned_minima(report, dimensions, angles):
@@ -238,8 +258,7 @@ def _pruned_minima(report, dimensions, angles):
     # so the smallest dimension solves the full grid
     floor, floor_bound = [-math.inf] * solves, [0.0] * solves
     minima, bounds = [], []
-    for dim in dimensions:
-        form = split_form(report, dim)
+    for dim, form in zip(dimensions, _forms(report, dimensions)):
         bound = _rounding_bound(report, dim, form)
         best = math.inf
         for k in sorted(range(solves), key=floor.__getitem__):
@@ -258,23 +277,29 @@ def _angle_grid(num_angles):
     return tuple(2.0 * math.pi * k / num_angles for k in range(num_angles))
 
 
-def support_profile(spec_or_report, dim, num_angles=DEFAULT_ANGLES):
-    """sigma_dim(theta) over an even angle grid on [0, 2 pi), for a spec
-    or a report; raises SpecError when a spec has no even-order
-    divergence or model form, and ValueError for fewer than one angle."""
+def support_profiles(spec_or_report, dimensions, num_angles=DEFAULT_ANGLES):
+    """sigma_N(theta) over an even angle grid on [0, 2 pi) for each N of
+    ``dimensions``, in their order, all read off one assembly at the
+    largest.  Takes a spec or a report; raises SpecError when a spec has
+    no even-order divergence or model form, and ValueError for an empty
+    ladder, a dimension below 1 or fewer than one angle."""
+    dimensions = tuple(int(d) for d in dimensions)
+    if not dimensions or min(dimensions) < 1:
+        raise ValueError("dimensions must be positive")
     report = as_report(spec_or_report)
     angles = _angle_grid(num_angles)
-    values, bound = _support(report, dim, angles)
-    return SupportProfile(dimension=int(dim), angles=angles, values=values, bound=bound)
-
-
-def profiles_to_csv(profiles, path):
-    """Write support profiles as ``N, theta, sigma`` CSV rows."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("N,theta,sigma\n")
-        for profile in profiles:
-            for theta, sigma in zip(profile.angles, profile.values):
-                handle.write("%d,%.12e,%.12e\n" % (profile.dimension, theta, sigma))
+    factor = _factor(report)
+    if factor is None:
+        solves, pairs = _grid(angles)
+        supports = []
+        for dim, form in zip(dimensions, _forms(report, dimensions)):
+            sigma = [_solve(form, angles, k, pairs) for k in range(solves)]
+            values = tuple(s[0] for s in sigma) + tuple(s[1] for s in sigma[:pairs])
+            supports.append((values, _rounding_bound(report, dim, form)))
+    else:
+        supports = _factored_supports(report, factor, dimensions, angles)
+    return tuple(SupportProfile(dimension=dim, angles=angles, values=values, bound=bound)
+                 for dim, (values, bound) in zip(dimensions, supports))
 
 
 def half_plane_verdict(spec_or_report, dimensions=DEFAULT_DIMENSIONS,
@@ -282,21 +307,22 @@ def half_plane_verdict(spec_or_report, dimensions=DEFAULT_DIMENSIONS,
     """Decide whether the form values stay inside some half-plane.
 
     The minima m_N = min_theta sigma_N(theta) over the angle grid of
-    :func:`support_profile` are the same floats its profiles give; the
-    eigenvalue path finds them by the pruned search of the module
-    docstring.  :meth:`HalfPlaneReport.from_minima` gives the verdict.
-    Takes a spec or a report; raises SpecError when a spec has no
-    even-order divergence or model form, and ValueError for fewer than
-    two distinct dimensions or fewer than one angle.
+    :func:`support_profiles` are the same floats its profiles of the same
+    ladder give; the eigenvalue path finds them by the pruned search of
+    the module docstring.  :meth:`HalfPlaneReport.from_minima` gives the
+    verdict.  Takes a spec or a report; raises SpecError when a spec has
+    no even-order divergence or model form, and ValueError for fewer
+    than two distinct dimensions or fewer than one angle.
     """
     dimensions = tuple(sorted(int(d) for d in dimensions))
     if len(set(dimensions)) != len(dimensions) or len(dimensions) < 2:
         raise ValueError("need at least two distinct dimensions to compare")
     report = as_report(spec_or_report)
     angles = _angle_grid(num_angles)
-    if _factor(report) is None:
+    factor = _factor(report)
+    if factor is None:
         minima, bounds = _pruned_minima(report, dimensions, angles)
     else:
-        supports = [_support(report, d, angles) for d in dimensions]
+        supports = _factored_supports(report, factor, dimensions, angles)
         minima, bounds = [min(values) for values, _ in supports], [b for _, b in supports]
     return HalfPlaneReport.from_minima(dimensions, minima, bounds)

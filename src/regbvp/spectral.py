@@ -779,13 +779,19 @@ def _coefficient_operators(nbc: NormalizedBC):
     """(L B, B) at each of RESOLVENT_DIMENSIONS N, once per scan: B the
     constrained basis of the model expression with the normalized rows,
     (N + n) x N, and L the strong operator on its coefficients, so that
-    u -> (l - lambda) u on V_N is exactly L B - lambda B."""
+    u -> (l - lambda) u on V_N is exactly L B - lambda B.  Both come from
+    one basis at the largest N: the bases are nested from N = n on, and L
+    is upper triangular, so each smaller pair is the leading (N + n) x N
+    block (an N below the order takes its own basis)."""
     spec = OperatorSpec(nbc.n, ModelForm(), nbc.rows)
-    operators = []
-    for dim in RESOLVENT_DIMENSIONS:
+
+    def pair(dim):
         basis = constrained_basis(spec, dim)
-        operators.append((strong_operator(spec, dim + nbc.n) @ basis, basis))
-    return operators
+        return strong_operator(spec, dim + nbc.n) @ basis, basis
+
+    image, basis = pair(max(RESOLVENT_DIMENSIONS))
+    return [(image[:dim + nbc.n, :dim], basis[:dim + nbc.n, :dim]) if dim >= nbc.n
+            else pair(dim) for dim in RESOLVENT_DIMENSIONS]
 
 
 def _nystrom_norm(nbc: NormalizedBC, rho, nodes):

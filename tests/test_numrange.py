@@ -24,14 +24,14 @@ from regbvp.model import (
     as_divergence,
     operator_coefficients,
 )
+from regbvp.cli import profiles_to_csv
 from regbvp.numrange import (
     constrained_basis,
     galerkin_form,
     half_plane_verdict,
-    profiles_to_csv,
     split_form,
     support_function,
-    support_profile,
+    support_profiles,
 )
 from regbvp.legendre import derivative_matrix, endpoint_jets
 from regbvp.quasiform import check_completely_regular, split_jets
@@ -118,7 +118,86 @@ def test_constrained_basis_rank_loss_is_a_spec_error():
     with pytest.raises(SpecError, match="lose rank"):
         constrained_basis(spec, 1)
     with pytest.raises(SpecError, match="lose rank"):
-        support_profile(spec, 1)
+        support_profiles(spec, (1,))
+
+
+def _random_row_sets(seed, count):
+    """``count`` seeded row sets cycling through orders 1-6, coupled and
+    separated: coupled rows involve both ends with random derivative
+    orders; separated ones put ceil(n/2) rows at 0 and the rest at 1,
+    with distinct orders at each end.  Complex N(0, 1) coefficients."""
+    rng = random.Random(seed)
+
+    def vector(n, k):
+        return tuple(complex(rng.gauss(0, 1), rng.gauss(0, 1)) if s <= k else 0j
+                     for s in range(n))
+
+    sets = []
+    for i in range(count):
+        n, coupled = 1 + i % 6, (i // 6) % 2 == 0
+        if coupled:
+            rows = tuple(BoundaryRow(vector(n, rng.randrange(j // 2, n)),
+                                     vector(n, rng.randrange(j // 2, n))) for j in range(n))
+        else:
+            zero = (0j,) * n
+            rows = (tuple(BoundaryRow(vector(n, k), zero) for k in rng.sample(range(n), n - n // 2))
+                    + tuple(BoundaryRow(zero, vector(n, k)) for k in rng.sample(range(n), n // 2)))
+        sets.append(OperatorSpec(n, ModelForm(), rows))
+    return sets
+
+
+def _row_matrix(spec, count):
+    at0, at1 = endpoint_jets(count, spec.order)
+    return np.array([np.asarray(row.a) @ at0 + np.asarray(row.b) @ at1 for row in spec.rows])
+
+
+# Bounds on the componentwise residual max |R B| / (|R| |B|) of the
+# boundary rows R on the basis B, per dimension: the worst that the
+# construction from one kernel SVD of all the rows reached on random row
+# sets of orders 1-6 (on the row sets below it reaches 1.5e-12 and
+# 4.5e-9, the nested construction 1.5e-14 and 3.2e-13).
+BASIS_RESIDUALS = {32: 1.3e-13, 128: 8.4e-12}
+
+
+def _assert_nested_basis(spec, dim):
+    n = spec.order
+    basis = constrained_basis(spec, dim)
+    assert basis.shape == (dim + n, dim)
+    assert np.abs(basis.conj().T @ basis - np.eye(dim)).max() <= 1e-14
+    rows = _row_matrix(spec, dim + n)
+    scale = np.abs(rows) @ np.abs(basis)
+    seen = scale > 0
+    assert np.all(np.abs(rows @ basis)[~seen] == 0)
+    residual = (np.abs(rows @ basis)[seen] / scale[seen]).max()
+    assert residual <= BASIS_RESIDUALS[dim], (spec, dim, residual)
+    for N in (8, 16, 32):
+        if N <= dim:
+            assert np.all(basis[N + n:, :N] == 0), (spec, dim, N)
+
+
+@pytest.mark.parametrize("dim", [32, 128])
+def test_constrained_basis_is_nested(dim):
+    """The columns are orthonormal and satisfy the rows, and the first N
+    vanish exactly from row N + n on, so they span V_N: for the gallery
+    and 120 seeded row sets of orders 1-6."""
+    specs = [gallery.build(name) for name in sorted(gallery.EXAMPLES)]
+    for spec in specs + _random_row_sets(31, 120):
+        _assert_nested_basis(spec, dim)
+
+
+@pytest.mark.parametrize("rows", [
+    # -y'' with y'(0) = 0 and y'(1) - 8 y(1) = 0: the window block on
+    # modes 2 and 3 is singular, and the batched solve fails
+    (BoundaryRow((0, 1), (0, 0)), BoundaryRow((0, 0), (-8, 1))),
+    # y'(1) - 15 y(1) = 0: the block on modes 3 and 4 is singular to
+    # working precision, and only its window takes the least-norm vector
+    (BoundaryRow((0, 1), (0, 0)), BoundaryRow((0, 0), (-15, 1))),
+    # y(0) + y(1) = 0 and y'(0) - y'(1) = 0: no row sees the odd modes
+    (BoundaryRow((1, 0), (1, 0)), BoundaryRow((0, 1), (0, -1))),
+], ids=["robin-8", "robin-15", "odd-modes-unseen"])
+@pytest.mark.parametrize("dim", [32, 128])
+def test_constrained_basis_nested_on_singular_windows(rows, dim):
+    _assert_nested_basis(OperatorSpec(2, ModelForm(), rows), dim)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +339,7 @@ def test_numerical_range_needs_a_divergence_form(spec):
     with pytest.raises(SpecError):
         half_plane_verdict(spec)
     with pytest.raises(SpecError):
-        support_profile(spec, 8)
+        support_profiles(spec, (8,))
     with pytest.raises(SpecError):
         split_form(spec, 8)
 
@@ -269,11 +348,12 @@ def test_numerical_range_needs_a_divergence_form(spec):
 def test_support_paths_agree_with_rotated_eigenvalues(name):
     # the factored path (the sums of squares: every completely regular
     # example) and the paired eigenvalue path (one eigvalsh per antipodal
-    # pair) give what one eigvalsh per angle of the split matrix gives,
-    # within the eigvalsh error bound
+    # pair), read off the leading blocks of one assembly, give what one
+    # eigvalsh per angle of the split matrix assembled at each dimension
+    # gives, within the eigvalsh error bound
     spec = gallery.build(name)
-    for dim in (8, 16):
-        profile = support_profile(spec, dim, num_angles=16)
+    for profile in support_profiles(spec, (8, 16), num_angles=16):
+        dim = profile.dimension
         form = split_form(spec, dim)
         slack = (dim + spec.order) * EPS * np.linalg.norm(form, 2)
         for theta, value in zip(profile.angles, profile.values):
@@ -298,8 +378,8 @@ def test_paired_support_values_match_one_angle_solves(num_angles):
     # an even grid reads sigma(theta + pi) as -lambda_min at theta; an odd
     # grid solves every angle; both agree with the one-angle oracle
     spec = _non_self_adjoint_spec()
-    for dim in (8, 16, 32):
-        profile = support_profile(spec, dim, num_angles=num_angles)
+    for profile in support_profiles(spec, (8, 16, 32), num_angles=num_angles):
+        dim = profile.dimension
         form = split_form(spec, dim)
         assert len(profile.values) == num_angles
         for theta, value in zip(profile.angles, profile.values):
@@ -347,8 +427,8 @@ def test_pruned_search_solve_counts(monkeypatch, spec, num_angles, solves):
 
 
 def test_half_plane_verdict_decides_splitting_once(monkeypatch):
-    # the splitting is decided once, and each dimension's matrix is
-    # assembled once
+    # the splitting is decided once, and the ladder is assembled once, at
+    # its largest dimension: every smaller matrix is a leading block
     dims, decided = [], []
     assemble, decide = numrange.split_form, quasiform.check_completely_regular
 
@@ -364,7 +444,8 @@ def test_half_plane_verdict_decides_splitting_once(monkeypatch):
     monkeypatch.setattr(quasiform, "check_completely_regular", counted_decide)
     dimensions = (8, 16, 32)
     report = half_plane_verdict(gallery.build("mixed4"), dimensions=dimensions, num_angles=8)
-    assert dims == list(dimensions) == list(report.dimensions)
+    assert dims == [max(dimensions)]
+    assert report.dimensions == dimensions
     assert len(decided) == 1
 
 
@@ -393,7 +474,7 @@ def _random_forms(seed, count):
 
 def _assert_full_grid_minima(report, dimensions, num_angles):
     verdict = half_plane_verdict(report, dimensions=dimensions, num_angles=num_angles)
-    profiles = [support_profile(report, d, num_angles) for d in sorted(dimensions)]
+    profiles = support_profiles(report, sorted(dimensions), num_angles)
     assert verdict.minima == tuple(min(p.values) for p in profiles)
     assert verdict.bounds == tuple(p.bound for p in profiles)
 
@@ -418,6 +499,19 @@ def test_verdict_minima_are_full_grid_minima_on_random_forms():
     assert eigenvalue_path >= 100
 
 
+@pytest.mark.parametrize("name", ["mixed4", "dirichlet4"])
+def test_dimensions_below_the_order_take_their_own_assembly(name):
+    # below the order the leading block of the largest matrix is not
+    # F_N, so such a dimension of a ladder is assembled on its own: its
+    # profile is the one of a one-element ladder, on the eigenvalue path
+    # (mixed4) and on the factored one (dirichlet4)
+    spec = gallery.build(name)
+    ladder = support_profiles(spec, (2, 3, 16), num_angles=16)
+    for profile in ladder[:2]:
+        alone, = support_profiles(spec, (profile.dimension,), num_angles=16)
+        assert profile == alone
+
+
 def test_support_values_nested_within_error_bounds():
     # the premise of the pruned search: the trial spaces are nested, so
     # sigma_N(theta) >= sigma_M(theta) for M < N at every angle, up to
@@ -427,7 +521,7 @@ def test_support_values_nested_within_error_bounds():
         report = check_completely_regular(spec)
         if numrange._factor(report) is not None:    # not the eigenvalue path
             continue
-        profiles = [support_profile(report, d, num_angles=16) for d in (8, 16, 32, 64, 128)]
+        profiles = support_profiles(report, (8, 16, 32, 64, 128), num_angles=16)
         for i, small in enumerate(profiles):
             for large in profiles[i + 1:]:
                 for lo, hi in zip(small.values, large.values):
@@ -446,8 +540,8 @@ def test_indefinite_boundary_matrix_takes_eigenvalue_path():
     k = 0.8711803574937484
     assert abs(k * math.sinh(k) + math.cosh(k) - 2 * math.sinh(k) / k) <= 1e-14
     spec = _indefinite_spec()
-    for dim in (8, 16, 32):
-        profile = support_profile(spec, dim, num_angles=16)
+    for profile in support_profiles(spec, (8, 16, 32), num_angles=16):
+        dim = profile.dimension
         assert profile.angles[8] == math.pi
         # a rounding-level bound: the eigenvalue path's, not a factored
         # path's inflated by the change of A
@@ -476,7 +570,7 @@ def test_galerkin_dirichlet_lowest_eigenvalue():
 # ---------------------------------------------------------------------------
 
 def test_support_profile_structure():
-    profile = support_profile(gallery.build("dirichlet2"), 8, num_angles=16)
+    profile, = support_profiles(gallery.build("dirichlet2"), (8,), num_angles=16)
     assert profile.dimension == 8
     assert len(profile.angles) == 16 and len(profile.values) == 16
     assert profile.angles[0] == 0.0
@@ -486,15 +580,13 @@ def test_support_profile_structure():
 @pytest.mark.parametrize("name", ["dirichlet2", "mixed4"])
 def test_support_profiles_nested(name):
     spec = gallery.build(name)
-    smaller = support_profile(spec, 8, num_angles=24)
-    larger = support_profile(spec, 16, num_angles=24)
+    smaller, larger = support_profiles(spec, (8, 16), num_angles=24)
     for lo, hi in zip(smaller.values, larger.values):
         assert hi >= lo - 1e-9 * max(1.0, abs(lo))
 
 
 def test_profiles_to_csv_format(tmp_path):
-    profiles = [support_profile(gallery.build("dirichlet2"), d, num_angles=8)
-                for d in (4, 8)]
+    profiles = support_profiles(gallery.build("dirichlet2"), (4, 8), num_angles=8)
     path = tmp_path / "profiles.csv"
     profiles_to_csv(profiles, path)
     lines = path.read_text().splitlines()
@@ -556,6 +648,9 @@ def test_neumann_minima_sit_at_zero():
 MIXED4_MINIMA = {8: 6.5198704888030, 16: 22.550427111805,
                  32: 143.61669464106, 64: 942.50475308943}
 CAUCHY2_MINIMUM_64 = 1923267.4780295606
+# sigma_32(pi / 2) of mixed4 on the 32-angle grid: a support value away
+# from the minimum, where the bound of the eigenvalue path holds as well
+MIXED4_SUPPORT_32 = 2462558.973800453133245
 CLAMPED_BEAM_MINIMUM = -500.56390174043
 MINIMUM_REFERENCES = {
     "mixed4": MIXED4_MINIMA,
@@ -577,6 +672,12 @@ def test_minima_within_error_bounds(name):
         assert bound > 0
         if dim in references:
             assert abs(value - references[dim]) <= bound, (dim, value, bound)
+
+
+def test_support_value_away_from_the_minimum_within_its_bound():
+    profile, = support_profiles(gallery.build("mixed4"), (32,), num_angles=32)
+    assert profile.angles[8] == math.pi / 2
+    assert abs(profile.values[8] - MIXED4_SUPPORT_32) <= profile.bound, profile.bound
 
 
 def test_free_beam_minima_nondecreasing():
@@ -622,6 +723,6 @@ def test_half_plane_verdict_rejects_repeated_dimensions(dimensions):
 def test_empty_angle_grid_is_rejected(num_angles):
     spec = gallery.build("mixed4")
     with pytest.raises(ValueError, match="need at least one angle"):
-        support_profile(spec, 8, num_angles=num_angles)
+        support_profiles(spec, (8,), num_angles=num_angles)
     with pytest.raises(ValueError, match="need at least one angle"):
         half_plane_verdict(spec, num_angles=num_angles)

@@ -318,7 +318,7 @@ def test_identity_vee_block_gives_a_equals_minus_b(rng):
 
 
 @pytest.mark.xfail(strict=True, reason="an invertible C is misread as not completely "
-                   "regular; the fix lands with ROADMAP open item 2 (form-domain trial space)")
+                   "regular; the fix lands with ROADMAP open item 1 (form-domain trial space)")
 def test_invertible_vee_block_is_completely_regular():
     """An invertible C makes B^{-1}(im C) the whole space, so the splitting
     is completely regular with A = -C^{-1} B, and the form identity holds

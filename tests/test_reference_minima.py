@@ -7,6 +7,8 @@ on the same trial spaces (polynomials of degree < N + n that satisfy the
 boundary rows, in the orthonormal shifted Legendre basis), integrated by
 Gauss-Legendre quadrature with nodes found by Newton's method at the
 working precision, and the support function over the same 64-angle grid.
+One support value away from the minimum, sigma_32(pi / 2) of ``mixed4``
+on the 32-angle grid, is recomputed the same way.
 
 Only the angles whose double-precision support value lies within
 1e-12 ||F_N|| of the smallest are evaluated at full precision.  The
@@ -26,7 +28,12 @@ import pytest
 
 from regbvp import gallery
 from regbvp.model import operator_coefficients
-from test_numrange import CAUCHY2_MINIMUM_64, CLAMPED_BEAM_MINIMUM, MIXED4_MINIMA
+from test_numrange import (
+    CAUCHY2_MINIMUM_64,
+    CLAMPED_BEAM_MINIMUM,
+    MIXED4_MINIMA,
+    MIXED4_SUPPORT_32,
+)
 
 mp = pytest.importorskip("mpmath")
 
@@ -141,7 +148,16 @@ def test_reference_constants_reproduced(name, dim):
     assert abs(float(value) - want) <= 1e-13 * abs(want), (name, dim, mp.nstr(value, 20))
 
 
+def test_support_value_reference_reproduced():
+    # sigma_32(pi / 2) of mixed4, angle 8 of the 32-angle grid
+    with mp.workdps(DIGITS):
+        value = _support(galerkin_matrix(gallery.build("mixed4"), 32), mp.pi / 2)
+    assert abs(float(value) - MIXED4_SUPPORT_32) <= 1e-13 * MIXED4_SUPPORT_32, mp.nstr(value, 25)
+
+
 if __name__ == "__main__":
     mp.mp.dps = int(sys.argv[1]) if len(sys.argv) > 1 else DIGITS
     for name, dim in CASES:
         print(name, dim, mp.nstr(galerkin_minimum(gallery.build(name), dim), 20))
+    print("mixed4 32 sigma(pi/2)",
+          mp.nstr(_support(galerkin_matrix(gallery.build("mixed4"), 32), mp.pi / 2), 25))
