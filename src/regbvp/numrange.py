@@ -52,22 +52,42 @@ rounding is replaced by the nearest such matrix, and the change times
 ||W||_2^2 is added to the bound.
 
 Pruned minima.  :func:`support_profiles` solves the full angle grid;
-:func:`half_plane_verdict` needs only each dimension's minimum.  Its
-premise is the nesting above: sigma_N(theta) >= sigma_M(theta) for
-M < N at every angle, so the computed values satisfy sigma_N(theta) >=
-sigma_M(theta) - (b_M + b_N) with b the error bounds (the bound of the
-eigenvalue path holds for every eigenvalue of H_N(theta), not only the
-minimum).  The smallest dimension solves the full grid.  Each larger
-one visits the solves (antipodal pairs, or single angles on an odd
-grid) in ascending order of their least value at the largest dimension
-that solved them, and stops at the first solve whose value, less the
-two bounds, exceeds the best value found at this dimension: no later
-solve can go below it.  The angle of the minimum is always solved from
-the same leading block, so each minimum is the float that the full grid
-of :func:`support_profiles` gives on the same ladder; a half-plane form
-takes one or two solves per larger dimension, a whole-plane form nearly
-the full grid.  The factored path is cheap for every angle and is not
-pruned.
+:func:`half_plane_verdict` needs only each dimension's minimum.  It
+keeps, for each solve (an antipodal pair, or a single angle on an odd
+grid), a floor: a lower bound on the least value of the solve at the
+dimension at hand, up to the error bound b_N of that dimension plus the
+floor's own bound.  The floors come from two places.  Nesting:
+sigma_N(theta) >= sigma_M(theta) for M < N at every angle, so the
+computed values satisfy sigma_N(theta) >= sigma_M(theta) - (b_M + b_N)
+(the bound of the eigenvalue path holds for every eigenvalue of
+H_N(theta), not only the minimum), and a solve's value at the largest
+dimension that solved it is a floor with bound b_M.  Ritz values: for
+orthonormal columns V, the eigenvalues of V^H H_N(theta) V lie between
+the extreme ones of H_N(theta) (Cauchy interlacing; Parlett, The
+Symmetric Eigenvalue Problem, ch. 11), and V^H H_N(theta) V is the
+Hermitian part of e^{i theta} S with S = V^H F_N V.  So the largest
+eigenvalue of that 2 x 2 matrix and minus its smallest are floors for
+sigma_N(theta) and sigma_N(theta + pi).  A Ritz floor carries the bound
+b_N, and the rule below subtracts it twice: once for the rounding of the
+floor (V is orthonormal and S exact only up to rounding of that order)
+and once for that of the value it bounds.  ``tests/test_numrange.py``
+checks every Ritz floor against the full grid.  Each dimension visits
+the solves in ascending order of their floors and stops at the first
+solve whose floor, less both bounds, exceeds the best value found at
+this dimension: no later solve can go below it.  When the solve after
+the first one at a dimension is not already ruled out (always so at the
+smallest dimension, which has no floors yet), one eigh of H_N at the
+angle just solved gives V, its two extreme eigenvectors; one stacked
+eigenvalue solve of the 2 x 2 compressions at every pending angle then
+gives their Ritz floors, each kept where it is a better bound, and the
+visit goes on in the new order.  The angle of the minimum is always
+solved by eigvalsh on the same leading block, so each minimum is the
+float that the full grid of :func:`support_profiles` gives on the same
+ladder.  A half-plane form takes one or two solves per larger dimension,
+and an eigh there only on some forms; a whole-plane form takes one eigh
+and a few solves per dimension where it took nearly the full grid
+without the Ritz floors.  The factored path is cheap for every angle and
+is not pruned.
 """
 
 import cmath
@@ -178,12 +198,16 @@ def _factor(report):
 # Support functions
 # ---------------------------------------------------------------------------
 
-def _extremes(form, theta):
-    """(lambda_min, lambda_max) of the Hermitian part of e^{i theta} F:
-    sigma(theta) and -sigma(theta + pi) from one eigenvalue solve."""
+def _hermitian_part(form, theta):
+    """H(theta), the Hermitian part of e^{i theta} F."""
     rotated = cmath.exp(1j * theta) * form
-    herm = 0.5 * (rotated + rotated.conj().T)
-    lam = np.linalg.eigvalsh(herm)
+    return 0.5 * (rotated + rotated.conj().T)
+
+
+def _extremes(form, theta):
+    """(lambda_min, lambda_max) of H(theta): sigma(theta) and
+    -sigma(theta + pi) from one eigenvalue solve."""
+    lam = np.linalg.eigvalsh(_hermitian_part(form, theta))
     return float(lam[0]), float(lam[-1])
 
 
@@ -249,23 +273,48 @@ def _factored_supports(report, factor, dimensions, angles):
     return supports
 
 
+def _ritz_floors(form, angles, pairs, k, pending):
+    """Lower bounds on the least sigma of each of the ``pending`` solves:
+    Rayleigh-Ritz values on the span of the extreme eigenvectors of
+    H(angle k) (module docstring), from one stacked 2 x 2 solve."""
+    _, vec = np.linalg.eigh(_hermitian_part(form, angles[k]))
+    basis = vec[:, [0, -1]]
+    compressed = basis.conj().T @ form @ basis
+    phases = np.exp(1j * np.array([angles[j] for j in pending]))
+    rotated = phases[:, None, None] * compressed
+    lam = np.linalg.eigvalsh(0.5 * (rotated + rotated.conj().transpose(0, 2, 1)))
+    return np.minimum(lam[:, -1], -lam[:, 0]) if pairs else lam[:, -1]
+
+
 def _pruned_minima(report, dimensions, angles):
     """(minima, bounds) of the eigenvalue path, each dimension solving
     only the angles that can still hold its minimum (module docstring)."""
     solves, pairs = _grid(angles)
-    # per solve: the least sigma of its angles at the largest dimension
-    # that solved it, and that dimension's bound; -inf before any solve,
-    # so the smallest dimension solves the full grid
+    # per solve: a lower bound on its least sigma, up to floor_bound plus
+    # the bound of the dimension at hand -- its value at the largest
+    # dimension that solved it, or a Ritz value; -inf before either
     floor, floor_bound = [-math.inf] * solves, [0.0] * solves
     minima, bounds = [], []
     for dim, form in zip(dimensions, _forms(report, dimensions)):
         bound = _rounding_bound(report, dim, form)
+
+        def pruned(j):
+            return floor[j] - (floor_bound[j] + bound) > best
+
         best = math.inf
-        for k in sorted(range(solves), key=floor.__getitem__):
-            if floor[k] - (floor_bound[k] + bound) > best:
-                break
+        pending = sorted(range(solves), key=floor.__getitem__)
+        while pending and not pruned(pending[0]):
+            k = pending.pop(0)
             floor[k], floor_bound[k] = min(_solve(form, angles, k, pairs)), bound
             best = min(best, floor[k])
+            # after the first solve, unless the next one is ruled out
+            # already: Ritz floors from the angle just solved
+            if len(pending) == solves - 1 and pending and not pruned(pending[0]):
+                ritz = _ritz_floors(form, angles, pairs, k, pending)
+                for j, value in zip(pending, ritz.tolist()):
+                    if value - bound > floor[j] - floor_bound[j]:
+                        floor[j], floor_bound[j] = value, bound
+                pending.sort(key=floor.__getitem__)
         minima.append(best)
         bounds.append(bound)
     return tuple(minima), tuple(bounds)
@@ -309,8 +358,10 @@ def half_plane_verdict(spec_or_report, dimensions=DEFAULT_DIMENSIONS,
     The minima m_N = min_theta sigma_N(theta) over the angle grid of
     :func:`support_profiles` are the same floats its profiles of the same
     ladder give; the eigenvalue path finds them by the pruned search of
-    the module docstring.  :meth:`HalfPlaneReport.from_minima` gives the
-    verdict.  Takes a spec or a report; raises SpecError when a spec has
+    the module docstring, which solves only the angles whose floors, from
+    smaller dimensions or from Ritz values on two eigenvectors, leave
+    them able to hold the minimum.  :meth:`HalfPlaneReport.from_minima`
+    gives the verdict.  Takes a spec or a report; raises SpecError when a spec has
     no even-order divergence or model form, and ValueError for fewer
     than two distinct dimensions or fewer than one angle.
     """

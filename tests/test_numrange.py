@@ -396,34 +396,45 @@ def _indefinite_spec():
 
 
 def _count_solves(monkeypatch):
-    """Counter of eigvalsh calls by matrix size, which is the dimension."""
-    calls = collections.Counter()
-    solve = np.linalg.eigvalsh
+    """Counters of eigvalsh and of eigh calls by matrix size (the last
+    axis, so that a stack of 2 x 2 compressions counts once, under 2)."""
+    eigvalsh, eigh = collections.Counter(), collections.Counter()
 
-    def counting(matrix):
-        calls[matrix.shape[0]] += 1
-        return solve(matrix)
+    def counting(solve, calls):
+        def counted(matrix):
+            calls[matrix.shape[-1]] += 1
+            return solve(matrix)
+        return counted
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    return calls
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh, eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh, eigh))
+    return eigvalsh, eigh
 
 
-@pytest.mark.parametrize("spec, num_angles, solves", [
-    # the smallest dimension solves all 32 antipodal pairs (or all 7
-    # angles); a larger one only the pairs whose value at a smaller
-    # dimension, less both error bounds, is not above its best value
-    (gallery.build("mixed4"), 64, {8: 32, 16: 25, 32: 29, 64: 27}),
-    (gallery.build("mixed4"), 7, {8: 7, 16: 2, 32: 4, 64: 2}),
-    (_indefinite_spec(), 64, {8: 32, 16: 1, 32: 1, 64: 1}),
-    (_indefinite_spec(), 7, {8: 7, 16: 2, 32: 2, 64: 2}),
+@pytest.mark.parametrize("spec, num_angles, solves, ritz", [
+    # a dimension takes one eigh, for the Ritz floors, when the solve
+    # after its first one is not already pruned: always at the smallest
+    # dimension, where no floor exists yet; each eigh brings one stacked
+    # 2 x 2 eigvalsh.  Then only the solves whose floor, less both error
+    # bounds, is not above the best value found at this dimension
+    (gallery.build("mixed4"), 64, {2: 4, 8: 25, 16: 13, 32: 1, 64: 11},
+     {8: 1, 16: 1, 32: 1, 64: 1}),
+    (gallery.build("mixed4"), 7, {2: 4, 8: 3, 16: 2, 32: 2, 64: 2},
+     {8: 1, 16: 1, 32: 1, 64: 1}),
+    # the 2 x 2 eigh is the one of the boundary matrix A that rules out
+    # the factored path
+    (_indefinite_spec(), 64, {2: 1, 8: 2, 16: 1, 32: 1, 64: 1}, {2: 1, 8: 1}),
+    (_indefinite_spec(), 7, {2: 4, 8: 3, 16: 2, 32: 2, 64: 2},
+     {2: 1, 8: 1, 16: 1, 32: 1, 64: 1}),
     # the sums of squares take one SVD per dimension and no eigvalsh
-    (gallery.build("dirichlet2"), 64, {}),
+    (gallery.build("dirichlet2"), 64, {}, {2: 1}),
 ], ids=["mixed4", "mixed4-odd", "indefinite", "indefinite-odd", "dirichlet2"])
-def test_pruned_search_solve_counts(monkeypatch, spec, num_angles, solves):
-    calls = _count_solves(monkeypatch)
+def test_pruned_search_solve_counts(monkeypatch, spec, num_angles, solves, ritz):
+    eigvalsh, eigh = _count_solves(monkeypatch)
     report = half_plane_verdict(spec, num_angles=num_angles)
     assert report.dimensions == (8, 16, 32, 64)
-    assert dict(calls) == solves
+    assert dict(eigvalsh) == solves
+    assert dict(eigh) == ritz
 
 
 def test_half_plane_verdict_decides_splitting_once(monkeypatch):
@@ -449,19 +460,22 @@ def test_half_plane_verdict_decides_splitting_once(monkeypatch):
     assert len(decided) == 1
 
 
+def _coefficients(rng, n, k):
+    """n complex coefficients, random on y^(0..k) and zero above."""
+    return tuple(complex(rng.gauss(0, 1), rng.gauss(0, 1)) if s <= k else 0j
+                 for s in range(n))
+
+
 def _random_rows(rng, n, coupled):
     """n random complex rows: coupled ones involve both ends; separated
     ones put n/2 rows at each end, with the same derivative orders at
     both ends (y at one end and y' at the other is ROADMAP item 1)."""
-    def coefficients(k):
-        return tuple(complex(rng.gauss(0, 1), rng.gauss(0, 1)) if s <= k else 0j
-                     for s in range(n))
     if coupled:
         return _random_coupled_rows(rng, n)
     orders = rng.sample(range(n), n // 2)
     zero = (0j,) * n
-    return (tuple(BoundaryRow(coefficients(k), zero) for k in orders)
-            + tuple(BoundaryRow(zero, coefficients(k)) for k in orders))
+    return (tuple(BoundaryRow(_coefficients(rng, n, k), zero) for k in orders)
+            + tuple(BoundaryRow(zero, _coefficients(rng, n, k)) for k in orders))
 
 
 def _random_forms(seed, count):
@@ -470,6 +484,28 @@ def _random_forms(seed, count):
     rng = random.Random(seed)
     return [OperatorSpec(n, _random_form(rng, n // 2), _random_rows(rng, n, coupled))
             for n, coupled in [((2, 4)[i % 2], i % 4 >= 2) for i in range(count)]]
+
+
+def _whole_plane_candidates(seed, count):
+    """``count`` seeded forms among which whole-plane ones are common,
+    cycling through orders 2 and 4 with coupled rows of random derivative
+    orders (row j has an order k from floor(j/2)..n-1 and coefficients on
+    y^(0..k) at both ends, as in forms-random) and order 4 with separated
+    rows, the one kind of :func:`_random_forms` that gives whole-plane
+    forms."""
+    rng = random.Random(seed)
+    specs = []
+    for i in range(count):
+        n = (2, 4, 4)[i % 3]
+        form = _random_form(rng, n // 2)
+        if i % 3 == 2:
+            rows = _random_rows(rng, n, False)
+        else:
+            orders = [rng.randrange(j // 2, n) for j in range(n)]
+            rows = tuple(BoundaryRow(_coefficients(rng, n, k), _coefficients(rng, n, k))
+                         for k in orders)
+        specs.append(OperatorSpec(n, form, rows))
+    return specs
 
 
 def _assert_full_grid_minima(report, dimensions, num_angles):
@@ -497,6 +533,59 @@ def test_verdict_minima_are_full_grid_minima_on_random_forms():
         _assert_full_grid_minima(report, (8, 16, 32), 32)
         _assert_full_grid_minima(report, (8, 16, 32, 48), 7)
     assert eigenvalue_path >= 100
+
+
+def test_ritz_floors_are_lower_bounds(monkeypatch):
+    # the premise of the Ritz floors: a Ritz value on a subspace of V_N is
+    # at most sigma_N, so every floor is at most the full-grid value of
+    # its solve, up to the two error bounds of its dimension
+    floors = []
+    ritz_floors = numrange._ritz_floors
+
+    def recorded(form, angles, pairs, k, pending):
+        values = ritz_floors(form, angles, pairs, k, pending)
+        floors.append((form.shape[0], list(pending), values))
+        return values
+
+    monkeypatch.setattr(numrange, "_ritz_floors", recorded)
+    specs = [gallery.build(name) for name in sorted(gallery.EXAMPLES)] + _random_forms(25, 100)
+    checked = set()
+    for spec in specs:
+        report = check_completely_regular(spec)
+        for num_angles in (32, 7):
+            floors.clear()
+            half_plane_verdict(report, dimensions=(8, 16, 32, 64), num_angles=num_angles)
+            profiles = {p.dimension: p for p in support_profiles(report, (8, 16, 32, 64),
+                                                                  num_angles)}
+            solves, _ = numrange._grid(profiles[8].angles)
+            for dim, pending, values in floors:
+                profile = profiles[dim]
+                for j, floor in zip(pending, values):
+                    # solve j: angle j and, on an even grid, angle j + solves
+                    least = min(profile.values[j::solves])
+                    assert floor <= least + 2 * profile.bound, (dim, j)
+                    checked.add(dim)
+    # the smallest dimension always takes Ritz floors; the larger ones on
+    # the forms whose next solve is not pruned by the smaller dimensions
+    assert checked == {8, 16, 32, 64}
+
+
+def test_verdict_minima_are_full_grid_minima_where_ritz_floors_prune(monkeypatch):
+    # the whole-plane forms are where the Ritz floors save solves: their
+    # minima are still the floats of the full grid, and at N = 128 they
+    # solve a few of the 32 antipodal pairs, not nearly all of them
+    eigvalsh, _ = _count_solves(monkeypatch)
+    ladder = (8, 16, 32, 64, 128)
+    whole_plane = []
+    for spec in _whole_plane_candidates(26, 60):
+        report = check_completely_regular(spec)
+        eigvalsh.clear()
+        if half_plane_verdict(report, dimensions=ladder).verdict == "whole_plane":
+            whole_plane.append(eigvalsh[128])
+        _assert_full_grid_minima(report, ladder, 64)
+        _assert_full_grid_minima(report, ladder, 7)
+    assert len(whole_plane) >= 15
+    assert sum(whole_plane) / len(whole_plane) <= 4
 
 
 @pytest.mark.parametrize("name", ["mixed4", "dirichlet4"])
