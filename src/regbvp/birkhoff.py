@@ -12,6 +12,14 @@ record of an operator that the classification, the root search and
 rule.  :func:`_evaluate` takes Delta and its derivatives
 (:func:`_derivative`) by Horner, scaled by e^(-max_f Re(i rho f)).
 
+The record also holds k, the order of the zero of Delta at rho = 0
+(:func:`_origin_order`), which the root search divides out of its
+Newton steps.  k is the first j whose Taylor coefficient at 0,
+t_j = sum_f sum_(d <= j) P_f[d] (i f)^(j - d) / (j - d)!, is not
+negligible by the same rule.  At rho = 0 the n exponentials coincide,
+so k is at least n (n - 1) / 2, and an eigenvalue lambda = 0 of
+algebraic multiplicity a adds n a.
+
 Regularity is read off two vertices of that distribution diagram.  With
 m = ceil(n/2), theta_0 is (-i)^kappa times the rho^kappa coefficient of
 Delta at the frequency of S = {k >= m}, and theta_1 that of
@@ -102,12 +110,14 @@ def determinant_terms(n, rows):
 
 class _Delta(NamedTuple):
     """Delta(rho) = sum_f P_f(rho) e^(i rho f) of one operator: the order,
-    the distinct frequencies f, and row by row the coefficients of P_f,
-    ascending."""
+    the distinct frequencies f, row by row the coefficients of P_f,
+    ascending, and k, the order of the zero of Delta at rho = 0 (see
+    :func:`_origin_order`)."""
 
     n: int
     freqs: np.ndarray
     coeffs: np.ndarray
+    origin_order: int
 
 
 def _negligible(coeffs, moduli):
@@ -117,13 +127,37 @@ def _negligible(coeffs, moduli):
     return np.abs(coeffs) <= 64 * np.finfo(float).eps * moduli
 
 
+def _origin_order(freqs, coeffs, moduli):
+    """k, the order of the zero of Delta at rho = 0: the first j whose
+    Taylor coefficient at 0,
+
+        t_j = sum_f sum_(d <= j) P_f[d] (i f)^(j - d) / (j - d)!,
+
+    is not negligible against the same sum taken over moduli: the
+    ``moduli`` of the products added into each P_f[d] in place of P_f[d],
+    and |f|^(j - d) / (j - d)!.  A nonzero Delta spans at most
+    ``coeffs.size`` functions rho^d e^(i rho f), so its zero at 0 has a
+    lower order than that and no later t_j is needed; k is 0 when every
+    t_j looks negligible."""
+    size = coeffs.size
+    steps = np.ones((freqs.size, size), dtype=complex)
+    steps[:, 1:] = 1j * freqs[:, None] / np.arange(1, size)
+    series = np.cumprod(steps, axis=1)                  # (i f)^l / l!
+
+    def taylor(table, factors):
+        return sum(np.convolve(row, terms)[:size] for row, terms in zip(table, factors))
+
+    nonzero = ~_negligible(taylor(coeffs, series), taylor(moduli, np.abs(series)))
+    return int(np.argmax(nonzero))
+
+
 @functools.lru_cache(maxsize=16)
 def _delta(rows):
     """The Delta of the normalized ``rows``, built once per operator: the
     terms of :func:`determinant_terms` with equal frequencies merged, and
-    the coefficients :func:`_negligible` set to zero.  A frequency left
-    with none is dropped, so Delta vanishes identically when none is
-    left."""
+    the coefficients :func:`_negligible` set to zero, and the order k of
+    its zero at 0.  A frequency left with none is dropped, so Delta
+    vanishes identically when none is left."""
     terms = [term for _, term in sorted(determinant_terms(
         len(rows), [(row.a, row.b) for row in rows]).items())]
     freqs = np.array([freq for freq, _, _ in terms])
@@ -133,7 +167,8 @@ def _delta(rows):
                                 for first in firsts]) for part in (1, 2))
     coeffs[_negligible(coeffs, moduli)] = 0.0
     kept = coeffs.any(axis=1)
-    delta = _Delta(len(rows), freqs[firsts][kept], coeffs[kept])
+    freqs, coeffs, moduli = freqs[firsts][kept], coeffs[kept], moduli[kept]
+    delta = _Delta(len(rows), freqs, coeffs, _origin_order(freqs, coeffs, moduli))
     delta.freqs.flags.writeable = delta.coeffs.flags.writeable = False  # cached, so shared
     return delta
 

@@ -25,9 +25,16 @@ the contours of the initial grid, of the four children of a split, of
 the annulus, or of all verification circles are wound together, with
 one evaluation for the first samples of every path and one per round
 for the refinement midpoints of every path.  No evaluation takes more
-than ``BATCH_POINTS`` points at once.  A box is polished by the step
--m Delta/Delta' with its count m, which converges only where its m
-zeros coincide (Delves and Lyness, Math. Comp. 21, 1967).  So a box of
+than ``BATCH_POINTS`` points at once.  A box is polished by Newton
+steps with its count m, which converge only where its m zeros coincide
+(Delves and Lyness, Math. Comp. 21, 1967).  The step is Newton's on
+Delta / rho^k, -m Delta / (Delta' - k Delta / rho), with k the order of
+the zero of Delta at rho = 0 (:mod:`regbvp.birkhoff`): that zero lies
+inside the inner circle, at least n (n - 1) / 2 deep, and would draw
+the starts of nearby boxes into a linear crawl.  Its fixed points are
+the zeros of Delta off the origin, and k enters nothing else (not the
+in-box test, the circles, the multiplicities or the polish), so a wrong
+k can cost steps but does not change which zeros are found.  A box of
 the initial partition with m >= 2 is split without a step, and a box
 whose split separated some of its zeros but left m >= 2 follows the
 level's other boxes: it steps while they do, and stops when the last
@@ -416,13 +423,18 @@ def _box_counts(delta, boxes):
 def _newton(delta, starts, multiplicities, polish=False, follows=None):
     """Polish each start with Newton steps, all points in lockstep.
 
-    A point of multiplicity m steps by -m Delta/Delta', or, when
-    ``polish``, by -Delta^(m-1)/Delta^(m): an m-fold zero of Delta is a
-    simple zero of Delta^(m-1), which does not cancel near it.  Each step
-    evaluates the tables of Delta, Delta', ... in one call.  A point
-    stops once its step is below 1e-13 (relative); when ``polish``, it
-    goes on while each step is at most half the one before, since the
-    polished roots are the ones printed.  A point flagged in ``follows``
+    A point of multiplicity m steps by -m Delta / (Delta' - k Delta / rho),
+    Newton's step on Delta / rho^k with k the order of the zero of Delta
+    at 0, which would otherwise draw in the starts near it; its fixed
+    points are the zeros of Delta off the origin, whatever k.  When
+    ``polish``, the step is -Delta^(m-1)/Delta^(m): an m-fold zero of
+    Delta is a simple zero of Delta^(m-1), which does not cancel near it.
+    Each step evaluates the tables of Delta, Delta', ... in one call.  A
+    zero denominator, or rho = 0 under deflation, stops the point.  A
+    point stops once its step is below 1e-13 (relative); when ``polish``,
+    it goes on while each step is nonzero and at most half the one
+    before, since the polished roots are the ones printed.  A point
+    flagged in ``follows``
     also stops, converged or not, on the step the last unflagged point
     stops; when every point is flagged, none follows.
 
@@ -436,6 +448,7 @@ def _newton(delta, starts, multiplicities, polish=False, follows=None):
     for _ in range(max(orders, default=0) + 1):
         tables.append(_derivative(delta.freqs, tables[-1]))
     tables = np.array(tables)
+    deflate = 0 if polish else delta.origin_order
     rhos = list(starts)
     if follows is None or all(follows):
         follows = [False] * len(rhos)
@@ -450,6 +463,8 @@ def _newton(delta, starts, multiplicities, polish=False, follows=None):
         going = []
         for col, i in enumerate(active):
             value, slope = complex(values[orders[i], col]), complex(values[orders[i] + 1, col])
+            if deflate:     # (Delta / rho^k)' over rho^-k: Delta' - k Delta / rho
+                slope = slope - deflate * value / rhos[i] if rhos[i] else 0j
             if slope == 0:
                 continue
             step = -(1 if polish else multiplicities[i]) * value / slope
@@ -459,7 +474,7 @@ def _newton(delta, starts, multiplicities, polish=False, follows=None):
             res = abs(step) / (1.0 + abs(rhos[i]))
             if res < best_res[i]:
                 best[i], best_res[i] = rhos[i], res
-            if res >= 1e-13 or (polish and res <= 0.5 * last_res[i]):
+            if res >= 1e-13 or (polish and 0 < res <= 0.5 * last_res[i]):
                 going.append(i)
             last_res[i] = res
         active = going

@@ -301,6 +301,25 @@ def test_batched_newton_independent_of_batch(monkeypatch):
         sizes.clear()
         assert repr(spectral._newton(delta, starts, mults, follows=follows)) == repr(together)
         assert sizes == [2] + [1] * (spectral.NEWTON_MAX_ITER - 1)
+    # neumann4's Delta has a 14-fold zero at 0: the plain step from 3.5
+    # creeps towards it for all NEWTON_MAX_ITER steps, and the step on
+    # Delta / rho^14 reaches the root near 4.73 in a few.  Deflated
+    # points take the steps they take alone too
+    four = birkhoff._delta(_nbc("neumann4").rows)
+    four_starts = [3.5 + 0j, 7 + 1j]
+    sizes.clear()
+    (plain, _), = spectral._newton(four._replace(origin_order=0), four_starts[:1], [1])
+    assert len(sizes) == spectral.NEWTON_MAX_ITER and abs(plain) < 0.5
+    four_alone, four_steps = [], []
+    for start in four_starts:
+        sizes.clear()
+        four_alone += spectral._newton(four, [start], [1])
+        four_steps.append(len(sizes))
+    assert abs(four_alone[0][0] - 4.730040744862704) < 1e-12
+    assert four_steps[0] < 10 < four_steps[1] < spectral.NEWTON_MAX_ITER
+    sizes.clear()
+    assert repr(spectral._newton(four, four_starts, [1, 1])) == repr(four_alone)
+    assert sizes == [2] * four_steps[0] + [1] * (four_steps[1] - four_steps[0])
     # a follower stops on the step its last leader stops, here the leader
     # from pi + 0.3 after a few steps, with the result it has alone after
     # that many steps; the leaders' results are their own
@@ -347,7 +366,8 @@ def test_find_roots_work_count(monkeypatch):
     # Newton point at a time, and 134 batched when every box of a level
     # stepped until the slowest stopped; with the multi-zero boxes of the
     # initial partition split at once and the boxes whose split separated
-    # their zeros following the others, it takes 40
+    # their zeros following the others, it takes 40, and 41 with the steps
+    # on Delta / rho, which divide out Delta's simple zero at 0
     sizes = _count_evaluations(monkeypatch)
     find_roots(_nbc("dirichlet2"), (0.5, 66.5))
     assert len(sizes) <= 60
@@ -359,13 +379,65 @@ def test_gallery_search_point_count(monkeypatch):
     # zeros of most gallery examples made a first attempt fail and start
     # over: the 8 gallery searches to the report radius evaluate at most
     # 150,000 determinant points (200,944 with that attempt).  They take
-    # 749 evaluations, 1,269 when boxes that hold separate zeros kept
-    # their level's Newton batch running to NEWTON_MAX_ITER
+    # 442 evaluations: 1,269 when boxes that hold separate zeros kept
+    # their level's Newton batch running to NEWTON_MAX_ITER, and 749 when
+    # the high-order zero of Delta at 0 drew the Newton steps of boxes
+    # near it (before they stepped on Delta / rho^k)
     sizes = _count_evaluations(monkeypatch)
     for name in sorted(gallery.EXAMPLES):
         find_roots(_nbc(name), (0.5, 66.5))
     assert sum(sizes) <= 150000
-    assert len(sizes) <= 900
+    assert len(sizes) <= 500
+
+
+def test_random_search_work_count(monkeypatch):
+    # 30 seeded random operators each of orders 2 and 4 on (0.5, 20) take
+    # 4,086 evaluations; 6,330 when Newton stepped on Delta itself, whose
+    # zero at 0 (of order at least n (n - 1) / 2) drew in the starts of
+    # boxes near the inner circle
+    rng = np.random.default_rng(20261019)
+    sizes = _count_evaluations(monkeypatch)
+    for n in (2, 4) * 30:
+        find_roots(reduce_total_order(oracles.random_rows(rng, n)), (0.5, 20.0))
+    assert len(sizes) <= 4500
+
+
+def test_polish_stops_on_an_exact_zero_step(monkeypatch):
+    # two roots of this seeded operator are exact zeros of the computed
+    # Delta, so a polish from one steps by exactly 0; it used to go on
+    # stepping, by 0, until NEWTON_MAX_ITER
+    nbc = reduce_total_order(oracles.random_rows(np.random.default_rng(11), 2))
+    delta = birkhoff._delta(nbc.rows)
+    exact = [root for root in find_roots(nbc, (0.5, 20.0)) if root.residual == 0]
+    assert len(exact) == 2
+    sizes = _count_evaluations(monkeypatch)
+    for root in exact:
+        sizes.clear()
+        polished = spectral._newton(delta, [root.rho], [root.multiplicity], polish=True)
+        assert polished == [(root.rho, 0.0)]
+        assert len(sizes) == 1
+
+
+@pytest.mark.parametrize("source", ["dirichlet4", "neumann4", 1, 2, 3, 4])
+def test_origin_order_only_steers(source, monkeypatch):
+    # the deflated step's fixed points are the zeros of Delta off the
+    # origin whatever k it divides out, and the polish does not deflate,
+    # so a wrong k costs steps but finds the same roots
+    if isinstance(source, str):
+        nbc = _nbc(source)
+    else:
+        nbc = reduce_total_order(oracles.random_rows(np.random.default_rng(source),
+                                                     2 + 2 * (source % 2)))
+    want = find_roots(nbc, (0.5, 20.0))
+    k = birkhoff._delta(nbc.rows).origin_order
+    for wrong in (0, k + 3):
+        monkeypatch.setattr(spectral, "_delta",
+                            lambda rows, wrong=wrong: birkhoff._delta(rows)._replace(
+                                origin_order=wrong))
+        got = find_roots(nbc, (0.5, 20.0))
+        assert [root.multiplicity for root in got] == [root.multiplicity for root in want]
+        for root in got:
+            assert min(abs(root.rho - other.rho) for other in want) <= 1e-12 * (1 + abs(root.rho))
 
 
 def test_failing_verification_circle_is_loud(monkeypatch):
