@@ -221,7 +221,7 @@ def classification_document(spec, nbc, report, tol=None):
         fragment["boundary_form"] = [list(row) for row in report.A]
         # the (N + n) eps rounding model of numrange, N the trial dimension
         floor = (quasiform.FORM_IDENTITY_DIMENSION + spec.order) * sys.float_info.epsilon
-        residual = quasiform.verify_form_identity(report)
+        residual = quasiform.verify_form_identity(report.spec)
         fragment["form_identity_residual"] = _decade_above(max(residual, floor))
         fragment["form_identity_dimension"] = quasiform.FORM_IDENTITY_DIMENSION
     else:
@@ -399,12 +399,12 @@ def numrange_document(report, max_dim=numrange.DEFAULT_DIMENSIONS[-1],
     dims.append(max_dim)
     if csv_path:
         # the CSV needs every angle, so the verdict reads the full profiles
-        profiles = numrange.support_profiles(report, dims, angles)
+        profiles = numrange.support_profiles(report.spec, dims, angles)
         profiles_to_csv(profiles, csv_path)
         verdict = numrange.HalfPlaneReport.from_minima(
             dims, [p.minimum for p in profiles], [p.bound for p in profiles])
     else:
-        verdict = numrange.half_plane_verdict(report, dimensions=dims, num_angles=angles)
+        verdict = numrange.half_plane_verdict(report.spec, dimensions=dims, num_angles=angles)
     return {
         "applicable": True,
         "verdict": verdict.verdict,

@@ -17,6 +17,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -193,12 +194,12 @@ class ModelForm:
 
 @dataclass(frozen=True)
 class ClassicalForm:
-    """(-i)^n y^(n) + p_2 y^(n-2) + ... + p_n y; ``p`` keyed by the index j."""
+    """(-i)^n y^(n) + p_2 y^(n-2) + ... + p_n y; ``p`` keyed by j, read-only."""
 
-    p: dict = field(default_factory=dict)
+    p: MappingProxyType = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "p", dict(self.p))
+        object.__setattr__(self, "p", MappingProxyType(dict(self.p)))
 
 
 @dataclass(frozen=True)

@@ -13,16 +13,15 @@ plane.
 
 Assembly.  F_N is :func:`regbvp.quasiform.split_form` (a spec with no
 even-order divergence or model form raises SpecError), which this module
-re-exports with :func:`constrained_basis` and :func:`galerkin_form`;
-:func:`support_profiles` and :func:`half_plane_verdict` take the report
-of :func:`regbvp.quasiform.check_completely_regular` in place of a spec.
-A ladder of dimensions is assembled once, at its largest dimension: the
-first N columns of :func:`constrained_basis` span V_N for every N from
-the order n on, and are exactly zero from row N + n on, so F_N is the
-leading N x N block of the largest matrix, and on the factored path G's
-jets for V_N are their leading N columns.  A dimension below n is
-assembled on its own.  The verdict and the profiles of one ladder
-therefore read the same matrices.
+re-exports with :func:`constrained_basis` and :func:`galerkin_form`.  It
+and the functions here read the one splitting that quasiform caches per
+operator.  A ladder of dimensions is assembled once, at its largest
+dimension: the first N columns of :func:`constrained_basis` span V_N for
+every N from the order n on, and are exactly zero from row N + n on, so
+F_N is the leading N x N block of the largest matrix, and on the
+factored path G's jets for V_N are their leading N columns.  A dimension
+below n is assembled on its own.  The verdict and the profiles of one
+ladder therefore read the same matrices.
 
 Support functions.  A sum of squares (q = r = 0, every p_k a nonnegative
 constant) with a completely regular splitting and a positive
@@ -97,7 +96,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .legendre import constrained_basis, galerkin_form, rounding_cutoff
-from .quasiform import as_report, split_form, split_jets
+from .model import as_divergence
+from .quasiform import _splitting, split_form, split_jets
 
 __all__ = [
     "SupportProfile",
@@ -241,9 +241,9 @@ def _forms(report, dimensions):
     assembly at the largest, which are F_N for every N >= n (module
     docstring); a smaller N is assembled on its own."""
     largest = max(dimensions)
-    top = split_form(report, largest)
+    top = split_form(report.spec, largest)
     return [top[:dim, :dim] if dim >= report.spec.order or dim == largest
-            else split_form(report, dim) for dim in dimensions]
+            else split_form(report.spec, dim) for dim in dimensions]
 
 
 def _factored_supports(report, factor, dimensions, angles):
@@ -326,16 +326,16 @@ def _angle_grid(num_angles):
     return tuple(2.0 * math.pi * k / num_angles for k in range(num_angles))
 
 
-def support_profiles(spec_or_report, dimensions, num_angles=DEFAULT_ANGLES):
+def support_profiles(spec, dimensions, num_angles=DEFAULT_ANGLES):
     """sigma_N(theta) over an even angle grid on [0, 2 pi) for each N of
     ``dimensions``, in their order, all read off one assembly at the
-    largest.  Takes a spec or a report; raises SpecError when a spec has
-    no even-order divergence or model form, and ValueError for an empty
-    ladder, a dimension below 1 or fewer than one angle."""
+    largest.  Raises SpecError when the spec has no even-order divergence
+    or model form, and ValueError for an empty ladder, a dimension below
+    1 or fewer than one angle."""
     dimensions = tuple(int(d) for d in dimensions)
     if not dimensions or min(dimensions) < 1:
         raise ValueError("dimensions must be positive")
-    report = as_report(spec_or_report)
+    report = _splitting(as_divergence(spec))
     angles = _angle_grid(num_angles)
     factor = _factor(report)
     if factor is None:
@@ -351,8 +351,7 @@ def support_profiles(spec_or_report, dimensions, num_angles=DEFAULT_ANGLES):
                  for dim, (values, bound) in zip(dimensions, supports))
 
 
-def half_plane_verdict(spec_or_report, dimensions=DEFAULT_DIMENSIONS,
-                       num_angles=DEFAULT_ANGLES):
+def half_plane_verdict(spec, dimensions=DEFAULT_DIMENSIONS, num_angles=DEFAULT_ANGLES):
     """Decide whether the form values stay inside some half-plane.
 
     The minima m_N = min_theta sigma_N(theta) over the angle grid of
@@ -361,14 +360,14 @@ def half_plane_verdict(spec_or_report, dimensions=DEFAULT_DIMENSIONS,
     the module docstring, which solves only the angles whose floors, from
     smaller dimensions or from Ritz values on two eigenvectors, leave
     them able to hold the minimum.  :meth:`HalfPlaneReport.from_minima`
-    gives the verdict.  Takes a spec or a report; raises SpecError when a spec has
-    no even-order divergence or model form, and ValueError for fewer
-    than two distinct dimensions or fewer than one angle.
+    gives the verdict.  Raises SpecError when the spec has no even-order
+    divergence or model form, and ValueError for fewer than two distinct
+    dimensions or fewer than one angle.
     """
     dimensions = tuple(sorted(int(d) for d in dimensions))
     if len(set(dimensions)) != len(dimensions) or len(dimensions) < 2:
         raise ValueError("need at least two distinct dimensions to compare")
-    report = as_report(spec_or_report)
+    report = _splitting(as_divergence(spec))
     angles = _angle_grid(num_angles)
     factor = _factor(report)
     if factor is None:

@@ -23,13 +23,13 @@ the quadratic form into (A y_wedge, y_wedge).
 The two subspaces coincide when their largest principal angle is at most
 the module constant ``ANGLE_TOL``.  Specs come in an even-order
 divergence or model form (any other raises SpecError); the report of
-:func:`check_completely_regular` is the one splitting that
-:mod:`regbvp.numrange` and :func:`verify_form_identity` read.
+:func:`check_completely_regular`, cached once per operator, is the one
+splitting that :mod:`regbvp.numrange` and :func:`verify_form_identity` read.
 
 Split assembly.  :func:`split_form` is the one assembly path of the
 Galerkin matrix F_N of (l phi_k, phi_i) on the constrained trial space of
 :mod:`regbvp.legendre`.  It needs no derivative above order m = n/2 and
-reads the transition and A of a report.  The boundary term is
+reads the transition and A of the splitting.  The boundary term is
 (A y_wedge, y_wedge) when the splitting is completely regular and
 (y_vee, y_wedge) otherwise: on a completely regular trial space y_vee is
 A y_wedge, but computed from the basis it carries rounding noise that can
@@ -37,6 +37,7 @@ exceed eps ||F_N|| (55 times over for the free beam at N = 64, where
 y_vee = 0 and y_wedge is large).
 """
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -234,8 +235,14 @@ def check_completely_regular(spec) -> CompleteRegularityReport:
     coincides with the orthogonal complement of ker C, using
     rank-revealing SVDs and principal angles (largest at most ANGLE_TOL).
 
+    Equal operators share one cached report, whose arrays are read-only.
     Raises :class:`SpecError` when [B | C] is rank deficient."""
-    spec = as_divergence(spec)
+    return _splitting(as_divergence(spec))
+
+
+@functools.lru_cache(maxsize=16)
+def _splitting(spec):
+    """:func:`check_completely_regular` of a divergence-form spec."""
     n = spec.order
     # row j has coefficients alpha_j = a_j T_0^{-1} and beta_j = b_j T_1^{-1}
     # on the quasi-jets at 0 and 1, so the layout of wedge_vee applied to
@@ -266,15 +273,11 @@ def check_completely_regular(spec) -> CompleteRegularityReport:
         pairs = null_space(stacked, rounding_cutoff(stacked))
         proj = preimage @ preimage.conj().T
         A = proj @ pairs[n:] @ np.linalg.pinv(pairs[:n]) @ proj
+    for array in (at_zero, at_one, B, C, preimage, complement, A):
+        if array is not None:
+            array.flags.writeable = False
     return CompleteRegularityReport(spec, at_zero, at_one, B, C, verdict,
                                     preimage, complement, max_angle, A)
-
-
-def as_report(spec_or_report) -> CompleteRegularityReport:
-    """The splitting of a spec, decided here, or a report as it stands."""
-    if not isinstance(spec_or_report, CompleteRegularityReport):
-        return check_completely_regular(spec_or_report)
-    return spec_or_report
 
 
 # ---------------------------------------------------------------------------
@@ -317,15 +320,14 @@ def _split_matrix(report, jets, wedge, vee):
     return out
 
 
-def split_form(spec_or_report, dim):
-    """The dim x dim matrix of (l phi_k, phi_i), assembled from the split
-    quadratic form of a spec or a report; equals
-    :func:`regbvp.legendre.galerkin_form` up to rounding."""
-    report = as_report(spec_or_report)
+def split_form(spec, dim):
+    """The dim x dim matrix of (l phi_k, phi_i) from the split quadratic
+    form; equals :func:`regbvp.legendre.galerkin_form` up to rounding."""
+    report = _splitting(as_divergence(spec))
     return _split_matrix(report, *split_jets(report, dim))
 
 
-def verify_form_identity(spec_or_report, A=None):
+def verify_form_identity(spec, A=None):
     """Relative residual ||F_strong - F_split||_2 / ||F_strong||_2 of the
     quadratic-form identity, over every admissible y at once.
 
@@ -334,16 +336,14 @@ def verify_form_identity(spec_or_report, A=None):
     FORM_IDENTITY_DIMENSION + n that satisfy the boundary rows):
     F_strong is :func:`regbvp.legendre.galerkin_form`, kept as this
     reference, and F_split is :func:`split_form`, with boundary term
-    (A y_wedge, y_wedge).  Takes a spec or its report
-    (:func:`as_report`); a given ``A`` replaces the report's, and
-    :class:`SpecError` is raised when there is none (the splitting is
-    not completely regular).
-    """
-    report = as_report(spec_or_report)
+    (A y_wedge, y_wedge).  A given ``A`` replaces the splitting's in a
+    copy of its report; with neither, the splitting is not completely
+    regular and :class:`SpecError` is raised."""
+    report = _splitting(as_divergence(spec))
     if A is not None:
         report = replace(report, A=np.asarray(A, dtype=complex))
     if report.A is None:
         raise SpecError("the form identity requires a completely regular splitting")
-    weak = split_form(report, FORM_IDENTITY_DIMENSION)
+    weak = _split_matrix(report, *split_jets(report, FORM_IDENTITY_DIMENSION))
     strong = galerkin_form(report.spec, FORM_IDENTITY_DIMENSION)
     return float(np.linalg.norm(strong - weak, 2) / np.linalg.norm(strong, 2))

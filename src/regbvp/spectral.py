@@ -553,8 +553,8 @@ def find_roots(nbc: NormalizedBC, annulus):
     alone.
     """
     r_min, r_max = annulus
-    if not 0 < r_min < r_max:
-        raise ValueError("annulus radii must satisfy 0 < r_min < r_max")
+    if not 0 < r_min < r_max < math.inf:
+        raise ValueError("annulus radii must satisfy 0 < r_min < r_max < inf")
     n = nbc.n
     delta = _delta(nbc.rows)
     if not delta.freqs.size:

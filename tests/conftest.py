@@ -1,5 +1,7 @@
-"""Shared fixtures: gallery access, a boundary-row builder, and the roots
-a ray scan reads."""
+"""Shared fixtures: gallery access, a boundary-row builder, the roots a
+ray scan reads, and a call counter."""
+
+import sys
 
 import numpy as np
 import pytest
@@ -27,6 +29,23 @@ def clearance_roots(nbc, ray, r_min, r_max):
     """The zeros a scan along ``ray`` checks its clearance against: those
     of the clearance annulus, the same for every ray."""
     return find_roots(nbc, clearance_annulus(r_min, r_max))
+
+
+def count_calls(monkeypatch, module, name):
+    """Record every call of ``module.name``, under each regbvp module's
+    binding of it."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for loaded in list(sys.modules.values()):
+        if (getattr(loaded, "__name__", "").startswith("regbvp")
+                and getattr(loaded, name, None) is original):
+            monkeypatch.setattr(loaded, name, counted)
+    return calls
 
 
 @pytest.fixture

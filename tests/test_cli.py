@@ -15,7 +15,7 @@ from decimal import Decimal
 
 import pytest
 
-from conftest import clearance_roots
+from conftest import clearance_roots, count_calls
 from regbvp import birkhoff, cli, gallery, geometry, quasiform, spectral
 from regbvp.model import ClassicalForm, OperatorSpec, Poly, spec_to_document
 from regbvp.normalize import reduce_total_order
@@ -70,7 +70,7 @@ def test_form_identity_residual_prints_its_rounding_decade(monkeypatch, capsys, 
     residuals 9.46e-16 and 1.066e-15.  The printed decade rests on the
     (N + n) eps rounding model, so both print 1e-14 instead of falling on
     either side of 1e-15."""
-    monkeypatch.setattr(quasiform, "verify_form_identity", lambda report: residual)
+    monkeypatch.setattr(quasiform, "verify_form_identity", lambda spec: residual)
     code, doc, _ = run_json(capsys, "classify", "dirichlet2")
     assert code == 0
     assert doc["complete_regularity"]["form_identity_residual"] == 1e-14
@@ -266,28 +266,12 @@ def test_command_searches_roots_once(argv, annulus, monkeypatch, capsys):
     assert annuli == [annulus]
 
 
-def _count_calls(monkeypatch, module, name):
-    """Record every call of ``module.name``, under each regbvp module's
-    binding of it."""
-    calls = []
-    original = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(name)
-        return original(*args, **kwargs)
-
-    for loaded in list(sys.modules.values()):
-        if (getattr(loaded, "__name__", "").startswith("regbvp")
-                and getattr(loaded, name, None) is original):
-            monkeypatch.setattr(loaded, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize("command", ["classify", "numrange", "report"])
 @pytest.mark.parametrize("name", ["robin2", "mixed4"])
 def test_command_decides_splitting_once(command, name, monkeypatch, capsys):
-    checks = _count_calls(monkeypatch, quasiform, "check_completely_regular")
-    transitions = _count_calls(monkeypatch, quasiform, "quasi_transition")
+    checks = count_calls(monkeypatch, quasiform, "check_completely_regular")
+    transitions = count_calls(monkeypatch, quasiform, "quasi_transition")
+    quasiform._splitting.cache_clear()
     code, _doc, _ = run_json(capsys, command, name)
     assert code == 0
     assert len(checks) == 1

@@ -154,6 +154,18 @@ def test_spec_rejects_classical_index_out_of_range():
         OperatorSpec(2, ClassicalForm({3: ONE}), rows)
 
 
+def test_classical_coefficients_are_read_only():
+    # a write would go around the index check of OperatorSpec
+    rows = (make_row(2, a=((0, 1),)), make_row(2, b=((0, 1),)))
+    given = {2: ONE}
+    spec = OperatorSpec(2, ClassicalForm(given), rows)
+    with pytest.raises(TypeError):
+        spec.form.p[9] = Poly((1,))
+    given[9] = ONE                  # the form holds a copy
+    assert dict(spec.form.p) == {2: ONE}
+    assert spec.form == ClassicalForm({2: ONE})
+
+
 def test_divergence_order_mismatch():
     rows = (make_row(2, a=((0, 1),)), make_row(2, b=((0, 1),)))
     with pytest.raises(SpecError):

@@ -9,6 +9,7 @@ import pytest
 from numpy.polynomial import legendre as L
 from numpy.polynomial.polynomial import Polynomial
 
+from conftest import count_calls
 from oracles import apply_to_jets, inner_01
 from regbvp import gallery, numrange, quasiform
 from regbvp.model import (
@@ -34,7 +35,7 @@ from regbvp.numrange import (
     support_profiles,
 )
 from regbvp.legendre import derivative_matrix, endpoint_jets
-from regbvp.quasiform import check_completely_regular, split_jets
+from regbvp.quasiform import check_completely_regular, split_jets, verify_form_identity
 
 EPS = np.finfo(float).eps
 
@@ -440,23 +441,33 @@ def test_pruned_search_solve_counts(monkeypatch, spec, num_angles, solves, ritz)
 def test_half_plane_verdict_decides_splitting_once(monkeypatch):
     # the splitting is decided once, and the ladder is assembled once, at
     # its largest dimension: every smaller matrix is a leading block
-    dims, decided = [], []
-    assemble, decide = numrange.split_form, quasiform.check_completely_regular
+    dims = []
+    assemble = numrange.split_form
 
-    def counted_assemble(report, dim):
+    def counted_assemble(spec, dim):
         dims.append(dim)
-        return assemble(report, dim)
-
-    def counted_decide(spec):
-        decided.append(spec)
-        return decide(spec)
+        return assemble(spec, dim)
 
     monkeypatch.setattr(numrange, "split_form", counted_assemble)
-    monkeypatch.setattr(quasiform, "check_completely_regular", counted_decide)
+    decided = count_calls(monkeypatch, quasiform, "quasi_transition")
+    quasiform._splitting.cache_clear()
     dimensions = (8, 16, 32)
     report = half_plane_verdict(gallery.build("mixed4"), dimensions=dimensions, num_angles=8)
     assert dims == [max(dimensions)]
     assert report.dimensions == dimensions
+    assert len(decided) == 1
+
+
+def test_numerical_range_and_form_identity_split_once(monkeypatch):
+    # the identity, the verdict and the profiles of one operator read one
+    # cached splitting
+    spec, = _random_forms(31, 1)
+    assert spec.order == 2
+    decided = count_calls(monkeypatch, quasiform, "quasi_transition")
+    quasiform._splitting.cache_clear()
+    verify_form_identity(spec, np.eye(2))
+    half_plane_verdict(spec)
+    support_profiles(spec, (8, 16), num_angles=8)
     assert len(decided) == 1
 
 
@@ -508,18 +519,18 @@ def _whole_plane_candidates(seed, count):
     return specs
 
 
-def _assert_full_grid_minima(report, dimensions, num_angles):
-    verdict = half_plane_verdict(report, dimensions=dimensions, num_angles=num_angles)
-    profiles = support_profiles(report, sorted(dimensions), num_angles)
+def _assert_full_grid_minima(spec, dimensions, num_angles):
+    verdict = half_plane_verdict(spec, dimensions=dimensions, num_angles=num_angles)
+    profiles = support_profiles(spec, sorted(dimensions), num_angles)
     assert verdict.minima == tuple(min(p.values) for p in profiles)
     assert verdict.bounds == tuple(p.bound for p in profiles)
 
 
 @pytest.mark.parametrize("name", sorted(gallery.EXAMPLES))
 def test_verdict_minima_are_full_grid_minima_on_gallery(name):
-    report = check_completely_regular(gallery.build(name))
-    _assert_full_grid_minima(report, numrange.DEFAULT_DIMENSIONS, numrange.DEFAULT_ANGLES)
-    _assert_full_grid_minima(report, (8, 16, 32, 48), 7)
+    spec = gallery.build(name)
+    _assert_full_grid_minima(spec, numrange.DEFAULT_DIMENSIONS, numrange.DEFAULT_ANGLES)
+    _assert_full_grid_minima(spec, (8, 16, 32, 48), 7)
 
 
 def test_verdict_minima_are_full_grid_minima_on_random_forms():
@@ -530,8 +541,8 @@ def test_verdict_minima_are_full_grid_minima_on_random_forms():
     for spec in _random_forms(101, 120):
         report = check_completely_regular(spec)
         eigenvalue_path += numrange._factor(report) is None
-        _assert_full_grid_minima(report, (8, 16, 32), 32)
-        _assert_full_grid_minima(report, (8, 16, 32, 48), 7)
+        _assert_full_grid_minima(spec, (8, 16, 32), 32)
+        _assert_full_grid_minima(spec, (8, 16, 32, 48), 7)
     assert eigenvalue_path >= 100
 
 
@@ -551,11 +562,10 @@ def test_ritz_floors_are_lower_bounds(monkeypatch):
     specs = [gallery.build(name) for name in sorted(gallery.EXAMPLES)] + _random_forms(25, 100)
     checked = set()
     for spec in specs:
-        report = check_completely_regular(spec)
         for num_angles in (32, 7):
             floors.clear()
-            half_plane_verdict(report, dimensions=(8, 16, 32, 64), num_angles=num_angles)
-            profiles = {p.dimension: p for p in support_profiles(report, (8, 16, 32, 64),
+            half_plane_verdict(spec, dimensions=(8, 16, 32, 64), num_angles=num_angles)
+            profiles = {p.dimension: p for p in support_profiles(spec, (8, 16, 32, 64),
                                                                   num_angles)}
             solves, _ = numrange._grid(profiles[8].angles)
             for dim, pending, values in floors:
@@ -578,12 +588,11 @@ def test_verdict_minima_are_full_grid_minima_where_ritz_floors_prune(monkeypatch
     ladder = (8, 16, 32, 64, 128)
     whole_plane = []
     for spec in _whole_plane_candidates(26, 60):
-        report = check_completely_regular(spec)
         eigvalsh.clear()
-        if half_plane_verdict(report, dimensions=ladder).verdict == "whole_plane":
+        if half_plane_verdict(spec, dimensions=ladder).verdict == "whole_plane":
             whole_plane.append(eigvalsh[128])
-        _assert_full_grid_minima(report, ladder, 64)
-        _assert_full_grid_minima(report, ladder, 7)
+        _assert_full_grid_minima(spec, ladder, 64)
+        _assert_full_grid_minima(spec, ladder, 7)
     assert len(whole_plane) >= 15
     assert sum(whole_plane) / len(whole_plane) <= 4
 
@@ -610,7 +619,7 @@ def test_support_values_nested_within_error_bounds():
         report = check_completely_regular(spec)
         if numrange._factor(report) is not None:    # not the eigenvalue path
             continue
-        profiles = support_profiles(report, (8, 16, 32, 64, 128), num_angles=16)
+        profiles = support_profiles(spec, (8, 16, 32, 64, 128), num_angles=16)
         for i, small in enumerate(profiles):
             for large in profiles[i + 1:]:
                 for lo, hi in zip(small.values, large.values):

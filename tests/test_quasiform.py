@@ -21,6 +21,8 @@ from regbvp.model import (
     Poly,
     SpecError,
     operator_coefficients,
+    parse_spec,
+    spec_to_document,
 )
 from regbvp.quasiform import (
     ANGLE_TOL,
@@ -376,12 +378,39 @@ def test_form_identity_with_explicit_matrix():
 
 
 def test_form_identity_reads_a_report():
+    # a given A replaces the cached report's in a copy: the residual is
+    # that of the given matrix, and the cached report keeps its own A
     spec = gallery.build("robin2")
     report = check_completely_regular(spec)
-    assert verify_form_identity(report) == verify_form_identity(spec)
-    # a given A replaces the report's, as it does for a spec
-    wrong = np.zeros((2, 2))
-    assert verify_form_identity(report, A=wrong) == verify_form_identity(spec, A=wrong)
+    own = report.A.copy()
+    residual = verify_form_identity(spec)
+    assert verify_form_identity(spec, A=np.zeros((2, 2))) > 1e-3
+    assert check_completely_regular(spec) is report
+    assert np.array_equal(report.A, own)
+    assert verify_form_identity(spec, A=own) == residual == verify_form_identity(spec)
+
+
+def test_equal_operators_share_one_report():
+    # the cache key is the divergence-form spec: a rebuilt spec, a parsed
+    # copy of it and its model form all read the report of the first
+    first = check_completely_regular(gallery.build("dirichlet2"))
+    rebuilt = gallery.build("dirichlet2")
+    assert rebuilt is not first.spec
+    assert check_completely_regular(rebuilt) is first
+    assert check_completely_regular(parse_spec(spec_to_document(rebuilt))) is first
+    assert check_completely_regular(OperatorSpec(2, ModelForm(), rebuilt.rows)) is first
+
+
+@pytest.mark.parametrize("name", ["robin2", "mixed4"])
+def test_cached_report_arrays_are_read_only(name):
+    report = check_completely_regular(gallery.build(name))
+    arrays = ("at_zero", "at_one", "B", "C", "preimage_basis", "complement_basis", "A")
+    for array in (getattr(report, field) for field in arrays):
+        if array is None:           # mixed4 is not completely regular
+            continue
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 7.0
+    assert (report.A is None) == (name == "mixed4")
 
 
 def test_form_identity_left_side_oracle(rng):

@@ -128,6 +128,16 @@ VANISHING = {
 }
 
 
+@pytest.mark.parametrize("annulus", [(0.5, math.inf), (0.5, math.nan), (0.0, 20.0),
+                                     (20.0, 0.5), (-1.0, 20.0)])
+def test_find_roots_rejects_bad_annulus_radii(annulus):
+    # an infinite outer radius is named here, not left to fail in the
+    # sizing of the initial partition
+    nbc = reduce_total_order(gallery.build("dirichlet2").rows)
+    with pytest.raises(ValueError, match="^annulus radii must satisfy "):
+        find_roots(nbc, annulus)
+
+
 @pytest.mark.parametrize("recombined", [False, True])
 @pytest.mark.parametrize("name", sorted(VANISHING))
 def test_identically_vanishing_determinant_is_named(name, recombined):
