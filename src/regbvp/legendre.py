@@ -6,8 +6,9 @@ boundary rows become linear constraints on the coefficients
 (:func:`constrained_basis`).  Every integral is exact in coefficient
 space: the basis is orthonormal, so (f, g) is the inner product of
 coefficient vectors, a derivative is a triangular matrix
-(:func:`derivative_matrix`) and a polynomial coefficient acts through
-the three-term recurrence of x (:func:`multiplication`).  No quadrature
+(:func:`derivative_matrix`) and a polynomial coefficient acts on a
+coefficient matrix through the three-term recurrence of x, by Horner's
+rule (:func:`multiplication`), without a matrix of its own.  No quadrature
 is involved (numpy's Gauss-Legendre weights carry relative errors up to
 about 1e-11 at these sizes).  This is the Legendre-Galerkin setting of
 Shen (SIAM J. Sci. Comput. 15, 1994) and of the coefficient-space
@@ -27,11 +28,12 @@ once (:mod:`regbvp.numrange`, the resolvent operators of
 :mod:`regbvp.spectral`).
 
 :func:`strong_operator` is the map y -> l y = sum_j c_j y^(j) on these
-coefficients, and it has two callers.  :func:`galerkin_form` projects it
-onto the constrained basis, (l phi_k, phi_i), as the reference side of
-the form identity check (:func:`regbvp.quasiform.verify_form_identity`):
-it takes n derivatives of the basis and has no boundary term.
-``tests/oracles.py`` integrates it symbolically.  The resolvent norms of
+coefficients.  :func:`galerkin_form` projects it onto the constrained
+basis, (l phi_k, phi_i); so does the form identity check
+(:func:`regbvp.quasiform.verify_form_identity`), as its reference side,
+on the basis of the split assembly it checks: it takes n derivatives of
+the basis and has no boundary term.  ``tests/oracles.py`` integrates
+:func:`galerkin_form` symbolically.  The resolvent norms of
 :mod:`regbvp.spectral` apply it to the constrained basis without
 projecting: for the model expression, whose coefficient is constant,
 u -> (l - lambda) u is then an exact rectangular matrix.  The split
@@ -120,21 +122,25 @@ def derivative_matrix(count, order):
     return np.linalg.matrix_power(step, order)
 
 
-def multiplication(poly, count):
-    """Rows and columns < count of the map y -> poly * y on orthonormal
-    coefficients, exactly: x phi_k = b_{k+1} phi_{k+1} + phi_k / 2
-    + b_k phi_{k-1} with b_k = k / (2 sqrt(4 k^2 - 1)), by Horner's rule."""
-    coeffs = poly.coeffs
+def multiplication(poly, coeffs):
+    """poly * y for each column y of ``coeffs``, orthonormal coefficients
+    of polynomials of degree < len(coeffs), in rows < len(coeffs),
+    exactly: x phi_k = b_{k+1} phi_{k+1} + phi_k / 2 + b_k phi_{k-1} with
+    b_k = k / (2 sqrt(4 k^2 - 1)), applied to the rows by Horner's rule,
+    so the banded map costs O(deg) passes over ``coeffs``."""
+    count = coeffs.shape[0]
     size = count + poly.degree
     k = np.arange(1.0, size)
     off = (k / (2.0 * np.sqrt(4.0 * k * k - 1.0)))[:, None]
-    eye = np.eye(size, count)
-    out = coeffs[-1] * eye
-    for c in coeffs[-2::-1]:
+    padded = np.zeros((size,) + coeffs.shape[1:], dtype=complex)
+    padded[:count] = coeffs
+    out = poly.coeffs[-1] * padded
+    for c in poly.coeffs[-2::-1]:
         prod = 0.5 * out
         prod[:-1] += off * out[1:]
         prod[1:] += off * out[:-1]
-        out = prod + c * eye
+        prod += c * padded
+        out = prod
     return out[:count]
 
 
@@ -221,7 +227,7 @@ def strong_operator(spec: OperatorSpec, count):
     form = np.zeros((count, count), dtype=complex)
     for j, c in enumerate(operator_coefficients(spec)):
         if c:
-            form += multiplication(c, count) @ derivative_matrix(count, j)
+            form += multiplication(c, derivative_matrix(count, j))
     return form
 
 

@@ -75,18 +75,27 @@ the solves in ascending order of their floors and stops at the first
 solve whose floor, less both bounds, exceeds the best value found at
 this dimension: no later solve can go below it.  When the solve after
 the first one at a dimension is not already ruled out (always so at the
-smallest dimension, which has no floors yet), one eigh of H_N at the
-angle just solved gives V, its two extreme eigenvectors; one stacked
-eigenvalue solve of the 2 x 2 compressions at every pending angle then
-gives their Ritz floors, each kept where it is a better bound, and the
-visit goes on in the new order.  The angle of the minimum is always
-solved by eigvalsh on the same leading block, so each minimum is the
-float that the full grid of :func:`support_profiles` gives on the same
-ladder.  A half-plane form takes one or two solves per larger dimension,
-and an eigh there only on some forms; a whole-plane form takes one eigh
-and a few solves per dimension where it took nearly the full grid
-without the Ritz floors.  The factored path is cheap for every angle and
-is not pruned.
+smallest dimension, which has no floors yet), a Ritz step builds V from
+the H_N and the extreme eigenvalues lambda_min and lambda_max of the
+angle just solved: one inverse-iteration solve from the all-ones vector
+at each of lambda_min - b_N and lambda_max + b_N (Parlett, ch. 4),
+orthonormalized by QR (one column when N = 1).  Interlacing holds for
+any orthonormal V, so the solves need not converge; they only turn V
+towards the extreme eigenvectors, where its floors prune hardest.  The
+shift by b_N keeps both systems definite: b_N covers the error of the
+computed eigenvalues and exceeds half their ulp, while at a computed
+eigenvalue itself LU can meet an exactly singular matrix.  (F_N = 0 has
+b_N = 0 and every value 0, nothing to prune, and takes no Ritz step.)
+One stacked eigenvalue solve of the 2 x 2 compressions at every pending
+angle then gives their Ritz floors, each kept where it is a better
+bound, and the visit goes on in the new order.  The angle of the minimum
+is always solved by eigvalsh on the same leading block, so each minimum
+is the float that the full grid of :func:`support_profiles` gives on the
+same ladder, whatever V is.  A half-plane form takes one or two solves
+per larger dimension, and a Ritz step there only on some forms; a
+whole-plane form takes one Ritz step and a few solves per dimension
+where it took nearly the full grid without the Ritz floors.  The
+factored path is cheap for every angle and is not pruned.
 """
 
 import cmath
@@ -205,15 +214,16 @@ def _hermitian_part(form, theta):
 
 
 def _extremes(form, theta):
-    """(lambda_min, lambda_max) of H(theta): sigma(theta) and
-    -sigma(theta + pi) from one eigenvalue solve."""
-    lam = np.linalg.eigvalsh(_hermitian_part(form, theta))
-    return float(lam[0]), float(lam[-1])
+    """(H(theta), lambda_min, lambda_max): sigma(theta) and
+    -sigma(theta + pi) from one eigenvalue solve, with the matrix solved."""
+    herm = _hermitian_part(form, theta)
+    lam = np.linalg.eigvalsh(herm)
+    return herm, float(lam[0]), float(lam[-1])
 
 
 def support_function(form, theta):
     """max of Re(e^{i theta} (F v, v)) over unit vectors v."""
-    return _extremes(np.asarray(form, dtype=complex), theta)[1]
+    return _extremes(np.asarray(form, dtype=complex), theta)[2]
 
 
 def _grid(angles):
@@ -227,7 +237,7 @@ def _grid(angles):
 def _solve(form, angles, k, pairs):
     """sigma at the angles of solve ``k``: angle k, and angle k + pairs
     on an even grid."""
-    lo, hi = _extremes(form, angles[k])
+    _, lo, hi = _extremes(form, angles[k])
     return (hi, -lo) if pairs else (hi,)
 
 
@@ -273,12 +283,15 @@ def _factored_supports(report, factor, dimensions, angles):
     return supports
 
 
-def _ritz_floors(form, angles, pairs, k, pending):
+def _ritz_floors(form, herm, lo, hi, shift, angles, pairs, pending):
     """Lower bounds on the least sigma of each of the ``pending`` solves:
-    Rayleigh-Ritz values on the span of the extreme eigenvectors of
-    H(angle k) (module docstring), from one stacked 2 x 2 solve."""
-    _, vec = np.linalg.eigh(_hermitian_part(form, angles[k]))
-    basis = vec[:, [0, -1]]
+    Rayleigh-Ritz values on an orthonormal pair near the extreme
+    eigenvectors of ``herm``, whose eigenvalues ``lo`` and ``hi`` are
+    known, from one inverse-iteration step at lo - shift and hi + shift
+    (module docstring) and one stacked 2 x 2 eigenvalue solve."""
+    shifted = herm - np.array([lo - shift, hi + shift])[:, None, None] * np.eye(len(herm))
+    steps = np.linalg.solve(shifted, np.ones((2, len(herm), 1)))[:, :, 0]
+    basis = np.linalg.qr(steps.T)[0]
     compressed = basis.conj().T @ form @ basis
     phases = np.exp(1j * np.array([angles[j] for j in pending]))
     rotated = phases[:, None, None] * compressed
@@ -305,12 +318,15 @@ def _pruned_minima(report, dimensions, angles):
         pending = sorted(range(solves), key=floor.__getitem__)
         while pending and not pruned(pending[0]):
             k = pending.pop(0)
-            floor[k], floor_bound[k] = min(_solve(form, angles, k, pairs)), bound
+            herm, lo, hi = _extremes(form, angles[k])
+            floor[k], floor_bound[k] = (min(hi, -lo) if pairs else hi), bound
             best = min(best, floor[k])
             # after the first solve, unless the next one is ruled out
-            # already: Ritz floors from the angle just solved
-            if len(pending) == solves - 1 and pending and not pruned(pending[0]):
-                ritz = _ritz_floors(form, angles, pairs, k, pending)
+            # already: Ritz floors from the angle just solved.  F_N = 0
+            # (bound 0) has every value 0, so nothing to prune, and no
+            # shift that makes the solves definite
+            if bound and len(pending) == solves - 1 and pending and not pruned(pending[0]):
+                ritz = _ritz_floors(form, herm, lo, hi, bound, angles, pairs, pending)
                 for j, value in zip(pending, ritz.tolist()):
                     if value - bound > floor[j] - floor_bound[j]:
                         floor[j], floor_bound[j] = value, bound
@@ -358,11 +374,12 @@ def half_plane_verdict(spec, dimensions=DEFAULT_DIMENSIONS, num_angles=DEFAULT_A
     :func:`support_profiles` are the same floats its profiles of the same
     ladder give; the eigenvalue path finds them by the pruned search of
     the module docstring, which solves only the angles whose floors, from
-    smaller dimensions or from Ritz values on two eigenvectors, leave
-    them able to hold the minimum.  :meth:`HalfPlaneReport.from_minima`
-    gives the verdict.  Raises SpecError when the spec has no even-order
-    divergence or model form, and ValueError for fewer than two distinct
-    dimensions or fewer than one angle.
+    smaller dimensions or from Ritz values on two inverse-iteration
+    vectors, leave them able to hold the minimum.
+    :meth:`HalfPlaneReport.from_minima` gives the verdict.  Raises
+    SpecError when the spec has no even-order divergence or model form,
+    and ValueError for fewer than two distinct dimensions or fewer than
+    one angle.
     """
     dimensions = tuple(sorted(int(d) for d in dimensions))
     if len(set(dimensions)) != len(dimensions) or len(dimensions) < 2:

@@ -47,10 +47,10 @@ from .legendre import (
     constrained_basis,
     derivative_matrix,
     endpoint_jets,
-    galerkin_form,
     multiplication,
     null_space,
     rounding_cutoff,
+    strong_operator,
 )
 from .model import (
     ZERO,
@@ -302,12 +302,11 @@ def split_jets(report, dim):
 
 def _split_matrix(report, jets, wedge, vee):
     form = report.spec.form
-    count = jets[0].shape[0]
 
     def term(poly, left, right):
         if poly.degree == 0:
             return poly.coeffs[0] * (left.conj().T @ right)
-        return left.conj().T @ (multiplication(poly, count) @ right)
+        return left.conj().T @ multiplication(poly, right)
 
     out = wedge.conj().T @ (vee if report.A is None else report.A @ wedge)
     for k in range(form.m + 1):
@@ -334,9 +333,12 @@ def verify_form_identity(spec, A=None):
     Both matrices act on the constrained trial space of dimension
     ``FORM_IDENTITY_DIMENSION`` (polynomials of degree below
     FORM_IDENTITY_DIMENSION + n that satisfy the boundary rows):
-    F_strong is :func:`regbvp.legendre.galerkin_form`, kept as this
-    reference, and F_split is :func:`split_form`, with boundary term
-    (A y_wedge, y_wedge).  A given ``A`` replaces the splitting's in a
+    F_strong = B^H L B projects the strong operator L
+    (:func:`regbvp.legendre.strong_operator`) onto the constrained basis
+    B, as :func:`regbvp.legendre.galerkin_form` does, and is kept as this
+    reference; F_split is :func:`split_form`, with boundary term
+    (A y_wedge, y_wedge).  B is the first of the jets of F_split, so one
+    basis serves both.  A given ``A`` replaces the splitting's in a
     copy of its report; with neither, the splitting is not completely
     regular and :class:`SpecError` is raised."""
     report = _splitting(as_divergence(spec))
@@ -344,6 +346,8 @@ def verify_form_identity(spec, A=None):
         report = replace(report, A=np.asarray(A, dtype=complex))
     if report.A is None:
         raise SpecError("the form identity requires a completely regular splitting")
-    weak = _split_matrix(report, *split_jets(report, FORM_IDENTITY_DIMENSION))
-    strong = galerkin_form(report.spec, FORM_IDENTITY_DIMENSION)
+    jets, wedge, vee = split_jets(report, FORM_IDENTITY_DIMENSION)
+    basis = jets[0]
+    strong = basis.conj().T @ strong_operator(report.spec, basis.shape[0]) @ basis
+    weak = _split_matrix(report, jets, wedge, vee)
     return float(np.linalg.norm(strong - weak, 2) / np.linalg.norm(strong, 2))

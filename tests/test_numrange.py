@@ -11,7 +11,7 @@ from numpy.polynomial.polynomial import Polynomial
 
 from conftest import count_calls
 from oracles import apply_to_jets, inner_01
-from regbvp import gallery, numrange, quasiform
+from regbvp import gallery, legendre, numrange, quasiform
 from regbvp.model import (
     ONE,
     ZERO,
@@ -24,6 +24,7 @@ from regbvp.model import (
     SpecError,
     as_divergence,
     operator_coefficients,
+    parse_spec,
 )
 from regbvp.cli import profiles_to_csv
 from regbvp.numrange import (
@@ -223,6 +224,23 @@ def test_derivative_matrix_closed_form_matches_legder(count):
         assert ulps.max(initial=0.0) <= 16, (order, ulps.max())
 
 
+@pytest.mark.parametrize("count", [8, 33, 132])
+def test_multiplication_matches_legmul(count):
+    """Horner's rule on the three-term recurrence of x agrees with numpy's
+    Legendre multiplication (the oracle here), truncated to degree below
+    count, within a few ulps of the largest entry."""
+    rng = np.random.default_rng(count)
+    norms = np.sqrt(2.0 * np.arange(count) + 1.0)
+    coeffs = rng.normal(size=(count, 3)) + 1j * rng.normal(size=(count, 3))
+    for degree in range(4):
+        poly = Poly(tuple(complex(*rng.normal(size=2)) for _ in range(degree + 1)))
+        series = Polynomial(poly.coeffs).convert(kind=L.Legendre, domain=[0.0, 1.0])
+        want = np.stack([L.legmul(series.coef, col * norms)[:count] for col in coeffs.T],
+                        axis=1) / norms[:, None]
+        got = legendre.multiplication(poly, coeffs)
+        assert np.abs(got - want).max() <= 16 * EPS * np.abs(want).max(), degree
+
+
 @pytest.mark.parametrize("name", ["dirichlet2", "robin2", "mixed4"])
 def test_galerkin_matrix_matches_symbolic_integration(name):
     spec = gallery.build(name)
@@ -412,30 +430,39 @@ def _count_solves(monkeypatch):
     return eigvalsh, eigh
 
 
-@pytest.mark.parametrize("spec, num_angles, solves, ritz", [
-    # a dimension takes one eigh, for the Ritz floors, when the solve
-    # after its first one is not already pruned: always at the smallest
-    # dimension, where no floor exists yet; each eigh brings one stacked
-    # 2 x 2 eigvalsh.  Then only the solves whose floor, less both error
+@pytest.mark.parametrize("spec, num_angles, solves, ritz, eigh", [
+    # a dimension takes one Ritz step when the solve after its first one
+    # is not already pruned: always at the smallest dimension, where no
+    # floor exists yet; each Ritz step brings one stacked 2 x 2 eigvalsh
+    # and no eigh.  Then only the solves whose floor, less both error
     # bounds, is not above the best value found at this dimension
     (gallery.build("mixed4"), 64, {2: 4, 8: 25, 16: 13, 32: 1, 64: 11},
-     {8: 1, 16: 1, 32: 1, 64: 1}),
+     {8: 1, 16: 1, 32: 1, 64: 1}, {}),
     (gallery.build("mixed4"), 7, {2: 4, 8: 3, 16: 2, 32: 2, 64: 2},
-     {8: 1, 16: 1, 32: 1, 64: 1}),
+     {8: 1, 16: 1, 32: 1, 64: 1}, {}),
     # the 2 x 2 eigh is the one of the boundary matrix A that rules out
     # the factored path
-    (_indefinite_spec(), 64, {2: 1, 8: 2, 16: 1, 32: 1, 64: 1}, {2: 1, 8: 1}),
+    (_indefinite_spec(), 64, {2: 1, 8: 2, 16: 1, 32: 1, 64: 1}, {8: 1}, {2: 1}),
     (_indefinite_spec(), 7, {2: 4, 8: 3, 16: 2, 32: 2, 64: 2},
-     {2: 1, 8: 1, 16: 1, 32: 1, 64: 1}),
+     {8: 1, 16: 1, 32: 1, 64: 1}, {2: 1}),
     # the sums of squares take one SVD per dimension and no eigvalsh
-    (gallery.build("dirichlet2"), 64, {}, {2: 1}),
+    (gallery.build("dirichlet2"), 64, {}, {}, {2: 1}),
 ], ids=["mixed4", "mixed4-odd", "indefinite", "indefinite-odd", "dirichlet2"])
-def test_pruned_search_solve_counts(monkeypatch, spec, num_angles, solves, ritz):
-    eigvalsh, eigh = _count_solves(monkeypatch)
+def test_pruned_search_solve_counts(monkeypatch, spec, num_angles, solves, ritz, eigh):
+    eigvalsh, eigh_calls = _count_solves(monkeypatch)
+    ritz_steps = collections.Counter()
+    ritz_floors = numrange._ritz_floors
+
+    def counted(form, *args):
+        ritz_steps[form.shape[0]] += 1
+        return ritz_floors(form, *args)
+
+    monkeypatch.setattr(numrange, "_ritz_floors", counted)
     report = half_plane_verdict(spec, num_angles=num_angles)
     assert report.dimensions == (8, 16, 32, 64)
     assert dict(eigvalsh) == solves
-    assert dict(eigh) == ritz
+    assert dict(ritz_steps) == ritz
+    assert dict(eigh_calls) == eigh
 
 
 def test_half_plane_verdict_decides_splitting_once(monkeypatch):
@@ -553,8 +580,8 @@ def test_ritz_floors_are_lower_bounds(monkeypatch):
     floors = []
     ritz_floors = numrange._ritz_floors
 
-    def recorded(form, angles, pairs, k, pending):
-        values = ritz_floors(form, angles, pairs, k, pending)
+    def recorded(form, herm, lo, hi, shift, angles, pairs, pending):
+        values = ritz_floors(form, herm, lo, hi, shift, angles, pairs, pending)
         floors.append((form.shape[0], list(pending), values))
         return values
 
@@ -595,6 +622,47 @@ def test_verdict_minima_are_full_grid_minima_where_ritz_floors_prune(monkeypatch
         _assert_full_grid_minima(spec, ladder, 7)
     assert len(whole_plane) >= 15
     assert sum(whole_plane) / len(whole_plane) <= 4
+
+
+# The forms-random operation of seed 902, round 50 (from 0), operation 1:
+# p_0 = 0, q_1 constant and coupled rows.  At N = 32, H_N less one of its
+# computed extreme eigenvalues is exactly singular to LU, so an inverse
+# iteration at that eigenvalue raises LinAlgError.
+SINGULAR_AT_ITS_EIGENVALUE = {
+    "order": 2,
+    "form": {"type": "divergence", "p": {"0": []},
+             "q": {"1": [[1.1791296863589416, -1.4860116946034334]]}, "r": {"1": []}},
+    "boundary_conditions": [
+        {"a": {"0": [0.9305179724460204, -0.5895092156444638],
+               "1": [0.9311697066020355, 0.6381722247513164]},
+         "b": {"0": [0.5975771514157497, 1.0046592202501803],
+               "1": [-0.3199931335432879, -2.361399112756212]}},
+        {"a": {"0": [0.606050714989054, -0.9256672885250171],
+               "1": [-0.3522532240444254, -0.7588933128083309]},
+         "b": {"0": [1.758112554102754, 0.31359264948178944],
+               "1": [-0.1493574115071184, -0.6424706955156265]}},
+    ],
+}
+
+
+@pytest.mark.parametrize("num_angles", [64, 7])
+def test_ritz_steps_solve_off_the_computed_eigenvalues(num_angles):
+    # a Ritz step solves at the error bound beyond each extreme
+    # eigenvalue, where the shifted H_N is definite; the odd grid takes
+    # Ritz steps too, and shifts lambda_min as well as lambda_max
+    spec = parse_spec(SINGULAR_AT_ITS_EIGENVALUE)
+    _assert_full_grid_minima(spec, (8, 16, 32, 64, 128), num_angles)
+
+
+def test_verdict_minima_are_full_grid_minima_at_dimension_one():
+    # V_1 has one basis vector, so a Ritz step compresses onto it alone;
+    # a zero F_1 (bound 0) has no definite shift and takes no Ritz step
+    zero = OperatorSpec(2, DivergenceForm(1, (ZERO, ONE), (ZERO, Poly((1j,))), (ZERO, ZERO)),
+                        gallery.build("neumann2").rows)
+    assert not split_form(zero, 1).any()
+    for spec in [zero] + _random_forms(41, 24):
+        _assert_full_grid_minima(spec, (1, 2, 8), 8)
+        _assert_full_grid_minima(spec, (1, 2, 8), 7)
 
 
 @pytest.mark.parametrize("name", ["mixed4", "dirichlet4"])

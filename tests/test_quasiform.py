@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import make_row
+from conftest import count_calls, make_row
 from oracles import apply_to_jets, inner_01
-from regbvp import gallery, quasiform
+from regbvp import gallery, legendre, quasiform
 from regbvp.model import (
     ONE,
     ZERO,
@@ -375,6 +375,15 @@ def test_form_identity_with_explicit_matrix():
     # does not vanish (Dirichlet admissible functions hide any A)
     bad = verify_form_identity(gallery.build("robin2"), A=np.zeros((2, 2)))
     assert bad > 1e-3
+
+
+def test_form_identity_builds_one_basis(monkeypatch):
+    # F_strong and F_split act on the one constrained basis of the jets
+    built = count_calls(monkeypatch, legendre, "constrained_basis")
+    for name in ("robin2", "dirichlet4"):
+        built.clear()
+        verify_form_identity(gallery.build(name))
+        assert len(built) == 1
 
 
 def test_form_identity_reads_a_report():
