@@ -21,8 +21,8 @@ shifted lines; boxes always split at their midpoints, and no
 multiplicity is taken from a box count in place of a circle.
 The search runs batched per subdivision level: the Newton steps of all
 boxes of a level are one array computation.  Windings are batched too:
-the contours of the initial grid, of the four children of a split, of
-the annulus, or of all verification circles are wound together, with
+the contours of the initial grid, of all splits of a level, of the
+annulus, or of all verification circles are wound together, with
 one evaluation for the first samples of every path and one per round
 for the refinement midpoints of every path.  No evaluation takes more
 than ``BATCH_POINTS`` points at once.  A box is polished by Newton
@@ -296,10 +296,6 @@ class _Path(NamedTuple):
     a1: float
     center: complex = 0.0
 
-    @property
-    def length(self):
-        return abs(self.r1 - self.r0) + abs(self.a1 - self.a0) * max(self.r0, self.r1)
-
 
 def _box_contour(box):
     """The boundary of a polar box, counterclockwise, as four paths.  A
@@ -318,20 +314,26 @@ def _log_abs_array(dets, logs):
 def _windings(delta, contours):
     """Winding of Delta around each closed contour (a list of
     :class:`_Path` paths): the zero counts inside, all wound together.
+    The search winds its initial partition, the children of all splits
+    of a level, the annulus and its verification circles this way.
 
     Each path starts from its first samples (see FIRST_SAMPLES_MIN),
     equispaced as ``np.linspace`` places them, and each round halves
     every step across which the phase of Delta jumps by more than
     pi / 2.  The first samples of all paths are one evaluation, and so
     are the midpoints of each round, so the batch costs one evaluation
-    more than the refinement rounds of its slowest path.  Every path's
-    samples, refinements and phase sum are the ones it gets alone.
+    more than the refinement rounds of its slowest path.  The paths are
+    tracked in shared arrays, and a round's settled paths are summed in
+    one segmented reduction; every path's samples, refinements and
+    phase sum are the ones it gets alone.
 
     A path through a zero, a midpoint far below its neighbours in
     log|Delta| (a zero close to the path), REFINE_ROUNDS rounds or more
     than MAX_PATH_SAMPLES samples fail the path, and a non-integral
-    winding fails its contour.  The ContourError raised is the first in
-    contour order; once a path fails, no later path is refined.
+    winding fails its contour.  Once a path fails, no later path is
+    refined.  Returns one entry per contour: its count, or the
+    ContourError of its first failing path, of its winding, or of the
+    path that stopped its refinement.  :func:`_counts` raises the first.
     """
     paths = [path for contour in contours for path in contour]
     if not paths:
@@ -350,8 +352,9 @@ def _windings(delta, contours):
             parts.append((_log_abs_array(dets, logs), np.angle(dets)))
         return (np.concatenate(part) for part in zip(*parts))
 
-    sizes = np.array([max(FIRST_SAMPLES_MIN, min(FIRST_SAMPLES_MAX, int(
-        4 + FIRST_SAMPLES_PER_LENGTH * delta.n * path.length))) for path in paths])
+    lengths = np.abs(r1 - r0) + np.abs(a1 - a0) * np.maximum(r0, r1)
+    sizes = np.clip(4 + FIRST_SAMPLES_PER_LENGTH * delta.n * lengths,
+                    FIRST_SAMPLES_MIN, FIRST_SAMPLES_MAX).astype(int)
     ends = np.cumsum(sizes)
     owner = np.repeat(np.arange(len(paths)), sizes)             # the path of each sample
     # t = k (1 / (size - 1)), and 1 at the end: the bits of np.linspace
@@ -359,32 +362,35 @@ def _windings(delta, contours):
           * np.repeat(1.0 / (sizes - 1), sizes))
     ts[ends - 1] = 1.0
     la, phases = sample(owner, ts)
-    results = [None] * len(paths)       # a path's phase sum, or its ContourError
+    sums = np.full(len(paths), np.nan)  # a settled path's phase sum
+    errors = {}                         # a failed path's ContourError
     first_failure = len(paths)
 
     def fail(failed, message):
         nonlocal first_failure
-        for p in map(int, failed):
-            if results[p] is None:
-                results[p] = ContourError(message)
+        for p in sorted(set(failed.tolist())):
+            if math.isnan(sums[p]) and p not in errors:
+                errors[p] = ContourError(message)
                 first_failure = min(first_failure, p)
 
     fail(owner[~np.isfinite(la)], "contour passes through a determinant zero")
     for _ in range(REFINE_ROUNDS):
-        live = np.array([result is None for result in results])
-        live[first_failure:] = False
-        keep = live[owner]
-        owner, ts, phases, la = owner[keep], ts[keep], phases[keep], la[keep]
+        # a failed path lies at or beyond first_failure
+        keep = np.isnan(sums[owner]) & (owner < first_failure)
+        if not keep.all():
+            owner, ts, phases, la = owner[keep], ts[keep], phases[keep], la[keep]
         if not owner.size:
             break
-        diffs = np.angle(np.exp(1j * np.diff(phases)))
-        bad = np.flatnonzero((np.abs(diffs) > 0.5 * math.pi) & (owner[1:] == owner[:-1]))
-        unsettled = set(owner[bad].tolist())
+        same = owner[1:] == owner[:-1]
+        diffs = np.where(same, np.angle(np.exp(1j * np.diff(phases))), 0.0)
+        bad = np.flatnonzero(np.abs(diffs) > 0.5 * math.pi)
         starts = np.flatnonzero(np.diff(owner, prepend=-1))
-        stops = np.append(starts[1:], owner.size)
-        for p, start, stop in zip(owner[starts].tolist(), starts, stops):
-            if p not in unsettled:
-                results[p] = float(np.sum(diffs[start:stop - 1]))
+        live = owner[starts]
+        settled = np.ones(len(paths), dtype=bool)
+        settled[owner[bad]] = False
+        settled = settled[live]
+        # each path's sum runs up to the zeroed step into the next path
+        sums[live[settled]] = np.add.reduceat(diffs, starts)[settled]
         if not bad.size:
             break
         mid_owner, mid_ts = owner[bad], 0.5 * (ts[bad] + ts[bad + 1])
@@ -392,31 +398,42 @@ def _windings(delta, contours):
         dip = np.minimum(la[bad], la[bad + 1]) - NEAR_ZERO_DIP
         fail(mid_owner[~np.isfinite(mid_la) | (mid_la < dip)],
              "contour too close to a determinant zero")
-        owner, ts, phases, la = (np.insert(old, bad + 1, new) for old, new in (
+        # each midpoint goes right after the sample that starts its step
+        order = np.insert(np.arange(owner.size), bad + 1,
+                          np.arange(owner.size, owner.size + bad.size))
+        owner, ts, phases, la = (np.concatenate(pair)[order] for pair in (
             (owner, mid_owner), (ts, mid_ts), (phases, mid_phases), (la, mid_la)))
         fail(np.flatnonzero(np.bincount(owner, minlength=len(paths)) > MAX_PATH_SAMPLES),
              "phase tracking failed to settle along an edge")
-    fail([p for p in range(first_failure) if results[p] is None],
+    fail(np.flatnonzero(np.isnan(sums[:first_failure])),
          "phase tracking failed to settle along an edge")
 
-    counts = []
-    in_order = iter(results)
-    for contour in contours:
-        phase_sums = [next(in_order) for _ in contour]
-        for result in phase_sums:
-            if isinstance(result, ContourError):
-                raise result
-        winding = sum(phase_sums) / (2 * math.pi)
-        rounded = int(round(winding))
-        if abs(winding - rounded) > 0.25:
-            raise ContourError(f"non-integral winding {winding:.3f}")
-        counts.append(rounded)
-    return counts
+    # a contour with a path that has no phase sum has no winding either
+    firsts = np.cumsum([0] + [len(contour) for contour in contours[:-1]])
+    windings = np.add.reduceat(sums, firsts) / (2 * math.pi)
+    outcomes = []
+    for first, winding in zip(firsts.tolist(), windings.tolist()):
+        if math.isnan(winding):
+            unsettled = first + int(np.argmax(np.isnan(sums[first:])))
+            outcomes.append(errors.get(unsettled, errors[first_failure]))
+            continue
+        rounded = round(winding)
+        outcomes.append(ContourError(f"non-integral winding {winding:.3f}")
+                        if abs(winding - rounded) > 0.25 else rounded)
+    return outcomes
+
+
+def _counts(outcomes):
+    """The counts of :func:`_windings` outcomes; raises the first
+    ContourError among them."""
+    for outcome in outcomes:
+        if isinstance(outcome, ContourError):
+            raise outcome
+    return outcomes
 
 
 def _box_counts(delta, boxes):
-    """Zero counts of polar ``boxes``, wound together; the first
-    ContourError in box order is raised."""
+    """The :func:`_windings` outcomes of polar ``boxes``, wound together."""
     return _windings(delta, [_box_contour(box) for box in boxes])
 
 
@@ -546,11 +563,12 @@ def find_roots(nbc: NormalizedBC, annulus):
     its zeros together), or at ``MAX_DEPTH`` or the smallest diameter; a
     box whose count fell at its split but is still >= 2 follows, and
     stops when the last leader stops.  A level with no leader steps every
-    box until it stops alone.  The boxes of the initial partition,
-    the four children of a split, the annulus and all verification
+    box until it stops alone.  The boxes of the initial partition, the
+    children of all splits of a level, the annulus and all verification
     circles are each wound as one batch (:func:`_windings`), in which a
     path's samples, refinements and phase sum are the ones it gets
-    alone.
+    alone.  The splits of a level are checked in level order, and the
+    first that fails raises, as if each had been wound on its own.
     """
     r_min, r_max = annulus
     if not 0 < r_min < r_max < math.inf:
@@ -567,15 +585,15 @@ def find_roots(nbc: NormalizedBC, annulus):
     # the count of the whole annulus, whose boundary no partition line
     # crosses, checks that no zero went missing on a line
     boundary = [_Path(r_max, r_max, 0.0, 2 * math.pi), _Path(r_min, r_min, 2 * math.pi, 0.0)]
-    (total,) = _windings(delta, [boundary])
+    (total,) = _counts(_windings(delta, [boundary]))
     diam_tol = max(1e-10 * r_max, 1e-12)
 
     def subdivide(boxes):
         found = []
         # a level entry is (box, count, the count of the box it was split
         # from, or None in the initial partition)
-        level = [(box, count, None) for box, count in zip(boxes, _box_counts(delta, boxes))
-                 if count != 0]
+        level = [(box, count, None) for box, count
+                 in zip(boxes, _counts(_box_counts(delta, boxes))) if count != 0]
         depth = 0
         while level:
             # Newton with the box count m as multiplicity converges only
@@ -600,7 +618,7 @@ def find_roots(nbc: NormalizedBC, annulus):
                 delta, [0.5 * (box[0] + box[1]) * cmath.exp(0.5j * (box[2] + box[3]))
                        for box, _, _ in stepped], [count for _, count, _ in stepped],
                 follows=[follows for _, _, follows in stepped]))
-            deeper = []
+            splitting = []
             for (box, count, _), role in zip(level, roles):
                 if role:
                     rho, res = next(polished)
@@ -618,13 +636,21 @@ def find_roots(nbc: NormalizedBC, annulus):
                             or depth >= MAX_DEPTH or _box_diameter(box) <= diam_tol):
                         found.append(_Candidate(complex(rho), float(res)))
                         continue
-                children = _split_box(box)
-                child_counts = _box_counts(delta, children)
+                splitting.append((box, count))
+            if not splitting:
+                break
+            # the children of all splits are wound together, and each
+            # split is checked in level order
+            children = [child for box, _ in splitting for child in _split_box(box)]
+            outcomes = _box_counts(delta, children)
+            level = []
+            for k, (box, count) in enumerate(splitting):
+                four = slice(4 * k, 4 * k + 4)
+                child_counts = _counts(outcomes[four])
                 if sum(child_counts) != count:
                     raise ContourError(f"winding counts failed to split box {box}")
-                deeper += [(child, child_count, count) for child, child_count
-                           in zip(children, child_counts) if child_count != 0]
-            level = deeper
+                level += [(child, child_count, count) for child, child_count
+                          in zip(children[four], child_counts) if child_count != 0]
             depth += 1
         return found
 
@@ -653,8 +679,8 @@ def find_roots(nbc: NormalizedBC, annulus):
             if others:
                 radius = min(radius, 0.45 * min(others))
             radii.append(radius)
-        mults = _windings(delta, [[_Path(radius, radius, 0.0, 2 * math.pi, rep.rho)]
-                                  for rep, radius in zip(reps, radii)])
+        mults = _counts(_windings(delta, [[_Path(radius, radius, 0.0, 2 * math.pi, rep.rho)]
+                                          for rep, radius in zip(reps, radii)]))
         verified = [(rep.rho, mult) for rep, mult in zip(reps, mults) if mult > 0]
         polished = _newton(delta, [rho for rho, _ in verified], [mult for _, mult in verified],
                            polish=True)

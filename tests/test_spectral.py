@@ -21,7 +21,7 @@ from oracles import apply_to_jets
 from regbvp import birkhoff, gallery, spectral
 from regbvp.cli import scan_to_csv
 from regbvp.legendre import constrained_basis, strong_operator
-from regbvp.model import ModelForm, OperatorSpec
+from regbvp.model import ModelForm, OperatorSpec, parse_spec
 from regbvp.normalize import reduce_total_order
 from regbvp.spectral import (
     CLUSTER_TOL,
@@ -389,27 +389,29 @@ def test_gallery_search_point_count(monkeypatch):
     # zeros of most gallery examples made a first attempt fail and start
     # over: the 8 gallery searches to the report radius evaluate at most
     # 150,000 determinant points (200,944 with that attempt).  They take
-    # 442 evaluations: 1,269 when boxes that hold separate zeros kept
-    # their level's Newton batch running to NEWTON_MAX_ITER, and 749 when
+    # 376 evaluations: 1,269 when boxes that hold separate zeros kept
+    # their level's Newton batch running to NEWTON_MAX_ITER, 749 when
     # the high-order zero of Delta at 0 drew the Newton steps of boxes
-    # near it (before they stepped on Delta / rho^k)
+    # near it (before they stepped on Delta / rho^k), and 442 when each
+    # split was wound on its own, not with the other splits of its level
     sizes = _count_evaluations(monkeypatch)
     for name in sorted(gallery.EXAMPLES):
         find_roots(_nbc(name), (0.5, 66.5))
     assert sum(sizes) <= 150000
-    assert len(sizes) <= 500
+    assert len(sizes) <= 400
 
 
 def test_random_search_work_count(monkeypatch):
     # 30 seeded random operators each of orders 2 and 4 on (0.5, 20) take
-    # 4,086 evaluations; 6,330 when Newton stepped on Delta itself, whose
+    # 3,834 evaluations; 6,330 when Newton stepped on Delta itself, whose
     # zero at 0 (of order at least n (n - 1) / 2) drew in the starts of
-    # boxes near the inner circle
+    # boxes near the inner circle, and 4,086 when each split was wound on
+    # its own
     rng = np.random.default_rng(20261019)
     sizes = _count_evaluations(monkeypatch)
     for n in (2, 4) * 30:
         find_roots(reduce_total_order(oracles.random_rows(rng, n)), (0.5, 20.0))
-    assert len(sizes) <= 4500
+    assert len(sizes) <= 4000
 
 
 def test_polish_stops_on_an_exact_zero_step(monkeypatch):
@@ -530,17 +532,25 @@ def test_windings_raise_the_first_failing_contour():
     # on dirichlet2 (Delta proportional to sin rho) the segment [2, 4] of
     # the real axis crosses the zero pi and never settles, while the
     # segment [0, 1] starts on the exact zero rho = 0 and fails at once;
-    # wound after a good circle, the error is the second contour's
+    # wound after a good circle, the error raised is the second contour's
     delta = birkhoff._delta(_nbc("dirichlet2").rows)
     circle = [spectral._Path(0.5, 0.5, 0.0, 2 * math.pi, math.pi)]
     crossing, through = [spectral._Path(2.0, 4.0, 0.0, 0.0)], [spectral._Path(0.0, 1.0, 0.0, 0.0)]
     assert spectral._windings(delta, [circle]) == [1]
     with pytest.raises(spectral.ContourError, match="^contour passes through a determinant zero$"):
-        spectral._windings(delta, [through])
+        spectral._counts(spectral._windings(delta, [through]))
     for contours in ([circle, crossing, through], [circle, crossing]):
         with pytest.raises(spectral.ContourError,
                            match="^phase tracking failed to settle along an edge$"):
-            spectral._windings(delta, contours)
+            spectral._counts(spectral._windings(delta, contours))
+    # each contour's outcome is its own count or error; a contour after
+    # the first failing path is not refined, and carries that path's error
+    settle, zero = "phase tracking failed to settle along an edge", \
+        "contour passes through a determinant zero"
+    outcomes = spectral._windings(delta, [circle, crossing, through])
+    assert outcomes[0] == 1 and [str(error) for error in outcomes[1:]] == [settle, zero]
+    outcomes = spectral._windings(delta, [through, circle])
+    assert [str(error) for error in outcomes] == [zero, zero]
 
 
 def _coupled_operator(seed):
@@ -557,35 +567,151 @@ def _coupled_operator(seed):
 
 
 def test_failed_split_moves_the_partition(monkeypatch):
-    # on (0.5, 20) the order-2 partition has 12 boxes, and a split counts
-    # 4 children; this operator's first partition succeeds and splits
+    # on (0.5, 20) the order-2 partition has 12 boxes tiling the sector of
+    # angle pi, and each level counts the 4 children of all its splits in
+    # one batch; this operator's first partition succeeds and splits
     nbc = _coupled_operator(1)
-    sizes = []
+    calls = []
     count = spectral._box_counts
+    sector = math.pi * (20.0 ** 2 - 0.5 ** 2) / 2
 
     def counted(delta, boxes):
-        sizes.append(len(boxes))
+        area = sum((r1 ** 2 - r0 ** 2) * (a1 - a0) for r0, r1, a0, a1 in boxes) / 2
+        calls.append(("partition" if math.isclose(area, sector) else "splits", len(boxes)))
         return count(delta, boxes)
 
     monkeypatch.setattr(spectral, "_box_counts", counted)
     plain = find_roots(nbc, (0.5, 20.0))
-    assert sizes.count(12) == 1 and 4 in sizes
-    sizes.clear()
+    assert calls[0] == ("partition", 12) and len(calls) >= 2
+    assert all(kind == "splits" and size % 4 == 0 for kind, size in calls[1:])
+    calls.clear()
     refused = []
 
     def refuse_first_split(delta, boxes):
-        if len(boxes) == 4 and not refused:
+        if len(calls) == 1 and not refused:
             refused.append(boxes)
             raise spectral.ContourError("split refused")
         return counted(delta, boxes)
 
     monkeypatch.setattr(spectral, "_box_counts", refuse_first_split)
     moved = find_roots(nbc, (0.5, 20.0))
-    # the failed split rebuilt the partition once, with shifted lines
-    assert refused and sizes.count(12) == 2
+    # the failed split batch rebuilt the partition once, with shifted lines
+    assert refused and [call for call in calls if call[0] == "partition"] == [("partition", 12)] * 2
+    assert calls[1] == ("partition", 12)
     assert [root.multiplicity for root in moved] == [root.multiplicity for root in plain]
     for got, want in zip(moved, plain):
         assert abs(got.rho - want.rho) <= 1e-12
+
+
+# The roots-random operation of seed 523, round 67 (from 0), operation 5:
+# a regular order-4 operator with coupled rows.  Its inner circle
+# |rho| = 0.5 passes 0.019 from a cluster of zeros and winds 8 where a
+# dense reference gives 10, so every partition falls short of the count
+# of the annulus.
+ALIASED_INNER_CIRCLE = {
+    "order": 4,
+    "form": {"type": "model"},
+    "boundary_conditions": [
+        {"a": {"0": [-1.8306879526364312, 0.648531916538099]},
+         "b": {"0": [0.8747448554665117, -1.0149749502999899]}},
+        {"a": {"0": [0.7408720878594101, 1.0345197062352427],
+               "1": [0.8044678009730629, -0.06692039415736345],
+               "2": [-1.9690658614351932, -0.989340434798748]},
+         "b": {"0": [-0.1272028761891689, -1.135570275164922],
+               "1": [1.7791351484737874, -0.885701038455848],
+               "2": [-0.9316075706941086, 0.3993056935172164]}},
+        {"a": {"0": [0.539509622033829, 0.6823492648912095],
+               "1": [2.1178728008351357, -1.5028459479530538],
+               "2": [-1.8292346721849304, 0.053867642272853344],
+               "3": [-0.7257785306455047, 1.768221651024026]},
+         "b": {"0": [-0.6761662400573033, -1.0197934761116312],
+               "1": [1.0455277002543268, -0.2961813180223462],
+               "2": [-0.5787178715248911, -1.2606367276271704],
+               "3": [0.2916539828555557, 0.05454194165851228]}},
+        {"a": {"0": [-1.0323754429951044, -0.14304976433576277],
+               "1": [0.6705845570532254, 0.2728613301352127],
+               "2": [0.05711301802509256, 0.4529364928631607],
+               "3": [-1.2570925099157015, 0.3610720885462641]},
+         "b": {"0": [-0.6557420808337461, -0.6499392371002682],
+               "1": [-1.5315934901191592, -0.4485617654562058],
+               "2": [-0.13592671619474542, -0.3923417941766073],
+               "3": [-1.2183424932752263, 0.43132583299016897]}},
+    ],
+}
+
+
+def _search_outcome(nbc, annulus):
+    """repr of the roots found, or the message of the ContourError raised."""
+    try:
+        return repr(find_roots(nbc, annulus))
+    except spectral.ContourError as exc:
+        return f"ContourError: {exc}"
+
+
+def test_level_batches_change_no_result(monkeypatch):
+    # a level winds the children of all its splits in one batch and checks
+    # the splits in level order; winding each split's four children alone
+    # gives the same roots and the same errors
+    rng = np.random.default_rng(20261020)
+    gallery_searches = [(_nbc(name), (0.5, 66.5)) for name in sorted(gallery.EXAMPLES)]
+    random_searches = [(reduce_total_order(oracles.random_rows(rng, n)), (0.5, 20.0))
+                       for n in (2, 4) * 30]
+    failing = [(reduce_total_order(parse_spec(ALIASED_INNER_CIRCLE).rows), (0.5, 20.0)),
+               (_nbc("periodic2"), (0.5, 12.55))]
+    wound = []
+    wind = spectral._windings
+
+    def counted(delta, contours):
+        wound.append(len(contours))
+        return wind(delta, contours)
+
+    monkeypatch.setattr(spectral, "_windings", counted)
+    batched = [_search_outcome(nbc, annulus) for nbc, annulus in gallery_searches]
+    # 41 calls; 131 when each split was wound on its own
+    assert len(wound) <= 50
+    batched += [_search_outcome(nbc, annulus) for nbc, annulus in random_searches + failing]
+    assert batched[-2] == ("ContourError: winding count lost near a partition line "
+                           "(24 of 26 recovered)")
+    assert batched[-1].startswith("ContourError: winding counts failed to split box")
+    count = spectral._box_counts
+    monkeypatch.setattr(spectral, "_box_counts", lambda delta, boxes: [
+        outcome for k in range(0, len(boxes), 4) for outcome in count(delta, boxes[k:k + 4])])
+    assert [_search_outcome(nbc, annulus) for nbc, annulus
+            in gallery_searches + random_searches + failing] == batched
+
+
+@pytest.mark.parametrize("first", ["count", "path"])
+def test_level_batch_raises_in_level_order(first, monkeypatch):
+    # the first split of a level batch that fails raises, whether its
+    # children's counts do not add up or one of its child paths failed;
+    # here every partition's first batch of splits fails twice, at its
+    # first split and at its last
+    nbc = _coupled_operator(1)
+    count = spectral._box_counts
+    calls, parents = [], []
+
+    def spoiled(delta, boxes):
+        calls.append(len(boxes))
+        outcomes = count(delta, boxes)
+        if len(calls) % 2 == 0:         # each partition, then its first batch
+            assert len(boxes) >= 8
+            # the box that the first four children were split from
+            parents.append((boxes[0][0], boxes[3][1], boxes[0][2], boxes[3][3]))
+            refused = spectral.ContourError("path refused")
+            if first == "count":
+                outcomes[0], outcomes[-1] = outcomes[0] + 1, refused
+            else:
+                outcomes[0], outcomes[-1] = refused, outcomes[-1] + 1
+        return outcomes
+
+    monkeypatch.setattr(spectral, "_box_counts", spoiled)
+    with pytest.raises(spectral.ContourError) as raised:
+        find_roots(nbc, (0.5, 20.0))
+    assert len(calls) == 12             # 6 partitions, each failing at its first batch
+    if first == "count":
+        assert str(raised.value) == f"winding counts failed to split box {parents[-1]}"
+    else:
+        assert str(raised.value) == "path refused"
 
 
 def test_fourth_order_root_count_consistency():
