@@ -25,24 +25,29 @@ the contours of the initial grid, of all splits of a level, of the
 annulus, or of all verification circles are wound together, with
 one evaluation for the first samples of every path and one per round
 for the refinement midpoints of every path.  No evaluation takes more
-than ``BATCH_POINTS`` points at once.  A box is polished by Newton
-steps with its count m, which converge only where its m zeros coincide
-(Delves and Lyness, Math. Comp. 21, 1967).  The step is Newton's on
-Delta / rho^k, -m Delta / (Delta' - k Delta / rho), with k the order of
-the zero of Delta at rho = 0 (:mod:`regbvp.birkhoff`): that zero lies
-inside the inner circle, at least n (n - 1) / 2 deep, and would draw
-the starts of nearby boxes into a linear crawl.  Its fixed points are
-the zeros of Delta off the origin, and k enters nothing else (not the
-in-box test, the circles, the multiplicities or the polish), so a wrong
-k can cost steps but does not change which zeros are found.  A box of
-the initial partition with m >= 2 is split without a step, and a box
-whose split separated some of its zeros but left m >= 2 follows the
-level's other boxes: it steps while they do, and stops when the last
-of them stops.  Batching changes no other result: every point's
-determinant, every Newton step and residual of a box that follows
-nothing, and every path's samples, refinements and phase sum, are the
-ones it gets alone; a follower takes the steps it gets alone, but how
-many depends on its level.  A root whose circle winds m times is
+than ``BATCH_POINTS`` points at once.  The samples that count a box's
+zeros also give their sum, the first moment (Delves and Lyness, Math.
+Comp. 21, 1967), with no further evaluation, and the box's Newton
+steps start from its mean, the moment over the count m.  Nothing is
+accepted on the moment's word: the residual and in-box test, the
+circles and the retry rule decide.  The steps take the count m as
+multiplicity, so they converge only where the m zeros coincide.  The
+step is Newton's on Delta / rho^k, -m Delta / (Delta' - k Delta / rho),
+with k the order of the zero of Delta at rho = 0
+(:mod:`regbvp.birkhoff`): that zero lies inside the inner circle, at
+least n (n - 1) / 2 deep, and would draw the starts of nearby boxes
+into a linear crawl.  Its fixed points are the zeros of Delta off the
+origin, and k enters nothing else (not the in-box test, the circles,
+the multiplicities or the polish), so a wrong k can cost steps but does
+not change which zeros are found.  A box of the initial partition with
+m >= 2 is split without a step, and a box whose split separated some of
+its zeros but left m >= 2 follows the level's other boxes: it steps
+while they do, and stops when the last of them stops.  Batching changes
+no other result: every point's determinant, every Newton step and
+residual of a box that follows nothing, and every path's samples,
+refinements, phase sum and moment, are the ones it gets alone; a
+follower takes the steps it gets alone, but how many depends on its
+level.  A root whose circle winds m times is
 polished by Newton on Delta^(m-1), whose zero there is simple, so a
 multiple root is not limited by the cancellation of Delta near it.
 
@@ -313,9 +318,10 @@ def _log_abs_array(dets, logs):
 
 def _windings(delta, contours):
     """Winding of Delta around each closed contour (a list of
-    :class:`_Path` paths): the zero counts inside, all wound together.
-    The search winds its initial partition, the children of all splits
-    of a level, the annulus and its verification circles this way.
+    :class:`_Path` paths), and the sum of the zeros inside it, all wound
+    together.  The search winds its initial partition, the children of
+    all splits of a level, the annulus and its verification circles this
+    way.
 
     Each path starts from its first samples (see FIRST_SAMPLES_MIN),
     equispaced as ``np.linspace`` places them, and each round halves
@@ -327,29 +333,43 @@ def _windings(delta, contours):
     one segmented reduction; every path's samples, refinements and
     phase sum are the ones it gets alone.
 
+    The same samples give the first moment s1 = (1 / 2 pi i) oint rho
+    Delta' / Delta drho, the sum of the zeros inside (Delves and Lyness,
+    Math. Comp. 21, 1967), with no further evaluation.  It is the
+    trapezoid rule for m rho_s - (1 / 2 pi i) oint log Delta drho, the
+    integral by parts from the contour's start rho_s with log Delta
+    continued along the samples, summed by parts once more: each step
+    adds its midpoint in rho times its change in log Delta, that is in
+    log|Delta| and in the continued phase.  So no path needs the phase
+    at its start, and each path's share is a sum over its own steps,
+    reduced with its phase sum and the one it gets alone.
+
     A path through a zero, a midpoint far below its neighbours in
     log|Delta| (a zero close to the path), REFINE_ROUNDS rounds or more
     than MAX_PATH_SAMPLES samples fail the path, and a non-integral
     winding fails its contour.  Once a path fails, no later path is
-    refined.  Returns one entry per contour: its count, or the
-    ContourError of its first failing path, of its winding, or of the
-    path that stopped its refinement.  :func:`_counts` raises the first.
+    refined.  Returns (outcomes, moments), one entry each per contour:
+    its count, or the ContourError of its first failing path, of its
+    winding, or of the path that stopped its refinement; and its first
+    moment, NaN where a path has no phase sum.  :func:`_counts` raises
+    the first error.
     """
     paths = [path for contour in contours for path in contour]
     if not paths:
-        return []
+        return [], []
     r0, r1, a0, a1 = (np.array(column, dtype=float) for column in list(zip(*paths))[:4])
     center = np.array([path.center for path in paths], dtype=complex)
 
     def sample(owner, ts):
-        """log|Delta| and arg Delta at parameters ``ts`` on paths ``owner``,
-        the points built and evaluated BATCH_POINTS at a time."""
+        """The points at parameters ``ts`` on paths ``owner``, and
+        log|Delta| and arg Delta there, BATCH_POINTS at a time."""
         parts = []
         for i in range(0, ts.size, BATCH_POINTS):
             on, t = owner[i:i + BATCH_POINTS], ts[i:i + BATCH_POINTS]
-            (dets,), logs = _evaluate(delta, delta.coeffs[None], center[on] + (
-                r0[on] + (r1 - r0)[on] * t) * np.exp(1j * (a0[on] + (a1 - a0)[on] * t)))
-            parts.append((_log_abs_array(dets, logs), np.angle(dets)))
+            points = center[on] + (r0[on] + (r1 - r0)[on] * t) * np.exp(
+                1j * (a0[on] + (a1 - a0)[on] * t))
+            (dets,), logs = _evaluate(delta, delta.coeffs[None], points)
+            parts.append((points, _log_abs_array(dets, logs), np.angle(dets)))
         return (np.concatenate(part) for part in zip(*parts))
 
     lengths = np.abs(r1 - r0) + np.abs(a1 - a0) * np.maximum(r0, r1)
@@ -361,8 +381,9 @@ def _windings(delta, contours):
     ts = ((np.arange(owner.size) - np.repeat(ends - sizes, sizes))
           * np.repeat(1.0 / (sizes - 1), sizes))
     ts[ends - 1] = 1.0
-    la, phases = sample(owner, ts)
+    points, la, phases = sample(owner, ts)
     sums = np.full(len(paths), np.nan)  # a settled path's phase sum
+    shares = np.full(len(paths), np.nan, dtype=complex)     # and its part of 2 pi i s1
     errors = {}                         # a failed path's ContourError
     first_failure = len(paths)
 
@@ -378,31 +399,38 @@ def _windings(delta, contours):
         # a failed path lies at or beyond first_failure
         keep = np.isnan(sums[owner]) & (owner < first_failure)
         if not keep.all():
-            owner, ts, phases, la = owner[keep], ts[keep], phases[keep], la[keep]
+            owner, ts, points, phases, la = (
+                owner[keep], ts[keep], points[keep], phases[keep], la[keep])
         if not owner.size:
             break
+        # the step after each sample, zeroed where it leaves the path and
+        # after the last sample: every path's steps end with one zero, so
+        # its sums group their terms as alone
         same = owner[1:] == owner[:-1]
-        diffs = np.where(same, np.angle(np.exp(1j * np.diff(phases))), 0.0)
+        diffs = np.append(np.where(same, np.angle(np.exp(1j * np.diff(phases))), 0.0), 0.0)
+        steps = np.append(np.where(same, 0.5 * (points[1:] + points[:-1])
+                                   * (np.diff(la) + 1j * diffs[:-1]), 0.0), 0.0)
         bad = np.flatnonzero(np.abs(diffs) > 0.5 * math.pi)
         starts = np.flatnonzero(np.diff(owner, prepend=-1))
         live = owner[starts]
         settled = np.ones(len(paths), dtype=bool)
         settled[owner[bad]] = False
         settled = settled[live]
-        # each path's sum runs up to the zeroed step into the next path
         sums[live[settled]] = np.add.reduceat(diffs, starts)[settled]
+        shares[live[settled]] = np.add.reduceat(steps, starts)[settled]
         if not bad.size:
             break
         mid_owner, mid_ts = owner[bad], 0.5 * (ts[bad] + ts[bad + 1])
-        mid_la, mid_phases = sample(mid_owner, mid_ts)
+        mid_points, mid_la, mid_phases = sample(mid_owner, mid_ts)
         dip = np.minimum(la[bad], la[bad + 1]) - NEAR_ZERO_DIP
         fail(mid_owner[~np.isfinite(mid_la) | (mid_la < dip)],
              "contour too close to a determinant zero")
         # each midpoint goes right after the sample that starts its step
         order = np.insert(np.arange(owner.size), bad + 1,
                           np.arange(owner.size, owner.size + bad.size))
-        owner, ts, phases, la = (np.concatenate(pair)[order] for pair in (
-            (owner, mid_owner), (ts, mid_ts), (phases, mid_phases), (la, mid_la)))
+        owner, ts, points, phases, la = (np.concatenate(pair)[order] for pair in (
+            (owner, mid_owner), (ts, mid_ts), (points, mid_points), (phases, mid_phases),
+            (la, mid_la)))
         fail(np.flatnonzero(np.bincount(owner, minlength=len(paths)) > MAX_PATH_SAMPLES),
              "phase tracking failed to settle along an edge")
     fail(np.flatnonzero(np.isnan(sums[:first_failure])),
@@ -411,6 +439,7 @@ def _windings(delta, contours):
     # a contour with a path that has no phase sum has no winding either
     firsts = np.cumsum([0] + [len(contour) for contour in contours[:-1]])
     windings = np.add.reduceat(sums, firsts) / (2 * math.pi)
+    moments = (np.add.reduceat(shares, firsts) / (2j * math.pi)).tolist()
     outcomes = []
     for first, winding in zip(firsts.tolist(), windings.tolist()):
         if math.isnan(winding):
@@ -420,7 +449,7 @@ def _windings(delta, contours):
         rounded = round(winding)
         outcomes.append(ContourError(f"non-integral winding {winding:.3f}")
                         if abs(winding - rounded) > 0.25 else rounded)
-    return outcomes
+    return outcomes, moments
 
 
 def _counts(outcomes):
@@ -433,7 +462,8 @@ def _counts(outcomes):
 
 
 def _box_counts(delta, boxes):
-    """The :func:`_windings` outcomes of polar ``boxes``, wound together."""
+    """The :func:`_windings` outcomes and moments of polar ``boxes``,
+    wound together."""
     return _windings(delta, [_box_contour(box) for box in boxes])
 
 
@@ -454,6 +484,10 @@ def _newton(delta, starts, multiplicities, polish=False, follows=None):
     flagged in ``follows``
     also stops, converged or not, on the step the last unflagged point
     stops; when every point is flagged, none follows.
+
+    The subdivision starts each box at the mean of its zeros, the first
+    moment of :func:`_windings` over its count, and the final polish at
+    each verified root.
 
     Returns [(rho, residual)] with residual = |last step| / (1 + |rho|).
     Steps and residuals are taken per point in Python arithmetic, so the
@@ -526,6 +560,18 @@ def _split_box(box):
     return [(r0, rm, a0, am), (rm, r1, a0, am), (r0, rm, am, a1), (rm, r1, am, a1)]
 
 
+def _circle_radii(rhos):
+    """The radius of the verification circle around each of ``rhos``:
+    1e-4 (1 + |rho|), or 0.45 times the distance to the nearest other
+    rho where that is smaller, so that no two circles meet."""
+    rhos = np.asarray(rhos, dtype=complex)
+    gaps = rhos[:, None] - rhos[None, :]
+    gaps = np.hypot(gaps.real, gaps.imag)       # the bits of abs(complex)
+    np.fill_diagonal(gaps, np.inf)
+    return np.minimum(1e-4 * (1.0 + np.hypot(rhos.real, rhos.imag)),
+                      0.45 * gaps.min(axis=1, initial=np.inf)).tolist()
+
+
 def _box_diameter(box):
     r0, r1, a0, a1 = box
     return max(r1 - r0, (a1 - a0) * r1)
@@ -556,8 +602,10 @@ def find_roots(nbc: NormalizedBC, annulus):
     every multiplicity comes from the winding of a circle.
 
     The subdivision runs level by level: the boxes of one level are
-    polished in one Newton batch, with the box count m as multiplicity.
-    That step converges only where the m zeros coincide.  A box of the
+    polished in one Newton batch, with the box count m as multiplicity,
+    each from the mean of its zeros, the first moment that the box's
+    winding batch read off its samples, over m.  That step converges
+    only where the m zeros coincide.  A box of the
     initial partition with m >= 2 is split without a step.  A box leads
     the batch when m = 1, when m is its parent's count (the split kept
     its zeros together), or at ``MAX_DEPTH`` or the smallest diameter; a
@@ -568,7 +616,9 @@ def find_roots(nbc: NormalizedBC, annulus):
     circles are each wound as one batch (:func:`_windings`), in which a
     path's samples, refinements and phase sum are the ones it gets
     alone.  The splits of a level are checked in level order, and the
-    first that fails raises, as if each had been wound on its own.
+    first that fails raises, as if each had been wound on its own.  Each
+    verification circle's radius is 1e-4 (1 + |rho|), or 0.45 times the
+    distance to the nearest other root where that is smaller.
     """
     r_min, r_max = annulus
     if not 0 < r_min < r_max < math.inf:
@@ -585,15 +635,16 @@ def find_roots(nbc: NormalizedBC, annulus):
     # the count of the whole annulus, whose boundary no partition line
     # crosses, checks that no zero went missing on a line
     boundary = [_Path(r_max, r_max, 0.0, 2 * math.pi), _Path(r_min, r_min, 2 * math.pi, 0.0)]
-    (total,) = _counts(_windings(delta, [boundary]))
+    (total,) = _counts(_windings(delta, [boundary])[0])
     diam_tol = max(1e-10 * r_max, 1e-12)
 
     def subdivide(boxes):
         found = []
         # a level entry is (box, count, the count of the box it was split
-        # from, or None in the initial partition)
-        level = [(box, count, None) for box, count
-                 in zip(boxes, _counts(_box_counts(delta, boxes))) if count != 0]
+        # from or None in the initial partition, the sum of its zeros)
+        outcomes, moments = _box_counts(delta, boxes)
+        level = [(box, count, None, moment) for box, count, moment
+                 in zip(boxes, _counts(outcomes), moments) if count != 0]
         depth = 0
         while level:
             # Newton with the box count m as multiplicity converges only
@@ -606,20 +657,20 @@ def find_roots(nbc: NormalizedBC, annulus):
             # separated some of its zeros but left m >= 2 follows, and stops
             # with the last leader.
             roles = []          # "lead", "follow", or None: split at once
-            for box, count, parent in level:
+            for box, count, parent, _ in level:
                 if (count in (1, parent) or depth >= MAX_DEPTH
                         or _box_diameter(box) <= diam_tol):
                     roles.append("lead")
                 else:
                     roles.append(None if parent is None else "follow")
-            stepped = [(box, count, role == "follow")
-                       for (box, count, _), role in zip(level, roles) if role]
-            polished = iter(_newton(
-                delta, [0.5 * (box[0] + box[1]) * cmath.exp(0.5j * (box[2] + box[3]))
-                       for box, _, _ in stepped], [count for _, count, _ in stepped],
-                follows=[follows for _, _, follows in stepped]))
+            # each box starts from the mean of its zeros, its moment over m
+            stepped = [(moment / count, count, role == "follow")
+                       for (_, count, _, moment), role in zip(level, roles) if role]
+            polished = iter(_newton(delta, [start for start, _, _ in stepped],
+                                    [count for _, count, _ in stepped],
+                                    follows=[follows for _, _, follows in stepped]))
             splitting = []
-            for (box, count, _), role in zip(level, roles):
+            for (box, count, _, _), role in zip(level, roles):
                 if role:
                     rho, res = next(polished)
                     r, ang = abs(rho), cmath.phase(rho)
@@ -642,15 +693,15 @@ def find_roots(nbc: NormalizedBC, annulus):
             # the children of all splits are wound together, and each
             # split is checked in level order
             children = [child for box, _ in splitting for child in _split_box(box)]
-            outcomes = _box_counts(delta, children)
+            outcomes, moments = _box_counts(delta, children)
             level = []
             for k, (box, count) in enumerate(splitting):
                 four = slice(4 * k, 4 * k + 4)
                 child_counts = _counts(outcomes[four])
                 if sum(child_counts) != count:
                     raise ContourError(f"winding counts failed to split box {box}")
-                level += [(child, child_count, count) for child, child_count
-                          in zip(children[four], child_counts) if child_count != 0]
+                level += [(child, child_count, count, moment) for child, child_count, moment
+                          in zip(children[four], child_counts, moments[four]) if child_count != 0]
             depth += 1
         return found
 
@@ -672,15 +723,9 @@ def find_roots(nbc: NormalizedBC, annulus):
             else:
                 clusters.append([root])
         reps = [min(cluster, key=lambda root: root.residual) for cluster in clusters]
-        radii = []
-        for idx, rep in enumerate(reps):
-            radius = 1e-4 * (1.0 + abs(rep.rho))
-            others = [abs(rep.rho - other.rho) for j, other in enumerate(reps) if j != idx]
-            if others:
-                radius = min(radius, 0.45 * min(others))
-            radii.append(radius)
-        mults = _counts(_windings(delta, [[_Path(radius, radius, 0.0, 2 * math.pi, rep.rho)]
-                                          for rep, radius in zip(reps, radii)]))
+        circles = [[_Path(radius, radius, 0.0, 2 * math.pi, rep.rho)]
+                   for rep, radius in zip(reps, _circle_radii([rep.rho for rep in reps]))]
+        mults = _counts(_windings(delta, circles)[0])
         verified = [(rep.rho, mult) for rep, mult in zip(reps, mults) if mult > 0]
         polished = _newton(delta, [rho for rho, _ in verified], [mult for _, mult in verified],
                            polish=True)
