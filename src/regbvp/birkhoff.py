@@ -13,8 +13,7 @@ rule.  :func:`_evaluate` takes Delta and its derivatives
 (:func:`_derivative`) by Horner, scaled by e^(-max_f Re(i rho f)).
 
 The record also holds k, the order of the zero of Delta at rho = 0
-(:func:`_origin_order`), which the root search divides out of its
-Newton steps.  k is the first j whose Taylor coefficient at 0,
+(:func:`_origin_order`).  k is the first j whose Taylor coefficient at 0,
 t_j = sum_f sum_(d <= j) P_f[d] (i f)^(j - d) / (j - d)!, is not
 negligible by the same rule.  At rho = 0 the n exponentials coincide,
 so k is at least n (n - 1) / 2, and an eigenvalue lambda = 0 of

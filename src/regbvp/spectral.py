@@ -19,37 +19,24 @@ and arcs, each a :class:`_Path`, and one function winds them all,
 box, a split, a verification circle) rebuilds the partition with
 shifted lines; boxes always split at their midpoints, and no
 multiplicity is taken from a box count in place of a circle.
-The search runs batched per subdivision level: the Newton steps of all
-boxes of a level are one array computation.  Windings are batched too:
-the contours of the initial grid, of all splits of a level, of the
-annulus, or of all verification circles are wound together, with
-one evaluation for the first samples of every path and one per round
-for the refinement midpoints of every path.  No evaluation takes more
-than ``BATCH_POINTS`` points at once.  The samples that count a box's
-zeros also give their sum, the first moment (Delves and Lyness, Math.
-Comp. 21, 1967), with no further evaluation, and the box's Newton
-steps start from its mean, the moment over the count m.  Nothing is
-accepted on the moment's word: the residual and in-box test, the
-circles and the retry rule decide.  The steps take the count m as
-multiplicity, so they converge only where the m zeros coincide.  The
-step is Newton's on Delta / rho^k, -m Delta / (Delta' - k Delta / rho),
-with k the order of the zero of Delta at rho = 0
-(:mod:`regbvp.birkhoff`): that zero lies inside the inner circle, at
-least n (n - 1) / 2 deep, and would draw the starts of nearby boxes
-into a linear crawl.  Its fixed points are the zeros of Delta off the
-origin, and k enters nothing else (not the in-box test, the circles,
-the multiplicities or the polish), so a wrong k can cost steps but does
-not change which zeros are found.  A box of the initial partition with
-m >= 2 is split without a step, and a box whose split separated some of
-its zeros but left m >= 2 follows the level's other boxes: it steps
-while they do, and stops when the last of them stops.  Batching changes
-no other result: every point's determinant, every Newton step and
-residual of a box that follows nothing, and every path's samples,
-refinements, phase sum and moment, are the ones it gets alone; a
-follower takes the steps it gets alone, but how many depends on its
-level.  A root whose circle winds m times is
-polished by Newton on Delta^(m-1), whose zero there is simple, so a
-multiple root is not limited by the cancellation of Delta near it.
+The search runs batched per subdivision level, and winds the contours
+of the initial grid, of all splits of a level, of the annulus, or of
+all verification circles together, with one evaluation for the first
+samples of every path and one per round for the refinement midpoints
+of every path; no evaluation takes more than ``BATCH_POINTS`` points.
+The samples that count a box's zeros also give their power sums about
+its centre (Delves and Lyness, Math. Comp. 21, 1967) with no further
+evaluation, and the sums give the zeros (:func:`_zero_starts`).  So the
+subdivision has one rule: a box starts one Newton point per distinct
+zero, with its multiplicity, and is kept when every point converges
+inside it to distinct points; otherwise it splits, and a box with more
+than ``POWER_SUMS`` zeros splits at once.  Nothing is accepted on the
+sums' word: the residual and in-box test, the circles and the retry
+rule decide.  Batching changes no result: every point's Newton steps
+and every path's samples, refinements and sums are the ones it gets
+alone.  A root whose circle winds m times is polished by Newton on
+Delta^(m-1), whose zero there is simple, so a multiple root is not
+limited by the cancellation of Delta near it.
 
 Green kernel and resolvent.  The Green sup scan samples the kernel on a
 lattice.  The resolvent norm does not use the kernel: on the constrained
@@ -68,9 +55,10 @@ M_N.  The Nystrom kernel converges only like q^-2 on its diagonal kink
 (Kress, Linear Integral Equations, ch. 12), so it serves only there.
 
 Fixed numerical choices are module constants: the Newton residual
-``RESIDUAL_TOL``, the search limits ``MAX_DEPTH`` and ``MAX_GRID``, the
-batch cap ``BATCH_POINTS``, the phase tracking of a path (its first
-samples ``FIRST_SAMPLES_MIN``, ``FIRST_SAMPLES_MAX`` and
+``RESIDUAL_TOL``, the power sums ``POWER_SUMS`` and the merge distance
+``MERGE_TOL`` of the Newton starts, the search limits ``MAX_DEPTH`` and
+``MAX_GRID``, the batch cap ``BATCH_POINTS``, the phase tracking of a
+path (its first samples ``FIRST_SAMPLES_MIN``, ``FIRST_SAMPLES_MAX`` and
 ``FIRST_SAMPLES_PER_LENGTH``, its limits ``REFINE_ROUNDS`` and
 ``MAX_PATH_SAMPLES``, and the dip ``NEAR_ZERO_DIP`` that marks a zero
 near it), the radius ``CLEARANCE_DELTA`` (delta) of the disks a scan
@@ -115,6 +103,12 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-8
+# The power sums s_1 ... s_POWER_SUMS of the zeros inside each contour
+# that the winding samples give, and the distance, relative to a box's
+# diameter, within which the zeros estimated from them are one start
+# (see _zero_starts).
+POWER_SUMS = 5
+MERGE_TOL = 0.1
 # The most rho values one _evaluate call takes: batches beyond it buy no
 # speed and only raise the peak memory.
 BATCH_POINTS = 1024
@@ -318,10 +312,8 @@ def _log_abs_array(dets, logs):
 
 def _windings(delta, contours):
     """Winding of Delta around each closed contour (a list of
-    :class:`_Path` paths), and the sum of the zeros inside it, all wound
-    together.  The search winds its initial partition, the children of
-    all splits of a level, the annulus and its verification circles this
-    way.
+    :class:`_Path` paths), and the power sums of the zeros inside it, all
+    wound together.
 
     Each path starts from its first samples (see FIRST_SAMPLES_MIN),
     equispaced as ``np.linspace`` places them, and each round halves
@@ -330,35 +322,38 @@ def _windings(delta, contours):
     are the midpoints of each round, so the batch costs one evaluation
     more than the refinement rounds of its slowest path.  The paths are
     tracked in shared arrays, and a round's settled paths are summed in
-    one segmented reduction; every path's samples, refinements and
-    phase sum are the ones it gets alone.
+    one segmented reduction; every path's samples, refinements, phase
+    sum and power sums are the ones it gets alone.
 
-    The same samples give the first moment s1 = (1 / 2 pi i) oint rho
-    Delta' / Delta drho, the sum of the zeros inside (Delves and Lyness,
-    Math. Comp. 21, 1967), with no further evaluation.  It is the
-    trapezoid rule for m rho_s - (1 / 2 pi i) oint log Delta drho, the
-    integral by parts from the contour's start rho_s with log Delta
-    continued along the samples, summed by parts once more: each step
-    adds its midpoint in rho times its change in log Delta, that is in
-    log|Delta| and in the continued phase.  So no path needs the phase
-    at its start, and each path's share is a sum over its own steps,
-    reduced with its phase sum and the one it gets alone.
+    The same samples give the power sums s_p = (1 / 2 pi i) oint
+    (rho - c)^p Delta' / Delta drho, p = 1 ... POWER_SUMS, of the zeros
+    inside about the contour's centre c, the mean of its paths' starting
+    points (a box's corners), with no further evaluation (Delves and
+    Lyness, Math. Comp. 21, 1967), by the trapezoid rule on log Delta
+    continued along the samples: a step adds the mean of (rho - c)^p at
+    its two ends times its change in log|Delta| and in the continued
+    phase.  A path's sums are taken once it settles, with its phase sum.
 
     A path through a zero, a midpoint far below its neighbours in
     log|Delta| (a zero close to the path), REFINE_ROUNDS rounds or more
     than MAX_PATH_SAMPLES samples fail the path, and a non-integral
     winding fails its contour.  Once a path fails, no later path is
-    refined.  Returns (outcomes, moments), one entry each per contour:
-    its count, or the ContourError of its first failing path, of its
-    winding, or of the path that stopped its refinement; and its first
-    moment, NaN where a path has no phase sum.  :func:`_counts` raises
-    the first error.
+    refined.  Returns (outcomes, centres, sums), one entry each per
+    contour: its count, or the ContourError of its first failing path,
+    of its winding, or of the path that stopped its refinement; its
+    centre c; and its power sums, a row of the (contours, POWER_SUMS)
+    array ``sums``, NaN where a path has no phase sum.  :func:`_counts`
+    raises the first error.
     """
     paths = [path for contour in contours for path in contour]
     if not paths:
-        return [], []
+        return [], [], np.zeros((0, POWER_SUMS), dtype=complex)
     r0, r1, a0, a1 = (np.array(column, dtype=float) for column in list(zip(*paths))[:4])
     center = np.array([path.center for path in paths], dtype=complex)
+    per_contour = [len(contour) for contour in contours]
+    firsts = np.cumsum([0] + per_contour[:-1])
+    centres = np.add.reduceat(center + r0 * np.exp(1j * a0), firsts) / per_contour
+    about = np.repeat(centres, per_contour)     # the centre of each path's contour
 
     def sample(owner, ts):
         """The points at parameters ``ts`` on paths ``owner``, and
@@ -383,7 +378,7 @@ def _windings(delta, contours):
     ts[ends - 1] = 1.0
     points, la, phases = sample(owner, ts)
     sums = np.full(len(paths), np.nan)  # a settled path's phase sum
-    shares = np.full(len(paths), np.nan, dtype=complex)     # and its part of 2 pi i s1
+    shares = np.full((len(paths), POWER_SUMS), np.nan, dtype=complex)  # and of 2 pi i s_p
     errors = {}                         # a failed path's ContourError
     first_failure = len(paths)
 
@@ -408,8 +403,6 @@ def _windings(delta, contours):
         # its sums group their terms as alone
         same = owner[1:] == owner[:-1]
         diffs = np.append(np.where(same, np.angle(np.exp(1j * np.diff(phases))), 0.0), 0.0)
-        steps = np.append(np.where(same, 0.5 * (points[1:] + points[:-1])
-                                   * (np.diff(la) + 1j * diffs[:-1]), 0.0), 0.0)
         bad = np.flatnonzero(np.abs(diffs) > 0.5 * math.pi)
         starts = np.flatnonzero(np.diff(owner, prepend=-1))
         live = owner[starts]
@@ -417,7 +410,18 @@ def _windings(delta, contours):
         settled[owner[bad]] = False
         settled = settled[live]
         sums[live[settled]] = np.add.reduceat(diffs, starts)[settled]
-        shares[live[settled]] = np.add.reduceat(steps, starts)[settled]
+        # the trapezoid rule on the settled paths' samples: each sample
+        # weighs half the change in log Delta over its two steps, and each
+        # order multiplies in its distance from the centre once more
+        done = np.repeat(settled, np.diff(starts, append=owner.size))
+        if done.any():
+            steps = np.append(np.where(same, np.diff(la) + 1j * diffs[:-1], 0.0), 0.0)
+            terms = (0.5 * (steps + np.append(0.0, steps[:-1])))[done]
+            heads = np.flatnonzero(np.diff(owner[done], prepend=-1))
+            offsets = points[done] - about[owner[done]]
+            for p in range(POWER_SUMS):
+                terms *= offsets
+                shares[live[settled], p] = np.add.reduceat(terms, heads)
         if not bad.size:
             break
         mid_owner, mid_ts = owner[bad], 0.5 * (ts[bad] + ts[bad + 1])
@@ -437,9 +441,8 @@ def _windings(delta, contours):
          "phase tracking failed to settle along an edge")
 
     # a contour with a path that has no phase sum has no winding either
-    firsts = np.cumsum([0] + [len(contour) for contour in contours[:-1]])
     windings = np.add.reduceat(sums, firsts) / (2 * math.pi)
-    moments = (np.add.reduceat(shares, firsts) / (2j * math.pi)).tolist()
+    power_sums = np.add.reduceat(shares, firsts) / (2j * math.pi)
     outcomes = []
     for first, winding in zip(firsts.tolist(), windings.tolist()):
         if math.isnan(winding):
@@ -449,7 +452,7 @@ def _windings(delta, contours):
         rounded = round(winding)
         outcomes.append(ContourError(f"non-integral winding {winding:.3f}")
                         if abs(winding - rounded) > 0.25 else rounded)
-    return outcomes, moments
+    return outcomes, centres.tolist(), power_sums
 
 
 def _counts(outcomes):
@@ -462,60 +465,72 @@ def _counts(outcomes):
 
 
 def _box_counts(delta, boxes):
-    """The :func:`_windings` outcomes and moments of polar ``boxes``,
-    wound together."""
+    """The :func:`_windings` outcomes, centres and power sums of polar
+    ``boxes``, wound together."""
     return _windings(delta, [_box_contour(box) for box in boxes])
 
 
-def _newton(delta, starts, multiplicities, polish=False, follows=None):
+def _zero_starts(count, centre, sums, scale):
+    """Newton starts [(start, multiplicity)] for the ``count`` zeros
+    inside a contour, from their power sums ``sums`` about ``centre`` (as
+    :func:`_windings` gives them) and a length ``scale`` of the contour.
+
+    With t_p = s_p / scale^p, Newton's identities k c_k = -(c_(k-1) t_1
+    + ... + c_0 t_k), c_0 = 1, give the polynomial sum_k c_k z^(count-k)
+    whose roots are the scaled zeros.  The sums carry an error of about
+    1e-3, which a multiple zero spreads by its square root or more, so
+    roots within MERGE_TOL of each other (single linkage) are one start
+    at their mean, of their joint multiplicity.  One zero, or more than
+    POWER_SUMS, start at their mean."""
+    if count == 1 or count > POWER_SUMS:
+        return [(centre + complex(sums[0]) / count, count)]
+    t = (sums[:count] / scale ** np.arange(1, count + 1)).tolist()
+    coeffs = [1.0]
+    for k in range(1, count + 1):
+        coeffs.append(-sum(c * t_p for c, t_p in zip(coeffs[::-1], t)) / k)
+    groups = []
+    for z in np.roots(coeffs).tolist():
+        near = [group for group in groups if any(abs(z - w) <= MERGE_TOL for w in group)]
+        groups = [group for group in groups if group not in near] + [[z] + sum(near, [])]
+    return [(centre + scale * sum(group) / len(group), len(group)) for group in groups]
+
+
+def _newton(delta, starts, multiplicities, polish=False):
     """Polish each start with Newton steps, all points in lockstep.
 
-    A point of multiplicity m steps by -m Delta / (Delta' - k Delta / rho),
-    Newton's step on Delta / rho^k with k the order of the zero of Delta
-    at 0, which would otherwise draw in the starts near it; its fixed
-    points are the zeros of Delta off the origin, whatever k.  When
+    A point of multiplicity m steps by -m Delta / Delta'.  When
     ``polish``, the step is -Delta^(m-1)/Delta^(m): an m-fold zero of
     Delta is a simple zero of Delta^(m-1), which does not cancel near it.
     Each step evaluates the tables of Delta, Delta', ... in one call.  A
-    zero denominator, or rho = 0 under deflation, stops the point.  A
-    point stops once its step is below 1e-13 (relative); when ``polish``,
-    it goes on while each step is nonzero and at most half the one
-    before, since the polished roots are the ones printed.  A point
-    flagged in ``follows``
-    also stops, converged or not, on the step the last unflagged point
-    stops; when every point is flagged, none follows.
+    zero denominator stops the point.  A point stops once its step is
+    below 1e-13 (relative); when ``polish``, it goes on while each step
+    is nonzero and at most half the one before, since the polished roots
+    are the ones printed.
 
-    The subdivision starts each box at the mean of its zeros, the first
-    moment of :func:`_windings` over its count, and the final polish at
-    each verified root.
+    The subdivision starts from the zeros that a box's power sums give
+    (:func:`_zero_starts`), and the final polish at each verified root.
 
     Returns [(rho, residual)] with residual = |last step| / (1 + |rho|).
-    Steps and residuals are taken per point in Python arithmetic, so the
-    result of a point that follows nothing does not depend on the batch
-    it runs in.
+    Steps and residuals are taken per point in Python arithmetic, so a
+    point's result does not depend on the batch it runs in.
     """
     orders = [m - 1 if polish else 0 for m in multiplicities]
     tables = [delta.coeffs]
     for _ in range(max(orders, default=0) + 1):
         tables.append(_derivative(delta.freqs, tables[-1]))
     tables = np.array(tables)
-    deflate = 0 if polish else delta.origin_order
     rhos = list(starts)
-    if follows is None or all(follows):
-        follows = [False] * len(rhos)
     best = list(starts)
     best_res = [math.inf] * len(rhos)
     last_res = [math.inf] * len(rhos)
     active = range(len(rhos))
     for _ in range(NEWTON_MAX_ITER):
-        if all(follows[i] for i in active):     # no point left to follow, or none left
+        if not active:
             break
         values, _ = _char_det_batch(delta, [rhos[i] for i in active], tables)
         going = []
         for col, i in enumerate(active):
             value, slope = complex(values[orders[i], col]), complex(values[orders[i] + 1, col])
-            if deflate:     # (Delta / rho^k)' over rho^-k: Delta' - k Delta / rho
-                slope = slope - deflate * value / rhos[i] if rhos[i] else 0j
             if slope == 0:
                 continue
             step = -(1 if polish else multiplicities[i]) * value / slope
@@ -577,6 +592,15 @@ def _box_diameter(box):
     return max(r1 - r0, (a1 - a0) * r1)
 
 
+def _in_box(rho, box):
+    """Whether ``rho`` lies in the polar ``box``, padded by 1e-6 of its widths."""
+    r0, r1, a0, a1 = box
+    pad_r = 1e-6 * (r1 - r0) + 1e-12
+    pad_a = 1e-6 * (a1 - a0) + 1e-12
+    return (r0 - pad_r <= abs(rho) <= r1 + pad_r and abs(cmath.phase(
+        cmath.exp(1j * (cmath.phase(rho) - 0.5 * (a0 + a1))))) <= (a1 - a0) / 2 + pad_a)
+
+
 def find_roots(nbc: NormalizedBC, annulus):
     """Zeros of the characteristic determinant inside an annulus.
 
@@ -601,24 +625,20 @@ def find_roots(nbc: NormalizedBC, annulus):
     last error is raised.  Boxes always split at their midpoints, and
     every multiplicity comes from the winding of a circle.
 
-    The subdivision runs level by level: the boxes of one level are
-    polished in one Newton batch, with the box count m as multiplicity,
-    each from the mean of its zeros, the first moment that the box's
-    winding batch read off its samples, over m.  That step converges
-    only where the m zeros coincide.  A box of the
-    initial partition with m >= 2 is split without a step.  A box leads
-    the batch when m = 1, when m is its parent's count (the split kept
-    its zeros together), or at ``MAX_DEPTH`` or the smallest diameter; a
-    box whose count fell at its split but is still >= 2 follows, and
-    stops when the last leader stops.  A level with no leader steps every
-    box until it stops alone.  The boxes of the initial partition, the
-    children of all splits of a level, the annulus and all verification
-    circles are each wound as one batch (:func:`_windings`), in which a
-    path's samples, refinements and phase sum are the ones it gets
-    alone.  The splits of a level are checked in level order, and the
-    first that fails raises, as if each had been wound on its own.  Each
-    verification circle's radius is 1e-4 (1 + |rho|), or 0.45 times the
-    distance to the nearest other root where that is smaller.
+    The subdivision runs level by level with one rule: each box starts
+    one Newton point per distinct zero that its power sums show
+    (:func:`_zero_starts`), all boxes of a level in one batch, and is
+    kept when every point converges inside it to distinct points; it
+    splits otherwise, and at once when it holds more than POWER_SUMS
+    zeros.  At ``MAX_DEPTH`` or the smallest diameter a box steps and
+    keeps its points whatever they converged to.  The initial
+    partition, the children of all splits of a level, the annulus and
+    all verification circles are each wound as one batch
+    (:func:`_windings`); the splits of a level are checked in level
+    order, and the first that fails raises, as if each had been wound
+    on its own.  Each verification circle's radius is 1e-4 (1 + |rho|),
+    or 0.45 times the distance to the nearest other root where that is
+    smaller.
     """
     r_min, r_max = annulus
     if not 0 < r_min < r_max < math.inf:
@@ -640,68 +660,48 @@ def find_roots(nbc: NormalizedBC, annulus):
 
     def subdivide(boxes):
         found = []
-        # a level entry is (box, count, the count of the box it was split
-        # from or None in the initial partition, the sum of its zeros)
-        outcomes, moments = _box_counts(delta, boxes)
-        level = [(box, count, None, moment) for box, count, moment
-                 in zip(boxes, _counts(outcomes), moments) if count != 0]
+        # a level entry is (box, count, centre, power sums), count != 0
+        outcomes, centres, sums = _box_counts(delta, boxes)
+        level = [entry for entry in zip(boxes, _counts(outcomes), centres, sums) if entry[1]]
         depth = 0
         while level:
-            # Newton with the box count m as multiplicity converges only
-            # when the m zeros coincide (an m-fold zero, or a cluster tighter
-            # than the tolerance); distinct roots keep it oscillating at the
-            # separation scale and the box is subdivided.  So a box of the
-            # initial partition with m >= 2 is split at once.  A box leads
-            # the level's Newton batch when m = 1, when its split kept all
-            # of its parent's zeros, or at a search limit; a box whose split
-            # separated some of its zeros but left m >= 2 follows, and stops
-            # with the last leader.
-            roles = []          # "lead", "follow", or None: split at once
-            for box, count, parent, _ in level:
-                if (count in (1, parent) or depth >= MAX_DEPTH
-                        or _box_diameter(box) <= diam_tol):
-                    roles.append("lead")
-                else:
-                    roles.append(None if parent is None else "follow")
-            # each box starts from the mean of its zeros, its moment over m
-            stepped = [(moment / count, count, role == "follow")
-                       for (_, count, _, moment), role in zip(level, roles) if role]
-            polished = iter(_newton(delta, [start for start, _, _ in stepped],
-                                    [count for _, count, _ in stepped],
-                                    follows=[follows for _, _, follows in stepped]))
+            # one Newton point per distinct zero of each box, all in one
+            # batch; more than POWER_SUMS zeros split at once, but at a limit
+            plans = []
+            for box, count, centre, box_sums in level:
+                limit = depth >= MAX_DEPTH or _box_diameter(box) <= diam_tol
+                box_starts = _zero_starts(count, centre, box_sums, _box_diameter(box))
+                plans.append((box, count, limit,
+                              box_starts if count <= POWER_SUMS or limit else []))
+            starts = [start for *_, box_starts in plans for start in box_starts]
+            polished = iter(_newton(delta, [rho for rho, _ in starts], [m for _, m in starts]))
             splitting = []
-            for (box, count, _, _), role in zip(level, roles):
-                if role:
-                    rho, res = next(polished)
-                    r, ang = abs(rho), cmath.phase(rho)
-                    # accept only roots (essentially) inside this box; a
-                    # polished point in a neighbouring box belongs to that
-                    # box's count
-                    pad_r = 1e-6 * (box[1] - box[0]) + 1e-12
-                    pad_a = 1e-6 * (box[3] - box[2]) + 1e-12
-                    mid_a = 0.5 * (box[2] + box[3])
-                    in_box = (box[0] - pad_r <= r <= box[1] + pad_r
-                              and abs(cmath.phase(cmath.exp(1j * (ang - mid_a))))
-                              <= (box[3] - box[2]) / 2 + pad_a)
-                    if ((res <= RESIDUAL_TOL and in_box)
-                            or depth >= MAX_DEPTH or _box_diameter(box) <= diam_tol):
-                        found.append(_Candidate(complex(rho), float(res)))
-                        continue
-                splitting.append((box, count))
+            for box, count, limit, box_starts in plans:
+                points = [next(polished) for _ in box_starts]
+                # kept when every start converged (essentially) inside the box, to
+                # distinct points; a point outside it counts in a neighbour
+                if box_starts and (limit or (
+                        all(res <= RESIDUAL_TOL and _in_box(rho, box) for rho, res in points)
+                        and all(abs(rho - other) > CLUSTER_TOL * (1.0 + abs(rho))
+                                for k, (rho, _) in enumerate(points)
+                                for other, _ in points[k + 1:]))):
+                    found += [_Candidate(complex(rho), float(res)) for rho, res in points]
+                else:
+                    splitting.append((box, count))
             if not splitting:
                 break
             # the children of all splits are wound together, and each
             # split is checked in level order
             children = [child for box, _ in splitting for child in _split_box(box)]
-            outcomes, moments = _box_counts(delta, children)
+            outcomes, centres, sums = _box_counts(delta, children)
             level = []
             for k, (box, count) in enumerate(splitting):
                 four = slice(4 * k, 4 * k + 4)
                 child_counts = _counts(outcomes[four])
                 if sum(child_counts) != count:
                     raise ContourError(f"winding counts failed to split box {box}")
-                level += [(child, child_count, count, moment) for child, child_count, moment
-                          in zip(children[four], child_counts, moments[four]) if child_count != 0]
+                level += [entry for entry in zip(children[four], child_counts, centres[four],
+                                                 sums[four]) if entry[1]]
             depth += 1
         return found
 

@@ -11,6 +11,7 @@ paths is what the tests assert.
 
 import cmath
 import math
+import random
 
 import numpy as np
 
@@ -88,6 +89,48 @@ def boundary_logdet(rows, rho):
     phase, log_abs = np.linalg.slogdet(mat)
     return (complex(phase), float(log_abs + np.log(cols).sum() + np.log(row_max).sum()),
             float(np.linalg.cond(mat)))
+
+
+def mp_char_zero(rows, rho, multiplicity=1, dps=40):
+    """The zero near ``rho`` of det[U_j(e^(i eps_k rho x))] for ``rows``,
+    in ``dps``-digit mpmath; for an m-fold zero, the zero of the
+    (m-1)-th derivative, which is simple there.
+
+    The entries sum_s (a_js + b_js e^(z_k)) z_k^s, z_k = i eps_k rho,
+    are built from the raw rows with eps_k = exp(2 pi i k / n) in
+    mpmath, the determinant is expanded by cofactors (mpmath's LU returns
+    0 once its pivot falls below its own tolerance, near the zero), a
+    derivative is mpmath's numerical one, and the zero is mpmath's
+    secant iteration from ``rho`` and a point 1e-8 (1 + |rho|) beside
+    it.  mpmath is imported here, so the module loads without it.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        n = len(rows)
+        eps = [mpmath.expjpi(mpmath.mpf(2 * k) / n) for k in range(n)]
+        a, b = ([[mpmath.mpc(c) for c in getattr(row, side)] for row in rows] for side in "ab")
+
+        def cofactors(mat):
+            if len(mat) == 1:
+                return mat[0][0]
+            return mpmath.fsum((-1) ** col * mat[0][col]
+                               * cofactors([row[:col] + row[col + 1:] for row in mat[1:]])
+                               for col in range(len(mat)))
+
+        def det(r):
+            z = [mpmath.mpc(0, 1) * e * r for e in eps]
+            ez = [mpmath.exp(zk) for zk in z]
+            return cofactors([[mpmath.fsum((a[j][s] + b[j][s] * ez[k]) * z[k] ** s
+                                           for s in range(n)) for k in range(n)]
+                              for j in range(n)])
+
+        def target(r):
+            return det(r) if multiplicity == 1 else mpmath.diff(det, r, multiplicity - 1)
+
+        start = mpmath.mpc(rho)
+        return complex(mpmath.findroot(target, (start, start + 1e-8 * (1 + abs(rho))),
+                                       verify=False))
 
 
 def winding_number(phase, center, radius):
@@ -223,3 +266,38 @@ def random_mix(rng, rows):
 def remix_spec(rng, spec):
     """The same operator with recombined boundary rows."""
     return OperatorSpec(spec.order, spec.form, random_mix(rng, spec.rows))
+
+
+# ---------------------------------------------------------------------------
+# The random operators of the roots-random benchmark workload
+# ---------------------------------------------------------------------------
+
+# (order, coupled rows) of the six operators of one round
+ROOTS_RANDOM_STRATA = ((2, False), (2, True), (4, False), (2, True), (2, False), (4, True))
+
+
+def roots_random_rows(seed, count):
+    """The boundary rows of the first ``count`` operators that the
+    roots-random workload of ``perfbench/workloads.py`` draws from
+    ``random.Random(seed)``, drawn the same way: complex N(0, 1)
+    coefficients on y^(0..k).  Separated rows take n/2 distinct orders k
+    at each end; coupled row j involves both ends, with k drawn from
+    floor(j/2)..n-1."""
+    rng = random.Random(seed)
+    operators = []
+    while len(operators) < count:
+        for n, coupled in ROOTS_RANDOM_STRATA:
+            if coupled:
+                shape = [(rng.randrange(j // 2, n), "ab") for j in range(n)]
+            else:
+                shape = ([(k, "a") for k in rng.sample(range(n), n // 2)]
+                         + [(k, "b") for k in rng.sample(range(n), n // 2)])
+            rows = []
+            for k, sides in shape:
+                coeffs = {"a": [0j] * n, "b": [0j] * n}
+                for side in sides:
+                    for s in range(k + 1):
+                        coeffs[side][s] = complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+                rows.append(BoundaryRow(tuple(coeffs["a"]), tuple(coeffs["b"])))
+            operators.append(tuple(rows))
+    return operators[:count]

@@ -8,9 +8,11 @@ the nearest squared root.
 """
 
 import cmath
+import itertools
 import math
 import random
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -293,8 +295,8 @@ def _count_evaluations(monkeypatch):
 
 def test_batched_newton_independent_of_batch(monkeypatch):
     # pi is a simple root, where Newton stops after one step; the centre
-    # between pi and 2 pi, with the box count 2 as multiplicity, keeps
-    # oscillating until NEWTON_MAX_ITER
+    # between pi and 2 pi, with multiplicity 2, keeps oscillating until
+    # NEWTON_MAX_ITER
     delta = birkhoff._delta(_nbc("dirichlet2").rows)
     starts, mults = [complex(math.pi), 4.6 + 0.3j], [1, 2]
     sizes = _count_evaluations(monkeypatch)
@@ -305,46 +307,41 @@ def test_batched_newton_independent_of_batch(monkeypatch):
     together = spectral._newton(delta, starts, mults)
     assert sizes == [2] + [1] * (spectral.NEWTON_MAX_ITER - 1)
     assert repr(together) == repr(alone)
-    # with no follower, or every point flagged (so none follows), nothing
-    # changes
-    for follows in ([False, False], [True, True]):
-        sizes.clear()
-        assert repr(spectral._newton(delta, starts, mults, follows=follows)) == repr(together)
-        assert sizes == [2] + [1] * (spectral.NEWTON_MAX_ITER - 1)
-    # neumann4's Delta has a 14-fold zero at 0: the plain step from 3.5
-    # creeps towards it for all NEWTON_MAX_ITER steps, and the step on
-    # Delta / rho^14 reaches the root near 4.73 in a few.  Deflated
-    # points take the steps they take alone too
+    # neumann4's Delta has a 14-fold zero at 0, which draws the step from
+    # 3.5 in for all NEWTON_MAX_ITER steps, while the step from 7 + i
+    # reaches the root near 4.73 in a few; together, each point takes the
+    # steps it takes alone
     four = birkhoff._delta(_nbc("neumann4").rows)
     four_starts = [3.5 + 0j, 7 + 1j]
-    sizes.clear()
-    (plain, _), = spectral._newton(four._replace(origin_order=0), four_starts[:1], [1])
-    assert len(sizes) == spectral.NEWTON_MAX_ITER and abs(plain) < 0.5
     four_alone, four_steps = [], []
     for start in four_starts:
         sizes.clear()
         four_alone += spectral._newton(four, [start], [1])
         four_steps.append(len(sizes))
-    assert abs(four_alone[0][0] - 4.730040744862704) < 1e-12
-    assert four_steps[0] < 10 < four_steps[1] < spectral.NEWTON_MAX_ITER
+    assert abs(four_alone[0][0]) < 0.5 and abs(four_alone[1][0] - 4.730040744862704) < 1e-12
+    assert 2 < four_steps[1] < 20 < four_steps[0] == spectral.NEWTON_MAX_ITER
     sizes.clear()
     assert repr(spectral._newton(four, four_starts, [1, 1])) == repr(four_alone)
-    assert sizes == [2] * four_steps[0] + [1] * (four_steps[1] - four_steps[0])
-    # a follower stops on the step its last leader stops, here the leader
-    # from pi + 0.3 after a few steps, with the result it has alone after
-    # that many steps; the leaders' results are their own
-    sizes.clear()
-    slow = spectral._newton(delta, [math.pi + 0.3], [1])
-    steps = len(sizes)
-    assert 2 <= steps < spectral.NEWTON_MAX_ITER
-    sizes.clear()
-    led = spectral._newton(delta, starts + [math.pi + 0.3], mults + [1],
-                           follows=[False, True, False])
-    assert sizes == [3] + [2] * (steps - 1)
-    monkeypatch.setattr(spectral, "NEWTON_MAX_ITER", steps)
-    cut = spectral._newton(delta, starts[1:], mults[1:])
-    assert repr(led) == repr([alone[0]] + cut + slow)
-    assert cut != alone[1:]
+    assert sizes == [2] * four_steps[1] + [1] * (four_steps[0] - four_steps[1])
+
+
+def test_roots_lie_within_their_printed_bound_of_the_40_digit_zeros():
+    # an oracle independent of the search: every root of the gallery and
+    # of the first 20 roots-random operators of random.Random(1), on
+    # (0.5, 20), lies within the bound it is printed to, max(residual,
+    # n eps) (1 + |rho|), of the zero of the 40-digit determinant nearest
+    # it (of its (m - 1)-th derivative for an m-fold root)
+    pytest.importorskip("mpmath")
+    operators = [_nbc(name) for name in sorted(gallery.EXAMPLES)]
+    operators += [reduce_total_order(rows) for rows in oracles.roots_random_rows(1, 20)]
+    eps, checked = np.finfo(float).eps, []
+    for nbc in operators:
+        for root in find_roots(nbc, (0.5, 20.0)):
+            zero = oracles.mp_char_zero(nbc.rows, root.rho, root.multiplicity)
+            bound = max(root.residual, nbc.n * eps) * (1.0 + abs(root.rho))
+            assert abs(root.rho - zero) <= bound, (root, zero)
+            checked.append(root.multiplicity)
+    assert len(checked) > 300 and 2 in checked
 
 
 def test_evaluation_independent_of_batch():
@@ -376,11 +373,13 @@ def test_find_roots_work_count(monkeypatch):
     # Newton point at a time, and 134 batched when every box of a level
     # stepped until the slowest stopped; with the multi-zero boxes of the
     # initial partition split at once and the boxes whose split separated
-    # their zeros following the others, it takes 40, and 41 with the steps
-    # on Delta / rho, which divide out Delta's simple zero at 0
+    # their zeros following the others, it takes 40, 41 with the steps
+    # on Delta / rho, which divide out Delta's simple zero at 0, and 25
+    # with each box started at the mean of its zeros; with one start per
+    # zero, from the power sums, it takes 17
     sizes = _count_evaluations(monkeypatch)
     find_roots(_nbc("dirichlet2"), (0.5, 66.5))
-    assert len(sizes) <= 60
+    assert len(sizes) <= 25
     assert max(sizes) <= spectral.BATCH_POINTS
 
 
@@ -393,27 +392,45 @@ def test_gallery_search_point_count(monkeypatch):
     # their level's Newton batch running to NEWTON_MAX_ITER, 749 when
     # the high-order zero of Delta at 0 drew the Newton steps of boxes
     # near it (before they stepped on Delta / rho^k), 442 when each split
-    # was wound on its own, not with the other splits of its level, and
-    # 376 when Newton started at each box's midpoint, not at the mean of
-    # its zeros
+    # was wound on its own, not with the other splits of its level, 376
+    # when Newton started at each box's midpoint, not at the mean of its
+    # zeros, and 265 evaluations of 121,644 points when each box took one
+    # start at that mean, with its count as multiplicity.  With one start
+    # per zero, from the power sums, they take 201 evaluations of 91,519
+    # points, and no box splits
     sizes = _count_evaluations(monkeypatch)
     for name in sorted(gallery.EXAMPLES):
         find_roots(_nbc(name), (0.5, 66.5))
-    assert sum(sizes) <= 150000
-    assert len(sizes) <= 300
+    assert sum(sizes) <= 100000
+    assert len(sizes) <= 250
 
 
 def test_random_search_work_count(monkeypatch):
     # 30 seeded random operators each of orders 2 and 4 on (0.5, 20) take
-    # 2,072 evaluations; 6,330 when Newton stepped on Delta itself, whose
-    # zero at 0 (of order at least n (n - 1) / 2) drew in the starts of
-    # boxes near the inner circle, 4,086 when each split was wound on its
-    # own, and 3,834 when Newton started at each box's midpoint
+    # 802 evaluations with one Newton start per zero, from the power sums
+    # of each box; 2,072 when each box started once at the mean of its
+    # zeros, 3,834 when Newton started at each box's midpoint, 4,086 when
+    # each split was also wound on its own, and 6,330 when those midpoint
+    # starts also stepped on Delta itself, whose zero at 0 (of order at
+    # least n (n - 1) / 2) drew in the boxes near the inner circle.  One
+    # subdivision Newton batch runs all NEWTON_MAX_ITER steps, held by two
+    # zeros close enough to merge into one start; 16 did with one start
+    # per box
     rng = np.random.default_rng(20261019)
     sizes = _count_evaluations(monkeypatch)
+    newton, capped = spectral._newton, []
+
+    def counted(delta, starts, multiplicities, polish=False):
+        before = len(sizes)
+        result = newton(delta, starts, multiplicities, polish)
+        capped.append(not polish and len(sizes) - before == spectral.NEWTON_MAX_ITER)
+        return result
+
+    monkeypatch.setattr(spectral, "_newton", counted)
     for n in (2, 4) * 30:
         find_roots(reduce_total_order(oracles.random_rows(rng, n)), (0.5, 20.0))
-    assert len(sizes) <= 2500
+    assert len(sizes) <= 1000
+    assert sum(capped) <= 3
 
 
 # Two simple roots of the seeded operator of
@@ -440,9 +457,11 @@ def test_polish_stops_on_an_exact_zero_step(monkeypatch):
 
 @pytest.mark.parametrize("source", ["dirichlet4", "neumann4", 1, 2, 3, 4])
 def test_origin_order_only_steers(source, monkeypatch):
-    # the deflated step's fixed points are the zeros of Delta off the
-    # origin whatever k it divides out, and the polish does not deflate,
-    # so a wrong k costs steps but finds the same roots
+    # the search does not read k, the order of Delta's zero at 0: with
+    # one Newton start per zero, from the power sums, dividing rho^k out
+    # of the subdivision's steps saved no evaluation (4,666 subdivision
+    # Newton evaluations with it and 4,605 without on 840 roots-random
+    # operators), so a wrong k gives the same roots, bit for bit
     if isinstance(source, str):
         nbc = _nbc(source)
     else:
@@ -458,6 +477,7 @@ def test_origin_order_only_steers(source, monkeypatch):
         assert [root.multiplicity for root in got] == [root.multiplicity for root in want]
         for root in got:
             assert min(abs(root.rho - other.rho) for other in want) <= 1e-12 * (1 + abs(root.rho))
+        assert repr(got) == repr(want)
 
 
 def test_failing_verification_circle_is_loud(monkeypatch):
@@ -480,9 +500,10 @@ def test_failing_verification_circle_is_loud(monkeypatch):
 def test_windings_of_a_batch_are_those_alone(name, monkeypatch):
     # the children of a split box, the whole annulus, verification
     # circles, and a circle passing 1e-3 from a root that needs several
-    # refinement rounds: wound together, each count and each moment is the
-    # one it gets alone, and the batch takes as many evaluations as its
-    # slowest contour (one for the first samples, one per round)
+    # refinement rounds: wound together, each count, centre and row of
+    # power sums is the one it gets alone, and the batch takes as many
+    # evaluations as its slowest contour (one for the first samples, one
+    # per round)
     nbc = _nbc(name)
     delta = birkhoff._delta(nbc.rows)
     roots = find_roots(nbc, (0.5, 20.0))
@@ -494,17 +515,20 @@ def test_windings_of_a_batch_are_those_alone(name, monkeypatch):
     contours.append([spectral._Path(0.05, 0.05, 0.0, 2 * math.pi, roots[0].rho + 0.049)])
     monkeypatch.setattr(spectral, "BATCH_POINTS", 1 << 20)
     sizes = _count_evaluations(monkeypatch)
-    alone, alone_moments, calls = [], [], []
+    alone, alone_centres, alone_sums, calls = [], [], [], []
     for contour in contours:
         sizes.clear()
-        outcomes, moments = spectral._windings(delta, [contour])
+        outcomes, centres, sums = spectral._windings(delta, [contour])
         alone += outcomes
-        alone_moments += moments
+        alone_centres += centres
+        alone_sums += sums.tolist()
         calls.append(len(sizes))
     sizes.clear()
-    outcomes, moments = spectral._windings(delta, contours)
+    outcomes, centres, sums = spectral._windings(delta, contours)
     assert outcomes == alone
-    assert repr(moments) == repr(alone_moments)
+    assert repr(centres) == repr(alone_centres)
+    assert sums.shape == (len(contours), spectral.POWER_SUMS)
+    assert repr(sums.tolist()) == repr(alone_sums)
     assert len(sizes) == max(calls) >= 3
     assert alone[4] == len(roots_in(roots, (0.5, 20.0))) and alone[-5:] == [1] * 5
 
@@ -524,14 +548,56 @@ def test_windings_of_a_batch_are_those_alone(name, monkeypatch):
                    ((0.5, 20.0, -0.3, 0.3), [2 * math.pi * k for k in (1, 1, 2, 2, 3, 3)])]),
 ])
 def test_box_moments_are_sums_of_zeros(name, boxes):
-    # the first moment that _windings reads off its samples is the sum of
-    # the zeros inside, within 1e-3 of the box diameter (5.4e-4 measured,
-    # on periodic2's double zero), and 0 for a box without zeros
+    # the power sums s_p = sum (z - c)^p that _windings reads off its
+    # samples, about the box's centre c (the mean of its corners), are the
+    # sums over the zeros inside: s_1 within 1e-3 h and each s_p within
+    # 5e-3 h^p, with h the box diameter (5.4e-4 and 2.1e-3 measured, on
+    # periodic2's double zero), and 0 for a box without zeros.  The starts
+    # built from them are one per distinct zero, with its multiplicity,
+    # within 2e-3 h of it (4.7e-4 measured); a box of more than
+    # POWER_SUMS zeros starts once, at their mean
     delta = birkhoff._delta(_nbc(name).rows)
-    outcomes, moments = spectral._box_counts(delta, [box for box, _ in boxes])
-    for (box, zeros), count, moment in zip(boxes, outcomes, moments):
+    outcomes, centres, sums = spectral._box_counts(delta, [box for box, _ in boxes])
+    for (box, zeros), count, centre, row in zip(boxes, outcomes, centres, sums):
         assert count == len(zeros)
-        assert abs(moment - sum(zeros)) <= 1e-3 * spectral._box_diameter(box)
+        r0, r1, a0, a1 = box
+        corners = [r * cmath.exp(1j * a) for r in (r0, r1) for a in (a0, a1)]
+        assert abs(centre - sum(corners) / 4) <= 1e-15 * r1
+        h = spectral._box_diameter(box)
+        assert row.shape == (spectral.POWER_SUMS,)
+        for p, power_sum in enumerate(row, 1):
+            tol = 1e-3 if p == 1 else 5e-3
+            assert abs(power_sum - sum((z - centre) ** p for z in zeros)) <= tol * h ** p
+        if not zeros:
+            continue
+        starts = spectral._zero_starts(count, centre, row, h)
+        want = (Counter(zeros) if count <= spectral.POWER_SUMS
+                else {sum(zeros) / count: count})
+        assert sorted(mult for _, mult in starts) == sorted(want.values())
+        for zero, mult in want.items():
+            assert min(abs(start - zero) for start, k in starts if k == mult) <= 2e-3 * h
+
+
+@pytest.mark.parametrize("diameter", [0.3, 1.0, 2.5])
+def test_double_zero_is_one_start(diameter):
+    # periodic2's double zero 2 pi: the sums' error of about 1e-3 spreads
+    # the two zeros that Newton's identities give by up to 0.075 of the
+    # diameter, and MERGE_TOL makes them one start of multiplicity 2,
+    # within 1.7e-3 of the diameter, in any box around 2 pi of diameter
+    # up to 2.5 whose zero lies at 0.2 to 0.8 of its radial and angular
+    # widths (the spread reaches 0.11 in boxes of diameter up to 1.5 whose
+    # zero lies 0.1 from a corner, which split instead)
+    delta = birkhoff._delta(_nbc("periodic2").rows)
+    zero, boxes = 2 * math.pi, []
+    for radial, angular in itertools.product((0.2, 0.5, 0.8), repeat=2):
+        r0 = zero - radial * diameter
+        width = diameter / (r0 + diameter)
+        boxes.append((r0, r0 + diameter, -angular * width, (1 - angular) * width))
+    outcomes, centres, sums = spectral._box_counts(delta, boxes)
+    for box, count, centre, row in zip(boxes, outcomes, centres, sums):
+        assert count == 2 and spectral._box_diameter(box) == pytest.approx(diameter)
+        ((start, mult),) = spectral._zero_starts(count, centre, row, diameter)
+        assert mult == 2 and abs(start - zero) <= 2e-3 * diameter
 
 
 def test_verification_circle_radii():
@@ -608,9 +674,9 @@ def test_windings_raise_the_first_failing_contour():
     # the first failing path is not refined, and carries that path's error
     settle, zero = "phase tracking failed to settle along an edge", \
         "contour passes through a determinant zero"
-    outcomes, _ = spectral._windings(delta, [circle, crossing, through])
+    outcomes, _, _ = spectral._windings(delta, [circle, crossing, through])
     assert outcomes[0] == 1 and [str(error) for error in outcomes[1:]] == [settle, zero]
-    outcomes, _ = spectral._windings(delta, [through, circle])
+    outcomes, _, _ = spectral._windings(delta, [through, circle])
     assert [str(error) for error in outcomes] == [zero, zero]
 
 
@@ -630,8 +696,10 @@ def _coupled_operator(seed):
 def test_failed_split_moves_the_partition(monkeypatch):
     # on (0.5, 20) the order-2 partition has 12 boxes tiling the sector of
     # angle pi, and each level counts the 4 children of all its splits in
-    # one batch; this operator's first partition succeeds and splits
-    nbc = _coupled_operator(1)
+    # one batch; this operator's first partition succeeds and splits (7
+    # of the first 600 seeds split at all once a box's starts came from
+    # its power sums)
+    nbc = _coupled_operator(9)
     calls = []
     count = spectral._box_counts
     sector = math.pi * (20.0 ** 2 - 0.5 ** 2) / 2
@@ -728,8 +796,10 @@ def test_level_batches_change_no_result(monkeypatch):
 
     monkeypatch.setattr(spectral, "_windings", counted)
     batched = [_search_outcome(nbc, annulus) for nbc, annulus in gallery_searches]
-    # 41 calls; 131 when each split was wound on its own
-    assert len(wound) <= 50
+    # 24 calls, one each for the annulus, the partition and the circles of
+    # each search; 41 when a box of several zeros started once, at their
+    # mean, and 131 when each split was wound on its own
+    assert len(wound) <= 30
     batched += [_search_outcome(nbc, annulus) for nbc, annulus in random_searches + failing]
     assert batched[-2] == ("ContourError: winding count lost near a partition line "
                            "(24 of 26 recovered)")
@@ -738,8 +808,9 @@ def test_level_batches_change_no_result(monkeypatch):
 
     def each_split_alone(delta, boxes):
         fours = [count(delta, boxes[k:k + 4]) for k in range(0, len(boxes), 4)]
-        return [outcome for outcomes, _ in fours for outcome in outcomes], \
-            [moment for _, moments in fours for moment in moments]
+        return ([outcome for outcomes, _, _ in fours for outcome in outcomes],
+                [centre for _, centres, _ in fours for centre in centres],
+                np.concatenate([sums for _, _, sums in fours]))
 
     monkeypatch.setattr(spectral, "_box_counts", each_split_alone)
     assert [_search_outcome(nbc, annulus) for nbc, annulus
@@ -751,14 +822,16 @@ def test_level_batch_raises_in_level_order(first, monkeypatch):
     # the first split of a level batch that fails raises, whether its
     # children's counts do not add up or one of its child paths failed;
     # here every partition's first batch of splits fails twice, at its
-    # first split and at its last
+    # first split and at its last.  With a single power sum every box of
+    # two zeros or more splits at once, so each batch splits two boxes
+    monkeypatch.setattr(spectral, "POWER_SUMS", 1)
     nbc = _coupled_operator(1)
     count = spectral._box_counts
     calls, parents = [], []
 
     def spoiled(delta, boxes):
         calls.append(len(boxes))
-        outcomes, moments = count(delta, boxes)
+        outcomes, centres, sums = count(delta, boxes)
         if len(calls) % 2 == 0:         # each partition, then its first batch
             assert len(boxes) >= 8
             # the box that the first four children were split from
@@ -768,7 +841,7 @@ def test_level_batch_raises_in_level_order(first, monkeypatch):
                 outcomes[0], outcomes[-1] = outcomes[0] + 1, refused
             else:
                 outcomes[0], outcomes[-1] = refused, outcomes[-1] + 1
-        return outcomes, moments
+        return outcomes, centres, sums
 
     monkeypatch.setattr(spectral, "_box_counts", spoiled)
     with pytest.raises(spectral.ContourError) as raised:
