@@ -13,15 +13,16 @@ Only :func:`find_roots` searches for zeros, always over a full annulus.
 The ray clearance check, the scans and Gram conditioning filter a root
 tuple from the caller, and a sector is a filter too (:func:`roots_in`),
 so one search serves a whole command.  Every contour it winds (a polar
-box, the annulus, a verification circle) is a list of radial segments
-and arcs, each a :class:`_Path`, and one function winds them all,
-:func:`_windings`.  The search has one retry rule: a failed contour (a
-box, a split, a verification circle) rebuilds the partition with
-shifted lines; boxes always split at their midpoints, and no
-multiplicity is taken from a box count in place of a circle.
-The search runs batched per subdivision level, and winds the contours
-of the initial grid, of all splits of a level, of the annulus, or of
-all verification circles together, with one evaluation for the first
+box, a verification circle, the two arcs of one sector whose n turns
+bound the annulus) is a list of radial segments and arcs, each a
+:class:`_Path`, and one function winds them all, :func:`_windings`.
+The search has one retry rule: a failed contour (a box, a split, a
+verification circle) rebuilds the partition with shifted lines; boxes
+always split at their midpoints, and no multiplicity is taken from a
+box count in place of a circle.  The search runs batched per
+subdivision level, and winds the contours of the initial grid (the
+first with the sector's arcs), of all splits of a level, or of all
+verification circles together, with one evaluation for the first
 samples of every path and one per round for the refinement midpoints
 of every path; no evaluation takes more than ``BATCH_POINTS`` points.
 The samples that count a box's zeros also give their power sums about
@@ -344,6 +345,13 @@ def _windings(delta, contours):
     centre c; and its power sums, a row of the (contours, POWER_SUMS)
     array ``sums``, NaN where a path has no phase sum.  :func:`_counts`
     raises the first error.
+
+    A contour closes when each path ends where the next starts (the last
+    where the first starts) or, as a circle does, where it starts.  One
+    that does not is one sector's outer arc and inner arc run back, of
+    angle 2 pi / n about 0; Delta(eps_k rho) = +-Delta(rho) turns the
+    phase alike on all n sectors, so its count, the one checked for
+    integrality, is n times its winding.  Its centre and sums mean nothing.
     """
     paths = [path for contour in contours for path in contour]
     if not paths:
@@ -352,6 +360,11 @@ def _windings(delta, contours):
     center = np.array([path.center for path in paths], dtype=complex)
     per_contour = [len(contour) for contour in contours]
     firsts = np.cumsum([0] + per_contour[:-1])
+    # whether each contour closes; an open one counts n turns
+    after = np.arange(1, len(paths) + 1)
+    after[firsts + per_contour - 1] = firsts
+    joined = ((r1 == r0[after]) & (a1 == a0[after])) | ((r1 == r0) & (abs(a1 - a0) == 2 * math.pi))
+    turns = np.where(np.logical_and.reduceat(joined, firsts), 1, delta.n)
     centres = np.add.reduceat(center + r0 * np.exp(1j * a0), firsts) / per_contour
     about = np.repeat(centres, per_contour)     # the centre of each path's contour
 
@@ -441,7 +454,7 @@ def _windings(delta, contours):
          "phase tracking failed to settle along an edge")
 
     # a contour with a path that has no phase sum has no winding either
-    windings = np.add.reduceat(sums, firsts) / (2 * math.pi)
+    windings = np.add.reduceat(sums, firsts) / (2 * math.pi) * turns
     power_sums = np.add.reduceat(shares, firsts) / (2j * math.pi)
     outcomes = []
     for first, winding in zip(firsts.tolist(), windings.tolist()):
@@ -464,10 +477,10 @@ def _counts(outcomes):
     return outcomes
 
 
-def _box_counts(delta, boxes):
-    """The :func:`_windings` outcomes, centres and power sums of polar
-    ``boxes``, wound together."""
-    return _windings(delta, [_box_contour(box) for box in boxes])
+def _box_counts(delta, boxes, ahead=()):
+    """The :func:`_windings` outcomes, centres and power sums of the
+    contours ``ahead`` and then of polar ``boxes``, wound together."""
+    return _windings(delta, list(ahead) + [_box_contour(box) for box in boxes])
 
 
 def _zero_starts(count, centre, sums, scale):
@@ -613,10 +626,12 @@ def find_roots(nbc: NormalizedBC, annulus):
     Raises ValueError when Delta vanishes identically.
 
     The search covers one sector of angle 2 pi / n and turns what it
-    finds, and checks the turned zeros against the winding count of the
-    whole annulus.  Only the two circles are fixed: the partition lines
-    and the seam of the sector move off a zero.  No partition puts the
-    seam on the real axis, where real zeros lie.
+    finds, and checks the turned zeros against the count of the whole
+    annulus, n times the winding of one sector's outer arc and inner arc
+    run back (:func:`_windings`).  Only those arcs are fixed, at arg 0
+    ... 2 pi / n, and wound once; an arc that fails raises.  The
+    partition lines and the seam of the sector move off a zero, and no
+    partition puts the seam on the real axis, where real zeros lie.
 
     There is one retry rule.  Any ContourError (a box count, a split
     whose child counts do not add up to the parent's, or a verification
@@ -631,12 +646,12 @@ def find_roots(nbc: NormalizedBC, annulus):
     kept when every point converges inside it to distinct points; it
     splits otherwise, and at once when it holds more than POWER_SUMS
     zeros.  At ``MAX_DEPTH`` or the smallest diameter a box steps and
-    keeps its points whatever they converged to.  The initial
-    partition, the children of all splits of a level, the annulus and
-    all verification circles are each wound as one batch
-    (:func:`_windings`); the splits of a level are checked in level
-    order, and the first that fails raises, as if each had been wound
-    on its own.  Each verification circle's radius is 1e-4 (1 + |rho|),
+    keeps its points whatever they converged to.  The initial partition
+    (the first with the arcs ahead of its boxes), the children of all
+    splits of a level and all verification circles are each wound as
+    one batch (:func:`_windings`); the splits of a level are checked in
+    level order, and the first that fails raises, as if each had been
+    wound on its own.  Each verification circle's radius is 1e-4 (1 + |rho|),
     or 0.45 times the distance to the nearest other root where that is
     smaller.
     """
@@ -653,15 +668,14 @@ def find_roots(nbc: NormalizedBC, annulus):
     # searched (its seam moves with the partition) and turned.
     width = 2 * math.pi / n
     # the count of the whole annulus, whose boundary no partition line
-    # crosses, checks that no zero went missing on a line
-    boundary = [_Path(r_max, r_max, 0.0, 2 * math.pi), _Path(r_min, r_min, 2 * math.pi, 0.0)]
-    (total,) = _counts(_windings(delta, [boundary])[0])
+    # crosses, checks that no zero went missing on a line: n times the
+    # winding of one sector's two arcs, fixed at arg 0 ... 2 pi / n
+    arcs = [_Path(r_max, r_max, 0.0, width), _Path(r_min, r_min, width, 0.0)]
     diam_tol = max(1e-10 * r_max, 1e-12)
 
-    def subdivide(boxes):
+    def subdivide(boxes, outcomes, centres, sums):
         found = []
         # a level entry is (box, count, centre, power sums), count != 0
-        outcomes, centres, sums = _box_counts(delta, boxes)
         level = [entry for entry in zip(boxes, _counts(outcomes), centres, sums) if entry[1]]
         depth = 0
         while level:
@@ -755,8 +769,13 @@ def find_roots(nbc: NormalizedBC, annulus):
              float(a_edges[j]), float(a_edges[j + 1]))
             for i in range(grid_r) for j in range(grid_a)
         ]
+        # the first partition winds the arcs ahead of its boxes, which
+        # then cannot stop their refinement; no retry moves a failed arc
+        wound = _box_counts(delta, boxes, [arcs] if attempt == 1 else [])
+        if attempt == 1:
+            (total,), wound = _counts(wound[0][:1]), [part[1:] for part in wound]
         try:
-            found = subdivide(boxes)
+            found = subdivide(boxes, *wound)
             found += [_Candidate(root.rho * turn, root.residual)
                       for turn in unit_roots(n)[1:] for root in found]
             final = cluster_and_verify(found)

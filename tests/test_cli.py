@@ -285,6 +285,18 @@ def test_spectrum_multiplicities(capsys):
     assert mults == [2, 2, 2, 2]
 
 
+def test_spectrum_next_to_a_double_zero(capsys):
+    # |rho| = 12.55 passes 0.016 from periodic2's double zeros +-4 pi: the
+    # whole circle wound 8 where a dense count gives 7, every partition
+    # failed a split, and the command exited 1
+    code, doc, _ = run_json(capsys, "spectrum", "periodic2", "--rmax", "12.55")
+    assert code == 0
+    roots = sorted((r["rho"][0], r["rho"][1], r["multiplicity"]) for r in doc["roots"])
+    assert [mult for *_, mult in roots] == [2, 2]
+    for (re, im, _), want in zip(roots, (-2 * math.pi, 2 * math.pi)):
+        assert abs(re - want) <= 1e-8 and abs(im) <= 1e-8
+
+
 @pytest.mark.parametrize("name", sorted(gallery.EXAMPLES))
 def test_spectrum_section_independent_of_search_radius(name):
     nbc = reduce_total_order(gallery.build(name).rows)
