@@ -12,6 +12,17 @@ record of an operator that the classification, the root search and
 rule.  :func:`_evaluate` takes Delta and its derivatives
 (:func:`_derivative`) by Horner, scaled by e^(-max_f Re(i rho f)).
 
+The expansion runs row by row as n array passes over a plan built once
+per order n (:class:`_Plan`).  The plan holds the states (used, S) of
+each step; the pairs (state, free column, alpha or beta), in a fixed
+order and with their signs; which pairs reach each state of the next
+step; and each subset's frequency and frequency class.  A pass convolves
+the polynomials of all pairs with the row's entries at once and sums the
+products into each state in pair order, and the merge of equal
+frequencies is one scatter that the plan indexes.  The coefficients
+therefore agree with an expansion that convolves pair by pair only up
+to rounding.
+
 The record also holds k, the order of the zero of Delta at rho = 0
 (:func:`_origin_order`).  k is the first j whose Taylor coefficient at 0,
 t_j = sum_f sum_(d <= j) P_f[d] (i f)^(j - d) / (j - d)!, is not
@@ -57,17 +68,69 @@ def _snap(z, tol=1e-15):
     return complex(re, im)
 
 
+@functools.lru_cache(maxsize=16)
 def unit_roots(n):
     """The n-th roots of unity eps_k, k = 1..n, snapped to exact values
     when representable (so n = 1, 2, 4 stay Gaussian integers)."""
     return tuple(_snap(cmath.exp(2j * cmath.pi * k / n)) for k in range(n))
 
 
+class _Plan(NamedTuple):
+    """The row-by-row expansion of an order-n determinant, laid out for
+    array passes (see :func:`determinant_terms`).
+
+    A state is a pair (used, S) of column masks: the columns the rows so
+    far have taken, and those of them taken from beta.  Row step j pairs
+    each state i it starts from with each free column k, ascending, and
+    with alpha, then beta; in ``steps[j] = (columns, sources)``,
+    ``columns[i, t]`` is the t-th free column k of state i, plus n where
+    the sign (-1)^(used columns above k) is -1.  Each state of the next
+    step is reached by j + 1 pairs, one per column it uses, and row i of
+    ``sources`` lists those of state i in pair order.  States are
+    numbered in the order the expansion first reaches them, except those
+    of the last step, which hold every column and are numbered by S.
+    ``powers[k, s]`` is (i eps_k)^s, ``freqs[S]`` is f_S and
+    ``classes[S]`` the first subset whose frequency lies within 1e-12 of
+    f_S."""
+
+    powers: np.ndarray
+    steps: tuple
+    freqs: np.ndarray
+    classes: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def _plan(n):
+    """The :class:`_Plan` of order n, built once; its arrays are read-only,
+    since the cache shares them."""
+    eps = unit_roots(n)
+    states, steps = [(0, 0)], []
+    for j in range(n):
+        reached, columns, targets = {}, [], []
+        for used, subset in states:
+            free = [k for k in range(n) if not used >> k & 1]
+            columns.append([k + n * ((used >> k).bit_count() % 2) for k in free])
+            targets += [reached.setdefault((used | 1 << k, subset | taken), len(reached))
+                        for k in free for taken in (0, 1 << k)]
+        states = list(reached)
+        if j == n - 1:
+            targets = [states[target][1] for target in targets]
+        steps.append((np.array(columns),
+                      np.argsort(targets, kind="stable").reshape(len(states), j + 1)))
+    freqs = np.array([_snap(sum(eps[k] for k in range(n) if subset >> k & 1))
+                      for subset in range(1 << n)])
+    plan = _Plan(np.array([[(1j * e) ** s for s in range(n)] for e in eps]), tuple(steps),
+                 freqs, np.argmax(np.abs(freqs[:, None] - freqs) <= 1e-12, axis=1))
+    for array in (plan.powers, plan.freqs, plan.classes, *(a for step in steps for a in step)):
+        array.flags.writeable = False
+    return plan
+
+
 def determinant_terms(n, rows):
     """The characteristic determinant of ``rows`` as an exponential
     polynomial, one term per column subset.
 
-    ``rows`` are pairs (a, b) of the coefficients of y^(s)(0) and
+    ``rows`` are n pairs (a, b) of the coefficients of y^(s)(0) and
     y^(s)(1), s < n.  On e^(i eps_k rho x) row j takes the value
     alpha_jk(rho) + e^(i eps_k rho) beta_jk(rho), with
     alpha_jk(rho) = sum_s a_js (i eps_k rho)^s and beta_jk likewise from
@@ -76,35 +139,41 @@ def determinant_terms(n, rows):
         Delta(rho) = sum_S P_S(rho) e^(i rho f_S),   f_S = sum_(k in S) eps_k,
 
     where P_S is the determinant that takes the columns k in S from beta.
-    The expansion runs row by row over the free columns, without division.
+    The expansion runs row by row, without division, as n array passes
+    over the :class:`_Plan` of order n.  A state (used, S) carries the
+    polynomial of the rows so far on the columns ``used``, those in S
+    taken from beta, and the moduli sums of its coefficients.  Pass j
+    pairs each state with each free column and with alpha or beta,
+    convolves the state's polynomial and moduli with the pair's signed
+    row entry and its moduli by deg + 1 shifted multiply-adds over all
+    pairs at once, and gives each state of the next step the sum of the
+    products of the pairs that reach it, in pair order.  The coefficients
+    therefore agree with a convolution per pair only up to rounding.
 
-    Returns {S: (f_S, P_S, M_S)} over the column subsets S (bit masks)
-    that some product reaches: P_S holds the coefficients of P_S(rho),
-    ascending, and M_S the sums of the moduli of the products added into
-    each of them.
+    Returns {S: (f_S, P_S, M_S)}, ascending in S, over the column subsets
+    S (bit masks) that some product of nonzero entries reaches: P_S holds
+    the coefficients of P_S(rho), ascending, and M_S the sums of the
+    moduli of the products added into each of them.
     """
-    eps = unit_roots(n)
-    states = {(0, 0): (np.ones(1, dtype=complex), np.ones(1))}   # (used, S) -> (P, M)
-    for a, b in rows:
+    if len(rows) != n:
+        raise ValueError(f"expected {n} rows, got {len(rows)}")
+    plan = _plan(n)
+    table = np.ones((1, 2, 1), dtype=complex)       # state x (P, M) x coefficient
+    for (columns, sources), (a, b) in zip(plan.steps, rows):
         deg = max((s for s in range(n) if a[s] != 0 or b[s] != 0), default=0)
-        entries = [[np.array([c[s] * (1j * e) ** s for s in range(deg + 1)]) for c in (a, b)]
-                   for e in eps]
-        reached = {}
-        for (used, subset), (poly, moduli) in states.items():
-            for k in range(n):
-                bit = 1 << k
-                if used & bit:
-                    continue
-                sign = -1 if (used >> k).bit_count() % 2 else 1  # used columns right of k
-                for entry, taken in zip(entries[k], (0, bit)):
-                    if entry.any():
-                        key = (used | bit, subset | taken)
-                        p, m = reached.get(key, (0, 0))
-                        reached[key] = (p + sign * np.convolve(poly, entry),
-                                        m + np.convolve(moduli, np.abs(entry)))
-        states = reached
-    return {subset: (_snap(sum(eps[k] for k in range(n) if subset >> k & 1)), poly, moduli)
-            for (_, subset), (poly, moduli) in states.items()}
+        factors = np.empty((2 * n, 2, 2, deg + 1), dtype=complex)  # signed column, a/b, P/M, s
+        factors[:n, :, 0] = np.array([a[:deg + 1], b[:deg + 1]]) * plan.powers[:, None, :deg + 1]
+        factors[n:, :, 0] = -factors[:n, :, 0]
+        factors[:, :, 1] = np.abs(factors[:, :, 0])
+        factors = factors[columns]
+        width = table.shape[-1]
+        products = np.zeros(factors.shape[:-1] + (width + deg,), dtype=complex)
+        for s in range(deg + 1):
+            products[..., s:s + width] += table[:, None, None] * factors[..., s, None]
+        table = products.reshape(-1, 2, width + deg)[sources].sum(axis=1)
+    polys, moduli = table[:, 0], table[:, 1].real
+    return {subset: (complex(plan.freqs[subset]), polys[subset], moduli[subset])
+            for subset in np.flatnonzero(moduli.any(axis=1)).tolist()}
 
 
 class _Delta(NamedTuple):
@@ -153,21 +222,28 @@ def _origin_order(freqs, coeffs, moduli):
 @functools.lru_cache(maxsize=16)
 def _delta(rows):
     """The Delta of the normalized ``rows``, built once per operator: the
-    terms of :func:`determinant_terms` with equal frequencies merged, and
-    the coefficients :func:`_negligible` set to zero, and the order k of
-    its zero at 0.  A frequency left with none is dropped, so Delta
-    vanishes identically when none is left."""
-    terms = [term for _, term in sorted(determinant_terms(
-        len(rows), [(row.a, row.b) for row in rows]).items())]
-    freqs = np.array([freq for freq, _, _ in terms])
-    group = [int(np.argmax(np.abs(freqs - freq) <= 1e-12)) for freq in freqs]
-    firsts = sorted(set(group))
-    coeffs, moduli = (np.array([sum(term[part] for term, g in zip(terms, group) if g == first)
-                                for first in firsts]) for part in (1, 2))
+    terms of :func:`determinant_terms` with equal frequencies (a class of
+    the :class:`_Plan`) merged, and the coefficients :func:`_negligible`
+    set to zero, and the order k of its zero at 0.  A frequency left with
+    none is dropped, so Delta vanishes identically when none is left."""
+    n = len(rows)
+    terms = determinant_terms(n, [(row.a, row.b) for row in rows])
+    plan, subsets = _plan(n), np.array(list(terms))
+    # each subset joins the first subset of its frequency class that Delta
+    # has, and the scatter sums each class in subset order
+    classes = plan.classes[subsets]
+    first = np.argmax(classes[:, None] == classes, axis=1)
+    firsts = np.flatnonzero(first == np.arange(first.size))
+    group = np.searchsorted(firsts, first)
+    _, polys, sums = map(np.array, zip(*terms.values()))
+    coeffs = np.zeros((firsts.size, polys.shape[1]), dtype=complex)
+    moduli = np.zeros(coeffs.shape)
+    np.add.at(coeffs, group, polys)
+    np.add.at(moduli, group, sums)
     coeffs[_negligible(coeffs, moduli)] = 0.0
     kept = coeffs.any(axis=1)
-    freqs, coeffs, moduli = freqs[firsts][kept], coeffs[kept], moduli[kept]
-    delta = _Delta(len(rows), freqs, coeffs, _origin_order(freqs, coeffs, moduli))
+    freqs, coeffs, moduli = plan.freqs[subsets[firsts]][kept], coeffs[kept], moduli[kept]
+    delta = _Delta(n, freqs, coeffs, _origin_order(freqs, coeffs, moduli))
     delta.freqs.flags.writeable = delta.coeffs.flags.writeable = False  # cached, so shared
     return delta
 

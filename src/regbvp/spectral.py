@@ -238,8 +238,8 @@ def _rows(nbc: NormalizedBC):
 def _boundary_matrix(nbc: NormalizedBC, rho):
     """The scaled boundary matrix [U_j(e^(z_k x))] at one rho: column k
     carries the factor e^(-shift_k) of :func:`_exponents`, and each row is
-    divided by its largest entry.  Returns (matrix, row divisors), so a
-    right-hand side can be scaled to match."""
+    divided by its largest entry.  Returns (matrix, row divisors, column
+    shifts), so a right-hand side or a solution can be scaled to match."""
     n, (eps, a, b) = nbc.n, _rows(nbc)
     z, shift = _exponents(eps, rho)
     powers = np.ones((n, n), dtype=complex)                     # (k, s) = z_k^s
@@ -250,7 +250,7 @@ def _boundary_matrix(nbc: NormalizedBC, rho):
            + np.einsum("js,ks->jk", b, powers) * np.exp(z - shift))
     row_norm = np.abs(mat).max(axis=1)
     safe = np.where(row_norm > 0.0, row_norm, 1.0)
-    return mat / safe[:, None], safe
+    return mat / safe[:, None], safe, shift
 
 
 def _char_det_batch(delta, rhos, tables=None):
@@ -837,7 +837,7 @@ def _green_matrix(nbc: NormalizedBC, rho, xs, xis):
 
     # the boundary matrix rows are rescaled inside _boundary_matrix, so
     # the right-hand side must be rescaled identically before solving
-    mat, row_scales = _boundary_matrix(nbc, rho)
+    mat, row_scales, _ = _boundary_matrix(nbc, rho)
     coeffs = np.linalg.solve(mat, rhs / row_scales[:, None])
 
     e_cols = np.exp(np.outer(xs, z) - shift[None, :])           # scaled e^(z x)
@@ -1061,10 +1061,9 @@ def eigenfunction(nbc: NormalizedBC, root: EigenRoot):
     """
     if root.multiplicity > 2:
         raise ValueError("unexpected multiplicity > 2")
-    mat, _ = _boundary_matrix(nbc, root.rho)
+    mat, _, shift = _boundary_matrix(nbc, root.rho)
     _u, s, vh = np.linalg.svd(mat)
     vecs = vh[nbc.n - root.multiplicity:].conj()
-    _z, shift = _exponents(np.array(unit_roots(nbc.n)), root.rho)
     out = vecs * np.exp(-shift)[None, :]
     norms = np.linalg.norm(out, axis=1, keepdims=True)
     return out / norms

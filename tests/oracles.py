@@ -3,7 +3,8 @@
 Everything in this module is deliberately written along a different
 algorithmic path than the library code it checks: determinants are
 expanded recursively by cofactors, or factored by numpy's LU, instead
-of the library's subset expansion, differential expressions are expanded with raw
+of the library's subset expansion (or, for that expansion itself,
+by one convolution per product), differential expressions are expanded with raw
 coefficient-list arithmetic instead of the Poly class, and integrals
 are evaluated term by term from monomials.  Agreement between the two
 paths is what the tests assert.
@@ -15,6 +16,7 @@ import random
 
 import numpy as np
 
+from regbvp.birkhoff import _negligible, _origin_order, _snap, unit_roots
 from regbvp.model import BoundaryRow, OperatorSpec
 
 
@@ -231,6 +233,57 @@ def expand_divergence_lists(m, p, q, r):
             add_term(-sign, list(q[k]), k, k - 1)
             add_term(-sign, list(r[k]), k - 1, k)
     return coeffs
+
+
+# ---------------------------------------------------------------------------
+# The characteristic determinant, one convolution per product
+# ---------------------------------------------------------------------------
+
+def pairwise_determinant_terms(n, rows):
+    """``birkhoff.determinant_terms`` expanded row by row over dict
+    states (used, S), with one ``np.convolve`` per (state, column, alpha
+    or beta) and the products added into each state in the order they
+    are made: the same sums as the library's array passes, in another
+    rounding order.  A zero row entry adds nothing."""
+    eps = unit_roots(n)
+    states = {(0, 0): (np.ones(1, dtype=complex), np.ones(1))}   # (used, S) -> (P, M)
+    for a, b in rows:
+        deg = max((s for s in range(n) if a[s] != 0 or b[s] != 0), default=0)
+        entries = [[np.array([c[s] * (1j * e) ** s for s in range(deg + 1)]) for c in (a, b)]
+                   for e in eps]
+        reached = {}
+        for (used, subset), (poly, moduli) in states.items():
+            for k in range(n):
+                bit = 1 << k
+                if used & bit:
+                    continue
+                sign = -1 if (used >> k).bit_count() % 2 else 1  # used columns above k
+                for entry, taken in zip(entries[k], (0, bit)):
+                    if entry.any():
+                        key = (used | bit, subset | taken)
+                        p, m = reached.get(key, (0, 0))
+                        reached[key] = (p + sign * np.convolve(poly, entry),
+                                        m + np.convolve(moduli, np.abs(entry)))
+        states = reached
+    return {subset: (_snap(sum(eps[k] for k in range(n) if subset >> k & 1)), poly, moduli)
+            for (_, subset), (poly, moduli) in states.items()}
+
+
+def pairwise_origin_order(rows):
+    """The order of Delta's zero at 0 from :func:`pairwise_determinant_terms`,
+    its frequencies merged by sorting the subsets and summing, in subset
+    order, each term into the first whose frequency lies within 1e-12,
+    then read by ``birkhoff._origin_order``."""
+    terms = [term for _, term in sorted(pairwise_determinant_terms(
+        len(rows), [(row.a, row.b) for row in rows]).items())]
+    freqs = np.array([freq for freq, _, _ in terms])
+    group = [int(np.argmax(np.abs(freqs - freq) <= 1e-12)) for freq in freqs]
+    firsts = sorted(set(group))
+    coeffs, moduli = (np.array([sum(term[part] for term, g in zip(terms, group) if g == first)
+                                for first in firsts]) for part in (1, 2))
+    coeffs[_negligible(coeffs, moduli)] = 0.0
+    kept = coeffs.any(axis=1)
+    return _origin_order(freqs[firsts][kept], coeffs[kept], moduli[kept])
 
 
 # ---------------------------------------------------------------------------
