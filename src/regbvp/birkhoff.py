@@ -208,15 +208,20 @@ def _origin_order(freqs, coeffs, moduli):
     lower order than that and no later t_j is needed; k is 0 when every
     t_j looks negligible."""
     size = coeffs.size
-    steps = np.ones((freqs.size, size), dtype=complex)
-    steps[:, 1:] = 1j * freqs[:, None] / np.arange(1, size)
-    series = np.cumprod(steps, axis=1)                  # (i f)^l / l!
-
-    def taylor(table, factors):
-        return sum(np.convolve(row, terms)[:size] for row, terms in zip(table, factors))
-
-    nonzero = ~_negligible(taylor(coeffs, series), taylor(moduli, np.abs(series)))
-    return int(np.argmax(nonzero))
+    if not size:
+        return 0
+    steps = np.zeros((freqs.size, size + 1), dtype=complex)
+    steps[:, 0] = 1.0
+    steps[:, 1:size] = 1j * freqs[:, None] / np.arange(1, size)
+    series = np.cumprod(steps, axis=1)          # (i f)^l / l!, then a zero column
+    # row (f, d) of the table holds the factor of P_f[d] in t_j,
+    # (i f)^(j - d) / (j - d)!, and 0 where d > j: one product with the
+    # coefficient table gives every t_j, one with the moduli their scales
+    lag = np.arange(size) - np.arange(coeffs.shape[1])[:, None]
+    table = series[:, np.where(lag >= 0, lag, size)].reshape(-1, size)
+    taylor = coeffs.reshape(-1) @ table
+    scale = moduli.reshape(-1) @ np.abs(table)
+    return int(np.argmax(~_negligible(taylor, scale)))
 
 
 @functools.lru_cache(maxsize=16)

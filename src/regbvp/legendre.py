@@ -39,11 +39,23 @@ projecting: for the model expression, whose coefficient is constant,
 u -> (l - lambda) u is then an exact rectangular matrix.  The split
 assembly that the numerical range uses is
 :func:`regbvp.quasiform.split_form`.
+
+That assembly reads the split form on the whole coefficient space before
+the basis is applied, K = sum of c D_a^T X^j D_b over the coefficients c
+of its p, q and r, with D_a the :func:`derivative_matrix` and X^j the
+multiplication by x^j that :func:`multiplication` applies.  Each real
+piece D_a^T X^j D_b (:func:`form_piece`) is built once per (count, a, b,
+j) and kept read-only in a bounded cache; X^j, the compression of a
+symmetric operator, is symmetric, so the cache holds a <= b only and
+reads b < a as a transpose.  Every entry of D_a and of the recurrence is
+nonnegative, so the pieces carry no cancellation.
 """
+
+import functools
 
 import numpy as np
 
-from .model import OperatorSpec, SpecError, operator_coefficients
+from .model import OperatorSpec, Poly, SpecError, operator_coefficients
 
 __all__ = [
     "column_space",
@@ -52,6 +64,7 @@ __all__ = [
     "endpoint_jets",
     "derivative_matrix",
     "multiplication",
+    "form_piece",
     "constrained_basis",
     "strong_operator",
     "galerkin_form",
@@ -142,6 +155,26 @@ def multiplication(poly, coeffs):
         prod += c * padded
         out = prod
     return out[:count]
+
+
+def form_piece(count, a, b, j):
+    """The read-only real count x count matrix D_a^T X^j D_b, with D_a
+    the :func:`derivative_matrix` of order a and X^j the multiplication
+    by x^j on degrees below ``count``, truncated as :func:`multiplication`
+    applies it: the coefficients of (x^j phi_l^(b), phi_k^(a)) in row k,
+    column l.  Cached for a <= b; b < a is the transpose of (b, a, j)."""
+    return _piece(count, b, a, j).T if b < a else _piece(count, a, b, j)
+
+
+@functools.lru_cache(maxsize=32)
+def _piece(count, a, b, j):
+    """:func:`form_piece` for a <= b, built once."""
+    right = derivative_matrix(count, b)
+    if j:
+        right = multiplication(Poly((0,) * j + (1,)), right).real
+    piece = derivative_matrix(count, a).T @ right
+    piece.flags.writeable = False
+    return piece
 
 
 def constrained_basis(spec: OperatorSpec, dim):

@@ -13,8 +13,11 @@ plane.
 
 Assembly.  F_N is :func:`regbvp.quasiform.split_form` (a spec with no
 even-order divergence or model form raises SpecError), which this module
-re-exports with :func:`constrained_basis` and :func:`galerkin_form`.  It
-and the functions here read the one splitting that quasiform caches per
+re-exports with :func:`constrained_basis` and :func:`galerkin_form`:
+F_N = Q^H (K Q) plus the boundary term, with Q the constrained basis and
+K the split form on the Legendre coefficients, summed from cached real
+pieces D_a^T X^j D_b (:func:`regbvp.legendre.form_piece`).  It and the
+functions here read the one splitting that quasiform caches per
 operator.  A ladder of dimensions is assembled once, at its largest
 dimension: the first N columns of :func:`constrained_basis` span V_N for
 every N from the order n on, and are exactly zero from row N + n on, so
@@ -42,7 +45,10 @@ one solve per angle.
 Error bounds.  Every profile carries an estimate of the rounding error
 of its minimum: (N + n) eps ||F_N||_2 on the eigenvalue path, and
 2 s delta + delta^2 with delta = (N + n) eps ||G||_2 on the factored
-path, s being the singular value behind the minimum.  They model the
+path, s being the singular value behind the minimum.  ||F_N||_2 is the
+square root of the largest eigenvalue of F_N^H F_N, clamped at 0: one
+Hermitian eigenvalue solve per dimension in place of an SVD, within a
+few eps of the largest singular value relative to itself.  They model the
 backward error of the final eigenvalue or singular value solve, scaled
 by N + n to cover the assembly; they are not proofs, and
 ``tests/test_numrange.py`` checks them against high-precision
@@ -242,8 +248,10 @@ def _solve(form, angles, k, pairs):
 
 
 def _rounding_bound(report, dim, form):
-    """The error bound of the eigenvalue path at ``dim``."""
-    return (dim + report.spec.order) * EPS * float(np.linalg.norm(form, 2))
+    """The error bound of the eigenvalue path at ``dim``, with ||F_N||_2
+    the square root of the largest eigenvalue of F_N^H F_N, clamped at 0."""
+    gram = np.linalg.eigvalsh(form.conj().T @ form)[-1]
+    return (dim + report.spec.order) * EPS * math.sqrt(max(float(gram), 0.0))
 
 
 def _forms(report, dimensions):

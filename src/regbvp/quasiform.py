@@ -29,7 +29,18 @@ splitting that :mod:`regbvp.numrange` and :func:`verify_form_identity` read.
 Split assembly.  :func:`split_form` is the one assembly path of the
 Galerkin matrix F_N of (l phi_k, phi_i) on the constrained trial space of
 :mod:`regbvp.legendre`.  It needs no derivative above order m = n/2 and
-reads the transition and A of the splitting.  The boundary term is
+reads the transition and A of the splitting.  The interior terms are
+summed on the coefficients first, into the split form K before the basis
+Q is applied,
+
+    K = sum_k [ D_k^T P_k D_k + D_{k-1}^T Q_k D_k - D_k^T R_k D_{k-1} ],
+
+with D_k the k-th derivative and P_k, Q_k and R_k the multiplications
+by p_k, q_k and r_k.  Each D_a^T X^j D_b, with X^j the multiplication
+by x^j, is a cached real piece (:func:`regbvp.legendre.form_piece`).
+Then F_N = Q^H (K Q) plus the boundary term: two products whatever the
+number of terms.  Since D is real, this is the sum of J_a^H (c J_b) over
+the jets J_a = D_a Q, regrouped.  The boundary term is
 (A y_wedge, y_wedge) when the splitting is completely regular and
 (y_vee, y_wedge) otherwise: on a completely regular trial space y_vee is
 A y_wedge, but computed from the basis it carries rounding noise that can
@@ -47,7 +58,7 @@ from .legendre import (
     constrained_basis,
     derivative_matrix,
     endpoint_jets,
-    multiplication,
+    form_piece,
     null_space,
     rounding_cutoff,
     strong_operator,
@@ -284,46 +295,60 @@ def _splitting(spec):
 # Quadratic-form identity
 # ---------------------------------------------------------------------------
 
+def _endpoint_blocks(report, basis):
+    """(wedge, vee): the y_wedge and y_vee vectors of the columns of
+    ``basis``, orthonormal coefficients of polynomials."""
+    at0, at1 = endpoint_jets(basis.shape[0], report.spec.order)
+    return wedge_vee(report.at_zero @ (at0 @ basis), report.at_one @ (at1 @ basis))
+
+
 def split_jets(report, dim):
     """Derivative jets Y_0..Y_m and endpoint blocks (wedge, vee) of the
     constrained basis: Y_j holds the orthonormal coefficients of the
     basis functions' j-th derivatives, wedge and vee their y_wedge and
-    y_vee vectors."""
-    spec = report.spec
-    m = spec.form.m
-    n = spec.order
-    count = dim + n
-    basis = constrained_basis(spec, dim)
-    jets = [basis] + [derivative_matrix(count, j) @ basis for j in range(1, m + 1)]
-    at0, at1 = endpoint_jets(count, n)
-    wedge, vee = wedge_vee(report.at_zero @ (at0 @ basis), report.at_one @ (at1 @ basis))
-    return jets, wedge, vee
+    y_vee vectors.  The factored path of :mod:`regbvp.numrange` reads
+    them; :func:`split_form` needs the basis and the blocks only."""
+    m = report.spec.form.m
+    basis = constrained_basis(report.spec, dim)
+    jets = [basis] + [derivative_matrix(basis.shape[0], j) @ basis for j in range(1, m + 1)]
+    return (jets,) + _endpoint_blocks(report, basis)
 
 
-def _split_matrix(report, jets, wedge, vee):
-    form = report.spec.form
-
-    def term(poly, left, right):
-        if poly.degree == 0:
-            return poly.coeffs[0] * (left.conj().T @ right)
-        return left.conj().T @ multiplication(poly, right)
-
-    out = wedge.conj().T @ (vee if report.A is None else report.A @ wedge)
+def _coefficient_form(form, count):
+    """K = sum of sign c D_a^T X^j D_b on the coefficients of degree
+    below ``count``: every coefficient c of p_k (a = b = k), of q_k
+    (a = k - 1, b = k) and of r_k (a = k, b = k - 1, sign -1) times its
+    :func:`regbvp.legendre.form_piece`, the real and imaginary parts
+    summed apart in real arithmetic."""
+    parts = np.zeros((2, count, count))
     for k in range(form.m + 1):
-        if form.p[k]:
-            out = out + term(form.p[k], jets[k], jets[k])
-        if form.q[k]:
-            out = out + term(form.q[k], jets[k - 1], jets[k])
-        if form.r[k]:
-            out = out - term(form.r[k], jets[k], jets[k - 1])
+        for poly, a, b, sign in ((form.p[k], k, k, 1.0), (form.q[k], k - 1, k, 1.0),
+                                 (form.r[k], k, k - 1, -1.0)):
+            for j, c in enumerate(poly.coeffs):
+                piece = form_piece(count, a, b, j)
+                for part, weight in zip(parts, (c.real, c.imag)):
+                    if weight:
+                        part += (sign * weight) * piece
+    out = np.empty((count, count), dtype=complex)
+    out.real, out.imag = parts
     return out
+
+
+def _split_matrix(report, basis):
+    """F = Q^H (K Q) + the boundary term on the constrained basis Q
+    (module docstring), with K from :func:`_coefficient_form`."""
+    wedge, vee = _endpoint_blocks(report, basis)
+    out = basis.conj().T @ (_coefficient_form(report.spec.form, basis.shape[0]) @ basis)
+    return out + wedge.conj().T @ (vee if report.A is None else report.A @ wedge)
 
 
 def split_form(spec, dim):
     """The dim x dim matrix of (l phi_k, phi_i) from the split quadratic
-    form; equals :func:`regbvp.legendre.galerkin_form` up to rounding."""
+    form, F = Q^H (K Q) + (boundary term) on the constrained basis Q with
+    K the split form on the coefficients (module docstring); equals
+    :func:`regbvp.legendre.galerkin_form` up to rounding."""
     report = _splitting(as_divergence(spec))
-    return _split_matrix(report, *split_jets(report, dim))
+    return _split_matrix(report, constrained_basis(report.spec, dim))
 
 
 def verify_form_identity(spec, A=None):
@@ -336,18 +361,17 @@ def verify_form_identity(spec, A=None):
     F_strong = B^H L B projects the strong operator L
     (:func:`regbvp.legendre.strong_operator`) onto the constrained basis
     B, as :func:`regbvp.legendre.galerkin_form` does, and is kept as this
-    reference; F_split is :func:`split_form`, with boundary term
-    (A y_wedge, y_wedge).  B is the first of the jets of F_split, so one
-    basis serves both.  A given ``A`` replaces the splitting's in a
-    copy of its report; with neither, the splitting is not completely
-    regular and :class:`SpecError` is raised."""
+    reference; F_split is the assembly of :func:`split_form`,
+    B^H (K B) + (A y_wedge, y_wedge), on the same basis B and its
+    endpoint blocks.  A given ``A`` replaces the splitting's in a copy of
+    its report; with neither, the splitting is not completely regular and
+    :class:`SpecError` is raised."""
     report = _splitting(as_divergence(spec))
     if A is not None:
         report = replace(report, A=np.asarray(A, dtype=complex))
     if report.A is None:
         raise SpecError("the form identity requires a completely regular splitting")
-    jets, wedge, vee = split_jets(report, FORM_IDENTITY_DIMENSION)
-    basis = jets[0]
+    basis = constrained_basis(report.spec, FORM_IDENTITY_DIMENSION)
     strong = basis.conj().T @ strong_operator(report.spec, basis.shape[0]) @ basis
-    weak = _split_matrix(report, jets, wedge, vee)
+    weak = _split_matrix(report, basis)
     return float(np.linalg.norm(strong - weak, 2) / np.linalg.norm(strong, 2))

@@ -5,19 +5,24 @@ algorithmic path than the library code it checks: determinants are
 expanded recursively by cofactors, or factored by numpy's LU, instead
 of the library's subset expansion (or, for that expansion itself,
 by one convolution per product), differential expressions are expanded with raw
-coefficient-list arithmetic instead of the Poly class, and integrals
-are evaluated term by term from monomials.  Agreement between the two
+coefficient-list arithmetic instead of the Poly class, integrals
+are evaluated term by term from monomials, and the split quadratic form
+is summed term by term on the derivative jets of the basis instead of
+on the coefficients first.  Agreement between the two
 paths is what the tests assert.
 """
 
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 
 from regbvp.birkhoff import _negligible, _origin_order, _snap, unit_roots
+from regbvp.legendre import multiplication
 from regbvp.model import BoundaryRow, OperatorSpec
+from regbvp.quasiform import check_completely_regular, split_jets
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +211,30 @@ def inner_01(f, g):
     return c_int01(c_mul(list(f.coeffs), [b.conjugate() for b in g.coeffs]))
 
 
+def symbolic_form_piece(count, a, b, j):
+    """The count x count matrix of (x^j phi_l^(b), phi_k^(a)), row k and
+    column l, for phi_k(x) = sqrt(2k + 1) P_k(2x - 1): the integrals are
+    exact in rationals, from the integer monomial coefficients
+    (-1)^(k + i) C(k, i) C(k + i, i) of P_k(2x - 1), and the square-root
+    norms are applied at the end."""
+    def diff(f, times):
+        for _ in range(times):
+            f = [i * c for i, c in enumerate(f)][1:] or [0]
+        return f
+
+    polys = [[(-1) ** (k + i) * math.comb(k, i) * math.comb(k + i, i) for i in range(k + 1)]
+             for k in range(count)]
+    out = np.empty((count, count))
+    for k in range(count):
+        left = diff(polys[k], a)
+        for l in range(count):
+            right = [0] * j + diff(polys[l], b)
+            integral = sum(Fraction(x * y, s + t + 1)
+                           for s, x in enumerate(left) for t, y in enumerate(right))
+            out[k, l] = float(integral) * math.sqrt((2 * k + 1) * (2 * l + 1))
+    return out
+
+
 def expand_divergence_lists(m, p, q, r):
     """Classical coefficients c_0..c_{2m} of the divergence expression.
 
@@ -233,6 +262,37 @@ def expand_divergence_lists(m, p, q, r):
             add_term(-sign, list(q[k]), k, k - 1)
             add_term(-sign, list(r[k]), k - 1, k)
     return coeffs
+
+
+# ---------------------------------------------------------------------------
+# The split quadratic form, one product per term
+# ---------------------------------------------------------------------------
+
+def pairwise_split_form(spec, dim):
+    """``quasiform.split_form`` summed term by term on the jets
+    J_k = D_k Q of the constrained basis Q: J_k^H (p_k J_k), J_{k-1}^H
+    (q_k J_k) and -J_k^H (r_k J_{k-1}) for every nonzero coefficient,
+    each by ``legendre.multiplication`` and one product, and the boundary
+    term (A y_wedge, y_wedge), or (y_vee, y_wedge) when the splitting is
+    not completely regular, added first."""
+    report = check_completely_regular(spec)
+    form = report.spec.form
+    jets, wedge, vee = split_jets(report, dim)
+
+    def term(poly, left, right):
+        if poly.degree == 0:
+            return poly.coeffs[0] * (left.conj().T @ right)
+        return left.conj().T @ multiplication(poly, right)
+
+    out = wedge.conj().T @ (vee if report.A is None else report.A @ wedge)
+    for k in range(form.m + 1):
+        if form.p[k]:
+            out = out + term(form.p[k], jets[k], jets[k])
+        if form.q[k]:
+            out = out + term(form.q[k], jets[k - 1], jets[k])
+        if form.r[k]:
+            out = out - term(form.r[k], jets[k], jets[k - 1])
+    return out
 
 
 # ---------------------------------------------------------------------------

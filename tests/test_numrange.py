@@ -1,6 +1,8 @@
 """Galerkin support functions and half-plane containment verdicts."""
 
 import collections
+import importlib
+import inspect
 import math
 import random
 
@@ -9,6 +11,7 @@ import pytest
 from numpy.polynomial import legendre as L
 from numpy.polynomial.polynomial import Polynomial
 
+import oracles
 from conftest import count_calls
 from oracles import apply_to_jets, inner_01
 from regbvp import gallery, legendre, numrange, quasiform
@@ -224,6 +227,52 @@ def test_derivative_matrix_closed_form_matches_legder(count):
         assert ulps.max(initial=0.0) <= 16, (order, ulps.max())
 
 
+def test_form_pieces_match_symbolic_integration():
+    # D_a^T X^j D_b holds (x^j phi_l^(b), phi_k^(a)) in row k, column l:
+    # phi_k^(a) has degree below count, so the truncation of X^j changes
+    # nothing, and the integral is exact
+    count = 9
+    for a in range(3):
+        for b in range(3):
+            for j in range(4):
+                want = oracles.symbolic_form_piece(count, a, b, j)
+                got = legendre.form_piece(count, a, b, j)
+                assert np.abs(got - want).max() <= 64 * EPS * np.abs(want).max(), (a, b, j)
+
+
+def test_form_pieces_are_cached_read_only():
+    eye = legendre.form_piece(20, 0, 0, 0)
+    assert np.array_equal(eye, np.eye(20))
+    for a, b in ((1, 2), (2, 1)):
+        piece = legendre.form_piece(20, a, b, 1)
+        assert not piece.flags.writeable
+        with pytest.raises(ValueError):
+            piece[0, 0] = 1.0
+    # b < a reads the transpose of the one cached piece
+    assert np.shares_memory(legendre.form_piece(20, 2, 1, 1), legendre.form_piece(20, 1, 2, 1))
+
+
+def test_split_form_builds_each_piece_once():
+    # a second form of the same order, whose p, q and r have no higher
+    # degree, at the same count builds no new piece; a cold and a warm
+    # cache give the same bits
+    rng = random.Random(5)
+    quadratic = DivergenceForm(1, p=(Poly((1, 2j, 3)), ONE), q=(ZERO, Poly((1j, 1, 2))),
+                               r=(ZERO, Poly((2, 1j, 1))))
+    rows = _random_coupled_rows(rng, 2)
+    first = OperatorSpec(2, quadratic, rows)
+    second = OperatorSpec(2, _random_form(rng, 1), rows)
+    legendre._piece.cache_clear()
+    cold = split_form(first, 32)
+    built = legendre._piece.cache_info().misses
+    # (0, 0) and (0, 1) with x^0, x^1 and x^2, (1, 1) with x^0 (p_1 = 1);
+    # r_1 reads the transposes of (0, 1)
+    assert built == 7
+    assert np.array_equal(split_form(first, 32), cold)
+    split_form(second, 32)
+    assert legendre._piece.cache_info().misses == built
+
+
 @pytest.mark.parametrize("count", [8, 33, 132])
 def test_multiplication_matches_legmul(count):
     """Horner's rule on the three-term recurrence of x agrees with numpy's
@@ -430,26 +479,39 @@ def _count_solves(monkeypatch):
     return eigvalsh, eigh
 
 
+def _counted(solve, shapes):
+    """``solve``, counting the shapes of the matrices it is given."""
+    def counted(matrix, *args, **kwargs):
+        shapes[matrix.shape] += 1
+        return solve(matrix, *args, **kwargs)
+    return counted
+
+
 @pytest.mark.parametrize("spec, num_angles, solves, ritz, eigh", [
     # a dimension takes one Ritz step when the solve after its first one
     # is not already pruned: always at the smallest dimension, where no
     # floor exists yet; each Ritz step brings one stacked 2 x 2 eigvalsh
     # and no eigh.  Then only the solves whose floor, less both error
-    # bounds, is not above the best value found at this dimension
-    (gallery.build("mixed4"), 64, {2: 4, 8: 25, 16: 13, 32: 1, 64: 11},
+    # bounds, is not above the best value found at this dimension, and
+    # one eigvalsh of F_N^H F_N per dimension for the error bound
+    (gallery.build("mixed4"), 64, {2: 4, 8: 26, 16: 14, 32: 2, 64: 12},
      {8: 1, 16: 1, 32: 1, 64: 1}, {}),
-    (gallery.build("mixed4"), 7, {2: 4, 8: 3, 16: 2, 32: 2, 64: 2},
+    (gallery.build("mixed4"), 7, {2: 4, 8: 4, 16: 3, 32: 3, 64: 3},
      {8: 1, 16: 1, 32: 1, 64: 1}, {}),
     # the 2 x 2 eigh is the one of the boundary matrix A that rules out
     # the factored path
-    (_indefinite_spec(), 64, {2: 1, 8: 2, 16: 1, 32: 1, 64: 1}, {8: 1}, {2: 1}),
-    (_indefinite_spec(), 7, {2: 4, 8: 3, 16: 2, 32: 2, 64: 2},
+    (_indefinite_spec(), 64, {2: 1, 8: 3, 16: 2, 32: 2, 64: 2}, {8: 1}, {2: 1}),
+    (_indefinite_spec(), 7, {2: 4, 8: 4, 16: 3, 32: 3, 64: 3},
      {8: 1, 16: 1, 32: 1, 64: 1}, {2: 1}),
     # the sums of squares take one SVD per dimension and no eigvalsh
     (gallery.build("dirichlet2"), 64, {}, {}, {2: 1}),
 ], ids=["mixed4", "mixed4-odd", "indefinite", "indefinite-odd", "dirichlet2"])
 def test_pruned_search_solve_counts(monkeypatch, spec, num_angles, solves, ritz, eigh):
     eigvalsh, eigh_calls = _count_solves(monkeypatch)
+    # np.linalg.norm reaches its SVD through the module it is defined in
+    svd_shapes = collections.Counter()
+    for module in (np.linalg, importlib.import_module(inspect.unwrap(np.linalg.norm).__module__)):
+        monkeypatch.setattr(module, "svd", _counted(module.svd, svd_shapes))
     ritz_steps = collections.Counter()
     ritz_floors = numrange._ritz_floors
 
@@ -463,6 +525,8 @@ def test_pruned_search_solve_counts(monkeypatch, spec, num_angles, solves, ritz,
     assert dict(eigvalsh) == solves
     assert dict(ritz_steps) == ritz
     assert dict(eigh_calls) == eigh
+    # the norm of F_N comes from the eigenvalues of F_N^H F_N: no N x N SVD
+    assert not [shape for shape in svd_shapes if shape in {(d, d) for d in report.dimensions}]
 
 
 def test_half_plane_verdict_decides_splitting_once(monkeypatch):
@@ -553,6 +617,29 @@ def _assert_full_grid_minima(spec, dimensions, num_angles):
     assert verdict.bounds == tuple(p.bound for p in profiles)
 
 
+# the gallery and seeded random forms of orders 2 and 4, with coupled
+# and separated rows
+ORACLE_SPECS = ([gallery.build(name) for name in sorted(gallery.EXAMPLES)]
+                + _random_forms(34, 16))
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS,
+                         ids=sorted(gallery.EXAMPLES) + [f"random{i}" for i in range(16)])
+def test_split_form_matches_the_pairwise_oracle(spec):
+    # the split form on the coefficients, K = sum c D_a^T X^j D_b, then
+    # two products with the basis, is the per-term sum over the jets
+    # regrouped: the two differ by rounding only, also below the order
+    for dim in (1, 2, 8, 16, 64):
+        try:
+            want = oracles.pairwise_split_form(spec, dim)
+        except SpecError:       # rows that lose rank on so small a space
+            with pytest.raises(SpecError):
+                split_form(spec, dim)
+            continue
+        gap = np.linalg.norm(split_form(spec, dim) - want, 2)
+        assert gap <= 8 * (dim + spec.order) * EPS * np.linalg.norm(want, 2), dim
+
+
 @pytest.mark.parametrize("name", sorted(gallery.EXAMPLES))
 def test_verdict_minima_are_full_grid_minima_on_gallery(name):
     spec = gallery.build(name)
@@ -617,7 +704,8 @@ def test_verdict_minima_are_full_grid_minima_where_ritz_floors_prune(monkeypatch
     for spec in _whole_plane_candidates(26, 60):
         eigvalsh.clear()
         if half_plane_verdict(spec, dimensions=ladder).verdict == "whole_plane":
-            whole_plane.append(eigvalsh[128])
+            # less the one eigvalsh of F_N^H F_N for the error bound
+            whole_plane.append(eigvalsh[128] - 1)
         _assert_full_grid_minima(spec, ladder, 64)
         _assert_full_grid_minima(spec, ladder, 7)
     assert len(whole_plane) >= 15
