@@ -17,8 +17,9 @@ per order n (:class:`_Plan`).  The plan holds the states (used, S) of
 each step; the pairs (state, free column, alpha or beta), in a fixed
 order and with their signs; which pairs reach each state of the next
 step; and each subset's frequency and frequency class.  A pass convolves
-the polynomials of all pairs with the row's entries at once and sums the
-products into each state in pair order, and the merge of equal
+the polynomials of the pairs with the row's entries, up to
+``EXPANSION_PAIRS`` pairs at once, and sums the products into each state
+in pair order, and the merge of equal
 frequencies is one scatter that the plan indexes.  The coefficients
 therefore agree with an expansion that convolves pair by pair only up
 to rounding.
@@ -58,6 +59,11 @@ __all__ = [
     "classify_regularity",
 ]
 
+# The most pairs whose products one pass of determinant_terms holds at
+# once: every pass of order 5 or less is one chunk, and an order-8 pass
+# holds a few MB instead of tens.
+EXPANSION_PAIRS = 512
+
 
 def _snap(z, tol=1e-15):
     re, im = z.real, z.imag
@@ -82,11 +88,12 @@ class _Plan(NamedTuple):
     A state is a pair (used, S) of column masks: the columns the rows so
     far have taken, and those of them taken from beta.  Row step j pairs
     each state i it starts from with each free column k, ascending, and
-    with alpha, then beta; in ``steps[j] = (columns, sources)``,
-    ``columns[i, t]`` is the t-th free column k of state i, plus n where
-    the sign (-1)^(used columns above k) is -1.  Each state of the next
-    step is reached by j + 1 pairs, one per column it uses, and row i of
-    ``sources`` lists those of state i in pair order.  States are
+    with alpha, then beta.  Each state of the next step is reached by
+    j + 1 pairs, one per column it uses, and in ``steps[j] = (states,
+    entries)`` row i lists those of state i in pair order: ``states``
+    the state each pair starts from, and ``entries`` its row entry, 2 k
+    for alpha and 2 k + 1 for beta, plus 2 n where the sign (-1)^(used
+    columns above k) is -1.  States are
     numbered in the order the expansion first reaches them, except those
     of the last step, which hold every column and are numbered by S.
     ``powers[k, s]`` is (i eps_k)^s, ``freqs[S]`` is f_S and
@@ -106,17 +113,22 @@ def _plan(n):
     eps = unit_roots(n)
     states, steps = [(0, 0)], []
     for j in range(n):
-        reached, columns, targets = {}, [], []
-        for used, subset in states:
-            free = [k for k in range(n) if not used >> k & 1]
-            columns.append([k + n * ((used >> k).bit_count() % 2) for k in free])
-            targets += [reached.setdefault((used | 1 << k, subset | taken), len(reached))
-                        for k in free for taken in (0, 1 << k)]
+        reached, origins, entries, targets = {}, [], [], []
+        for i, (used, subset) in enumerate(states):
+            for k in range(n):
+                if used >> k & 1:
+                    continue
+                signed = 2 * (k + n * ((used >> k).bit_count() % 2))
+                for taken in (0, 1):
+                    origins.append(i)
+                    entries.append(signed + taken)
+                    targets.append(reached.setdefault((used | 1 << k, subset | taken << k),
+                                                      len(reached)))
         states = list(reached)
         if j == n - 1:
             targets = [states[target][1] for target in targets]
-        steps.append((np.array(columns),
-                      np.argsort(targets, kind="stable").reshape(len(states), j + 1)))
+        order = np.argsort(targets, kind="stable").reshape(len(states), j + 1)
+        steps.append((np.array(origins)[order], np.array(entries)[order]))
     freqs = np.array([_snap(sum(eps[k] for k in range(n) if subset >> k & 1))
                       for subset in range(1 << n)])
     plan = _Plan(np.array([[(1j * e) ** s for s in range(n)] for e in eps]), tuple(steps),
@@ -145,10 +157,14 @@ def determinant_terms(n, rows):
     taken from beta, and the moduli sums of its coefficients.  Pass j
     pairs each state with each free column and with alpha or beta,
     convolves the state's polynomial and moduli with the pair's signed
-    row entry and its moduli by deg + 1 shifted multiply-adds over all
+    row entry and its moduli by deg + 1 shifted multiply-adds over many
     pairs at once, and gives each state of the next step the sum of the
-    products of the pairs that reach it, in pair order.  The coefficients
-    therefore agree with a convolution per pair only up to rounding.
+    products of the pairs that reach it, in pair order.  The pass runs
+    over chunks of next states, each holding the products of at most
+    EXPANSION_PAIRS pairs, so its memory stays bounded at high order; a
+    state's sum is the same in any chunk, so the chunks change no bit.
+    The coefficients agree with a convolution per pair only up to
+    rounding.
 
     Returns {S: (f_S, P_S, M_S)}, ascending in S, over the column subsets
     S (bit masks) that some product of nonzero entries reaches: P_S holds
@@ -159,18 +175,22 @@ def determinant_terms(n, rows):
         raise ValueError(f"expected {n} rows, got {len(rows)}")
     plan = _plan(n)
     table = np.ones((1, 2, 1), dtype=complex)       # state x (P, M) x coefficient
-    for (columns, sources), (a, b) in zip(plan.steps, rows):
+    for (states, entries), (a, b) in zip(plan.steps, rows):
         deg = max((s for s in range(n) if a[s] != 0 or b[s] != 0), default=0)
         factors = np.empty((2 * n, 2, 2, deg + 1), dtype=complex)  # signed column, a/b, P/M, s
         factors[:n, :, 0] = np.array([a[:deg + 1], b[:deg + 1]]) * plan.powers[:, None, :deg + 1]
         factors[n:, :, 0] = -factors[:n, :, 0]
         factors[:, :, 1] = np.abs(factors[:, :, 0])
-        factors = factors[columns]
+        factors = factors.reshape(4 * n, 2, deg + 1)
         width = table.shape[-1]
-        products = np.zeros(factors.shape[:-1] + (width + deg,), dtype=complex)
-        for s in range(deg + 1):
-            products[..., s:s + width] += table[:, None, None] * factors[..., s, None]
-        table = products.reshape(-1, 2, width + deg)[sources].sum(axis=1)
+        size, reached = max(1, EXPANSION_PAIRS // states.shape[1]), []
+        for lo in range(0, len(states), size):
+            sources, factor = table[states[lo:lo + size]], factors[entries[lo:lo + size]]
+            products = np.zeros(sources.shape[:-1] + (width + deg,), dtype=complex)
+            for s in range(deg + 1):
+                products[..., s:s + width] += sources * factor[..., s, None]
+            reached.append(products.sum(axis=1))
+        table = reached[0] if len(reached) == 1 else np.concatenate(reached)
     polys, moduli = table[:, 0], table[:, 1].real
     return {subset: (complex(plan.freqs[subset]), polys[subset], moduli[subset])
             for subset in np.flatnonzero(moduli.any(axis=1)).tolist()}

@@ -13,18 +13,22 @@ Only :func:`find_roots` searches for zeros, always over a full annulus.
 The ray clearance check, the scans and Gram conditioning filter a root
 tuple from the caller, and a sector is a filter too (:func:`roots_in`),
 so one search serves a whole command.  Every contour it winds (a polar
-box, a verification circle, the two arcs of one sector whose n turns
-bound the annulus) is a list of radial segments and arcs, each a
-:class:`_Path`, and one function winds them all, :func:`_windings`.
+box, a verification circle, the arcs of one sector whose n turns bound
+the annulus) is a list of radial segments and arcs, each a
+:class:`_Path`, and one function winds them all, :func:`_windings`,
+which samples each distinct edge of a batch once: adjacent boxes share
+the edge between them, and so do the children of a split.  The
+whole-annulus count runs along two arcs of its own, sampled apart from
+every box edge.
 The search has one retry rule: a failed contour (a box, a split, a
 verification circle) rebuilds the partition with shifted lines; boxes
 always split at their midpoints, and no multiplicity is taken from a
 box count in place of a circle.  The search runs batched per
 subdivision level, and winds the contours of the initial grid (the
-first with the sector's arcs), of all splits of a level, or of all
-verification circles together, with one evaluation for the first
-samples of every path and one per round for the refinement midpoints
-of every path; no evaluation takes more than ``BATCH_POINTS`` points.
+first with the sector's arcs), of all splits of a level, or of all verification
+circles together, with one evaluation for the first samples of every
+edge and one per round for the refinement midpoints of every edge; no
+evaluation takes more than ``BATCH_POINTS`` points.
 The samples that count a box's zeros also give their power sums about
 its centre (Delves and Lyness, Math. Comp. 21, 1967) with no further
 evaluation, and the sums give the zeros (:func:`_zero_starts`).  So the
@@ -34,10 +38,10 @@ inside it to distinct points; otherwise it splits, and a box with more
 than ``POWER_SUMS`` zeros splits at once.  Nothing is accepted on the
 sums' word: the residual and in-box test, the circles and the retry
 rule decide.  Batching changes no result: every point's Newton steps
-and every path's samples, refinements and sums are the ones it gets
-alone.  A root whose circle winds m times is polished by Newton on
-Delta^(m-1), whose zero there is simple, so a multiple root is not
-limited by the cancellation of Delta near it.
+and every edge's samples, refinements and sums are the ones it gets
+alone, so every contour's are too.  A root whose circle winds m times is
+polished by Newton on Delta^(m-1), whose zero there is simple, so a
+multiple root is not limited by the cancellation of Delta near it.
 
 Green kernel and resolvent.  The Green sup scan samples the kernel on a
 lattice.  The resolvent norm does not use the kernel: on the constrained
@@ -314,17 +318,22 @@ def _log_abs_array(dets, logs):
 def _windings(delta, contours):
     """Winding of Delta around each closed contour (a list of
     :class:`_Path` paths), and the power sums of the zeros inside it, all
-    wound together.
+    wound together, each distinct edge once.
 
-    Each path starts from its first samples (see FIRST_SAMPLES_MIN),
-    equispaced as ``np.linspace`` places them, and each round halves
-    every step across which the phase of Delta jumps by more than
-    pi / 2.  The first samples of all paths are one evaluation, and so
-    are the midpoints of each round, so the batch costs one evaluation
-    more than the refinement rounds of its slowest path.  The paths are
-    tracked in shared arrays, and a round's settled paths are summed in
-    one segmented reduction; every path's samples, refinements, phase
-    sum and power sums are the ones it gets alone.
+    A path and its reverse are one edge, and paths of the same floats
+    (the edge two adjacent boxes share, or a cross edge of a split) are
+    one edge too.  Each distinct edge is sampled, refined and summed once,
+    run from its end of smaller (r, arg), and each contour reads the
+    phase sum of its edges with the sign of its traversal.  An edge starts
+    from its first samples (see FIRST_SAMPLES_MIN), equispaced as
+    ``np.linspace`` places them, and each round halves every step across
+    which the phase of Delta jumps by more than pi / 2.  The first samples
+    of all edges are one evaluation, and so are the midpoints of each
+    round, so the batch costs one evaluation more than the refinement
+    rounds of its slowest edge.  The edges are tracked in shared arrays,
+    and a round's settled edges are summed in one segmented reduction;
+    every edge's samples, refinements and sums are the ones it gets
+    alone, so a contour's are the ones it gets alone too.
 
     The same samples give the power sums s_p = (1 / 2 pi i) oint
     (rho - c)^p Delta' / Delta drho, p = 1 ... POWER_SUMS, of the zeros
@@ -333,43 +342,59 @@ def _windings(delta, contours):
     Lyness, Math. Comp. 21, 1967), by the trapezoid rule on log Delta
     continued along the samples: a step adds the mean of (rho - c)^p at
     its two ends times its change in log|Delta| and in the continued
-    phase.  A path's sums are taken once it settles, with its phase sum.
+    phase.  Each contour sums its edges' samples about its own centre,
+    with the sign of its traversal, once the edge settles.
 
-    A path through a zero, a midpoint far below its neighbours in
-    log|Delta| (a zero close to the path), REFINE_ROUNDS rounds or more
-    than MAX_PATH_SAMPLES samples fail the path, and a non-integral
-    winding fails its contour.  Once a path fails, no later path is
-    refined.  Returns (outcomes, centres, sums), one entry each per
-    contour: its count, or the ContourError of its first failing path,
-    of its winding, or of the path that stopped its refinement; its
-    centre c; and its power sums, a row of the (contours, POWER_SUMS)
-    array ``sums``, NaN where a path has no phase sum.  :func:`_counts`
-    raises the first error.
+    An edge through a zero, a midpoint far below its neighbours in
+    log|Delta| (a zero close to the edge), REFINE_ROUNDS rounds or more
+    than MAX_PATH_SAMPLES samples fail the edge and every path along it,
+    and a non-integral winding fails its contour.  Once an edge fails, no
+    edge first met later is refined.  Returns (outcomes, centres, sums),
+    one entry each per contour: its count, or the ContourError of its
+    first failing path, of its winding, or of the edge that stopped its
+    refinement; its centre c; and its power sums, a row of the (contours,
+    POWER_SUMS) array ``sums``, NaN where a path has no phase sum.
+    :func:`_counts` raises the first error.
 
     A contour closes when each path ends where the next starts (the last
     where the first starts) or, as a circle does, where it starts.  One
-    that does not is one sector's outer arc and inner arc run back, of
+    that does not is one sector's outer arcs and inner arcs run back, of
     angle 2 pi / n about 0; Delta(eps_k rho) = +-Delta(rho) turns the
     phase alike on all n sectors, so its count, the one checked for
-    integrality, is n times its winding.  Its centre and sums mean nothing.
+    integrality, is n times its winding.  Its centre and sums mean
+    nothing: its sums are NaN, and none is taken.
     """
     paths = [path for contour in contours for path in contour]
     if not paths:
         return [], [], np.zeros((0, POWER_SUMS), dtype=complex)
-    r0, r1, a0, a1 = (np.array(column, dtype=float) for column in list(zip(*paths))[:4])
-    center = np.array([path.center for path in paths], dtype=complex)
-    per_contour = [len(contour) for contour in contours]
-    firsts = np.cumsum([0] + per_contour[:-1])
+    per_contour = np.array([len(contour) for contour in contours])
+    firsts = np.cumsum(per_contour) - per_contour
+    columns = list(zip(*paths))
+    coords, center = np.array(columns[:4], dtype=float), np.array(columns[4], dtype=complex)
+    r0, r1, a0, a1 = coords
     # whether each contour closes; an open one counts n turns
     after = np.arange(1, len(paths) + 1)
     after[firsts + per_contour - 1] = firsts
     joined = ((r1 == r0[after]) & (a1 == a0[after])) | ((r1 == r0) & (abs(a1 - a0) == 2 * math.pi))
-    turns = np.where(np.logical_and.reduceat(joined, firsts), 1, delta.n)
+    closed = np.logical_and.reduceat(joined, firsts)
+    turns = np.where(closed, 1, delta.n)
     centres = np.add.reduceat(center + r0 * np.exp(1j * a0), firsts) / per_contour
-    about = np.repeat(centres, per_contour)     # the centre of each path's contour
+    # each path runs an edge forward, from its end of smaller (r, arg), or
+    # back; the paths of closed contours take power sums, each about its
+    # contour's centre
+    forward = (r0 < r1) | ((r0 == r1) & (a0 <= a1))
+    sign = np.where(forward, 1.0, -1.0)
+    coords = np.where(forward, coords, coords[[1, 0, 3, 2]])
+    edges = {}                          # each edge's first path
+    openers = [edges.setdefault(key, k)
+               for k, key in enumerate(zip(*coords.tolist(), center.tolist()))]
+    firsts_along = list(edges.values())
+    count, edge_of = len(firsts_along), np.searchsorted(firsts_along, openers)
+    (r0, r1, a0, a1), center = coords[:, firsts_along], center[firsts_along]
+    summed, about = np.repeat(closed, per_contour), np.repeat(centres, per_contour)
 
     def sample(owner, ts):
-        """The points at parameters ``ts`` on paths ``owner``, and
+        """The points at parameters ``ts`` on edges ``owner``, and
         log|Delta| and arg Delta there, BATCH_POINTS at a time."""
         parts = []
         for i in range(0, ts.size, BATCH_POINTS):
@@ -384,57 +409,66 @@ def _windings(delta, contours):
     sizes = np.clip(4 + FIRST_SAMPLES_PER_LENGTH * delta.n * lengths,
                     FIRST_SAMPLES_MIN, FIRST_SAMPLES_MAX).astype(int)
     ends = np.cumsum(sizes)
-    owner = np.repeat(np.arange(len(paths)), sizes)             # the path of each sample
+    owner = np.repeat(np.arange(count), sizes)                  # the edge of each sample
     # t = k (1 / (size - 1)), and 1 at the end: the bits of np.linspace
     ts = ((np.arange(owner.size) - np.repeat(ends - sizes, sizes))
           * np.repeat(1.0 / (sizes - 1), sizes))
     ts[ends - 1] = 1.0
     points, la, phases = sample(owner, ts)
-    sums = np.full(len(paths), np.nan)  # a settled path's phase sum
-    shares = np.full((len(paths), POWER_SUMS), np.nan, dtype=complex)  # and of 2 pi i s_p
-    errors = {}                         # a failed path's ContourError
-    first_failure = len(paths)
+    sums = np.full(count, np.nan)       # a settled edge's phase sum
+    shares = np.full((len(paths), POWER_SUMS), np.nan, dtype=complex)  # a path's of 2 pi i s_p
+    errors = {}                         # a failed edge's ContourError
+    first_failure = count
 
     def fail(failed, message):
         nonlocal first_failure
-        for p in sorted(set(failed.tolist())):
-            if math.isnan(sums[p]) and p not in errors:
-                errors[p] = ContourError(message)
-                first_failure = min(first_failure, p)
+        for e in sorted(set(failed.tolist())):
+            if math.isnan(sums[e]) and e not in errors:
+                errors[e] = ContourError(message)
+                first_failure = min(first_failure, e)
 
     fail(owner[~np.isfinite(la)], "contour passes through a determinant zero")
     for _ in range(REFINE_ROUNDS):
-        # a failed path lies at or beyond first_failure
+        # a failed edge lies at or beyond first_failure
         keep = np.isnan(sums[owner]) & (owner < first_failure)
         if not keep.all():
             owner, ts, points, phases, la = (
                 owner[keep], ts[keep], points[keep], phases[keep], la[keep])
         if not owner.size:
             break
-        # the step after each sample, zeroed where it leaves the path and
-        # after the last sample: every path's steps end with one zero, so
+        # the step after each sample, zeroed where it leaves the edge and
+        # after the last sample: every edge's steps end with one zero, so
         # its sums group their terms as alone
         same = owner[1:] == owner[:-1]
-        diffs = np.append(np.where(same, np.angle(np.exp(1j * np.diff(phases))), 0.0), 0.0)
+        diffs = np.zeros(owner.size)
+        diffs[:-1] = np.where(same, np.angle(np.exp(1j * (phases[1:] - phases[:-1]))), 0.0)
         bad = np.flatnonzero(np.abs(diffs) > 0.5 * math.pi)
-        starts = np.flatnonzero(np.diff(owner, prepend=-1))
+        starts = np.flatnonzero(np.concatenate(([True], ~same)))
         live = owner[starts]
-        settled = np.ones(len(paths), dtype=bool)
+        settled = np.ones(count, dtype=bool)
         settled[owner[bad]] = False
         settled = settled[live]
         sums[live[settled]] = np.add.reduceat(diffs, starts)[settled]
-        # the trapezoid rule on the settled paths' samples: each sample
-        # weighs half the change in log Delta over its two steps, and each
-        # order multiplies in its distance from the centre once more
-        done = np.repeat(settled, np.diff(starts, append=owner.size))
-        if done.any():
-            steps = np.append(np.where(same, np.diff(la) + 1j * diffs[:-1], 0.0), 0.0)
-            terms = (0.5 * (steps + np.append(0.0, steps[:-1])))[done]
-            heads = np.flatnonzero(np.diff(owner[done], prepend=-1))
-            offsets = points[done] - about[owner[done]]
+        # the trapezoid rule on the samples of each settled edge, once per
+        # path of a closed contour along it: each sample weighs half the
+        # change in log Delta over its two steps, and each order
+        # multiplies in its distance from the path's centre once more
+        index = np.full(count, -1)      # each settled edge's place in live
+        index[live[settled]] = np.flatnonzero(settled)
+        index = index[edge_of]
+        uses = np.flatnonzero(summed & (index >= 0))
+        if uses.size:
+            steps = np.zeros(owner.size, dtype=complex)
+            steps[:-1] = np.where(same, (la[1:] - la[:-1]) + 1j * diffs[:-1], 0.0)
+            terms = 0.5 * (steps + np.concatenate(([0.0], steps[:-1])))
+            index = index[uses]
+            size = np.concatenate((starts[1:], [owner.size]))[index] - starts[index]
+            heads = np.cumsum(size) - size
+            at = np.repeat(starts[index] - heads, size) + np.arange(heads[-1] + size[-1])
+            terms, offsets = terms[at], points[at] - np.repeat(about[uses], size)
             for p in range(POWER_SUMS):
                 terms *= offsets
-                shares[live[settled], p] = np.add.reduceat(terms, heads)
+                shares[uses, p] = sign[uses] * np.add.reduceat(terms, heads)
         if not bad.size:
             break
         mid_owner, mid_ts = owner[bad], 0.5 * (ts[bad] + ts[bad + 1])
@@ -448,18 +482,19 @@ def _windings(delta, contours):
         owner, ts, points, phases, la = (np.concatenate(pair)[order] for pair in (
             (owner, mid_owner), (ts, mid_ts), (points, mid_points), (phases, mid_phases),
             (la, mid_la)))
-        fail(np.flatnonzero(np.bincount(owner, minlength=len(paths)) > MAX_PATH_SAMPLES),
+        fail(np.flatnonzero(np.bincount(owner, minlength=count) > MAX_PATH_SAMPLES),
              "phase tracking failed to settle along an edge")
     fail(np.flatnonzero(np.isnan(sums[:first_failure])),
          "phase tracking failed to settle along an edge")
 
     # a contour with a path that has no phase sum has no winding either
-    windings = np.add.reduceat(sums, firsts) / (2 * math.pi) * turns
+    phase = sign * sums[edge_of]
+    windings = np.add.reduceat(phase, firsts) / (2 * math.pi) * turns
     power_sums = np.add.reduceat(shares, firsts) / (2j * math.pi)
     outcomes = []
     for first, winding in zip(firsts.tolist(), windings.tolist()):
         if math.isnan(winding):
-            unsettled = first + int(np.argmax(np.isnan(sums[first:])))
+            unsettled = int(edge_of[first + np.argmax(np.isnan(phase[first:]))])
             outcomes.append(errors.get(unsettled, errors[first_failure]))
             continue
         rounded = round(winding)
@@ -629,7 +664,9 @@ def find_roots(nbc: NormalizedBC, annulus):
     finds, and checks the turned zeros against the count of the whole
     annulus, n times the winding of one sector's outer arc and inner arc
     run back (:func:`_windings`).  Only those arcs are fixed, at arg 0
-    ... 2 pi / n, and wound once; an arc that fails raises.  The
+    ... 2 pi / n, and wound once; an arc that fails raises.  They share
+    no edge with a box, whose lines never start at arg 0, so a box edge
+    that steps over a zero is not counted alike by the arcs.  The
     partition lines and the seam of the sector move off a zero, and no
     partition puts the seam on the real axis, where real zeros lie.
 
@@ -649,11 +686,13 @@ def find_roots(nbc: NormalizedBC, annulus):
     keeps its points whatever they converged to.  The initial partition
     (the first with the arcs ahead of its boxes), the children of all
     splits of a level and all verification circles are each wound as
-    one batch (:func:`_windings`); the splits of a level are checked in
-    level order, and the first that fails raises, as if each had been
-    wound on its own.  Each verification circle's radius is 1e-4 (1 + |rho|),
-    or 0.45 times the distance to the nearest other root where that is
-    smaller.
+    one batch (:func:`_windings`), which samples each distinct edge once:
+    the edge two boxes share, the cross edges of a split's children and
+    the halves of the edge two splits share.  The splits of a level are
+    checked in level order, and the first that fails raises, as if each
+    had been wound on its own.  Each verification circle's radius is
+    1e-4 (1 + |rho|), or 0.45 times the distance to the nearest other
+    root where that is smaller.
     """
     r_min, r_max = annulus
     if not 0 < r_min < r_max < math.inf:
@@ -669,7 +708,9 @@ def find_roots(nbc: NormalizedBC, annulus):
     width = 2 * math.pi / n
     # the count of the whole annulus, whose boundary no partition line
     # crosses, checks that no zero went missing on a line: n times the
-    # winding of one sector's two arcs, fixed at arg 0 ... 2 pi / n
+    # winding of one sector's two arcs, fixed at arg 0 ... 2 pi / n.  No
+    # box edge starts at arg 0, so the arcs are sampled apart from the
+    # boxes' edges, and an edge that a box steps over is not counted alike
     arcs = [_Path(r_max, r_max, 0.0, width), _Path(r_min, r_min, width, 0.0)]
     diam_tol = max(1e-10 * r_max, 1e-12)
 

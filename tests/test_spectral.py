@@ -404,19 +404,21 @@ def test_gallery_search_point_count(monkeypatch):
     # points, and no box splits.  With the whole-annulus count read off one
     # sector's two arcs, wound with the first partition, not off both full
     # circles in a batch of their own, they take 185 evaluations of 82,572
-    # points
+    # points.  With each distinct edge sampled once, shared by the boxes on
+    # both sides of it, they take 152 evaluations of 51,732 points
     sizes = _count_evaluations(monkeypatch)
     for name in sorted(gallery.EXAMPLES):
         find_roots(_nbc(name), (0.5, 66.5))
-    assert sum(sizes) <= 90000
-    assert len(sizes) <= 195
+    assert sum(sizes) <= 55000
+    assert len(sizes) <= 160
 
 
 def test_random_search_work_count(monkeypatch):
     # 30 seeded random operators each of orders 2 and 4 on (0.5, 20) take
-    # 708 evaluations with the whole-annulus count read off one sector's
-    # arcs, wound with the first partition, and 802 when both full circles
-    # were wound in a batch of their own.  Before each box took one Newton
+    # 707 evaluations with each distinct edge sampled once, 709 when each
+    # box sampled its own edges, with the whole-annulus count read off one
+    # sector's arcs, wound with the first partition, and 802 when both
+    # full circles were wound in a batch of their own.  Before each box took one Newton
     # start per zero, from its power sums, they took 2,072 when each box
     # started once at the mean of its zeros, 3,834 when Newton started at
     # each box's midpoint, 4,086 when each split was also wound on its
@@ -438,7 +440,7 @@ def test_random_search_work_count(monkeypatch):
     monkeypatch.setattr(spectral, "_newton", counted)
     for n in (2, 4) * 30:
         find_roots(reduce_total_order(oracles.random_rows(rng, n)), (0.5, 20.0))
-    assert len(sizes) <= 750
+    assert len(sizes) <= 730
     assert sum(capped) <= 3
 
 
@@ -507,19 +509,93 @@ def test_failing_verification_circle_is_loud(monkeypatch):
         find_roots(_nbc("dirichlet2"), (0.5, 20.0))
 
 
+def _edge(path):
+    """The edge a path runs along: its floats from its end of smaller
+    (r, arg), so that a path and its reverse give one edge."""
+    r0, r1, a0, a1, center = path
+    return (r0, r1, a0, a1, center) if (r0, a0) <= (r1, a1) else (r1, r0, a1, a0, center)
+
+
+@pytest.mark.parametrize("name", sorted(gallery.EXAMPLES))
+def test_partition_winds_each_edge_once(name, monkeypatch):
+    # the first partition's batch samples each distinct edge once: the
+    # boxes share their edges, and the sector's two arcs, wound ahead of
+    # them for the whole-annulus count, share none with a box, so the
+    # first evaluation takes exactly the first samples of the distinct box
+    # edges and of the two arcs.  To 66.5 that is 5,147 to 6,929 points,
+    # where each box's four edges, each sampled on its own, and the two
+    # arcs took 8,487 to 11,655
+    monkeypatch.setattr(spectral, "BATCH_POINTS", 1 << 20)
+    nbc = _nbc(name)
+    batches = []
+    count = spectral._box_counts
+
+    def recorded(delta, boxes, ahead=()):
+        batches.append((boxes, ahead))
+        return count(delta, boxes, ahead)
+
+    monkeypatch.setattr(spectral, "_box_counts", recorded)
+    sizes = _count_evaluations(monkeypatch)
+    find_roots(nbc, (0.5, 66.5))
+    boxes, ahead = batches[0]
+    edges = {_edge(path) for box in boxes for path in spectral._box_contour(box)}
+    arcs = {_edge(path) for contour in ahead for path in contour}
+    assert len(arcs) == 2 and not arcs & edges
+    assert len(edges) < 3 * len(boxes)
+    lengths = np.array([abs(r1 - r0) + abs(a1 - a0) * max(r0, r1)
+                        for r0, r1, a0, a1, _ in edges | arcs])
+    first = np.clip(4 + spectral.FIRST_SAMPLES_PER_LENGTH * nbc.n * lengths,
+                    spectral.FIRST_SAMPLES_MIN, spectral.FIRST_SAMPLES_MAX).astype(int)
+    assert sizes[0] == first.sum()
+
+
+def test_undercounting_outer_edge_is_caught(monkeypatch):
+    # the whole-annulus count runs along arcs of its own, not along the
+    # boxes' outer edges: when every box's outer edge runs 0.4 inside
+    # r_max, past the zero at 3 pi, the boxes and their subdivision find
+    # four of the six zeros on every partition, and the shortfall against
+    # the arcs' six raises.  A count read off the same edges would count
+    # four and return four zeros without a word
+    nbc = _nbc("dirichlet2")
+    r_max = 3 * math.pi + 0.2
+    assert len(find_roots(nbc, (0.5, r_max))) == 6
+    contour = spectral._box_contour
+
+    def undercounting(box):
+        r0, r1, a0, a1 = box
+        return contour((r0, r1 - 0.4, a0, a1) if r1 == r_max else box)
+
+    monkeypatch.setattr(spectral, "_box_contour", undercounting)
+    with pytest.raises(spectral.ContourError, match="4 of 6 recovered"):
+        find_roots(nbc, (0.5, r_max))
+
+
 @pytest.mark.parametrize("name", ["dirichlet4", "mixed4"])
 def test_windings_of_a_batch_are_those_alone(name, monkeypatch):
-    # the children of a split box, the whole annulus, one sector's two
-    # arcs (both gallery operators have n = 4), verification circles, and
-    # a circle passing 1e-3 from a root that needs several refinement
-    # rounds: wound together, each count, centre and row of power sums
-    # is the one it gets alone, and the batch takes as many evaluations
-    # as its slowest contour (one for the first samples, one per round)
+    # the children of a split box, which share their cross edges; the
+    # boxes of a 2 x 3 partition over a seam at arg 0.2, which share
+    # their edges with each other and with its boundary, its outer edges
+    # and then its inner edges run back, an open contour; the children of
+    # two adjacent boxes, whose splits share the halves of their common
+    # edge; the whole annulus; one sector's two arcs (both gallery
+    # operators have n = 4); verification circles; and a circle passing
+    # 1e-3 from a root that needs several refinement rounds: wound
+    # together, each count, centre and row of power sums is the one it
+    # gets alone, and the batch takes as many evaluations as its slowest
+    # contour (one for the first samples, one per round)
     nbc = _nbc(name)
     delta = birkhoff._delta(nbc.rows)
     roots = find_roots(nbc, (0.5, 20.0))
     contours = [spectral._box_contour(box)
                 for box in spectral._split_box((0.5, 20.0, -0.3, 0.5 * math.pi - 0.3))]
+    r_edges, a_edges = (0.5, 7.3, 20.0), (0.2, 0.9, 1.6, 0.2 + 0.5 * math.pi)
+    grid = [(r0, r1, a0, a1) for r0, r1 in zip(r_edges, r_edges[1:])
+            for a0, a1 in zip(a_edges, a_edges[1:])]
+    contours += [spectral._box_contour(box) for box in grid]
+    contours.append([spectral._box_contour(box)[1] for box in grid[3:]]
+                    + [spectral._box_contour(box)[3] for box in grid[2::-1]])
+    contours += [spectral._box_contour(child) for box in grid[:2]
+                 for child in spectral._split_box(box)]
     contours.append([spectral._Path(20.0, 20.0, 0.0, 2 * math.pi),
                      spectral._Path(0.5, 0.5, 2 * math.pi, 0.0)])
     contours.append([spectral._Path(20.0, 20.0, 0.0, 0.5 * math.pi),
@@ -543,7 +619,15 @@ def test_windings_of_a_batch_are_those_alone(name, monkeypatch):
     assert sums.shape == (len(contours), spectral.POWER_SUMS)
     assert repr(sums.tolist()) == repr(alone_sums)
     assert len(sizes) == max(calls) >= 3
-    assert alone[4] == alone[5] == len(roots_in(roots, (0.5, 20.0))) and alone[-5:] == [1] * 5
+    annulus = len(roots_in(roots, (0.5, 20.0)))
+    assert alone[10] == alone[-7] == alone[-6] == annulus and alone[-5:] == [1] * 5
+    # the partition's boxes and the split children add up to the
+    # partition's boundary and to their parents, and the open contours
+    # take no power sums
+    assert 4 * sum(alone[4:10]) == annulus
+    assert [sum(alone[11:15]), sum(alone[15:19])] == alone[4:6]
+    assert np.isnan(sums[[10, len(contours) - 6]]).all()
+    assert not np.isnan(np.delete(sums, [10, len(contours) - 6], axis=0)).any()
 
 
 @pytest.mark.parametrize("name, boxes", [
@@ -888,7 +972,7 @@ def _dense_count(nbc, annulus, samples=20001):
 
 def test_aliased_inner_circle_operator_roots():
     # every partition of the seed-523 operator fell short of the 26 zeros
-    # that its aliased inner circle counted; with the count read off the
+    # that its aliased inner circle counted; with the count read off one
     # sector's arcs, the search returns the 24 zeros of a dense count, each
     # within its printed bound of the 40-digit zero
     pytest.importorskip("mpmath")
@@ -921,9 +1005,12 @@ def test_sector_arcs_count_the_whole_annulus():
     # Delta(eps_k rho) = +-Delta(rho) and each arc of angle 2 pi / n turns
     # the phase of Delta by 1/n of its circle's turn: n times the winding
     # of one sector's outer arc and inner arc run back, as _windings counts
-    # that open contour, is the winding of the two full circles.  On the
-    # gallery and on random operators of orders 1 to 5 (whose unit roots
-    # of order 3 and 5 are not exact in floating point)
+    # that open contour, is the winding of the two full circles.  So it is
+    # over a shifted seam, from the edges of a partition: the outer edges
+    # of three boxes over arg 0.37 ... 0.37 + 2 pi / n, and their inner
+    # edges run back.  On the gallery and on
+    # random operators of orders 1 to 5 (whose unit roots of order 3 and
+    # 5 are not exact in floating point)
     operators = [(_nbc(name), r_max) for name in sorted(gallery.EXAMPLES)
                  for r_max in (20.0, 66.5)]
     rng = np.random.default_rng(20261021)
@@ -934,9 +1021,14 @@ def test_sector_arcs_count_the_whole_annulus():
         circles = [spectral._Path(r_max, r_max, 0.0, 2 * math.pi),
                    spectral._Path(0.5, 0.5, 2 * math.pi, 0.0)]
         arcs = [spectral._Path(r_max, r_max, 0.0, width), spectral._Path(0.5, 0.5, width, 0.0)]
+        a_edges = (0.37 + np.linspace(0.0, width, 4)).tolist()
+        boxes = [(0.5, r_max, a0, a1) for a0, a1 in zip(a_edges, a_edges[1:])]
+        edges = ([spectral._box_contour(box)[1] for box in boxes]
+                 + [spectral._box_contour(box)[3] for box in boxes[::-1]])
         (whole,), _, _ = spectral._windings(delta, [circles])
         (sector,), _, _ = spectral._windings(delta, [arcs])
-        assert isinstance(whole, int) and sector == whole, (nbc, r_max)
+        (shifted,), _, _ = spectral._windings(delta, [edges])
+        assert isinstance(whole, int) and sector == shifted == whole, (nbc, r_max)
 
 
 def test_fourth_order_root_count_consistency():
