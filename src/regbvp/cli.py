@@ -11,6 +11,11 @@ error estimates to the power of ten at or above them), keys are sorted,
 no random numbers are drawn, and nothing time- or machine-dependent is
 emitted unless ``--timings`` is given.
 
+Resolvent samples climb the nested Legendre ladder N = 16, 32, 64 of
+:func:`regbvp.spectral.resolvent_norm`.  A sample on which no two
+adjacent sizes agree is only a lower bound on the norm, with estimate 0;
+the report counts such samples as ``lower_bound_samples``.
+
 Exit codes: 0 success (``classify``: regular), 3 not regular
 (``classify`` only), 4 invalid input (including out-of-range flag
 values), 1 runtime failure.
@@ -308,9 +313,10 @@ def scan_to_csv(scan, path):
 
     A sample with a relative error estimate e (the resolvent's) writes
     its quantity and log quantity rounded by :func:`_round_to_bound` with
-    the bounds e * quantity and e; every other column, and every column
-    of a kernel scan, which carries no estimate, is written to 13
-    significant digits.
+    the bounds e * quantity and e (a lower bound, whose estimate is 0, to
+    12 significant digits); every other column, and every column of a
+    kernel scan, which carries no estimate, is written to 13 significant
+    digits.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("abs_rho,arg_rho,quantity,log_abs_rho,log_quantity\n")
@@ -381,7 +387,7 @@ def scan_document(nbc, kind, ray, roots, rmin, rmax, samples, grid, csv_path=Non
         doc.update(exponent=_round_to_bound(scan.exponent, scan.exponent_error),
                    fit_residual=_round_to_bound(scan.fit_residual, worst),
                    sample_error=_decade_above(worst),
-                   fallback_samples=len(scan.fallbacks))
+                   lower_bound_samples=len(scan.lower_bounds))
         if ratio is not None:
             doc["compensated_max_over_median"] = _round_to_bound(ratio, 2.0 * worst * ratio)
     return doc

@@ -49,15 +49,14 @@ Legendre space V_N of :mod:`regbvp.legendre`, u -> (l - lambda) u is the
 exact (N + n) x N coefficient matrix M_N = L B - lambda B, whose
 smallest singular value is 1 / ||(l - lambda)^-1|| on V_N (Trefethen and
 Embree, Spectra and Pseudospectra, 2005).  L B and B are assembled once
-per scan at N = 16 and N = 32, and each sample takes the singular values
-of both.  Its relative error estimate is the larger of the difference
-between the two sizes and eps ||M_32|| / sigma_min.  A sample whose
-estimate exceeds ``RESOLVENT_MAX_ERROR`` falls back to the Nystrom
-discretization of the Green kernel, estimated by the same rule from 32
-and 64 Gauss-Legendre nodes, and the scan lists it; near the spectrum of
-a problem that is not regular, sigma_min falls below the rounding of
-M_N.  The Nystrom kernel converges only like q^-2 on its diagonal kink
-(Kress, Linear Integral Equations, ch. 12), so it serves only there.
+per scan at N = 64, and the spaces are nested, so N = 16 and N = 32 are
+its leading blocks.  Each sample climbs the ladder 16 -> 32 -> 64 and
+stops at the first adjacent pair whose relative error estimate, the
+larger of their difference and eps ||M_N|| / sigma_min, is at most
+``RESOLVENT_MAX_ERROR``.  Where no pair agrees (near the spectrum of a
+problem that is not regular, sigma_min falls below the rounding of M_N),
+the sample is the lower bound 1 / (sigma_min + eps ||M_64||), and the
+scan lists it.
 
 Fixed numerical choices are module constants: the Newton residual
 ``RESIDUAL_TOL``, the power sums ``POWER_SUMS`` and the merge distance
@@ -67,14 +66,12 @@ path (its first samples ``FIRST_SAMPLES_MIN``, ``FIRST_SAMPLES_MAX`` and
 ``FIRST_SAMPLES_PER_LENGTH``, its limits ``REFINE_ROUNDS`` and
 ``MAX_PATH_SAMPLES``, and the dip ``NEAR_ZERO_DIP`` that marks a zero
 near it), the radius ``CLEARANCE_DELTA`` (delta) of the disks a scan
-ray must clear, the resolvent's sizes ``RESOLVENT_DIMENSIONS``, its
-fallback threshold ``RESOLVENT_MAX_ERROR`` and the fallback's node
-counts ``NYSTROM_NODES``, and the eigenvalue merge and bracket widths
-``LAMBDA_TOL`` and ``BRACKET_TAU`` (tau).
+ray must clear, the resolvent's ladder ``RESOLVENT_DIMENSIONS`` and
+its agreement threshold ``RESOLVENT_MAX_ERROR``, and the eigenvalue
+merge and bracket widths ``LAMBDA_TOL`` and ``BRACKET_TAU`` (tau).
 """
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -139,12 +136,11 @@ REFINE_ROUNDS = 24
 MAX_PATH_SAMPLES = 200000
 
 CLEARANCE_DELTA = 0.5
-# Resolvent norms: the coefficient-space sizes N compared, the relative
-# error estimate above which a sample falls back to the Nystrom kernel,
-# and the node counts that kernel compares.
-RESOLVENT_DIMENSIONS = (16, 32)
+# Resolvent norms: the nested coefficient-space sizes N a sample climbs,
+# and the relative error estimate at or below which two adjacent sizes
+# agree.
+RESOLVENT_DIMENSIONS = (16, 32, 64)
 RESOLVENT_MAX_ERROR = 1e-6
-NYSTROM_NODES = (32, 64)
 LAMBDA_TOL = 1e-6
 BRACKET_TAU = 0.05
 
@@ -205,8 +201,8 @@ class SpectralScan:
     exponent: float
     fit_residual: float
     clearance: float
-    errors: tuple | None    # relative error estimate of each sample
-    fallbacks: tuple        # indices of the samples taken by a fallback
+    errors: tuple | None    # relative error estimate of each sample (0 for a lower bound)
+    lower_bounds: tuple     # indices of the samples that are only lower bounds
 
     @property
     def exponent_error(self):
@@ -899,17 +895,6 @@ def green_kernel(nbc: NormalizedBC, rho, x, xi):
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _gauss_nodes(count):
-    """Gauss-Legendre nodes and weights on [0, 1], computed once per
-    ``count``; the arrays are shared, so they are read-only."""
-    t, w = np.polynomial.legendre.leggauss(count)
-    x, w = 0.5 * (t + 1.0), 0.5 * w
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
-
-
 def _estimate(coarse, fine, largest):
     """The relative error estimate of a norm taken at two sizes, from the
     smaller one ``coarse`` and the larger one ``fine``: the larger of
@@ -940,30 +925,27 @@ def _coefficient_operators(nbc: NormalizedBC):
             else pair(dim) for dim in RESOLVENT_DIMENSIONS]
 
 
-def _nystrom_norm(nbc: NormalizedBC, rho, nodes):
-    """Largest singular value of the Green kernel sampled on ``nodes``
-    Gauss-Legendre nodes and weighted by their square roots (Nystrom)."""
-    x, w = _gauss_nodes(nodes)
-    sw = np.sqrt(w)
-    return float(np.linalg.svd(sw[:, None] * _green_matrix(nbc, rho, x, x) * sw[None, :],
-                               compute_uv=False)[0])
-
-
 def _resolvent_sample(nbc: NormalizedBC, operators, rho):
-    """(norm, relative error estimate, fell back) of the resolvent at
-    rho^n, from the :func:`_coefficient_operators`, or from the Nystrom
-    kernel when their estimate exceeds RESOLVENT_MAX_ERROR; (inf, 0,
-    False) when sigma_min at the larger size is exactly 0."""
+    """(norm, relative error estimate, lower bound) of the resolvent at
+    rho^n from the nested :func:`_coefficient_operators`: the sizes are
+    climbed until two adjacent ones agree (:func:`_estimate` at most
+    RESOLVENT_MAX_ERROR), and the larger one's norm is returned with
+    their estimate.  Where no pair agrees, the sample is the lower bound
+    1 / (sigma_min + eps sigma_max) at the largest size, with estimate 0:
+    it claims only that the norm is at least that.  (inf, 0, False) when
+    sigma_min at a size is exactly 0."""
     lam = complex(rho) ** nbc.n
-    coarse, fine = (np.linalg.svd(image - lam * basis, compute_uv=False)
-                    for image, basis in operators)
-    if fine[-1] == 0.0:     # V_N holds an eigenfunction: lambda is an eigenvalue
-        return math.inf, 0.0, False
-    error = _estimate(coarse[-1], fine[-1], fine[0])
-    if error <= RESOLVENT_MAX_ERROR:
-        return 1.0 / float(fine[-1]), error, False
-    coarse, fine = (_nystrom_norm(nbc, rho, nodes) for nodes in NYSTROM_NODES)
-    return fine, _estimate(coarse, fine, fine), True
+    coarse = None
+    for image, basis in operators:
+        fine = np.linalg.svd(image - lam * basis, compute_uv=False)
+        if fine[-1] == 0.0:     # V_N holds an eigenfunction: lambda is an eigenvalue
+            return math.inf, 0.0, False
+        if coarse is not None:
+            error = _estimate(coarse[-1], fine[-1], fine[0])
+            if error <= RESOLVENT_MAX_ERROR:
+                return 1.0 / float(fine[-1]), error, False
+        coarse = fine
+    return 1.0 / float(fine[-1] + np.finfo(float).eps * fine[0]), 0.0, True
 
 
 def resolvent_norm(nbc: NormalizedBC, rho) -> float:
@@ -973,16 +955,15 @@ def resolvent_norm(nbc: NormalizedBC, rho) -> float:
     (l - lambda) u is the exact (N + n) x N matrix M_N = L B - lambda B
     in orthonormal Legendre coefficients (:func:`_coefficient_operators`),
     so 1 / sigma_min(M_N) is the norm of the resolvent on V_N, and it
-    rises to the norm as N grows.  It is taken at N = 16 and N = 32
-    (RESOLVENT_DIMENSIONS), and its relative error estimate is the larger
-    of |sigma_16 - sigma_32| / sigma_32 and eps ||M_32|| / sigma_32.  Where
-    that estimate exceeds RESOLVENT_MAX_ERROR (near the spectrum of a
-    problem that is not regular, sigma_min falls below the rounding of
-    M_N), the norm is the largest singular value of the Nystrom
-    discretization of the Green kernel on 64 Gauss-Legendre nodes, whose
-    estimate compares 32 and 64 nodes (NYSTROM_NODES) by the same rule.
-    Where sigma_32 is exactly 0, V_N holds an eigenfunction and the norm
-    is ``inf``.
+    rises to the norm as N grows.  It is taken up the nested ladder
+    N = 16, 32, 64 (RESOLVENT_DIMENSIONS) until two adjacent sizes agree:
+    their relative error estimate, the larger of
+    |sigma_coarse - sigma_fine| / sigma_fine and eps ||M_fine|| /
+    sigma_fine, is at most RESOLVENT_MAX_ERROR, and the norm is the finer
+    one's.  Where no pair agrees (near the spectrum of a problem that is
+    not regular, sigma_min falls below the rounding of M_N), the norm is
+    only bounded below, by 1 / (sigma_64 + eps ||M_64||).  Where sigma_N
+    is exactly 0, V_N holds an eigenfunction and the norm is ``inf``.
     """
     return _resolvent_sample(nbc, _coefficient_operators(nbc), rho)[0]
 
@@ -1043,15 +1024,15 @@ def _ray_scan(kind, sample, ray_angle, roots, r_min, r_max, samples):
     """``sample(rho)`` at ``samples`` geometric radii from r_min to r_max
     along a ray that :func:`ray_clearance_check` passes, with the fitted
     power law.  ``sample`` gives (value, relative error estimate or None,
-    fell back)."""
+    lower bound)."""
     clearance = ray_clearance_check(roots, ray_angle, r_min, r_max)
     radii = np.geomspace(r_min, r_max, samples)
     rhos = radii * cmath.exp(1j * ray_angle)
-    values, errors, fell_back = zip(*map(sample, rhos))
+    values, errors, bounds = zip(*map(sample, rhos))
     exponent, rms = _fit_exponent(radii, values)
     return SpectralScan(kind, float(ray_angle), tuple(zip(rhos, values)), exponent, rms,
                         clearance, None if None in errors else errors,
-                        tuple(i for i, fell in enumerate(fell_back) if fell))
+                        tuple(i for i, bound in enumerate(bounds) if bound))
 
 
 def green_sup_scan(nbc: NormalizedBC, ray_angle, roots, r_min=5.0, r_max=60.0,
@@ -1077,11 +1058,11 @@ def resolvent_scan(nbc: NormalizedBC, ray_angle, roots, r_min=5.0, r_max=60.0,
     The direction must keep a positive angular distance from every
     critical ray, and ``roots`` feed :func:`ray_clearance_check`.  For a
     regular problem the fitted exponent approaches -n.  The coefficient
-    operators are assembled once per scan; each sample costs one singular
-    value decomposition at each of the two sizes, and the Nystrom kernel
-    at two node counts where it falls back.  The scan carries each
-    sample's relative error estimate and the indices of the samples that
-    fell back.
+    operators are assembled once per scan, at N = 64; each sample costs
+    one singular value decomposition per rung of the 16/32/64 ladder it
+    climbs.  The scan carries each sample's relative error estimate and
+    the indices of the samples that are only lower bounds, where no two
+    adjacent rungs agreed.
     """
     if ray_distance(ray_angle, critical_rays(nbc.n)) < 1e-3:
         raise ValueError("ray angle lies on a critical ray")

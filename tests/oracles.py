@@ -399,18 +399,23 @@ def roots_random_rows(seed, count):
     rng = random.Random(seed)
     operators = []
     while len(operators) < count:
-        for n, coupled in ROOTS_RANDOM_STRATA:
-            if coupled:
-                shape = [(rng.randrange(j // 2, n), "ab") for j in range(n)]
-            else:
-                shape = ([(k, "a") for k in rng.sample(range(n), n // 2)]
-                         + [(k, "b") for k in rng.sample(range(n), n // 2)])
-            rows = []
-            for k, sides in shape:
-                coeffs = {"a": [0j] * n, "b": [0j] * n}
-                for side in sides:
-                    for s in range(k + 1):
-                        coeffs[side][s] = complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
-                rows.append(BoundaryRow(tuple(coeffs["a"]), tuple(coeffs["b"])))
-            operators.append(tuple(rows))
+        operators.extend(workload_rows(rng, n, coupled) for n, coupled in ROOTS_RANDOM_STRATA)
     return operators[:count]
+
+
+def workload_rows(rng, n, coupled):
+    """n boundary rows drawn from ``rng`` as the benchmark workloads draw
+    the rows of a random model operator (see :func:`roots_random_rows`)."""
+    if coupled:
+        shape = [(rng.randrange(j // 2, n), "ab") for j in range(n)]
+    else:
+        shape = ([(k, "a") for k in rng.sample(range(n), n // 2)]
+                 + [(k, "b") for k in rng.sample(range(n), n // 2)])
+    rows = []
+    for k, sides in shape:
+        coeffs = {"a": [0j] * n, "b": [0j] * n}
+        for side in sides:
+            for s in range(k + 1):
+                coeffs[side][s] = complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+        rows.append(BoundaryRow(tuple(coeffs["a"]), tuple(coeffs["b"])))
+    return tuple(rows)

@@ -612,7 +612,7 @@ def test_report_resolvent_exponents_print_backed_digits(capsys):
         assert code == 0
         section = doc["resolvent_decay"]
         assert abs(section["ray"] - 0.5 * math.pi) <= 1e-9
-        assert section["fallback_samples"] == 0
+        assert section["lower_bound_samples"] == 0
         assert section["sample_error"] <= 1e-10
         printed[name] = section["exponent"]
     assert printed["neumann2"] == printed["periodic2"] == -2.0
@@ -621,17 +621,18 @@ def test_report_resolvent_exponents_print_backed_digits(capsys):
     assert round(-1.8925930398913, decimals) == printed["dirichlet2"]
 
 
-def test_report_counts_resolvent_fallbacks(capsys):
+def test_report_counts_resolvent_lower_bounds(capsys):
     """cauchy2 is not regular: its resolvent report still shows growth,
-    and counts the samples that fell back to the Nystrom kernel; the
-    Green scan, which makes no estimate, gains no key."""
+    and counts the samples that are only lower bounds, where no two sizes
+    of the ladder agreed; the Green scan, which makes no estimate, gains
+    no key."""
     code, doc, _ = run_json(capsys, "report", "cauchy2")
     assert code == 0
     section = doc["resolvent_decay"]
     assert section["exponent"] >= 0.0
     assert section["decay_bound_satisfied"] is False
-    assert 0 < section["fallback_samples"] < section["samples"]
-    assert "fallback_samples" not in doc["green_decay"]
+    assert 0 < section["lower_bound_samples"] < section["samples"]
+    assert "lower_bound_samples" not in doc["green_decay"]
     assert "sample_error" not in doc["green_decay"]
 
 
@@ -678,6 +679,25 @@ def test_cli_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("name", ["cauchy2", "mixed4"])
+def test_report_bytes_do_not_move_with_blas_threads(name, tmp_path):
+    """A fresh ``regbvp report`` writes the same bytes, those of its
+    golden file, under one and two BLAS threads: on cauchy2, whose
+    resolvent lower bounds sit at the rounding of M_64, and on an
+    order-4 example."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / f"report_{threads}.json"
+        subprocess.run([sys.executable, "-m", "regbvp.cli", "report", name, "-o", str(out)],
+                       env=env, check=True, capture_output=True)
+        outputs.append(out.read_bytes())
+    with open(os.path.join(GOLDEN_DIR, f"report_{name}.json"), "rb") as handle:
+        assert outputs[0] == outputs[1] == handle.read()
 
 
 def _random_sources(tree):

@@ -21,7 +21,7 @@ import oracles
 from conftest import clearance_roots, make_row
 from oracles import apply_to_jets
 from regbvp import birkhoff, gallery, spectral
-from regbvp.cli import scan_to_csv
+from regbvp.cli import REPORT_RADIUS, SPECTRUM_RMIN, _choose_ray, scan_to_csv
 from regbvp.legendre import constrained_basis, strong_operator
 from regbvp.model import ModelForm, OperatorSpec, parse_spec
 from regbvp.normalize import reduce_total_order
@@ -1158,33 +1158,44 @@ def test_resolvent_norm_against_spectral_distance():
 @pytest.mark.parametrize("name", ["neumann2", "periodic2"])
 def test_resolvent_norm_at_an_exact_eigenvalue_is_infinite(name):
     # lambda = 0 is an eigenvalue with the constant eigenfunction, which
-    # V_N holds, so sigma_min of M_32 is exactly 0: the norm is inf, with
-    # no warning and no fallback to the singular Nystrom kernel
+    # V_N holds, so sigma_min of M_16 is exactly 0: the norm is inf, with
+    # no warning and no lower bound taken from a singular M_N
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert resolvent_norm(_nbc(name), 0.0) == math.inf
 
 
-def _coefficient_norm(nbc, rho, dim):
-    """1 / sigma_min of L B - rho^n B on the constrained basis of size dim."""
+def _assembly(nbc, size):
+    """(L B, B) of the model expression with the rows of ``nbc``,
+    assembled once at N = size."""
     spec = OperatorSpec(nbc.n, ModelForm(), nbc.rows)
-    basis = constrained_basis(spec, dim)
-    matrix = strong_operator(spec, dim + nbc.n) @ basis - complex(rho) ** nbc.n * basis
-    return 1.0 / np.linalg.svd(matrix, compute_uv=False)[-1]
+    basis = constrained_basis(spec, size)
+    return strong_operator(spec, size + nbc.n) @ basis, basis
+
+
+def _sigmas(nbc, assembly, rho, dim):
+    """Singular values of L B - rho^n B on V_dim, read as the leading
+    (dim + n) x dim block of ``assembly``."""
+    image, basis = assembly
+    rows = dim + nbc.n
+    return np.linalg.svd(image[:rows, :dim] - complex(rho) ** nbc.n * basis[:rows, :dim],
+                         compute_uv=False)
 
 
 def test_resolvent_norm_dimension_stability():
     """The coefficient-space norms at N = 16 and N = 32 agree to 1e-12,
-    resolvent_norm is the N = 32 one, and its estimate bounds its
-    distance to the reciprocal distance to the spectrum."""
+    resolvent_norm is the N = 32 one, read off the one N = 64 assembly,
+    and its estimate bounds its distance to the reciprocal distance to
+    the spectrum."""
     nbc = _nbc("dirichlet2")
     rho = 3.0 + 2.0j
     exact = 1.0 / min(abs(rho ** 2 - (math.pi * j) ** 2) for j in range(1, 50))
-    coarse, fine = (_coefficient_norm(nbc, rho, dim) for dim in (16, 32))
+    assembly = _assembly(nbc, 64)
+    coarse, fine = (1.0 / _sigmas(nbc, assembly, rho, dim)[-1] for dim in (16, 32))
     assert abs(coarse - fine) <= 1e-12 * fine
-    norm, error, fell_back = spectral._resolvent_sample(
+    norm, error, bound = spectral._resolvent_sample(
         nbc, spectral._coefficient_operators(nbc), rho)
-    assert not fell_back
+    assert not bound
     assert norm == resolvent_norm(nbc, rho) == fine
     assert 0.0 < error <= 1e-11
     assert abs(norm - exact) <= error * exact
@@ -1194,12 +1205,11 @@ def test_resolvent_samples_match_dirichlet_closed_form():
     """On the ray pi / 2, lambda = -r^2 lies at distance pi^2 + r^2 from
     the spectrum (k pi)^2 of the self-adjoint Dirichlet problem, so the
     norm is 1 / (pi^2 + r^2); the coefficient path matches it to 1e-10
-    on the report's 24 radii from 5 to 60 (a 64-node Nystrom kernel is
-    16% off at r = 60)."""
+    on the report's 24 radii from 5 to 60."""
     nbc = _nbc("dirichlet2")
     ray = 0.5 * math.pi
     scan = resolvent_scan(nbc, ray, clearance_roots(nbc, ray, 5.0, 60.0))
-    assert scan.fallbacks == ()
+    assert scan.lower_bounds == ()
     assert len(scan.samples) == 24
     for (rho, value), error in zip(scan.samples, scan.errors):
         exact = 1.0 / (math.pi ** 2 + abs(rho) ** 2)
@@ -1207,31 +1217,76 @@ def test_resolvent_samples_match_dirichlet_closed_form():
         assert error <= spectral.RESOLVENT_MAX_ERROR
 
 
-def test_resolvent_scan_labels_its_fallback_samples():
+def test_resolvent_scan_labels_its_lower_bound_samples():
     """cauchy2 is not regular: its resolvent grows along the ray, and
-    where sigma_min falls below the rounding of M_N the coefficient
-    estimate exceeds RESOLVENT_MAX_ERROR and the sample comes from the
-    Nystrom kernel.  Exactly those samples are labelled, each with the
-    estimate of the kernel at 32 against 64 nodes."""
+    where sigma_min falls below the rounding of M_N no two adjacent sizes
+    of the ladder 16, 32, 64 agree within RESOLVENT_MAX_ERROR.  Exactly
+    those samples are labelled, each the lower bound 1 / (sigma_min +
+    eps sigma_max) at N = 64 with estimate 0; every other sample is the
+    finer norm of its first agreeing pair, with that pair's estimate."""
     nbc = _nbc("cauchy2")
     ray = 0.5 * math.pi
     scan = resolvent_scan(nbc, ray, clearance_roots(nbc, ray, 5.0, 60.0))
     assert scan.exponent >= 0.0
-    operators = spectral._coefficient_operators(nbc)
+    assert spectral.RESOLVENT_DIMENSIONS == (16, 32, 64)
+    eps = np.finfo(float).eps
+    assembly = _assembly(nbc, 64)
     labelled = []
-    for i, (rho, value) in enumerate(scan.samples):
-        assert spectral._resolvent_sample(nbc, operators, rho) == (
-            value, scan.errors[i], i in scan.fallbacks)
-        if i in scan.fallbacks:
+    for i, ((rho, value), error) in enumerate(zip(scan.samples, scan.errors)):
+        ladder = [_sigmas(nbc, assembly, rho, dim) for dim in spectral.RESOLVENT_DIMENSIONS]
+        estimates = [max(abs(coarse[-1] - fine[-1]), eps * fine[0]) / fine[-1]
+                     for coarse, fine in zip(ladder, ladder[1:])]
+        agreed = [k for k, e in enumerate(estimates) if e <= spectral.RESOLVENT_MAX_ERROR]
+        if i in scan.lower_bounds:
             labelled.append(i)
-            coarse, fine = (spectral._nystrom_norm(nbc, rho, q) for q in spectral.NYSTROM_NODES)
-            assert value == fine
-            assert scan.errors[i] == max(abs(coarse - fine), np.finfo(float).eps * fine) / fine
+            assert agreed == []
+            assert value == 1.0 / (ladder[-1][-1] + eps * ladder[-1][0])
+            assert error == 0.0
         else:
-            assert value == _coefficient_norm(nbc, rho, spectral.RESOLVENT_DIMENSIONS[-1])
-            assert scan.errors[i] <= spectral.RESOLVENT_MAX_ERROR
-    # the large radii fall back, the small ones do not
+            assert value == 1.0 / ladder[agreed[0] + 1][-1]
+            assert error == estimates[agreed[0]]
+    # the large radii are the lower bounds, the small ones converge
     assert labelled == list(range(labelled[0], 24)) and 0 < labelled[0] < 23
+
+
+def _survey_scans():
+    """The resolvent scans of 160 random model operators, n drawn from
+    {2, 4} and the rows separated or coupled at random, as the
+    roots-random workload draws them from random.Random(7); each along
+    the report's ray, with the roots of one search to the report's
+    radius.  All 160 are regular."""
+    rng = random.Random(7)
+    scans = []
+    for _ in range(160):
+        n = rng.choice([2, 4])
+        nbc = reduce_total_order(oracles.workload_rows(rng, n, rng.random() < 0.5))
+        roots = find_roots(nbc, (SPECTRUM_RMIN, REPORT_RADIUS))
+        scans.append((nbc, resolvent_scan(nbc, _choose_ray(nbc, 5.0, 60.0, roots), roots)))
+    return scans
+
+
+def test_resolvent_survey_converges_on_regular_operators():
+    """On regular operators every sample converges on the ladder: none
+    is a lower bound.  Operator 1 at |rho| = 60, where N = 16 is 5.5e-6
+    off, returns the value of N = 32, 48, 64 and 96 alike.  Every sample
+    of every fourth operator lies within its estimate of the N = 96 norm,
+    plus the rounding eps ||M_96|| / sigma_min(M_96) of that reference."""
+    scans = _survey_scans()
+    assert all(scan.lower_bounds == () for _, scan in scans)
+    (rho, value), error = scans[1][1].samples[-1], scans[1][1].errors[-1]
+    assert abs(abs(rho) - 60.0) <= 1e-12
+    assert error <= spectral.RESOLVENT_MAX_ERROR
+    assert abs(value - 2.784131413740e-4) <= error * value
+    eps = np.finfo(float).eps
+    checked = 0
+    for nbc, scan in scans[::4]:
+        assembly = _assembly(nbc, 96)
+        for (rho, value), error in zip(scan.samples, scan.errors):
+            sigmas = _sigmas(nbc, assembly, rho, 96)
+            reference = 1.0 / sigmas[-1]
+            assert abs(value - reference) <= (error + eps * sigmas[0] / sigmas[-1]) * reference
+            checked += 1
+    assert checked == 960
 
 
 # ---------------------------------------------------------------------------
