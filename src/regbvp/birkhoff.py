@@ -24,13 +24,6 @@ frequencies is one scatter that the plan indexes.  The coefficients
 therefore agree with an expansion that convolves pair by pair only up
 to rounding.
 
-The record also holds k, the order of the zero of Delta at rho = 0
-(:func:`_origin_order`).  k is the first j whose Taylor coefficient at 0,
-t_j = sum_f sum_(d <= j) P_f[d] (i f)^(j - d) / (j - d)!, is not
-negligible by the same rule.  At rho = 0 the n exponentials coincide,
-so k is at least n (n - 1) / 2, and an eigenvalue lambda = 0 of
-algebraic multiplicity a adds n a.
-
 Regularity is read off two vertices of that distribution diagram.  With
 m = ceil(n/2), theta_0 is (-i)^kappa times the rho^kappa coefficient of
 Delta at the frequency of S = {k >= m}, and theta_1 that of
@@ -65,11 +58,11 @@ __all__ = [
 EXPANSION_PAIRS = 512
 
 
-def _snap(z, tol=1e-15):
+def _snap(z):
     re, im = z.real, z.imag
-    if abs(re - round(re)) < tol:
+    if abs(re - round(re)) < 1e-15:
         re = float(round(re))
-    if abs(im - round(im)) < tol:
+    if abs(im - round(im)) < 1e-15:
         im = float(round(im))
     return complex(re, im)
 
@@ -198,14 +191,12 @@ def determinant_terms(n, rows):
 
 class _Delta(NamedTuple):
     """Delta(rho) = sum_f P_f(rho) e^(i rho f) of one operator: the order,
-    the distinct frequencies f, row by row the coefficients of P_f,
-    ascending, and k, the order of the zero of Delta at rho = 0 (see
-    :func:`_origin_order`)."""
+    the distinct frequencies f, and row by row the coefficients of P_f,
+    ascending."""
 
     n: int
     freqs: np.ndarray
     coeffs: np.ndarray
-    origin_order: int
 
 
 def _negligible(coeffs, moduli):
@@ -215,42 +206,13 @@ def _negligible(coeffs, moduli):
     return np.abs(coeffs) <= 64 * np.finfo(float).eps * moduli
 
 
-def _origin_order(freqs, coeffs, moduli):
-    """k, the order of the zero of Delta at rho = 0: the first j whose
-    Taylor coefficient at 0,
-
-        t_j = sum_f sum_(d <= j) P_f[d] (i f)^(j - d) / (j - d)!,
-
-    is not negligible against the same sum taken over moduli: the
-    ``moduli`` of the products added into each P_f[d] in place of P_f[d],
-    and |f|^(j - d) / (j - d)!.  A nonzero Delta spans at most
-    ``coeffs.size`` functions rho^d e^(i rho f), so its zero at 0 has a
-    lower order than that and no later t_j is needed; k is 0 when every
-    t_j looks negligible."""
-    size = coeffs.size
-    if not size:
-        return 0
-    steps = np.zeros((freqs.size, size + 1), dtype=complex)
-    steps[:, 0] = 1.0
-    steps[:, 1:size] = 1j * freqs[:, None] / np.arange(1, size)
-    series = np.cumprod(steps, axis=1)          # (i f)^l / l!, then a zero column
-    # row (f, d) of the table holds the factor of P_f[d] in t_j,
-    # (i f)^(j - d) / (j - d)!, and 0 where d > j: one product with the
-    # coefficient table gives every t_j, one with the moduli their scales
-    lag = np.arange(size) - np.arange(coeffs.shape[1])[:, None]
-    table = series[:, np.where(lag >= 0, lag, size)].reshape(-1, size)
-    taylor = coeffs.reshape(-1) @ table
-    scale = moduli.reshape(-1) @ np.abs(table)
-    return int(np.argmax(~_negligible(taylor, scale)))
-
-
 @functools.lru_cache(maxsize=16)
 def _delta(rows):
     """The Delta of the normalized ``rows``, built once per operator: the
     terms of :func:`determinant_terms` with equal frequencies (a class of
     the :class:`_Plan`) merged, and the coefficients :func:`_negligible`
-    set to zero, and the order k of its zero at 0.  A frequency left with
-    none is dropped, so Delta vanishes identically when none is left."""
+    set to zero.  A frequency left with none is dropped, so Delta vanishes
+    identically when none is left."""
     n = len(rows)
     terms = determinant_terms(n, [(row.a, row.b) for row in rows])
     plan, subsets = _plan(n), np.array(list(terms))
@@ -267,8 +229,7 @@ def _delta(rows):
     np.add.at(moduli, group, sums)
     coeffs[_negligible(coeffs, moduli)] = 0.0
     kept = coeffs.any(axis=1)
-    freqs, coeffs, moduli = plan.freqs[subsets[firsts]][kept], coeffs[kept], moduli[kept]
-    delta = _Delta(n, freqs, coeffs, _origin_order(freqs, coeffs, moduli))
+    delta = _Delta(n, plan.freqs[subsets[firsts]][kept], coeffs[kept])
     delta.freqs.flags.writeable = delta.coeffs.flags.writeable = False  # cached, so shared
     return delta
 

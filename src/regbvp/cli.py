@@ -465,6 +465,11 @@ def cmd_scan(args):
     _require(args.grid >= 1, "--grid", "at least 1")
     spec = _load_input(args.input)
     nbc = reduce_total_order(spec.rows)
+    if args.ray is not None and args.kind == "resolvent":
+        distance = geometry.ray_distance(args.ray, geometry.critical_rays(nbc.n))
+        _require(distance >= spectral.CRITICAL_RAY_MARGIN, "--ray",
+                 f"at least {spectral.CRITICAL_RAY_MARGIN} from every critical ray "
+                 "for a resolvent scan")
     roots = spectral.find_roots(nbc, spectral.clearance_annulus(args.rmin, args.rmax))
     ray = _choose_ray(nbc, args.rmin, args.rmax, roots) if args.ray is None else args.ray
     doc = scan_document(nbc, args.kind, ray, roots, args.rmin, args.rmax,

@@ -66,9 +66,11 @@ path (its first samples ``FIRST_SAMPLES_MIN``, ``FIRST_SAMPLES_MAX`` and
 ``FIRST_SAMPLES_PER_LENGTH``, its limits ``REFINE_ROUNDS`` and
 ``MAX_PATH_SAMPLES``, and the dip ``NEAR_ZERO_DIP`` that marks a zero
 near it), the radius ``CLEARANCE_DELTA`` (delta) of the disks a scan
-ray must clear, the resolvent's ladder ``RESOLVENT_DIMENSIONS`` and
-its agreement threshold ``RESOLVENT_MAX_ERROR``, and the eigenvalue
-merge and bracket widths ``LAMBDA_TOL`` and ``BRACKET_TAU`` (tau).
+ray must clear, the angle ``CRITICAL_RAY_MARGIN`` a resolvent scan's
+ray keeps from the critical rays, the resolvent's ladder
+``RESOLVENT_DIMENSIONS`` and its agreement threshold
+``RESOLVENT_MAX_ERROR``, and the eigenvalue merge and bracket widths
+``LAMBDA_TOL`` and ``BRACKET_TAU`` (tau).
 """
 
 import cmath
@@ -136,6 +138,8 @@ REFINE_ROUNDS = 24
 MAX_PATH_SAMPLES = 200000
 
 CLEARANCE_DELTA = 0.5
+# The least angle between a resolvent scan's ray and a critical ray.
+CRITICAL_RAY_MARGIN = 1e-3
 # Resolvent norms: the nested coefficient-space sizes N a sample climbs,
 # and the relative error estimate at or below which two adjacent sizes
 # agree.
@@ -1064,7 +1068,7 @@ def resolvent_scan(nbc: NormalizedBC, ray_angle, roots, r_min=5.0, r_max=60.0,
     the indices of the samples that are only lower bounds, where no two
     adjacent rungs agreed.
     """
-    if ray_distance(ray_angle, critical_rays(nbc.n)) < 1e-3:
+    if ray_distance(ray_angle, critical_rays(nbc.n)) < CRITICAL_RAY_MARGIN:
         raise ValueError("ray angle lies on a critical ray")
     operators = _coefficient_operators(nbc)
     return _ray_scan("resolvent", lambda rho: _resolvent_sample(nbc, operators, rho),

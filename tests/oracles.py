@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from regbvp.birkhoff import _negligible, _origin_order, _snap, unit_roots
+from regbvp.birkhoff import _negligible, _snap, unit_roots
 from regbvp.legendre import multiplication
 from regbvp.model import BoundaryRow, OperatorSpec
 from regbvp.quasiform import check_completely_regular, split_jets
@@ -329,11 +329,13 @@ def pairwise_determinant_terms(n, rows):
             for (_, subset), (poly, moduli) in states.items()}
 
 
-def pairwise_origin_order(rows):
-    """The order of Delta's zero at 0 from :func:`pairwise_determinant_terms`,
-    its frequencies merged by sorting the subsets and summing, in subset
-    order, each term into the first whose frequency lies within 1e-12,
-    then read by ``birkhoff._origin_order``."""
+def pairwise_delta(rows):
+    """``birkhoff._delta`` from :func:`pairwise_determinant_terms`: the
+    subsets sorted, each term summed, in subset order, into the first
+    whose frequency lies within 1e-12, the coefficients that
+    ``birkhoff._negligible`` names set to zero and the frequencies left
+    with none dropped.  Returns (freqs, coeffs, moduli), the last the
+    merged moduli sums of the frequencies kept."""
     terms = [term for _, term in sorted(pairwise_determinant_terms(
         len(rows), [(row.a, row.b) for row in rows]).items())]
     freqs = np.array([freq for freq, _, _ in terms])
@@ -343,7 +345,7 @@ def pairwise_origin_order(rows):
                                 for first in firsts]) for part in (1, 2))
     coeffs[_negligible(coeffs, moduli)] = 0.0
     kept = coeffs.any(axis=1)
-    return _origin_order(freqs[firsts][kept], coeffs[kept], moduli[kept])
+    return freqs[firsts][kept], coeffs[kept], moduli[kept]
 
 
 # ---------------------------------------------------------------------------

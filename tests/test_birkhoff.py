@@ -140,55 +140,6 @@ def test_unit_roots_snapped():
 
 
 # ---------------------------------------------------------------------------
-# The order k of the zero of Delta at rho = 0
-# ---------------------------------------------------------------------------
-
-# At rho = 0 the n exponentials e^(i eps_k rho x) coincide, which gives
-# Delta the factor rho^(n (n - 1) / 2), and an eigenvalue lambda = rho^n
-# = 0 of algebraic multiplicity a adds n a: k = 1 on the order-2
-# examples where 0 is no eigenvalue, 1 + 2 for neumann2 and periodic2
-# (the constants), 6 for the clamped and mixed beams, and 6 + 8 for the
-# free beam, whose rigid motions 1 and x make 0 a double eigenvalue.
-ORIGIN_ORDERS = {"cauchy2": 1, "dirichlet2": 1, "robin2": 1, "neumann2": 3, "periodic2": 3,
-                 "dirichlet4": 6, "mixed4": 6, "neumann4": 14}
-
-
-def _mp_origin_order(rows):
-    """log2 |Delta(2h) / Delta(h)| at h = 1e-4, which is k up to O(h),
-    with Delta the determinant of the boundary matrix
-    [U_j(e^(i eps_k rho x))] built from the raw rows in 100-digit
-    arithmetic."""
-    mp = pytest.importorskip("mpmath")
-    n = len(rows)
-    with mp.workdps(100):
-        def det(rho):
-            z = [1j * mp.expjpi(mp.mpf(2 * k) / n) * rho for k in range(n)]
-            return mp.det(mp.matrix([[mp.fsum((row.a[s] + row.b[s] * mp.exp(zk)) * zk ** s
-                                               for s in range(n)) for zk in z] for row in rows]))
-        h = mp.mpf("1e-4")
-        return float(mp.log(abs(det(2 * h) / det(h)), 2))
-
-
-@pytest.mark.parametrize("name", sorted(gallery.EXAMPLES))
-def test_origin_order_of_the_gallery(name):
-    rows = reduce_total_order(gallery.build(name)).rows
-    assert birkhoff._delta(rows).origin_order == ORIGIN_ORDERS[name]
-    assert abs(_mp_origin_order(rows) - ORIGIN_ORDERS[name]) < 0.01
-
-
-def test_origin_order_of_random_rows():
-    # random rows of orders 1-4 make 0 no eigenvalue, so k is the column
-    # factor's n (n - 1) / 2, and 0 at order 1
-    rng = np.random.default_rng(20261019)
-    for trial in range(16):
-        n = 1 + trial % 4
-        rows = reduce_total_order(oracles.random_rows(rng, n)).rows
-        k = birkhoff._delta(rows).origin_order
-        assert k == n * (n - 1) // 2, trial
-        assert abs(_mp_origin_order(rows) - k) < 0.01, trial
-
-
-# ---------------------------------------------------------------------------
 # The array expansion against one convolution per product
 # ---------------------------------------------------------------------------
 
@@ -233,7 +184,13 @@ def test_array_expansion_matches_the_pairwise_oracle(label, spec):
         assert poly.shape == ref_poly.shape == moduli.shape
         assert np.all(np.abs(poly - ref_poly) <= 8 * eps * ref_moduli)
         assert np.all(np.abs(moduli - ref_moduli) <= 8 * eps * ref_moduli)
-    assert birkhoff._delta(rows).origin_order == oracles.pairwise_origin_order(rows)
+    # the merged Delta: the same frequency classes, the same zeros, and
+    # coefficients that differ by rounding only
+    delta = birkhoff._delta(rows)
+    ref_freqs, ref_coeffs, ref_moduli = oracles.pairwise_delta(rows)
+    assert delta.freqs.tobytes() == ref_freqs.tobytes()
+    assert np.array_equal(delta.coeffs == 0, ref_coeffs == 0)
+    assert np.all(np.abs(delta.coeffs - ref_coeffs) <= 8 * eps * ref_moduli)
 
 
 def _raw_rows(rng, n):

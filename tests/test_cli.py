@@ -153,6 +153,7 @@ def test_usage_error_exits_two(capsys):
     (["numrange", "dirichlet2", "--angles", "0"], "--angles"),
     (["numrange", "dirichlet2", "--max-dim", "5"], "--max-dim"),
     (["classify", "dirichlet2", "--tol", "-1"], "--tol"),
+    (["scan", "dirichlet2", "resolvent", "--ray", "0"], "--ray"),
 ])
 def test_out_of_range_flag_exits_four(capsys, argv, flag):
     code, out, err = run_cli(capsys, *argv)

@@ -468,31 +468,6 @@ def test_polish_stops_on_an_exact_zero_step(monkeypatch):
         assert len(sizes) == 1
 
 
-@pytest.mark.parametrize("source", ["dirichlet4", "neumann4", 1, 2, 3, 4])
-def test_origin_order_only_steers(source, monkeypatch):
-    # the search does not read k, the order of Delta's zero at 0: with
-    # one Newton start per zero, from the power sums, dividing rho^k out
-    # of the subdivision's steps saved no evaluation (4,666 subdivision
-    # Newton evaluations with it and 4,605 without on 840 roots-random
-    # operators), so a wrong k gives the same roots, bit for bit
-    if isinstance(source, str):
-        nbc = _nbc(source)
-    else:
-        nbc = reduce_total_order(oracles.random_rows(np.random.default_rng(source),
-                                                     2 + 2 * (source % 2)))
-    want = find_roots(nbc, (0.5, 20.0))
-    k = birkhoff._delta(nbc.rows).origin_order
-    for wrong in (0, k + 3):
-        monkeypatch.setattr(spectral, "_delta",
-                            lambda rows, wrong=wrong: birkhoff._delta(rows)._replace(
-                                origin_order=wrong))
-        got = find_roots(nbc, (0.5, 20.0))
-        assert [root.multiplicity for root in got] == [root.multiplicity for root in want]
-        for root in got:
-            assert min(abs(root.rho - other.rho) for other in want) <= 1e-12 * (1 + abs(root.rho))
-        assert repr(got) == repr(want)
-
-
 def test_failing_verification_circle_is_loud(monkeypatch):
     # every multiplicity comes from a circle: when no circle winds, each
     # partition fails and the search raises instead of falling back on
