@@ -12,17 +12,21 @@ record of an operator that the classification, the root search and
 rule.  :func:`_evaluate` takes Delta and its derivatives
 (:func:`_derivative`) by Horner, scaled by e^(-max_f Re(i rho f)).
 
+One rule bounds the memory of both array passes: no chunk of an
+expansion pass or of an evaluation holds more than ``BATCH_ELEMENTS``
+complex entries, so either takes any number of states or points, and
+the chunks change no bit.
+
 The expansion runs row by row as n array passes over a plan built once
 per order n (:class:`_Plan`).  The plan holds the states (used, S) of
 each step; the pairs (state, free column, alpha or beta), in a fixed
 order and with their signs; which pairs reach each state of the next
 step; and each subset's frequency and frequency class.  A pass convolves
-the polynomials of the pairs with the row's entries, up to
-``EXPANSION_PAIRS`` pairs at once, and sums the products into each state
-in pair order, and the merge of equal
-frequencies is one scatter that the plan indexes.  The coefficients
-therefore agree with an expansion that convolves pair by pair only up
-to rounding.
+the polynomials of the pairs with the row's entries, a chunk of next
+states at a time, and sums the products into each state in pair order,
+and the merge of equal frequencies is one scatter that the plan
+indexes.  The coefficients therefore agree with an expansion that
+convolves pair by pair only up to rounding.
 
 Regularity is read off two vertices of that distribution diagram.  With
 m = ceil(n/2), theta_0 is (-i)^kappa times the rho^kappa coefficient of
@@ -52,10 +56,11 @@ __all__ = [
     "classify_regularity",
 ]
 
-# The most pairs whose products one pass of determinant_terms holds at
-# once: every pass of order 5 or less is one chunk, and an order-8 pass
-# holds a few MB instead of tens.
-EXPANSION_PAIRS = 512
+# The most complex entries one chunk of an expansion pass (its products)
+# or of an evaluation (its tables x frequencies x points) holds: every
+# expansion of order 5 or less is one chunk, and neither pass holds more
+# than a few MB at order 8.
+BATCH_ELEMENTS = 16384
 
 
 def _snap(z):
@@ -153,9 +158,10 @@ def determinant_terms(n, rows):
     row entry and its moduli by deg + 1 shifted multiply-adds over many
     pairs at once, and gives each state of the next step the sum of the
     products of the pairs that reach it, in pair order.  The pass runs
-    over chunks of next states, each holding the products of at most
-    EXPANSION_PAIRS pairs, so its memory stays bounded at high order; a
-    state's sum is the same in any chunk, so the chunks change no bit.
+    over chunks of next states whose products, 2 x pairs x (width + deg)
+    entries, are at most BATCH_ELEMENTS, so its memory stays bounded at
+    high order; a state's sum is the same in any chunk, so the chunks
+    change no bit.
     The coefficients agree with a convolution per pair only up to
     rounding.
 
@@ -176,14 +182,15 @@ def determinant_terms(n, rows):
         factors[:, :, 1] = np.abs(factors[:, :, 0])
         factors = factors.reshape(4 * n, 2, deg + 1)
         width = table.shape[-1]
-        size, reached = max(1, EXPANSION_PAIRS // states.shape[1]), []
+        size = max(1, BATCH_ELEMENTS // (2 * states.shape[1] * (width + deg)))
+        reached = np.empty((len(states), 2, width + deg), dtype=complex)
         for lo in range(0, len(states), size):
             sources, factor = table[states[lo:lo + size]], factors[entries[lo:lo + size]]
             products = np.zeros(sources.shape[:-1] + (width + deg,), dtype=complex)
             for s in range(deg + 1):
                 products[..., s:s + width] += sources * factor[..., s, None]
-            reached.append(products.sum(axis=1))
-        table = reached[0] if len(reached) == 1 else np.concatenate(reached)
+            reached[lo:lo + size] = products.sum(axis=1)
+        table = reached
     polys, moduli = table[:, 0], table[:, 1].real
     return {subset: (complex(plan.freqs[subset]), polys[subset], moduli[subset])
             for subset in np.flatnonzero(moduli.any(axis=1)).tolist()}
@@ -244,22 +251,31 @@ def _derivative(freqs, coeffs):
 def _evaluate(delta, tables, rhos):
     """sum_f T_f(rho) e^(i rho f - shift) for every coefficient table T in
     ``tables`` (shape (tables, frequencies, degree + 1)), by Horner, at the
-    values ``rhos`` (a batch; memory grows with it), with
-    shift = max_f Re(i rho f).
+    values ``rhos``, with shift = max_f Re(i rho f).  The points run in
+    chunks of at most BATCH_ELEMENTS entries of tables x frequencies, so
+    the memory stays bounded whatever their number; each point's value is
+    the same bits in any chunk.
 
     Returns (values of shape (tables, points), shifts).
     """
-    z = 1j * delta.freqs[:, None] * rhos[None, :]
-    shift = z.real.max(axis=0, initial=-np.inf)
-    acc = np.zeros(tables.shape[:2] + rhos.shape, dtype=complex)
-    for d in range(tables.shape[2] - 1, -1, -1):
-        acc = acc * rhos + tables[:, :, d, None]
-    # summed one frequency at a time, in order: numpy's sum over an axis
-    # would change its order, and the bits, with the number of points
+    rhos = np.asarray(rhos, dtype=complex)
     values = np.zeros((tables.shape[0], rhos.size), dtype=complex)
-    for term in (acc * np.exp(z - shift)).transpose(1, 0, 2):
-        values = values + term
-    return values, shift
+    shifts = np.empty(rhos.size)
+    size = max(1, BATCH_ELEMENTS // max(1, tables.shape[0] * tables.shape[1]))
+    for lo in range(0, rhos.size, size):
+        chunk = rhos[lo:lo + size]
+        z = 1j * delta.freqs[:, None] * chunk
+        shift = shifts[lo:lo + size] = z.real.max(axis=0, initial=-np.inf)
+        acc = np.zeros(tables.shape[:2] + chunk.shape, dtype=complex)
+        for d in range(tables.shape[2] - 1, -1, -1):
+            acc = acc * chunk + tables[:, :, d, None]
+        # summed one frequency at a time, in order: numpy's sum over an
+        # axis would change its order, and the bits, with the number of
+        # points
+        part = values[:, lo:lo + size]
+        for term in (acc * np.exp(z - shift)).transpose(1, 0, 2):
+            part += term
+    return values, shifts
 
 
 @dataclass(frozen=True)

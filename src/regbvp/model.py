@@ -417,13 +417,7 @@ def spec_to_document(spec: OperatorSpec) -> dict:
     else:
         form_doc = {"type": "divergence"}
         for name in ("p", "q", "r"):
-            block = {
-                str(k): _poly_doc(c)
-                for k, c in enumerate(getattr(form, name))
-                if c and not (name == "p" and k == form.m)
-            }
-            if name == "p":
-                block[str(form.m)] = _poly_doc(ONE)
+            block = {str(k): _poly_doc(c) for k, c in enumerate(getattr(form, name)) if c}
             if block:
                 form_doc[name] = block
     rows_doc = []

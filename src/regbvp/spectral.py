@@ -27,8 +27,9 @@ box count in place of a circle.  The search runs batched per
 subdivision level, and winds the contours of the initial grid (the
 first with the sector's arcs), of all splits of a level, or of all verification
 circles together, with one evaluation for the first samples of every
-edge and one per round for the refinement midpoints of every edge; no
-evaluation takes more than ``BATCH_POINTS`` points.
+edge and one per round for the refinement midpoints of every edge.  An
+evaluation takes a whole batch, and :mod:`regbvp.birkhoff` alone bounds
+its memory, in chunks of at most ``birkhoff.BATCH_ELEMENTS`` entries.
 The samples that count a box's zeros also give their power sums about
 its centre (Delves and Lyness, Math. Comp. 21, 1967) with no further
 evaluation, and the sums give the zeros (:func:`_zero_starts`).  So the
@@ -61,8 +62,8 @@ scan lists it.
 Fixed numerical choices are module constants: the Newton residual
 ``RESIDUAL_TOL``, the power sums ``POWER_SUMS`` and the merge distance
 ``MERGE_TOL`` of the Newton starts, the search limits ``MAX_DEPTH`` and
-``MAX_GRID``, the batch cap ``BATCH_POINTS``, the phase tracking of a
-path (its first samples ``FIRST_SAMPLES_MIN``, ``FIRST_SAMPLES_MAX`` and
+``MAX_GRID``, the phase tracking of a path (its first samples
+``FIRST_SAMPLES_MIN``, ``FIRST_SAMPLES_MAX`` and
 ``FIRST_SAMPLES_PER_LENGTH``, its limits ``REFINE_ROUNDS`` and
 ``MAX_PATH_SAMPLES``, and the dip ``NEAR_ZERO_DIP`` that marks a zero
 near it), the radius ``CLEARANCE_DELTA`` (delta) of the disks a scan
@@ -113,9 +114,6 @@ RESIDUAL_TOL = 1e-8
 # (see _zero_starts).
 POWER_SUMS = 5
 MERGE_TOL = 0.1
-# The most rho values one _evaluate call takes: batches beyond it buy no
-# speed and only raise the peak memory.
-BATCH_POINTS = 1024
 NEWTON_MAX_ITER = 50
 MAX_DEPTH = 40
 MAX_GRID = 8
@@ -257,20 +255,10 @@ def _boundary_matrix(nbc: NormalizedBC, rho):
     return mat / safe[:, None], safe, shift
 
 
-def _char_det_batch(delta, rhos, tables=None):
-    """(values, shifts) of :func:`_evaluate` at any number of rho values,
-    BATCH_POINTS at a time; ``tables`` defaults to Delta alone."""
-    tables = delta.coeffs[None] if tables is None else tables
-    rhos = np.asarray(rhos, dtype=complex).ravel()
-    parts = [_evaluate(delta, tables, rhos[i:i + BATCH_POINTS])
-             for i in range(0, rhos.size, BATCH_POINTS)]
-    return (np.concatenate([values for values, _ in parts], axis=1),
-            np.concatenate([shifts for _, shifts in parts]))
-
-
 def char_det(nbc: NormalizedBC, rho) -> ScaledValue:
     """Characteristic determinant of the model problem at ``rho``."""
-    values, shifts = _char_det_batch(_delta(nbc.rows), [rho])
+    delta = _delta(nbc.rows)
+    values, shifts = _evaluate(delta, delta.coeffs[None], [rho])
     d, scale = complex(values[0, 0]), float(shifts[0])
     if d == 0:
         return ScaledValue(0j, scale)
@@ -395,15 +383,11 @@ def _windings(delta, contours):
 
     def sample(owner, ts):
         """The points at parameters ``ts`` on edges ``owner``, and
-        log|Delta| and arg Delta there, BATCH_POINTS at a time."""
-        parts = []
-        for i in range(0, ts.size, BATCH_POINTS):
-            on, t = owner[i:i + BATCH_POINTS], ts[i:i + BATCH_POINTS]
-            points = center[on] + (r0[on] + (r1 - r0)[on] * t) * np.exp(
-                1j * (a0[on] + (a1 - a0)[on] * t))
-            (dets,), logs = _evaluate(delta, delta.coeffs[None], points)
-            parts.append((points, _log_abs_array(dets, logs), np.angle(dets)))
-        return (np.concatenate(part) for part in zip(*parts))
+        log|Delta| and arg Delta there, in one evaluation."""
+        points = center[owner] + (r0[owner] + (r1 - r0)[owner] * ts) * np.exp(
+            1j * (a0[owner] + (a1 - a0)[owner] * ts))
+        (dets,), logs = _evaluate(delta, delta.coeffs[None], points)
+        return points, _log_abs_array(dets, logs), np.angle(dets)
 
     lengths = np.abs(r1 - r0) + np.abs(a1 - a0) * np.maximum(r0, r1)
     sizes = np.clip(4 + FIRST_SAMPLES_PER_LENGTH * delta.n * lengths,
@@ -575,7 +559,7 @@ def _newton(delta, starts, multiplicities, polish=False):
     for _ in range(NEWTON_MAX_ITER):
         if not active:
             break
-        values, _ = _char_det_batch(delta, [rhos[i] for i in active], tables)
+        values, _ = _evaluate(delta, tables, [rhos[i] for i in active])
         going = []
         for col, i in enumerate(active):
             value, slope = complex(values[orders[i], col]), complex(values[orders[i] + 1, col])

@@ -203,14 +203,15 @@ def _raw_rows(rng, n):
 def test_chunked_expansion_is_bit_identical():
     # a pass sums each next state's products in pair order whatever the
     # chunk it falls in, so the terms are the same bits as one chunk per
-    # pass and as one next state per chunk, at every order up to 8
+    # pass and, at a budget of one entry, as one next state per chunk, at
+    # every order up to 8
     rng = np.random.default_rng(20261021)
     for n in range(1, 9):
         pairs = _raw_rows(rng, n)
         default = birkhoff.determinant_terms(n, pairs)
         for chunk in (1, 1 << 30):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(birkhoff, "EXPANSION_PAIRS", chunk)
+                patch.setattr(birkhoff, "BATCH_ELEMENTS", chunk)
                 other = birkhoff.determinant_terms(n, pairs)
             assert list(other) == list(default), n
             for subset, (freq, poly, moduli) in default.items():
@@ -219,10 +220,11 @@ def test_chunked_expansion_is_bit_identical():
 
 
 def test_expansion_peak_memory_at_order_8():
-    # the passes hold the products of at most EXPANSION_PAIRS pairs at
-    # once: at order 8 the tracemalloc peak is within three times the
-    # per-pair loop's (7.8 against 4.7 MB measured), where holding a whole
-    # pass and its gathered copy took 37.4 MB
+    # a pass holds at most BATCH_ELEMENTS entries of products at once and
+    # writes each chunk's sums into the next table: at order 8 the
+    # tracemalloc peak is within three times the per-pair loop's (6.2
+    # against 4.7 MB measured), where holding a whole pass and its
+    # gathered copy took 37.4 MB
     pairs = _raw_rows(np.random.default_rng(5), 8)
     peaks = []
     for expand in (birkhoff.determinant_terms, oracles.pairwise_determinant_terms):

@@ -798,20 +798,31 @@ def _names_read(tree):
     return found
 
 
-def test_only_birkhoff_expands_the_determinant():
-    """The characteristic determinant has one expansion: no module but
-    ``birkhoff`` reaches ``determinant_terms``, by any name."""
+def _modules_reading(target):
+    """The modules of the package whose syntax trees read ``target``."""
     package = os.path.dirname(cli.__file__)
     readers = []
     for name in sorted(os.listdir(package)):
         if name.endswith(".py"):
             with open(os.path.join(package, name), encoding="utf-8") as handle:
-                if "determinant_terms" in _names_read(ast.parse(handle.read())):
+                if target in _names_read(ast.parse(handle.read())):
                     readers.append(name[:-3])
-    assert readers == ["birkhoff"]
+    return readers
+
+
+def test_only_birkhoff_expands_the_determinant():
+    """The characteristic determinant has one expansion: no module but
+    ``birkhoff`` reaches ``determinant_terms``, by any name."""
+    assert _modules_reading("determinant_terms") == ["birkhoff"]
     for probe in ("birkhoff.determinant_terms(2, rows)",
                   "from .birkhoff import determinant_terms as expand"):
         assert "determinant_terms" in _names_read(ast.parse(probe))
+
+
+def test_only_birkhoff_reads_the_batch_budget():
+    """Delta's array passes have one memory budget, and ``birkhoff``
+    alone chunks by it: no other module reads ``BATCH_ELEMENTS``."""
+    assert _modules_reading("BATCH_ELEMENTS") == ["birkhoff"]
 
 
 def test_every_export_resolves():

@@ -11,6 +11,7 @@ import cmath
 import itertools
 import math
 import random
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -361,72 +362,93 @@ def test_evaluation_independent_of_batch():
         assert repr((alone[:, 0].tolist(), shift[0])) == repr((values[:, k].tolist(), shifts[k]))
 
 
+@pytest.mark.parametrize("count", [1, 3])
+def test_evaluation_chunks_change_no_bit(count, monkeypatch):
+    # 300 points of mixed4's Delta and its first count - 1 derivatives fit
+    # one chunk; at a budget of one entry each point is a chunk of its
+    # own, and the values and shifts are the same bits
+    delta = birkhoff._delta(_nbc("mixed4").rows)
+    tables = [delta.coeffs]
+    while len(tables) < count:
+        tables.append(birkhoff._derivative(delta.freqs, tables[-1]))
+    tables = np.array(tables)
+    assert 300 * tables.shape[0] * tables.shape[1] <= birkhoff.BATCH_ELEMENTS
+    rng = np.random.default_rng(2)
+    rhos = 20.0 * (rng.normal(size=300) + 1j * rng.normal(size=300))
+    whole = birkhoff._evaluate(delta, tables, rhos)
+    monkeypatch.setattr(birkhoff, "BATCH_ELEMENTS", 1)
+    chunked = birkhoff._evaluate(delta, tables, rhos)
+    assert chunked[0].shape == (count, 300)
+    assert repr([part.tolist() for part in chunked]) == repr([part.tolist() for part in whole])
+
+
+def test_evaluation_peak_memory_at_order_8():
+    # an evaluation holds at most BATCH_ELEMENTS entries of tables x
+    # frequencies x points at once, so 10,000 points of an order-8 Delta,
+    # with its 81 frequencies, peak under 4 MB (1.7 MB measured)
+    rows = oracles.random_rows(np.random.default_rng(8), 8)
+    delta = birkhoff._delta(reduce_total_order(rows).rows)
+    assert delta.freqs.size == 81
+    rng = np.random.default_rng(3)
+    rhos = 12.0 * (rng.normal(size=10000) + 1j * rng.normal(size=10000))
+    tracemalloc.start()
+    try:
+        birkhoff._evaluate(delta, delta.coeffs[None], rhos)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_delta_without_frequencies_evaluates_to_zeros(count):
+    # a Delta that vanishes identically keeps no frequency, and each of
+    # its tables is an exact zero at every point, with shift -inf
+    delta = birkhoff._delta(reduce_total_order(VANISHING["dy_periodic_y_antiperiodic"]).rows)
+    assert delta.freqs.size == 0
+    tables = np.zeros((count,) + delta.coeffs.shape, dtype=complex)
+    values, shifts = birkhoff._evaluate(delta, tables, np.linspace(0.5, 40.0, 500) + 3j)
+    assert values.shape == (count, 500) and not values.any()
+    assert np.all(shifts == -np.inf)
+
+
 def test_find_roots_independent_of_batch_size(monkeypatch):
+    # with a budget of 7 entries every batch runs one point per chunk, and
+    # the roots are the same bits
     nbc = _nbc("dirichlet4")
     whole = find_roots(nbc, (0.5, 30.0))
-    monkeypatch.setattr(spectral, "BATCH_POINTS", 7)
+    monkeypatch.setattr(birkhoff, "BATCH_ELEMENTS", 7)
     sizes = _count_evaluations(monkeypatch)
     chunked = find_roots(nbc, (0.5, 30.0))
-    assert max(sizes) == 7
+    assert max(sizes) > 7
     assert repr(chunked) == repr(whole)
 
 
 def test_find_roots_work_count(monkeypatch):
-    # the count of determinant evaluations does not depend on the machine:
-    # dirichlet2 out to the report radius takes 1,398 calls one box and one
-    # Newton point at a time, and 134 batched when every box of a level
-    # stepped until the slowest stopped; with the multi-zero boxes of the
-    # initial partition split at once and the boxes whose split separated
-    # their zeros following the others, it takes 40, 41 with the steps
-    # on Delta / rho, which divide out Delta's simple zero at 0, and 25
-    # with each box started at the mean of its zeros; with one start per
-    # zero, from the power sums, it takes 17
+    # the search evaluates Delta once per batch, a count that does not
+    # depend on the machine: dirichlet2 out to the report radius takes 8
     sizes = _count_evaluations(monkeypatch)
     find_roots(_nbc("dirichlet2"), (0.5, 66.5))
-    assert len(sizes) <= 25
-    assert max(sizes) <= spectral.BATCH_POINTS
+    assert len(sizes) <= 8
 
 
 def test_gallery_search_point_count(monkeypatch):
-    # the first partition's seam lies off arg rho = 0, where the real
-    # zeros of most gallery examples made a first attempt fail and start
-    # over: the 8 gallery searches to the report radius evaluate at most
-    # 150,000 determinant points (200,944 with that attempt).  They take
-    # 265 evaluations: 1,269 when boxes that hold separate zeros kept
-    # their level's Newton batch running to NEWTON_MAX_ITER, 749 when
-    # the high-order zero of Delta at 0 drew the Newton steps of boxes
-    # near it (before they stepped on Delta / rho^k), 442 when each split
-    # was wound on its own, not with the other splits of its level, 376
-    # when Newton started at each box's midpoint, not at the mean of its
-    # zeros, and 265 evaluations of 121,644 points when each box took one
-    # start at that mean, with its count as multiplicity.  With one start
-    # per zero, from the power sums, they take 201 evaluations of 91,519
-    # points, and no box splits.  With the whole-annulus count read off one
-    # sector's two arcs, wound with the first partition, not off both full
-    # circles in a batch of their own, they take 185 evaluations of 82,572
-    # points.  With each distinct edge sampled once, shared by the boxes on
-    # both sides of it, they take 152 evaluations of 51,732 points
+    # the 8 gallery searches to the report radius evaluate at most 55,000
+    # determinant points (51,732 measured) in 109 evaluations, one per
+    # batch: the first samples of a batch's edges, each refinement round
+    # of its midpoints, and each Newton step
     sizes = _count_evaluations(monkeypatch)
     for name in sorted(gallery.EXAMPLES):
         find_roots(_nbc(name), (0.5, 66.5))
     assert sum(sizes) <= 55000
-    assert len(sizes) <= 160
+    assert len(sizes) <= 109
 
 
 def test_random_search_work_count(monkeypatch):
     # 30 seeded random operators each of orders 2 and 4 on (0.5, 20) take
-    # 707 evaluations with each distinct edge sampled once, 709 when each
-    # box sampled its own edges, with the whole-annulus count read off one
-    # sector's arcs, wound with the first partition, and 802 when both
-    # full circles were wound in a batch of their own.  Before each box took one Newton
-    # start per zero, from its power sums, they took 2,072 when each box
-    # started once at the mean of its zeros, 3,834 when Newton started at
-    # each box's midpoint, 4,086 when each split was also wound on its
-    # own, and 6,330 when those midpoint starts also stepped on Delta
-    # itself, whose zero at 0 (of order at least n (n - 1) / 2) drew in
-    # the boxes near the inner circle.  One subdivision Newton batch runs
-    # all NEWTON_MAX_ITER steps, held by two zeros close enough to merge
-    # into one start; 16 did with one start per box
+    # at most 670 evaluations, one per batch (647 measured), and at most
+    # 3 subdivision Newton batches run all NEWTON_MAX_ITER steps (one
+    # measured, held by two zeros close enough to merge into one start)
     rng = np.random.default_rng(20261019)
     sizes = _count_evaluations(monkeypatch)
     newton, capped = spectral._newton, []
@@ -440,7 +462,7 @@ def test_random_search_work_count(monkeypatch):
     monkeypatch.setattr(spectral, "_newton", counted)
     for n in (2, 4) * 30:
         find_roots(reduce_total_order(oracles.random_rows(rng, n)), (0.5, 20.0))
-    assert len(sizes) <= 730
+    assert len(sizes) <= 670
     assert sum(capped) <= 3
 
 
@@ -500,7 +522,6 @@ def test_partition_winds_each_edge_once(name, monkeypatch):
     # edges and of the two arcs.  To 66.5 that is 5,147 to 6,929 points,
     # where each box's four edges, each sampled on its own, and the two
     # arcs took 8,487 to 11,655
-    monkeypatch.setattr(spectral, "BATCH_POINTS", 1 << 20)
     nbc = _nbc(name)
     batches = []
     count = spectral._box_counts
@@ -577,7 +598,6 @@ def test_windings_of_a_batch_are_those_alone(name, monkeypatch):
                      spectral._Path(0.5, 0.5, 0.5 * math.pi, 0.0)])
     contours += [[spectral._Path(1e-3, 1e-3, 0.0, 2 * math.pi, root.rho)] for root in roots[:4]]
     contours.append([spectral._Path(0.05, 0.05, 0.0, 2 * math.pi, roots[0].rho + 0.049)])
-    monkeypatch.setattr(spectral, "BATCH_POINTS", 1 << 20)
     sizes = _count_evaluations(monkeypatch)
     alone, alone_centres, alone_sums, calls = [], [], [], []
     for contour in contours:
@@ -937,8 +957,8 @@ def _dense_count(nbc, annulus, samples=20001):
     delta = birkhoff._delta(nbc.rows)
     turns, largest = [], 0.0
     for radius in annulus:
-        values, _ = spectral._char_det_batch(
-            delta, radius * np.exp(1j * np.linspace(0.0, 2 * math.pi, samples)))
+        rhos = radius * np.exp(1j * np.linspace(0.0, 2 * math.pi, samples))
+        values, _ = birkhoff._evaluate(delta, delta.coeffs[None], rhos)
         steps = np.angle(np.exp(1j * np.diff(np.angle(values[0]))))
         turns.append(steps.sum() / (2 * math.pi))
         largest = max(largest, float(np.abs(steps).max()))
